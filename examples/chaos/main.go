@@ -39,8 +39,8 @@ func main() {
 
 	run := func(name string, cp experiments.ChaosParams) {
 		r := experiments.RunChaos(cp)
-		fmt.Printf("%-14s %5.2f kreq/s  p99 %6.2f ms  failed %3d  replays %3d  respawns %3d  retrans %5.1f%%  leaked pages %d\n",
-			name, r.GoodputKReq, r.P99Ms, r.Failed, r.Replays, r.Respawns, r.RetransPct*100, r.LeakPages)
+		fmt.Printf("%-14s %5.2f kreq/s  p99 %6.0f µs  failed %3d  replays %3d  respawns %3d  retrans %5.1f%%  leaked pages %d\n",
+			name, r.GoodputKReq, r.P99Us, r.Failed, r.Replays, r.Respawns, r.RetransPct*100, r.LeakPages)
 	}
 	kill := 20 * time.Millisecond
 	run("clean", experiments.ChaosParams{})

@@ -9,6 +9,8 @@ package apps
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/ipcsim"
@@ -465,11 +467,14 @@ func NewAppMachine(files map[string]int64) *kernel.Machine {
 	eng := sim.New()
 	m := kernel.NewMachine(eng, sim.DefaultCosts(), kernel.Config{})
 	warm := m.NewProcess("warm", 1<<20)
-	for name, size := range files {
-		m.FS.Create(name, size)
+	// Create and warm in name order: map order would vary the file layout
+	// and cache state, and so the runtimes, from process to process.
+	names := slices.Sorted(maps.Keys(files))
+	for _, name := range names {
+		m.FS.Create(name, files[name])
 	}
 	eng.Go("warm", func(p *sim.Proc) {
-		for name := range files {
+		for _, name := range names {
 			fd := mustOpen(m, p, warm, name)
 			for {
 				a, err := m.IOLRead(p, warm, fd, chunkSize)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"iolite/internal/apps"
@@ -75,10 +74,7 @@ type ChaosResult struct {
 	// GoodputKReq is completed requests per second, in thousands, over the
 	// measure window.
 	GoodputKReq float64
-	// P99Ms is the 99th-percentile request latency in milliseconds over
-	// completions after warmup.
-	P99Ms    float64
-	Requests int64
+	Requests    int64
 	// Failed counts requests that returned an error anywhere in the run —
 	// the acceptance criterion demands 0 with replay on.
 	Failed   int64
@@ -177,7 +173,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	params := []byte(fmt.Sprintf("/doc/%d", cp.DocBytes))
 	lat := obs.NewHistogram()
 	var done, failed int64
-	var lats []time.Duration
 	for i := 0; i < cp.Requesters; i++ {
 		eng.Go(fmt.Sprintf("req%d", i), func(p *sim.Proc) {
 			for p.Now() < end {
@@ -204,7 +199,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 				resp.Release()
 				done++
 				if start >= sim.Time(cp.Warmup) {
-					lats = append(lats, p.Now().Sub(start))
 					lat.Observe(int64(p.Now().Sub(start)))
 				}
 				p.Sleep(cp.Think)
@@ -264,10 +258,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	res.Respawns = pool.Respawns()
 	if plan != nil {
 		res.DroppedSegs, res.CorruptedSegs = plan.Stats()
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		res.P99Ms = lats[len(lats)*99/100].Seconds() * 1e3
 	}
 	res.LeakPages = leakPages(srv.Pool.LivePages())
 	for _, w := range pool.Workers() {
@@ -420,13 +410,13 @@ func FigChaos(opt Options) *Table {
 				Measure:   meas,
 				Obs:       opt.Trace,
 			})
-			opt.progress("FigChaos %s %s: %.1f kreq/s (p50 %.0fµs p99 %.2fms, failed %d, replays %d, retrans %.2f%%, leaks %d)",
-				c.name, r.Label, r.GoodputKReq, r.P50Us, r.P99Ms, r.Failed, r.Replays, r.RetransPct*100, r.LeakPages)
+			opt.progress("FigChaos %s %s: %.1f kreq/s (p50 %.0fµs p99 %.0fµs, failed %d, replays %d, retrans %.2f%%, leaks %d)",
+				c.name, r.Label, r.GoodputKReq, r.P50Us, r.P99Us, r.Failed, r.Replays, r.RetransPct*100, r.LeakPages)
 			row.Values = append(row.Values, r.GoodputKReq)
 			if loss == notesAt {
 				t.Notes = append(t.Notes, fmt.Sprintf(
-					"%s @%s: p99 %.2fms, failed %d, replays %d, reroutes %d, respawns %d, retrans %.2f%% (%d segs), copied %.2f KB/req, leaked pages %d",
-					c.name, r.Label, r.P99Ms, r.Failed, r.Replays, r.Reroutes, r.Respawns,
+					"%s @%s: p99 %.0fµs, failed %d, replays %d, reroutes %d, respawns %d, retrans %.2f%% (%d segs), copied %.2f KB/req, leaked pages %d",
+					c.name, r.Label, r.P99Us, r.Failed, r.Replays, r.Reroutes, r.Respawns,
 					r.RetransPct*100, r.RetransSegs, r.CopiedKBPerReq, r.LeakPages))
 			}
 		}

@@ -20,10 +20,9 @@ func benchChaos(b *testing.B, cp ChaosParams) {
 	for i := 0; i < b.N; i++ {
 		r := RunChaos(cp)
 		if i == 0 {
-			fmt.Printf("%s: %.2f kreq/s, p99 %.2f ms, failed %d, replays %d, respawns %d, retrans %.1f%%\n",
-				r.Label, r.GoodputKReq, r.P99Ms, r.Failed, r.Replays, r.Respawns, r.RetransPct*100)
+			fmt.Printf("%s: %.2f kreq/s, p99 %.0f µs, failed %d, replays %d, respawns %d, retrans %.1f%%\n",
+				r.Label, r.GoodputKReq, r.P99Us, r.Failed, r.Replays, r.Respawns, r.RetransPct*100)
 			b.ReportMetric(r.GoodputKReq, "kreq/s")
-			b.ReportMetric(r.P99Ms, "p99_ms")
 			b.ReportMetric(float64(r.Failed), "failed")
 			b.ReportMetric(float64(r.Replays), "replays")
 			b.ReportMetric(float64(r.Respawns), "respawns")

@@ -50,9 +50,9 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Errorf("goodput %.1f kreq/s under chaos, want ≥ 70%% of clean %.1f",
 			faulty.GoodputKReq, clean.GoodputKReq)
 	}
-	t.Logf("clean: %.1f kreq/s p99=%.2fms copied=%.2fKB/req", clean.GoodputKReq, clean.P99Ms, clean.CopiedKBPerReq)
-	t.Logf("chaos: %.1f kreq/s p99=%.2fms copied=%.2fKB/req replays=%d retrans=%.2f%%",
-		faulty.GoodputKReq, faulty.P99Ms, faulty.CopiedKBPerReq, faulty.Replays, faulty.RetransPct*100)
+	t.Logf("clean: %.1f kreq/s p99=%.0fµs copied=%.2fKB/req", clean.GoodputKReq, clean.P99Us, clean.CopiedKBPerReq)
+	t.Logf("chaos: %.1f kreq/s p99=%.0fµs copied=%.2fKB/req replays=%d retrans=%.2f%%",
+		faulty.GoodputKReq, faulty.P99Us, faulty.CopiedKBPerReq, faulty.Replays, faulty.RetransPct*100)
 }
 
 // TestChaosKillsWithoutReplayFail pins the contrast column: the same kills

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,5 +283,25 @@ func TestTableHelpers(t *testing.T) {
 	}
 	if _, ok := tb.Value("zzz", "a"); ok {
 		t.Fatal("found absent row")
+	}
+
+	// Names longer than the default width widen their column: each name
+	// stays a separate word, and each value ends where its name ends.
+	wide := &Table{
+		XLabel:  "x",
+		Columns: []string{"sock-local ref", "sock-local ref ring", "kills+replay offl"},
+		Rows:    []Row{{Label: "r1", Values: []float64{1, 22, 333}}},
+	}
+	lines := strings.Split(wide.Format(), "\n")
+	header, row := lines[1], lines[2]
+	if got := strings.Join(strings.Fields(header)[1:], "|"); got != "sock-local|ref|sock-local|ref|ring|kills+replay|offl" {
+		t.Errorf("header words %q: column names ran together:\n%s", got, header)
+	}
+	for i, name := range wide.Columns {
+		end := strings.Index(header, name) + len(name)
+		val := fmt.Sprintf("%.2f", wide.Rows[0].Values[i])
+		if end > len(row) || !strings.HasSuffix(row[:end], " "+val) {
+			t.Errorf("value %s not right-aligned under %q:\n%s\n%s", val, name, header, row)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fcgi
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/kernel"
@@ -373,7 +374,16 @@ func (mx *Mux) fail(err error) {
 	}
 	mx.err = err
 	inflight := fmt.Errorf("%w: %w", ErrWorkerDied, err)
-	for _, st := range mx.streams {
+	// Wake in request-id order, not map order: woken requesters resume in
+	// wake order, and their replays and retries must not depend on the
+	// map's randomized iteration.
+	ids := make([]uint16, 0, len(mx.streams))
+	for id := range mx.streams {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		st := mx.streams[id]
 		for _, rec := range st.recs {
 			rec.Release()
 		}

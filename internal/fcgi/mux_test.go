@@ -112,6 +112,54 @@ func TestMuxWorkerCrashMidRecord(t *testing.T) {
 	b.eng.Run()
 }
 
+// TestMuxFailWakesInRequestOrder breaks a mux with 16 requests in flight:
+// every requester must see the error, in request-id order, so the resumed
+// requesters' retries and replays are the same in every process.
+func TestMuxFailWakesInRequestOrder(t *testing.T) {
+	const n = 16
+	for round := 0; round < 3; round++ {
+		b := newBed()
+		worker := b.m.NewProcess("worker", 1<<20)
+		reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeCopy)
+		respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeCopy)
+		mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0), n)
+
+		b.eng.Go("worker", func(p *sim.Proc) {
+			// Accept every request (BEGIN + PARAMS each), answer none, die.
+			c := NewConn(b.m, worker, reqR, respW, 0)
+			for i := 0; i < 2*n; i++ {
+				if _, err := c.ReadRecord(p); err != nil {
+					t.Errorf("worker read: %v", err)
+					return
+				}
+			}
+			b.m.Close(p, worker, respW)
+			b.m.Close(p, worker, reqR)
+		})
+
+		var order []int
+		for i := 0; i < n; i++ {
+			b.eng.Go(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+				// Staggered starts: client i holds request id i+1.
+				p.Sleep(time.Duration(i) * time.Microsecond)
+				if _, err := mx.Do(p, Request{Params: []byte("/x")}); err == nil {
+					t.Errorf("client %d: request survived the worker's death", i)
+				}
+				order = append(order, i)
+			})
+		}
+		b.eng.Run()
+		if len(order) != n {
+			t.Fatalf("round %d: %d/%d requesters saw the failure", round, len(order), n)
+		}
+		for i, c := range order {
+			if c != i {
+				t.Fatalf("round %d: requesters saw the failure in order %v, want request-id order", round, order)
+			}
+		}
+	}
+}
+
 // TestWorkerEPIPEOnResponsePipe closes the server side of a worker's
 // connection while the worker is mid-response: the worker's STDOUT write
 // sees the simulated EPIPE, the error is counted on its conn, and the
