@@ -40,14 +40,15 @@ func main() {
 	}{
 		{false, 1}, {false, 8}, {true, 1}, {true, 8},
 	} {
-		r := experiments.RunFCGI(experiments.FCGIParams{
-			Workers: 4,
-			Depth:   cfg.depth,
-			Ref:     cfg.ref,
-			Warmup:  300 * time.Millisecond,
-			Measure: 2 * time.Second,
+		r := experiments.RunFCGINet(experiments.FCGINetParams{
+			Placement: experiments.PlacePipe,
+			Workers:   4,
+			Depth:     cfg.depth,
+			Ref:       cfg.ref,
+			Warmup:    300 * time.Millisecond,
+			Measure:   2 * time.Second,
 		})
-		fmt.Printf("%-14s %7.1f kreq/s  copied %8.2f MB  (cpu %3.0f%%)\n",
+		fmt.Printf("%-19s %7.1f kreq/s  copied %8.2f MB  (cpu %3.0f%%)\n",
 			r.Label, r.KReqPerSec, r.CopiedMB, r.CPUUtil*100)
 	}
 

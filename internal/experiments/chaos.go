@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"iolite/internal/apps"
@@ -70,11 +71,10 @@ type ChaosParams struct {
 
 // ChaosResult is one run's outcome.
 type ChaosResult struct {
-	Label string
+	Metrics
 	// GoodputKReq is completed requests per second, in thousands, over the
 	// measure window.
 	GoodputKReq float64
-	Requests    int64
 	// Failed counts requests that returned an error anywhere in the run —
 	// the acceptance criterion demands 0 with replay on.
 	Failed   int64
@@ -97,48 +97,24 @@ type ChaosResult struct {
 	// after the run drains — nonzero means an abandoned delivery kept a
 	// *core.Agg reference.
 	LeakPages int
-	// P50Us / P99Us are requester-observed latency percentiles over the
-	// measure window, in microseconds.
-	P50Us float64
-	P99Us float64
 }
 
 // RunChaos executes one chaos run on the sock-local ref topology.
 func RunChaos(cp ChaosParams) ChaosResult {
-	if cp.Workers <= 0 {
-		cp.Workers = 2
-	}
-	if cp.Depth <= 0 {
-		cp.Depth = 16
-	}
-	if cp.Requesters <= 0 {
-		cp.Requesters = cp.Workers * cp.Depth
-	}
-	if cp.DocBytes == 0 {
-		cp.DocBytes = 16 << 10
-	}
-	if cp.AppDelay == 0 {
-		cp.AppDelay = 400 * time.Microsecond
-	}
-	if cp.Think == 0 {
-		cp.Think = 40 * time.Millisecond
-	}
-	if cp.Warmup == 0 {
-		cp.Warmup = 100 * time.Millisecond
-	}
-	if cp.Measure == 0 {
-		cp.Measure = 500 * time.Millisecond
-	}
+	orDefault(&cp.Workers, 2)
+	orDefault(&cp.Depth, 16)
+	orDefault(&cp.Requesters, cp.Workers*cp.Depth)
+	orDefault(&cp.DocBytes, 16<<10)
+	orDefault(&cp.AppDelay, 400*time.Microsecond)
+	orDefault(&cp.Think, 40*time.Millisecond)
+	orDefault(&cp.Warmup, 100*time.Millisecond)
+	orDefault(&cp.Measure, 500*time.Millisecond)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if cp.Obs != nil {
-		cp.Obs.Attach(eng, costs)
-	}
+	b := newBed(cp.Obs, cp.Warmup, cp.Measure)
 	// The checksum cache is load-bearing under faults: a retransmitted ref
 	// segment re-checksums with one lookup per piece instead of re-paying
 	// the full pass, so recovery overhead is wire bytes, not CPU.
-	m := kernel.NewMachine(eng, costs, kernel.Config{ChecksumCache: true, Offload: cp.Offload})
+	m := kernel.NewMachine(b.eng, b.costs, kernel.Config{ChecksumCache: true, Offload: cp.Offload})
 	srv := m.NewProcess("chaos-srv", 2<<20)
 	tr := fcgi.NewLoopbackTransport(m, srv, true, 0)
 
@@ -147,9 +123,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		plan = &netsim.FaultPlan{DropProb: cp.LossProb, CorruptProb: cp.CorruptProb, Seed: cp.Seed}
 		tr.Link.SetFaultPlan(plan)
 	}
-
-	aggs := fcgi.NewAggCache()
-	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
+	pool := docPool(fcgi.PoolConfig{
 		Machine:   m,
 		Server:    srv,
 		Workers:   cp.Workers,
@@ -160,89 +134,37 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		Replay:    cp.Replay,
 		Name:      "cw",
 		Obs:       cp.Obs,
-		OnRetire:  func(w *fcgi.Worker) { aggs.Drop(w) },
-		Handler: func(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) {
-			w.M.Host.Use(p, 20*time.Microsecond)
-			p.Sleep(cp.AppDelay)
-			agg := aggs.GetOrPack(p, w, cp.DocBytes, func() []byte { return fcgiDoc(cp.DocBytes) })
-			req.Reply(p, agg, 0)
-		},
-	})
+	}, cp.DocBytes, cp.AppDelay)
 
-	end := sim.Time(cp.Warmup + cp.Measure)
-	params := []byte(fmt.Sprintf("/doc/%d", cp.DocBytes))
-	lat := obs.NewHistogram()
-	var done, failed int64
-	for i := 0; i < cp.Requesters; i++ {
-		eng.Go(fmt.Sprintf("req%d", i), func(p *sim.Proc) {
-			for p.Now() < end {
-				start := p.Now()
-				sp := cp.Obs.Start("chaos", start)
-				if sp != nil {
-					p.SetAttrib(sp)
-				}
-				resp, err := pool.Do(p, fcgi.Request{Params: params, Idempotent: true, Span: sp})
-				if sp != nil {
-					p.SetAttrib(nil)
-				}
-				if err != nil {
-					// A failed request pauses before the next attempt —
-					// pool.Do fails fast when every worker is briefly
-					// broken, and an unpaced retry loop would spin at one
-					// sim instant, starving the respawn that fixes it.
-					sp.Abandon()
-					failed++
-					p.Sleep(100 * time.Microsecond)
-					continue
-				}
-				sp.Finish(p.Now())
-				resp.Release()
-				done++
-				if start >= sim.Time(cp.Warmup) {
-					lat.Observe(int64(p.Now().Sub(start)))
-				}
-				p.Sleep(cp.Think)
-			}
-		})
-	}
-	if cp.Obs != nil {
-		// Samplers: mux occupancy, open spans, and cumulative retransmitted
-		// segments — the recovery story as counter tracks.
-		cp.Obs.SampleEvery("pool-inflight", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(pool.InFlight()) })
-		cp.Obs.SampleEvery("active-spans", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(cp.Obs.ActiveSpans()) })
-		cp.Obs.SampleEvery("retrans-segs", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { segs, _ := m.Host.RetransStats(); return float64(segs) })
-	}
+	var n loopCounts
+	fcgiLoop{
+		b: b, pool: pool, kind: "chaos", think: cp.Think, retry: 100 * time.Microsecond, observe: true, n: &n,
+		req: fcgi.Request{Params: []byte(fmt.Sprintf("/doc/%d", cp.DocBytes)), Idempotent: true},
+	}.spawn(cp.Requesters)
+	// Samplers: mux occupancy, open spans, and cumulative retransmitted
+	// segments — the recovery story as counter tracks.
+	b.sampleEvery("pool-inflight", func() float64 { return float64(pool.InFlight()) })
+	b.sampleEvery("active-spans", func() float64 { return float64(cp.Obs.ActiveSpans()) })
+	b.sampleEvery("retrans-segs", func() float64 { segs, _ := m.Host.RetransStats(); return float64(segs) })
 	if cp.KillEvery > 0 {
-		eng.Go("killer", func(p *sim.Proc) {
-			k := 0
-			for {
+		b.eng.Go("killer", func(p *sim.Proc) {
+			for k := 0; ; k++ {
 				p.Sleep(cp.KillEvery)
-				if p.Now() >= end {
+				if p.Now() >= b.end {
 					return
 				}
-				victim := pool.Workers()[k%cp.Workers]
-				k++
-				victim.Conn().Close(p)
+				pool.Workers()[k%cp.Workers].Conn().Close(p)
 			}
 		})
 	}
 
-	res := ChaosResult{Label: chaosLabel(cp)}
-	var warmDone int64
-	var reset obs.ResetSet
-	reset.Add(costs, m.Host, cp.Obs)
-	eng.At(sim.Time(cp.Warmup), func() {
-		warmDone = done
-		reset.Reset()
-	})
-	eng.At(end, func() {
-		res.Requests = done - warmDone
-		res.GoodputKReq = float64(res.Requests) / cp.Measure.Seconds() / 1e3
+	res := ChaosResult{Metrics: Metrics{Label: chaosLabel(cp)}}
+	b.reset.Add(m)
+	res.P50Us, res.P99Us = b.run(n.markWarm, func() {
+		res.Requests = n.done - n.warmDone
+		res.GoodputKReq = b.perSec(res.Requests)
 		if res.Requests > 0 {
-			res.CopiedKBPerReq = float64(costs.MeterCopiedBytes()) / float64(res.Requests) / (1 << 10)
+			res.CopiedKBPerReq = float64(b.costs.MeterCopiedBytes()) / float64(res.Requests) / (1 << 10)
 		}
 		segs, rbytes := m.Host.RetransStats()
 		res.RetransSegs = segs
@@ -250,9 +172,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 			res.RetransPct = float64(rbytes) / float64(bytesOut)
 		}
 	})
-	eng.Run()
-
-	res.Failed = failed
+	res.Failed = n.failed
 	res.Replays = pool.Replays()
 	res.Reroutes = pool.Reroutes()
 	res.Respawns = pool.Respawns()
@@ -263,8 +183,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	for _, w := range pool.Workers() {
 		res.LeakPages += leakPages(w.Proc.Pool.LivePages())
 	}
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
 	return res
 }
 
@@ -309,18 +227,16 @@ type StaleChaosResult struct {
 // expiry refreshes entries from the origin; after it, expired entries are
 // served stale instead of failing the client.
 func RunStaleChaos() StaleChaosResult {
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-
-	origin := kernel.NewMachine(eng, costs, kernel.Config{ChecksumCache: true})
+	b := newBed(nil, 0, 100*time.Millisecond)
+	origin := kernel.NewMachine(b.eng, b.costs, kernel.Config{ChecksumCache: true})
 	originLst := netsim.NewListener(origin.Host)
 	osrv := httpd.NewServer(httpd.Config{Kind: httpd.FlashLite, Machine: origin, Listener: originLst})
 	f := origin.FS.Create("/doc.html", 16<<10)
 	osrv.PrimeOpen("/doc.html", f)
 
-	pm := kernel.NewMachine(eng, costs, kernel.Config{ChecksumCache: true})
+	pm := kernel.NewMachine(b.eng, b.costs, kernel.Config{ChecksumCache: true})
 	plst := netsim.NewListener(pm.Host)
-	olink := netsim.NewLink(eng, pm.Host, origin.Host, 100_000_000, 100*time.Microsecond)
+	olink := netsim.NewLink(b.eng, pm.Host, origin.Host, 100_000_000, 100*time.Microsecond)
 	px := apps.NewProxy(apps.ProxyConfig{
 		Mode:         apps.ProxyZeroCopy,
 		Machine:      pm,
@@ -334,26 +250,19 @@ func RunStaleChaos() StaleChaosResult {
 		RetryBackoff: 500 * time.Microsecond,
 	})
 
-	client := netsim.NewHost(eng, costs, "client", false, nil, nil)
-	clink := netsim.NewLink(eng, client, pm.Host, 100_000_000, 100*time.Microsecond)
-	end := sim.Time(100 * time.Millisecond)
-	eng.Go("client", func(p *sim.Proc) {
-		var st httpd.ClientStats
-		httpd.RunClient(p, httpd.ClientConfig{
-			Host: client, Link: clink, Listener: plst, Tss: 64 << 10, RefServer: true,
-		}, func() (string, bool) {
-			if p.Now() >= end {
-				return "", false
-			}
+	(&clientTier{
+		clients: 1, machines: 1,
+		cfg: httpd.ClientConfig{Listener: plst, Tss: 64 << 10, RefServer: true},
+		next: func(p *sim.Proc, _ *rand.Rand) string {
 			p.Sleep(time.Millisecond)
-			return "/doc.html", true
-		}, &st)
-	})
-	eng.At(sim.Time(40*time.Millisecond), func() {
+			return "/doc.html"
+		},
+	}).start(b, pm.Host)
+	b.eng.At(sim.Time(40*time.Millisecond), func() {
 		// The outage: every later refetch finds the origin unreachable.
 		originLst.Close()
 	})
-	eng.Run()
+	b.eng.Run()
 
 	var res StaleChaosResult
 	res.Requests, _, _, _, res.Aborted = px.Stats()

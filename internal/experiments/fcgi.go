@@ -2,19 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
-
-	"iolite/internal/fcgi"
-	"iolite/internal/kernel"
-	"iolite/internal/obs"
-	"iolite/internal/sim"
 )
 
 // The fcgi experiment: the worker-pool scaling study the ROADMAP asks for
-// ("requests multiplexed over one pipe pair"). A server process drives an
-// internal/fcgi worker pool directly — no HTTP tier, so the pipe
-// transport is the entire data path — under a closed-loop population of
-// requesters. Each request models a FastCGI app: parse params, wait on a
+// ("requests multiplexed over one pipe pair"), run as RunFCGINet's pipe
+// placement. A server process drives an internal/fcgi worker pool
+// directly — no HTTP tier, so the pipe transport is the entire data path
+// — under a closed-loop population of requesters. Each request models a FastCGI app: parse params, wait on a
 // backend (the off-CPU AppDelay), and stream a cached document back.
 // Concurrency comes from two places the figure sweeps independently:
 // worker count (processes) and mux depth (in-flight requests per pipe
@@ -22,174 +18,6 @@ import (
 // ref mode passes the worker's sealed aggregates by reference, so the
 // per-request CPU cost collapses to framing and the same hardware
 // sustains both more workers' and deeper muxes' worth of overlap.
-
-// FCGIParams describes one fcgi scaling run.
-type FCGIParams struct {
-	// Workers is the pool size N; Depth is the per-worker mux depth.
-	Workers int
-	Depth   int
-	// Requesters is the closed-loop request population M (default
-	// Workers×Depth — every mux slot occupied).
-	Requesters int
-	// DocBytes sizes the response document (default 16 KB).
-	DocBytes int64
-	// AppDelay is the per-request off-CPU wait the app models (a backend
-	// query; default 400 µs). It is what concurrency hides.
-	AppDelay time.Duration
-	// Ref selects reference-mode response records.
-	Ref bool
-
-	Warmup  time.Duration
-	Measure time.Duration
-
-	// Obs, when set, traces every request through the pool.
-	Obs *obs.Collector
-}
-
-// FCGIResult is one run's outcome.
-type FCGIResult struct {
-	Label string
-	// KReqPerSec is completed requests per second, in thousands.
-	KReqPerSec float64
-	Requests   int64
-	Failures   int64
-	// CopiedMB is the copy work charged during measurement, in megabytes
-	// (ref mode: request framing only; copy mode: every response byte
-	// twice).
-	CopiedMB float64
-	CPUUtil  float64
-	// P50Us / P99Us are requester-observed latency percentiles over the
-	// measure window, in microseconds.
-	P50Us float64
-	P99Us float64
-}
-
-// RunFCGI executes one fcgi worker-pool experiment.
-func RunFCGI(fp FCGIParams) FCGIResult {
-	if fp.Workers <= 0 {
-		fp.Workers = 4
-	}
-	if fp.Depth <= 0 {
-		fp.Depth = 8
-	}
-	if fp.Requesters <= 0 {
-		fp.Requesters = fp.Workers * fp.Depth
-	}
-	if fp.DocBytes == 0 {
-		fp.DocBytes = 16 << 10
-	}
-	if fp.AppDelay == 0 {
-		fp.AppDelay = 400 * time.Microsecond
-	}
-	if fp.Warmup == 0 {
-		fp.Warmup = 300 * time.Millisecond
-	}
-	if fp.Measure == 0 {
-		fp.Measure = 1500 * time.Millisecond
-	}
-
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if fp.Obs != nil {
-		fp.Obs.Attach(eng, costs)
-	}
-	m := kernel.NewMachine(eng, costs, kernel.Config{})
-	srv := m.NewProcess("fcgi-srv", 2<<20)
-
-	// The worker app: a caching document generator (§3.10 shape — the
-	// IO-Lite worker's documents live as sealed aggregates in its own
-	// ACL'd pool; the conventional worker keeps private bytes).
-	aggs := fcgi.NewAggCache()
-	raws := fcgi.NewRawCache()
-	gen := fcgiDoc
-	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
-		Machine: m,
-		Server:  srv,
-		Workers: fp.Workers,
-		Depth:   fp.Depth,
-		Ref:     fp.Ref,
-		Name:    "fw",
-		Obs:     fp.Obs,
-		Handler: func(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) {
-			m.Host.Use(p, 20*time.Microsecond) // request parse/dispatch work
-			p.Sleep(fp.AppDelay)               // the backend wait
-			if fp.Ref {
-				agg := aggs.GetOrPack(p, w, fp.DocBytes, func() []byte { return gen(fp.DocBytes) })
-				req.Reply(p, agg, 0)
-				return
-			}
-			raw := raws.GetOrGen(w, fp.DocBytes, func() []byte { return gen(fp.DocBytes) })
-			req.ReplyBytes(p, raw, 0)
-		},
-	})
-
-	end := sim.Time(fp.Warmup + fp.Measure)
-	params := []byte(fmt.Sprintf("/doc/%d", fp.DocBytes))
-	lat := obs.NewHistogram()
-	latFrom := sim.Time(fp.Warmup)
-	var done, failed int64
-	for i := 0; i < fp.Requesters; i++ {
-		eng.Go(fmt.Sprintf("req%d", i), func(p *sim.Proc) {
-			for p.Now() < end {
-				start := p.Now()
-				sp := fp.Obs.Start("fcgi", start)
-				if sp != nil {
-					p.SetAttrib(sp)
-				}
-				resp, err := pool.Do(p, fcgi.Request{Params: params, Span: sp})
-				if sp != nil {
-					p.SetAttrib(nil)
-				}
-				if err != nil {
-					sp.Abandon()
-					failed++
-					return
-				}
-				sp.Finish(p.Now())
-				resp.Release()
-				done++
-				if start >= latFrom {
-					lat.Observe(int64(p.Now().Sub(start)))
-				}
-			}
-		})
-	}
-
-	mode := "copy"
-	if fp.Ref {
-		mode = "ref"
-	}
-	res := FCGIResult{Label: fmt.Sprintf("%s w=%d d=%d", mode, fp.Workers, fp.Depth)}
-	var warmDone int64
-	var reset obs.ResetSet
-	reset.Add(costs, m.CPU(), fp.Obs)
-	eng.At(sim.Time(fp.Warmup), func() {
-		warmDone = done
-		reset.Reset()
-	})
-	eng.At(end, func() {
-		res.Requests = done - warmDone
-		res.KReqPerSec = float64(res.Requests) / fp.Measure.Seconds() / 1e3
-		res.CopiedMB = float64(costs.MeterCopiedBytes()) / (1 << 20)
-		res.CPUUtil = m.CPU().Utilization()
-	})
-	eng.Run()
-	res.Failures = failed
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
-	return res
-}
-
-// fcgiDoc deterministically generates the n-byte document both fcgi
-// experiments serve — one pattern, so RunFCGI and RunFCGINet measure the
-// same workload by construction.
-func fcgiDoc(n int64) []byte {
-	d := make([]byte, n)
-	for i := range d {
-		d[i] = byte(i*13 + 5)
-	}
-	return d
-}
 
 // fcgiFigPoints is the worker-count x-axis of the scaling figure.
 func fcgiFigPoints(quick bool) []int {
@@ -224,14 +52,16 @@ func FigFCGI(opt Options) *Table {
 	for _, n := range fcgiFigPoints(opt.Quick) {
 		row := Row{Label: fmt.Sprintf("%d", n)}
 		for _, cfg := range configs {
-			r := RunFCGI(FCGIParams{
-				Workers: n,
-				Depth:   cfg.depth,
-				Ref:     cfg.ref,
-				Warmup:  warm,
-				Measure: meas,
-				Obs:     opt.Trace,
+			r := RunFCGINet(FCGINetParams{
+				Placement: PlacePipe,
+				Workers:   n,
+				Depth:     cfg.depth,
+				Ref:       cfg.ref,
+				Warmup:    warm,
+				Measure:   meas,
+				Obs:       opt.Trace,
 			})
+			r.Label = strings.TrimPrefix(r.Label, "pipe ")
 			opt.progress("FigFCGI %s: %.1f kreq/s (copied %.1f MB, cpu %.2f, p50 %.0fµs p99 %.0fµs)",
 				r.Label, r.KReqPerSec, r.CopiedMB, r.CPUUtil, r.P50Us, r.P99Us)
 			row.Values = append(row.Values, r.KReqPerSec)

@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// FCGI benchmarks: each run reports throughput and the charged copy work
-// as benchmark metrics, so the CI bench job (BENCH_fcgi.json) tracks the
+// FCGI benchmarks: the worker-pool scaling study (RunFCGINet's pipe
+// placement). Each run reports throughput and the charged copy work as
+// benchmark metrics, so the CI bench job (BENCH_fcgi.json) tracks the
 // multiplexing subsystem's zero-copy win numerically.
 //
 //	go test ./internal/experiments -bench=FCGI -benchtime=1x
@@ -15,12 +16,13 @@ import (
 func benchFCGI(b *testing.B, workers, depth int, ref bool) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r := RunFCGI(FCGIParams{
-			Workers: workers,
-			Depth:   depth,
-			Ref:     ref,
-			Warmup:  200 * time.Millisecond,
-			Measure: time.Second,
+		r := RunFCGINet(FCGINetParams{
+			Placement: PlacePipe,
+			Workers:   workers,
+			Depth:     depth,
+			Ref:       ref,
+			Warmup:    200 * time.Millisecond,
+			Measure:   time.Second,
 		})
 		if i == 0 {
 			fmt.Printf("%s: %.1f kreq/s, copied %.2f MB, cpu %.2f\n",

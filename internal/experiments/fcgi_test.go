@@ -5,14 +5,16 @@ import (
 	"time"
 )
 
-// fcgiQuick returns one quick RunFCGI result.
-func fcgiQuick(workers, depth int, ref bool) FCGIResult {
-	return RunFCGI(FCGIParams{
-		Workers: workers,
-		Depth:   depth,
-		Ref:     ref,
-		Warmup:  150 * time.Millisecond,
-		Measure: 600 * time.Millisecond,
+// fcgiQuick returns one quick result of the scaling study: RunFCGINet's
+// pipe placement.
+func fcgiQuick(workers, depth int, ref bool) FCGINetResult {
+	return RunFCGINet(FCGINetParams{
+		Placement: PlacePipe,
+		Workers:   workers,
+		Depth:     depth,
+		Ref:       ref,
+		Warmup:    150 * time.Millisecond,
+		Measure:   600 * time.Millisecond,
 	})
 }
 
@@ -31,7 +33,7 @@ func TestFCGIScalingShapes(t *testing.T) {
 	copy4 := fcgiQuick(4, 8, false)
 	ref32 := fcgiQuick(4, 8, true)
 
-	for _, r := range []FCGIResult{ref1, ref4, refDeep, copy4, ref32} {
+	for _, r := range []FCGINetResult{ref1, ref4, refDeep, copy4, ref32} {
 		if r.Failures != 0 {
 			t.Fatalf("%s: %d failed requests", r.Label, r.Failures)
 		}

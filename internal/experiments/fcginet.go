@@ -8,21 +8,13 @@ import (
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/obs"
-	"iolite/internal/sim"
 )
 
-// hostSegStats reads one host's transmitted data-segment counters:
-// charged transmit units, payload bytes, MSS wire chunks, and ack packets.
-func hostSegStats(h *netsim.Host) (pkts, bytes, segs, acks int64) {
-	pkts, _, bytes, _ = h.Stats()
-	return pkts, bytes, h.SegsOut(), h.AcksOut()
-}
-
 // The fcgi-net experiment: the LAN-tax study the transport layer exists
-// for. The same worker pool and the same workload as RunFCGI run over
-// each transport the pool supports — in-machine pipe pairs, loopback TCP
-// on the server machine, and TCP to workers on a separate machine — in
-// both payload modes. Three effects separate the placements:
+// for. One worker pool serving one workload runs over each transport the
+// pool supports — in-machine pipe pairs, loopback TCP on the server
+// machine, and TCP to workers on a separate machine — in both payload
+// modes. Three effects separate the placements:
 //
 //   - pipe → socket ("sock-local"): every record now rides the TCP
 //     protocol path — per-segment packet work, interrupts, early demux,
@@ -87,10 +79,9 @@ type FCGINetParams struct {
 
 // FCGINetResult is one run's outcome.
 type FCGINetResult struct {
-	Label string
+	Metrics
 	// KReqPerSec is completed requests per second, in thousands.
 	KReqPerSec float64
-	Requests   int64
 	Failures   int64
 	// CopiedMB is the copy work charged during measurement across every
 	// machine in the topology — the LAN-tax meter: ref/pipe ≈ framing,
@@ -100,60 +91,23 @@ type FCGINetResult struct {
 	// the worker machine's (equal to CPUUtil for on-machine placements).
 	CPUUtil       float64
 	WorkerCPUUtil float64
-	// PktsPerReq is data segments moved per completed request across every
-	// host in the topology, and SegFill the mean payload fill of those
-	// segments versus the MSS — the packet-economy meters. Both are 0 for
-	// the pipe placement (no packets at all).
-	PktsPerReq float64
-	SegFill    float64
-	// SegsPerReq is MSS-granular wire chunks per request (== PktsPerReq
-	// without offload; with LSO one charged unit carries many chunks) and
-	// AcksPerReq the ack packets per request — without them pkts/request
-	// undercounts the wire by the whole ack stream.
-	SegsPerReq float64
-	AcksPerReq float64
-	// SyscallsPerReq is the kernel crossings charged per completed request
-	// across the topology — the meter the submission ring exists to lower.
-	SyscallsPerReq float64
-	// P50Us / P99Us are requester-observed latency percentiles over the
-	// measure window, in microseconds.
-	P50Us float64
-	P99Us float64
+	// WireMeters count every host in the topology.
+	WireMeters
 }
 
 // RunFCGINet executes one fcgi transport experiment.
 func RunFCGINet(fp FCGINetParams) FCGINetResult {
-	if fp.Placement == "" {
-		fp.Placement = PlacePipe
-	}
-	if fp.Workers <= 0 {
-		fp.Workers = 4
-	}
-	if fp.Depth <= 0 {
-		fp.Depth = 8
-	}
-	if fp.Requesters <= 0 {
-		fp.Requesters = fp.Workers * fp.Depth
-	}
-	if fp.DocBytes == 0 {
-		fp.DocBytes = 16 << 10
-	}
-	if fp.AppDelay == 0 {
-		fp.AppDelay = 400 * time.Microsecond
-	}
-	if fp.Warmup == 0 {
-		fp.Warmup = 300 * time.Millisecond
-	}
-	if fp.Measure == 0 {
-		fp.Measure = 1500 * time.Millisecond
-	}
+	orDefault(&fp.Placement, PlacePipe)
+	orDefault(&fp.Workers, 4)
+	orDefault(&fp.Depth, 8)
+	orDefault(&fp.Requesters, fp.Workers*fp.Depth)
+	orDefault(&fp.DocBytes, 16<<10)
+	orDefault(&fp.AppDelay, 400*time.Microsecond)
+	orDefault(&fp.Warmup, 300*time.Millisecond)
+	orDefault(&fp.Measure, 1500*time.Millisecond)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if fp.Obs != nil {
-		fp.Obs.Attach(eng, costs)
-	}
-	m := kernel.NewMachine(eng, costs, kernel.Config{Offload: fp.Offload})
+	b := newBed(fp.Obs, fp.Warmup, fp.Measure)
+	m := kernel.NewMachine(b.eng, b.costs, kernel.Config{Offload: fp.Offload})
 	srv := m.NewProcess("fcgi-srv", 2<<20)
 
 	var tr fcgi.Transport
@@ -168,14 +122,7 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 	default:
 		panic("experiments: unknown placement " + string(fp.Placement))
 	}
-
-	// The worker app, identical to RunFCGI's: a caching document
-	// generator in the worker's own ACL'd pool (ref) or private memory
-	// (copy), serving the shared fcgiDoc pattern.
-	aggs := fcgi.NewAggCache()
-	raws := fcgi.NewRawCache()
-	gen := fcgiDoc
-	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
+	pool := docPool(fcgi.PoolConfig{
 		Machine:   m,
 		Server:    srv,
 		Workers:   fp.Workers,
@@ -186,62 +133,17 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 		Respawn:   true,
 		Name:      "fw",
 		Obs:       fp.Obs,
-		OnRetire: func(w *fcgi.Worker) {
-			aggs.Drop(w)
-			raws.Drop(w)
-		},
-		Handler: func(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) {
-			w.M.Host.Use(p, 20*time.Microsecond) // request parse/dispatch work
-			p.Sleep(fp.AppDelay)                 // the backend wait
-			if fp.Ref {
-				agg := aggs.GetOrPack(p, w, fp.DocBytes, func() []byte { return gen(fp.DocBytes) })
-				req.Reply(p, agg, 0)
-				return
-			}
-			raw := raws.GetOrGen(w, fp.DocBytes, func() []byte { return gen(fp.DocBytes) })
-			req.ReplyBytes(p, raw, 0)
-		},
-	})
+	}, fp.DocBytes, fp.AppDelay)
 
-	end := sim.Time(fp.Warmup + fp.Measure)
-	params := []byte(fmt.Sprintf("/doc/%d", fp.DocBytes))
-	lat := obs.NewHistogram()
-	latFrom := sim.Time(fp.Warmup)
-	var done, failed int64
-	for i := 0; i < fp.Requesters; i++ {
-		eng.Go(fmt.Sprintf("req%d", i), func(p *sim.Proc) {
-			for p.Now() < end {
-				start := p.Now()
-				sp := fp.Obs.Start(string(fp.Placement), start)
-				if sp != nil {
-					p.SetAttrib(sp)
-				}
-				resp, err := pool.Do(p, fcgi.Request{Params: params, Span: sp})
-				if sp != nil {
-					p.SetAttrib(nil)
-				}
-				if err != nil {
-					sp.Abandon()
-					failed++
-					return
-				}
-				sp.Finish(p.Now())
-				resp.Release()
-				done++
-				if start >= latFrom {
-					lat.Observe(int64(p.Now().Sub(start)))
-				}
-			}
-		})
-	}
-	if fp.Obs != nil {
-		// Periodic wheel samplers: mux occupancy and open-span population,
-		// exported as counter tracks in the trace.
-		fp.Obs.SampleEvery("pool-inflight", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(pool.InFlight()) })
-		fp.Obs.SampleEvery("active-spans", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(fp.Obs.ActiveSpans()) })
-	}
+	var n loopCounts
+	fcgiLoop{
+		b: b, pool: pool, kind: string(fp.Placement), observe: true, n: &n,
+		req: fcgi.Request{Params: []byte(fmt.Sprintf("/doc/%d", fp.DocBytes))},
+	}.spawn(fp.Requesters)
+	// Periodic samplers: mux occupancy and open-span population, exported
+	// as counter tracks in the trace.
+	b.sampleEvery("pool-inflight", func() float64 { return float64(pool.InFlight()) })
+	b.sampleEvery("active-spans", func() float64 { return float64(fp.Obs.ActiveSpans()) })
 
 	mode := "copy"
 	if fp.Ref {
@@ -253,44 +155,23 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 	if fp.Offload {
 		mode += " offl"
 	}
-	res := FCGINetResult{Label: fmt.Sprintf("%s %s w=%d d=%d", fp.Placement, mode, fp.Workers, fp.Depth)}
-	var warmDone int64
-	var reset obs.ResetSet
-	reset.Add(costs, m.CPU(), m.Host, fp.Obs)
+	var res FCGINetResult
+	res.Label = fmt.Sprintf("%s %s w=%d d=%d", fp.Placement, mode, fp.Workers, fp.Depth)
+	hosts := []*netsim.Host{m.Host}
+	b.reset.Add(m)
 	if wm != m {
-		reset.Add(wm.CPU(), wm.Host)
+		hosts = append(hosts, wm.Host)
+		b.reset.Add(wm)
 	}
-	eng.At(sim.Time(fp.Warmup), func() {
-		warmDone = done
-		reset.Reset()
-	})
-	eng.At(end, func() {
-		res.Requests = done - warmDone
-		res.KReqPerSec = float64(res.Requests) / fp.Measure.Seconds() / 1e3
-		res.CopiedMB = float64(costs.MeterCopiedBytes()) / (1 << 20)
+	res.P50Us, res.P99Us = b.run(n.markWarm, func() {
+		res.Requests = n.done - n.warmDone
+		res.KReqPerSec = b.perSec(res.Requests)
+		res.CopiedMB = float64(b.costs.MeterCopiedBytes()) / (1 << 20)
 		res.CPUUtil = m.CPU().Utilization()
 		res.WorkerCPUUtil = wm.CPU().Utilization()
-		pkts, bytes, segs, acks := hostSegStats(m.Host)
-		if wm != m {
-			wp, wb, ws, wa := hostSegStats(wm.Host)
-			pkts, bytes, segs, acks = pkts+wp, bytes+wb, segs+ws, acks+wa
-		}
-		if res.Requests > 0 {
-			res.PktsPerReq = float64(pkts) / float64(res.Requests)
-			res.SegsPerReq = float64(segs) / float64(res.Requests)
-			res.AcksPerReq = float64(acks) / float64(res.Requests)
-			res.SyscallsPerReq = float64(costs.MeterSyscallCount()) / float64(res.Requests)
-		}
-		if pkts > 0 {
-			// Fill measures against the charged unit's capacity: the
-			// super-segment under offload, one MSS otherwise.
-			res.SegFill = float64(bytes) / (float64(pkts) * float64(m.Host.SegCapacity()))
-		}
+		res.WireMeters = b.wireMeters(res.Requests, hosts, nil)
 	})
-	eng.Run()
-	res.Failures = failed
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.Failures = n.failed
 	return res
 }
 
@@ -351,8 +232,8 @@ func FigFCGINet(opt Options) *Table {
 	}
 	for _, n := range points {
 		row := Row{Label: fmt.Sprintf("%d", n)}
-		var localRef, localRing, localOffl FCGINetResult
-		for _, cfg := range fcgiNetFigConfigs {
+		byCol := map[string]FCGINetResult{}
+		for i, cfg := range fcgiNetFigConfigs {
 			r := RunFCGINet(FCGINetParams{
 				Placement: cfg.placement,
 				Workers:   n,
@@ -366,22 +247,14 @@ func FigFCGINet(opt Options) *Table {
 			opt.progress("FigFCGINet %s: %.1f kreq/s (copied %.1f MB, cpu %.2f/%.2f, %.1f pkts/req, %.1f acks/req, fill %.2f, %.1f sys/req, p50 %.0fµs p99 %.0fµs)",
 				r.Label, r.KReqPerSec, r.CopiedMB, r.CPUUtil, r.WorkerCPUUtil, r.PktsPerReq, r.AcksPerReq, r.SegFill, r.SyscallsPerReq, r.P50Us, r.P99Us)
 			row.Values = append(row.Values, r.KReqPerSec)
-			if cfg.placement == PlaceSockLocal && cfg.ref && !cfg.ring {
-				if cfg.offload {
-					localOffl = r
-				} else {
-					localRef = r
-				}
-			}
-			if cfg.placement == PlaceSockLocal && cfg.ref && cfg.ring {
-				localRing = r
-			}
+			byCol[t.Columns[i]] = r
 			if n == notesAt {
 				t.Notes = append(t.Notes, fmt.Sprintf(
 					"%s: copied %.2f MB, cpu %.2f (worker machine %.2f), %.1f pkts/req, seg fill %.2f, %.1f sys/req",
 					r.Label, r.CopiedMB, r.CPUUtil, r.WorkerCPUUtil, r.PktsPerReq, r.SegFill, r.SyscallsPerReq))
 			}
 		}
+		localRef, localRing, localOffl := byCol["sock-local ref"], byCol["sock-local ref ring"], byCol["sock-local ref offl"]
 		if n == notesAt && localRing.SyscallsPerReq > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"ring before/after (sock-local ref): %.1f → %.1f sys/req, %.1f → %.1f kreq/s",

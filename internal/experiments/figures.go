@@ -13,7 +13,7 @@ import (
 // shorter windows — the shapes survive; the absolute noise grows slightly.
 type Options struct {
 	Quick bool
-	// Verbose receives progress lines (may be nil).
+	// Progress receives progress lines (may be nil).
 	Progress func(string)
 	// Trace, when set, turns on request-lifecycle tracing: every figure
 	// run attaches this collector, and the caller exports it (webbench
@@ -214,92 +214,66 @@ func subtraceSizes(quick bool) []int64 {
 	return []int64{15 << 20, 30 << 20, 60 << 20, 90 << 20, 120 << 20, 150 << 20}
 }
 
-// runSubtrace runs one server config across the data-set sweep.
-func runSubtrace(sc ServerConfig, sizes []int64, warm, meas time.Duration, opt Options) []float64 {
-	base := traceFor(wload.Subtrace150)
-	out := make([]float64, 0, len(sizes))
-	for _, ds := range sizes {
-		tr := base
-		if ds < base.DataBytes() {
-			tr = base.Prefix(ds)
-		}
-		r := RunWeb(WebParams{
-			Server:     sc,
-			Clients:    64,
-			Persistent: false,
-			Trace:      tr,
-			Warmup:     warm,
-			Measure:    meas,
-			Seed:       3,
-			Obs:        opt.Trace,
-		})
-		opt.progress("subtrace %dMB %s: %.1f Mb/s (hit %.2f disk %.2f cpu %.2f)",
-			ds>>20, sc.Label(), r.Mbps, r.HitRate, r.DiskUtil, r.CPUUtil)
-		out = append(out, r.Mbps)
-	}
-	return out
-}
-
-// Fig10 — MERGED subtrace performance vs data set size (§5.5).
-func Fig10(opt Options) *Table {
-	t := &Table{
-		Title:   "Figure 10: MERGED subtrace performance (Mb/s)",
-		XLabel:  "data set",
-		Columns: []string{"Flash-Lite", "Flash", "Apache"},
-	}
+// subtraceFigure fills t with the Figure 10/11 sweep: one column per
+// server config, one row per data-set size of the MERGED subtrace.
+func subtraceFigure(t *Table, configs []ServerConfig, opt Options) *Table {
+	t.XLabel = "data set"
 	sizes := subtraceSizes(opt.Quick)
+	for _, ds := range sizes {
+		t.Rows = append(t.Rows, Row{Label: fmt.Sprintf("%dMB", ds>>20)})
+	}
 	warm, meas := 5*time.Second, 10*time.Second
 	if opt.Quick {
 		warm, meas = 3*time.Second, 5*time.Second
 	}
-	cols := make([][]float64, len(webServers))
-	for i, sc := range webServers {
-		cols[i] = runSubtrace(sc, sizes, warm, meas, opt)
-	}
-	for si, ds := range sizes {
-		row := Row{Label: fmt.Sprintf("%dMB", ds>>20)}
-		for i := range webServers {
-			row.Values = append(row.Values, cols[i][si])
+	base := traceFor(wload.Subtrace150)
+	for _, sc := range configs {
+		for i, ds := range sizes {
+			tr := base
+			if ds < base.DataBytes() {
+				tr = base.Prefix(ds)
+			}
+			r := RunWeb(WebParams{
+				Server:     sc,
+				Clients:    64,
+				Persistent: false,
+				Trace:      tr,
+				Warmup:     warm,
+				Measure:    meas,
+				Seed:       3,
+				Obs:        opt.Trace,
+			})
+			opt.progress("subtrace %dMB %s: %.1f Mb/s (hit %.2f disk %.2f cpu %.2f)",
+				ds>>20, sc.Label(), r.Mbps, r.HitRate, r.DiskUtil, r.CPUUtil)
+			t.Rows[i].Values = append(t.Rows[i].Values, r.Mbps)
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t
+}
+
+// Fig10 — MERGED subtrace performance vs data set size (§5.5).
+func Fig10(opt Options) *Table {
+	return subtraceFigure(&Table{
+		Title:   "Figure 10: MERGED subtrace performance (Mb/s)",
+		Columns: []string{"Flash-Lite", "Flash", "Apache"},
+	}, webServers, opt)
 }
 
 // Fig11 — optimization contributions: Flash-Lite with {GDS, LRU} × {cksum
 // cache on, off}, plus Flash for reference (§5.6).
 func Fig11(opt Options) *Table {
-	configs := []ServerConfig{
+	return subtraceFigure(&Table{
+		Title: "Figure 11: optimization contributions (Mb/s)",
+		Columns: []string{
+			"FlashLite", "FlashLite LRU", "FlashLite no-ck", "FlashLite LRU no-ck", "Flash",
+		},
+	}, []ServerConfig{
 		{Kind: httpd.FlashLite},
 		{Kind: httpd.FlashLite, Policy: "LRU"},
 		{Kind: httpd.FlashLite, NoCksumCache: true},
 		{Kind: httpd.FlashLite, Policy: "LRU", NoCksumCache: true},
 		{Kind: httpd.Flash},
-	}
-	t := &Table{
-		Title:  "Figure 11: optimization contributions (Mb/s)",
-		XLabel: "data set",
-		Columns: []string{
-			"FlashLite", "FlashLite LRU", "FlashLite no-ck", "FlashLite LRU no-ck", "Flash",
-		},
-	}
-	sizes := subtraceSizes(opt.Quick)
-	warm, meas := 5*time.Second, 10*time.Second
-	if opt.Quick {
-		warm, meas = 3*time.Second, 5*time.Second
-	}
-	cols := make([][]float64, len(configs))
-	for i, sc := range configs {
-		cols[i] = runSubtrace(sc, sizes, warm, meas, opt)
-	}
-	for si, ds := range sizes {
-		row := Row{Label: fmt.Sprintf("%dMB", ds>>20)}
-		for i := range configs {
-			row.Values = append(row.Values, cols[i][si])
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
+	}, opt)
 }
 
 // fig12Points are Figure 12's x-axis: the round-trip WAN delay, with the

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"iolite/internal/apps"
-	"iolite/internal/cache"
 	"iolite/internal/httpd"
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
@@ -57,11 +56,10 @@ type ProxyParams struct {
 // counters the figure quantifies: bytes of copy work priced anywhere in
 // the simulation and the serving tier's checksum-cache hit rate.
 type ProxyResult struct {
-	Label    string
-	Mbps     float64
-	Requests int64
-	Errors   int64
-	Aborted  int64
+	Metrics
+	Mbps    float64
+	Errors  int64
+	Aborted int64
 	// HitRate is the proxy cache hit rate (1 when Direct is meaningless: 0).
 	HitRate float64
 	// CopiedMB is the copy work charged during measurement, in megabytes.
@@ -71,76 +69,27 @@ type ProxyResult struct {
 	CksumHitRate float64
 	// ServerCPUUtil is the serving tier's (proxy or origin) CPU utilization.
 	ServerCPUUtil float64
-	// PktsPerReq is the serving tier's transmitted data segments per
-	// request and SegFill their mean payload fill versus the MSS — the
-	// packet-economy meters. They cover everything the serving machine
-	// transmits: client responses plus, for a proxy, the small
-	// origin-fetch requests its cache misses send upstream (negligible
-	// once the cache is warm).
-	PktsPerReq float64
-	SegFill    float64
-	// SegsPerReq is the serving tier's MSS-granular wire chunks per
-	// request (== PktsPerReq without offload) and AcksPerReq the ack
-	// packets per request across the serving tier and the client hosts —
-	// the ack stream pkts/req alone undercounts.
-	SegsPerReq float64
-	AcksPerReq float64
-	// SyscallsPerReq is the kernel crossings charged per request during
-	// measurement, topology-wide — the submission-ring meter.
-	SyscallsPerReq float64
-	// P50Us / P99Us are client-observed request latency percentiles over
-	// the measure window, in microseconds.
-	P50Us float64
-	P99Us float64
-}
-
-// originMachineConfig builds the kernel config for an origin (or direct)
-// server of the given kind, mirroring RunWeb.
-func originMachineConfig(sc ServerConfig, memBytes int64, offload bool) kernel.Config {
-	kcfg := kernel.Config{MemBytes: memBytes, Offload: offload}
-	if sc.Kind.Lite() {
-		if sc.Policy == "LRU" {
-			kcfg.Policy = cache.NewLRU()
-		} else {
-			kcfg.Policy = cache.NewGDS()
-		}
-		kcfg.ChecksumCache = !sc.NoCksumCache
-	}
-	return kcfg
+	// WireMeters count the serving tier's data segments — client responses
+	// plus, for a proxy, the small origin-fetch requests its cache misses
+	// send upstream (negligible once the cache is warm) — and the acks of
+	// the serving tier and the client hosts. Syscalls are topology-wide.
+	WireMeters
 }
 
 // RunProxy executes one proxy-topology experiment.
 func RunProxy(pp ProxyParams) ProxyResult {
-	if pp.Docs == 0 {
-		pp.Docs = 8
-	}
-	if pp.DocBytes == 0 {
-		pp.DocBytes = 64 << 10
-	}
-	if pp.Clients == 0 {
-		pp.Clients = 32
-	}
-	if pp.ClientMachines == 0 {
-		pp.ClientMachines = 4
-	}
-	if pp.Tss == 0 {
-		pp.Tss = 64 << 10
-	}
-	if pp.Warmup == 0 {
-		pp.Warmup = 500 * time.Millisecond
-	}
-	if pp.Measure == 0 {
-		pp.Measure = 2 * time.Second
-	}
+	orDefault(&pp.Docs, 8)
+	orDefault(&pp.DocBytes, 64<<10)
+	orDefault(&pp.Clients, 32)
+	orDefault(&pp.ClientMachines, 4)
+	orDefault(&pp.Tss, 64<<10)
+	orDefault(&pp.Warmup, 500*time.Millisecond)
+	orDefault(&pp.Measure, 2*time.Second)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if pp.Obs != nil {
-		pp.Obs.Attach(eng, costs)
-	}
+	b := newBed(pp.Obs, pp.Warmup, pp.Measure)
 
 	// Origin tier.
-	origin := kernel.NewMachine(eng, costs, originMachineConfig(pp.Origin, 0, pp.Offload))
+	origin := kernel.NewMachine(b.eng, b.costs, pp.Origin.machineConfig(0, pp.Offload))
 	originLst := netsim.NewListener(origin.Host)
 	srvObs := pp.Obs
 	if !pp.Direct {
@@ -162,17 +111,15 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	// kernel with the checksum cache for the reference modes; the copying
 	// proxy is a conventional machine.
 	var px *apps.Proxy
-	var proxy *kernel.Machine
-	frontHost := origin.Host
 	frontLst := originLst
 	serveMachine := origin
 	if !pp.Direct {
-		proxy = kernel.NewMachine(eng, costs, kernel.Config{
+		proxy := kernel.NewMachine(b.eng, b.costs, kernel.Config{
 			ChecksumCache: pp.Mode.RefMode(),
 			Offload:       pp.Offload,
 		})
 		proxyLst := netsim.NewListener(proxy.Host)
-		originLink := netsim.NewLink(eng, proxy.Host, origin.Host, 100_000_000, 100*time.Microsecond)
+		originLink := netsim.NewLink(b.eng, proxy.Host, origin.Host, 100_000_000, 100*time.Microsecond)
 		px = apps.NewProxy(apps.ProxyConfig{
 			Mode:       pp.Mode,
 			Machine:    proxy,
@@ -183,7 +130,6 @@ func RunProxy(pp ProxyParams) ProxyResult {
 			Tss:        pp.Tss,
 			Obs:        pp.Obs,
 		})
-		frontHost = proxy.Host
 		frontLst = proxyLst
 		serveMachine = proxy
 	}
@@ -193,42 +139,27 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	if !pp.Direct {
 		refFront = pp.Mode.RefMode()
 	}
-	end := sim.Time(pp.Warmup + pp.Measure)
-	links := make([]*netsim.Link, pp.ClientMachines)
-	hosts := make([]*netsim.Host, pp.ClientMachines)
-	for i := range links {
-		hosts[i] = netsim.NewHost(eng, costs, fmt.Sprintf("client%d", i), false, nil, nil)
-		if pp.Offload {
-			hosts[i].SetOffload(true)
-		}
-		links[i] = netsim.NewLink(eng, hosts[i], frontHost, 100_000_000, 100*time.Microsecond)
+	clients := &clientTier{
+		clients: pp.Clients, machines: pp.ClientMachines, offload: pp.Offload, seed: pp.Seed,
+		cfg:  httpd.ClientConfig{Listener: frontLst, Tss: pp.Tss, RefServer: refFront, Persistent: pp.Persistent},
+		next: func(_ *sim.Proc, rng *rand.Rand) string { return paths[rng.Intn(len(paths))] },
 	}
-	stats := make([]httpd.ClientStats, pp.Clients)
-	lat := obs.NewHistogram()
-	for c := 0; c < pp.Clients; c++ {
-		c := c
-		rng := rand.New(rand.NewSource(pp.Seed + int64(c)*7919))
-		cfg := httpd.ClientConfig{
-			Host:       hosts[c%pp.ClientMachines],
-			Link:       links[c%pp.ClientMachines],
-			Listener:   frontLst,
-			Tss:        pp.Tss,
-			RefServer:  refFront,
-			Persistent: pp.Persistent,
-			Lat:        lat,
-			LatFrom:    sim.Time(pp.Warmup),
-		}
-		eng.Go(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
-			httpd.RunClient(p, cfg, func() (string, bool) {
-				if p.Now() >= end {
-					return "", false
-				}
-				return paths[rng.Intn(len(paths))], true
-			}, &stats[c])
-		})
+	clients.start(b, serveMachine.Host)
+	b.sampleEvery("active-spans", func() float64 { return float64(pp.Obs.ActiveSpans()) })
+	if px != nil {
+		b.sampleEvery("proxy-hit-rate", px.HitRate)
 	}
 
-	// Measurement window bookkeeping.
+	// Measurement window bookkeeping: the serving tier's cumulative
+	// requests, bytes out and aborts.
+	stats := func() (reqs, bytes, aborted int64) {
+		if px != nil {
+			reqs, _, _, bytes, aborted = px.Stats()
+			return reqs, bytes, aborted
+		}
+		ss := srv.Stats()
+		return ss.Requests, ss.TotalBytes, ss.Aborted
+	}
 	var res ProxyResult
 	if pp.Direct {
 		res.Label = pp.Origin.Label() + " direct"
@@ -239,71 +170,28 @@ func RunProxy(pp ProxyParams) ProxyResult {
 		res.Label += " offl"
 	}
 	var warmBytes, warmReqs, warmAborted int64
-	eng.At(sim.Time(pp.Warmup), func() {
-		if px != nil {
-			var out int64
-			warmReqs, _, _, out, warmAborted = px.Stats()
-			warmBytes = out
-		} else {
-			ws := srv.Stats()
-			warmReqs, warmBytes, warmAborted = ws.Requests, ws.TotalBytes, ws.Aborted
-		}
-		var reset obs.ResetSet
-		reset.Add(costs, serveMachine.CPU(), pp.Obs)
-		if ck := serveMachine.CkCache; ck != nil {
-			reset.Add(ck)
-		}
-		reset.Add(serveMachine.Host)
-		for _, h := range hosts {
-			reset.Add(h)
-		}
-		reset.Reset()
-	})
-	if pp.Obs != nil {
-		pp.Obs.SampleEvery("active-spans", sim.Duration(time.Millisecond), end,
-			func(sim.Time) float64 { return float64(pp.Obs.ActiveSpans()) })
-		if px != nil {
-			pp.Obs.SampleEvery("proxy-hit-rate", sim.Duration(time.Millisecond), end,
-				func(sim.Time) float64 { return px.HitRate() })
-		}
+	b.reset.Add(serveMachine)
+	for _, h := range clients.hosts {
+		b.reset.Add(h)
 	}
-	eng.At(end, func() {
-		var reqs, total, aborted int64
+	res.P50Us, res.P99Us = b.run(func() {
+		warmReqs, warmBytes, warmAborted = stats()
+	}, func() {
+		reqs, total, aborted := stats()
 		if px != nil {
-			reqs, _, _, total, aborted = px.Stats()
 			res.HitRate = px.HitRate()
-		} else {
-			ss := srv.Stats()
-			reqs, total, aborted = ss.Requests, ss.TotalBytes, ss.Aborted
 		}
 		res.Requests = reqs - warmReqs
 		res.Aborted = aborted - warmAborted
-		res.Mbps = float64(total-warmBytes) * 8 / pp.Measure.Seconds() / 1e6
-		res.CopiedMB = float64(costs.MeterCopiedBytes()) / (1 << 20)
+		res.Mbps = b.mbps(total - warmBytes)
+		res.CopiedMB = float64(b.costs.MeterCopiedBytes()) / (1 << 20)
 		if ck := serveMachine.CkCache; ck != nil {
 			res.CksumHitRate = ck.HitRate()
 		}
 		res.ServerCPUUtil = serveMachine.CPU().Utilization()
-		pkts, _, _, _ := serveMachine.Host.Stats()
-		acks := serveMachine.Host.AcksOut()
-		for _, h := range hosts {
-			acks += h.AcksOut()
-		}
-		if res.Requests > 0 {
-			res.PktsPerReq = float64(pkts) / float64(res.Requests)
-			res.SegsPerReq = float64(serveMachine.Host.SegsOut()) / float64(res.Requests)
-			res.AcksPerReq = float64(acks) / float64(res.Requests)
-			res.SyscallsPerReq = float64(costs.MeterSyscallCount()) / float64(res.Requests)
-		}
-		res.SegFill = serveMachine.Host.MeanSegFill()
+		res.WireMeters = b.wireMeters(res.Requests, []*netsim.Host{serveMachine.Host}, clients.hosts)
 	})
-
-	eng.Run()
-	for i := range stats {
-		res.Errors += stats[i].Errors
-	}
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.Errors = clients.errors()
 	return res
 }
 

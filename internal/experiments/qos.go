@@ -94,46 +94,20 @@ const aggTenant = "aggressor"
 
 // RunQoS executes one multi-tenant QoS experiment.
 func RunQoS(fp QoSParams) QoSResult {
-	if fp.Tenants <= 0 {
-		fp.Tenants = 1000
-	}
-	if fp.AggressorConc <= 0 {
-		fp.AggressorConc = 32
-	}
-	if fp.Workers <= 0 {
-		fp.Workers = 4
-	}
-	if fp.Depth <= 0 {
-		fp.Depth = 16
-	}
-	if fp.DocBytes == 0 {
-		fp.DocBytes = 4 << 10
-	}
-	if fp.AppDelay == 0 {
-		fp.AppDelay = 200 * time.Microsecond
-	}
-	if fp.Think == 0 {
-		fp.Think = 400 * time.Millisecond
-	}
-	if fp.Warmup == 0 {
-		fp.Warmup = 300 * time.Millisecond
-	}
-	if fp.Measure == 0 {
-		fp.Measure = 1200 * time.Millisecond
-	}
-	if fp.ReqRate <= 0 {
-		fp.ReqRate = 5
-	}
-	if fp.ReqBurst <= 0 {
-		fp.ReqBurst = 3
-	}
+	orDefault(&fp.Tenants, 1000)
+	orDefault(&fp.AggressorConc, 32)
+	orDefault(&fp.Workers, 4)
+	orDefault(&fp.Depth, 16)
+	orDefault(&fp.DocBytes, 4<<10)
+	orDefault(&fp.AppDelay, 200*time.Microsecond)
+	orDefault(&fp.Think, 400*time.Millisecond)
+	orDefault(&fp.Warmup, 300*time.Millisecond)
+	orDefault(&fp.Measure, 1200*time.Millisecond)
+	orDefault(&fp.ReqRate, 5)
+	orDefault(&fp.ReqBurst, 3)
 
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-	if fp.Obs != nil {
-		fp.Obs.Attach(eng, costs)
-	}
-	m := kernel.NewMachine(eng, costs, kernel.Config{})
+	b := newBed(fp.Obs, fp.Warmup, fp.Measure)
+	m := kernel.NewMachine(b.eng, b.costs, kernel.Config{})
 	srv := m.NewProcess("qos-srv", 2<<20)
 	m.Host.SetOffload(true)
 
@@ -152,72 +126,36 @@ func RunQoS(fp QoSParams) QoSResult {
 	// The pool rides a loopback socket transport (not a pipe) so the
 	// netsim send pump — and with QoS on, its weighted fair queueing —
 	// is in the measured path.
-	transport := fcgi.NewLoopbackTransport(m, srv, true, 2<<20)
-	aggs := fcgi.NewAggCache()
-	pool := fcgi.NewWorkerPool(fcgi.PoolConfig{
+	pool := docPool(fcgi.PoolConfig{
 		Machine:         m,
 		Server:          srv,
 		Workers:         fp.Workers,
 		Depth:           fp.Depth,
 		Ref:             true,
-		Transport:       transport,
+		Transport:       fcgi.NewLoopbackTransport(m, srv, true, 2<<20),
 		TypicalResponse: int(fp.DocBytes),
 		Name:            "qw",
 		Obs:             fp.Obs,
 		QoS:             qcfg,
-		Handler: func(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) {
-			m.Host.Use(p, 20*time.Microsecond)
-			p.Sleep(fp.AppDelay)
-			agg := aggs.GetOrPack(p, w, fp.DocBytes, func() []byte { return fcgiDoc(fp.DocBytes) })
-			req.Reply(p, agg, 0)
-		},
-	})
-
-	end := sim.Time(fp.Warmup + fp.Measure)
+	}, fp.DocBytes, fp.AppDelay)
 	params := []byte(fmt.Sprintf("/doc/%d", fp.DocBytes))
-	lat := obs.NewHistogram()
-	latFrom := sim.Time(fp.Warmup)
-	var victimDone, aggDone, aggAttempts, failed int64
 
 	// The well-behaved population: one closed loop per tenant, thinking
-	// fp.Think between requests, start instants staggered across one
+	// fp.Think between requests (and after a shed: a tenant over its
+	// allowance just thinks again), start instants staggered across one
 	// think interval so the population doesn't arrive as a phased burst.
+	var vicN, aggN loopCounts
+	victim := fcgiLoop{
+		b: b, pool: pool, kind: "qos", think: fp.Think, shed: fp.Think, observe: true, n: &vicN,
+		req: fcgi.Request{Params: params, Idempotent: true},
+	}
 	for i := 0; i < fp.Tenants; i++ {
-		tenant := fmt.Sprintf("t%04d", i)
+		l := victim
+		l.req.Tenant = fmt.Sprintf("t%04d", i)
 		offset := sim.Duration(int64(fp.Think) * int64(i) / int64(fp.Tenants))
-		eng.Go(tenant, func(p *sim.Proc) {
+		b.eng.Go(l.req.Tenant, func(p *sim.Proc) {
 			p.Sleep(offset)
-			for p.Now() < end {
-				start := p.Now()
-				sp := fp.Obs.Start("qos", start)
-				if sp != nil {
-					p.SetAttrib(sp)
-				}
-				resp, err := pool.Do(p, fcgi.Request{
-					Params: params, Span: sp, Tenant: tenant, Idempotent: true,
-				})
-				if sp != nil {
-					p.SetAttrib(nil)
-				}
-				if err != nil {
-					sp.Abandon()
-					if fcgi.IsShed(err) {
-						// A well-behaved tenant over its allowance just
-						// thinks again; anything else is a real failure.
-						p.Sleep(fp.Think)
-						continue
-					}
-					failed++
-					return
-				}
-				sp.Finish(p.Now())
-				resp.Release()
-				victimDone++
-				if start >= latFrom {
-					lat.Observe(int64(p.Now().Sub(start)))
-				}
-				p.Sleep(fp.Think)
-			}
+			l.run(p)
 		})
 	}
 
@@ -230,35 +168,12 @@ func RunQoS(fp QoSParams) QoSResult {
 			// Per-loop backoff jitter: without it all the loops shed in
 			// lockstep and their admission attempts arrive as periodic
 			// bursts the victims' tail can feel.
-			backoff := 2*sim.Millisecond + sim.Duration(i)*67*sim.Microsecond
-			eng.Go(fmt.Sprintf("agg%d", i), func(p *sim.Proc) {
-				for p.Now() < end {
-					start := p.Now()
-					aggAttempts++
-					sp := fp.Obs.Start("qos-agg", start)
-					if sp != nil {
-						p.SetAttrib(sp)
-					}
-					resp, err := pool.Do(p, fcgi.Request{
-						Params: params, Span: sp, Tenant: aggTenant, Idempotent: true,
-					})
-					if sp != nil {
-						p.SetAttrib(nil)
-					}
-					if err != nil {
-						sp.Abandon()
-						if fcgi.IsShed(err) {
-							p.Sleep(backoff)
-							continue
-						}
-						failed++
-						return
-					}
-					sp.Finish(p.Now())
-					resp.Release()
-					aggDone++
-				}
-			})
+			l := fcgiLoop{
+				b: b, pool: pool, kind: "qos-agg", n: &aggN,
+				shed: 2*sim.Millisecond + sim.Duration(i)*67*sim.Microsecond,
+				req:  fcgi.Request{Params: params, Tenant: aggTenant, Idempotent: true},
+			}
+			b.eng.Go(fmt.Sprintf("agg%d", i), l.run)
 		}
 	}
 
@@ -271,23 +186,19 @@ func RunQoS(fp QoSParams) QoSResult {
 		enf = "on"
 	}
 	res := QoSResult{Label: fmt.Sprintf("%s qos=%s", label, enf)}
-	var warmVictim, warmAgg, warmAttempts int64
 	var warmSheds, warmThrottles int64
-	var reset obs.ResetSet
-	reset.Add(costs, m.CPU(), m.Host, tenants, fp.Obs)
-	eng.At(sim.Time(fp.Warmup), func() {
-		warmVictim, warmAgg, warmAttempts = victimDone, aggDone, aggAttempts
+	b.reset.Add(m, tenants)
+	res.VictimP50Us, res.VictimP99Us = b.run(func() {
+		vicN.markWarm()
+		aggN.markWarm()
 		warmSheds, warmThrottles = pool.Sheds()
-		reset.Reset()
-	})
-	eng.At(end, func() {
-		vic := victimDone - warmVictim
-		agg := aggDone - warmAgg
+	}, func() {
+		vic := vicN.done - vicN.warmDone
+		agg := aggN.done - aggN.warmDone
 		res.Requests = vic + agg
-		secs := fp.Measure.Seconds()
-		res.KReqPerSec = float64(vic+agg) / secs / 1e3
-		res.VictimKReqPerSec = float64(vic) / secs / 1e3
-		res.AggKReqPerSec = float64(agg) / secs / 1e3
+		res.KReqPerSec = b.perSec(vic + agg)
+		res.VictimKReqPerSec = b.perSec(vic)
+		res.AggKReqPerSec = b.perSec(agg)
 		sheds, throttles := pool.Sheds()
 		res.Sheds = sheds - warmSheds
 		res.Throttles = throttles - warmThrottles
@@ -295,19 +206,17 @@ func RunQoS(fp QoSParams) QoSResult {
 			res.ShedsPerReq = float64(res.Sheds+res.Throttles) / float64(res.Requests)
 		}
 		if vic > 0 && fp.Aggressor {
+			secs := fp.Measure.Seconds()
 			fair := float64(vic) / float64(fp.Tenants) / secs // one tenant's fair req/s
-			offered := float64(aggAttempts-warmAttempts) / secs
+			offered := float64(aggN.attempts-aggN.warmAttempts) / secs
 			res.AggOfferedX = offered / fair
 		}
 		res.WFQGrants = m.Host.WFQGrants()
 		res.CPUUtil = m.CPU().Utilization()
 	})
-	eng.Run()
-	if failed > 0 {
+	if failed := vicN.failed + aggN.failed; failed > 0 {
 		panic(fmt.Sprintf("experiments: RunQoS had %d non-shed failures", failed))
 	}
-	res.VictimP50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.VictimP99Us = float64(lat.Quantile(0.99)) / 1e3
 	return res
 }
 

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -94,59 +93,43 @@ type WebParams struct {
 
 // WebResult is one experiment outcome.
 type WebResult struct {
-	Label    string
-	Mbps     float64
-	Requests int64
-	Errors   int64
+	Metrics
+	Mbps   float64
+	Errors int64
 	// HitRate is the file cache hit rate during measurement (unified cache
 	// for Flash-Lite, mmap cache otherwise).
 	HitRate  float64
 	CPUUtil  float64
 	DiskUtil float64
-	// P50Us / P99Us are client-observed request latency percentiles over
-	// the measure window, in microseconds.
-	P50Us float64
-	P99Us float64
 }
 
-// RunWeb executes one experiment and returns its result.
-func RunWeb(wp WebParams) WebResult {
-	if wp.ClientMachines == 0 {
-		wp.ClientMachines = 5
-	}
-	if wp.Clients == 0 {
-		wp.Clients = 40
-	}
-	if wp.Tss == 0 {
-		wp.Tss = 64 << 10
-	}
-	if wp.MemBytes == 0 {
-		wp.MemBytes = 128 << 20
-	}
-	if wp.Warmup == 0 {
-		wp.Warmup = 2 * time.Second
-	}
-	if wp.Measure == 0 {
-		wp.Measure = 5 * time.Second
-	}
-
-	eng := sim.New()
-	costs := sim.DefaultCosts()
-
-	isLite := wp.Server.Kind.Lite()
-	kcfg := kernel.Config{MemBytes: wp.MemBytes}
-	if isLite {
-		if wp.Server.Policy == "LRU" {
+// machineConfig builds the kernel config of a machine serving sc: the
+// IO-Lite servers get their file cache policy and the checksum cache.
+func (sc ServerConfig) machineConfig(memBytes int64, offload bool) kernel.Config {
+	kcfg := kernel.Config{MemBytes: memBytes, Offload: offload}
+	if sc.Kind.Lite() {
+		if sc.Policy == "LRU" {
 			kcfg.Policy = cache.NewLRU()
 		} else {
 			kcfg.Policy = cache.NewGDS()
 		}
-		kcfg.ChecksumCache = !wp.Server.NoCksumCache
+		kcfg.ChecksumCache = !sc.NoCksumCache
 	}
-	m := kernel.NewMachine(eng, costs, kcfg)
-	if wp.Obs != nil {
-		wp.Obs.Attach(eng, costs)
-	}
+	return kcfg
+}
+
+// RunWeb executes one experiment and returns its result.
+func RunWeb(wp WebParams) WebResult {
+	orDefault(&wp.ClientMachines, 5)
+	orDefault(&wp.Clients, 40)
+	orDefault(&wp.Tss, 64<<10)
+	orDefault(&wp.MemBytes, 128<<20)
+	orDefault(&wp.Warmup, 2*time.Second)
+	orDefault(&wp.Measure, 5*time.Second)
+
+	b := newBed(wp.Obs, wp.Warmup, wp.Measure)
+	isLite := wp.Server.Kind.Lite()
+	m := kernel.NewMachine(b.eng, b.costs, wp.Server.machineConfig(wp.MemBytes, false))
 	lst := netsim.NewListener(m.Host)
 	srv := httpd.NewServer(httpd.Config{
 		Kind:     wp.Server.Kind,
@@ -161,18 +144,18 @@ func RunWeb(wp WebParams) WebResult {
 	})
 
 	// Workload.
-	var nextPath func(rng *rand.Rand) string
+	var next func(p *sim.Proc, rng *rand.Rand) string
 	switch {
 	case wp.SingleFileSize > 0:
 		m.FS.Create("/doc", wp.SingleFileSize)
-		nextPath = func(*rand.Rand) string { return "/doc" }
+		next = func(*sim.Proc, *rand.Rand) string { return "/doc" }
 	case wp.CGISize > 0:
 		path := httpd.CGIDocPath(wp.CGISize)
-		nextPath = func(*rand.Rand) string { return path }
+		next = func(*sim.Proc, *rand.Rand) string { return path }
 	case wp.Trace != nil:
 		wp.Trace.Install(m.FS)
 		tr := wp.Trace
-		nextPath = func(rng *rand.Rand) string { return tr.Path(tr.Sample(rng)) }
+		next = func(_ *sim.Proc, rng *rand.Rand) string { return tr.Path(tr.Sample(rng)) }
 		// Start from steady state: the most popular documents are already
 		// cached, as they would be hours into the paper's runs. Leave
 		// headroom for socket buffers and churn.
@@ -192,54 +175,23 @@ func RunWeb(wp WebParams) WebResult {
 		panic("experiments: no workload configured")
 	}
 
-	// Client machines, links (with delay routers), clients.
-	end := sim.Time(wp.Warmup + wp.Measure)
-	links := make([]*netsim.Link, wp.ClientMachines)
-	hosts := make([]*netsim.Host, wp.ClientMachines)
-	for i := range links {
-		hosts[i] = netsim.NewHost(eng, costs, fmt.Sprintf("client%d", i), false, nil, nil)
-		links[i] = netsim.NewLink(eng, hosts[i], m.Host, 100_000_000, wp.Delay+100*time.Microsecond)
+	clients := &clientTier{
+		clients: wp.Clients, machines: wp.ClientMachines, delay: wp.Delay, seed: wp.Seed,
+		cfg:  httpd.ClientConfig{Listener: lst, Tss: wp.Tss, RefServer: isLite, Persistent: wp.Persistent},
+		next: next,
 	}
-	stats := make([]httpd.ClientStats, wp.Clients)
-	lat := obs.NewHistogram()
-	for c := 0; c < wp.Clients; c++ {
-		c := c
-		rng := rand.New(rand.NewSource(wp.Seed + int64(c)*7919))
-		cfg := httpd.ClientConfig{
-			Host:       hosts[c%wp.ClientMachines],
-			Link:       links[c%wp.ClientMachines],
-			Listener:   lst,
-			Tss:        wp.Tss,
-			RefServer:  isLite,
-			Persistent: wp.Persistent,
-			Lat:        lat,
-			LatFrom:    sim.Time(wp.Warmup),
-		}
-		eng.Go(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
-			httpd.RunClient(p, cfg, func() (string, bool) {
-				if p.Now() >= end {
-					return "", false
-				}
-				return nextPath(rng), true
-			}, &stats[c])
-		})
-	}
+	clients.start(b, m.Host)
 
-	// Snapshot server counters at the warmup boundary and at the end.
+	res := WebResult{Metrics: Metrics{Label: wp.Server.Label()}}
 	var warmBytes, warmReqs int64
-	var reset obs.ResetSet
-	reset.Add(m.CPU(), m.Disk, m.FileCache, wp.Obs)
-	eng.At(sim.Time(wp.Warmup), func() {
+	b.reset.Add(m)
+	res.P50Us, res.P99Us = b.run(func() {
 		ws := srv.Stats()
 		warmReqs, warmBytes = ws.Requests, ws.TotalBytes
-		reset.Reset()
-	})
-	var res WebResult
-	res.Label = wp.Server.Label()
-	eng.At(end, func() {
+	}, func() {
 		ss := srv.Stats()
 		res.Requests = ss.Requests - warmReqs
-		res.Mbps = float64(ss.TotalBytes-warmBytes) * 8 / wp.Measure.Seconds() / 1e6
+		res.Mbps = b.mbps(ss.TotalBytes - warmBytes)
 		res.CPUUtil = m.CPU().Utilization()
 		res.DiskUtil = m.Disk.Utilization()
 		var hits, misses int64
@@ -252,12 +204,6 @@ func RunWeb(wp WebParams) WebResult {
 			res.HitRate = float64(hits) / float64(hits+misses)
 		}
 	})
-
-	eng.Run()
-	for i := range stats {
-		res.Errors += stats[i].Errors
-	}
-	res.P50Us = float64(lat.Quantile(0.50)) / 1e3
-	res.P99Us = float64(lat.Quantile(0.99)) / 1e3
+	res.Errors = clients.errors()
 	return res
 }
