@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"iolite/internal/mem"
@@ -46,6 +47,42 @@ func pattern(n int, seed byte) []byte {
 		d[i] = byte(i)*7 + seed
 	}
 	return d
+}
+
+// TestParallelSimulationsAllocate runs two independent simulations in
+// parallel goroutines, as a test binary or benchmark program may: buffer
+// allocation must be race-free (go test -race) and keep ids unique.
+func TestParallelSimulationsAllocate(t *testing.T) {
+	const sims, bufs = 2, 200
+	ids := make([][]uint64, sims)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := newHarness()
+			h.eng.Go("alloc", func(p *sim.Proc) {
+				for range bufs {
+					b := h.pool.Alloc(p, 100) // fresh: nothing is recycled
+					ids[i] = append(ids[i], b.ID())
+				}
+			})
+			h.eng.Run()
+		}()
+	}
+	wg.Wait()
+	seen := map[uint64]bool{}
+	for _, got := range ids {
+		for _, id := range got {
+			if seen[id] {
+				t.Fatalf("buffer id %d handed out twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if len(seen) != sims*bufs {
+		t.Fatalf("%d buffer ids, want %d", len(seen), sims*bufs)
+	}
 }
 
 func TestBufferLifecycle(t *testing.T) {

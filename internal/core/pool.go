@@ -2,12 +2,16 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
 
-var nextBufferID uint64
+// nextBufferID numbers buffers process-wide. It is atomic because
+// independent simulations (each single-threaded) may run in parallel
+// goroutines of one process; ids only need to be unique.
+var nextBufferID atomic.Uint64
 
 // Pool is an IO-Lite allocation pool: a set of cached buffers with a common
 // access-control list (§3.3). The choice of pool determines which protection
@@ -62,9 +66,6 @@ func NewPool(vm *mem.VM, owner *mem.Domain, name string) *Pool {
 
 // Name returns the pool's diagnostic name.
 func (pl *Pool) Name() string { return pl.name }
-
-// Owner returns the producing domain of the pool.
-func (pl *Pool) Owner() *mem.Domain { return pl.owner }
 
 // VM returns the memory manager.
 func (pl *Pool) VM() *mem.VM { return pl.vm }
@@ -143,9 +144,8 @@ func (pl *Pool) allocCold(pages int) (*Buffer, sim.Duration) {
 		pl.carved[chunk] += pages
 	}
 	cost += pl.vm.Costs().BufAllocCold
-	nextBufferID++
 	b := &Buffer{
-		id:         nextBufferID,
+		id:         nextBufferID.Add(1),
 		pool:       pl,
 		chunk:      chunk,
 		ownsChunks: ownsChunks,

@@ -36,7 +36,9 @@ func (l *lock) release() {
 // WireMode selects how one direction of a Conn carries record payloads.
 // It is the capability half of the transport abstraction: a Transport
 // hands the pool fd pairs plus the WireMode each direction supports, and
-// the Conn frames accordingly.
+// the Conn frames accordingly. Inbound, WireCopy records are reassembled
+// from a byte stream and both aggregate modes from an aggregate stream
+// (see ReadRecord).
 type WireMode int
 
 const (
@@ -46,17 +48,14 @@ const (
 	// pays a staging copy first — the conventional wire format cannot
 	// gather from references).
 	WireCopy WireMode = iota
-	// WireRef frames each record as one atomic buffer aggregate on a
-	// reference-mode pipe (§4.4): an 8-byte header generated in the
-	// sender's pool plus the sealed payload by reference. Zero copy
-	// charge for payload bytes; one pipe aggregate is exactly one record.
+	// WireRef frames each record as one buffer aggregate that stays on the
+	// machine — over a reference-mode pipe (§4.4) or a reference-mode
+	// socket between two local processes: a header generated in the
+	// sender's pool plus the sealed payload by reference. Zero copy charge
+	// for payload bytes. A pipe hands the receiver one whole record per
+	// read and a socket MSS-sized pieces; the self-describing headers let
+	// one stream decoder reassemble both.
 	WireRef
-	// WireRefStream frames aggregate records over a segmenting stream — a
-	// reference-mode socket between two processes on the same machine.
-	// Payloads still cross by reference with zero copy charge, but the
-	// transport delivers MSS-sized pieces, so records are reassembled
-	// from the aggregate stream instead of arriving atomically.
-	WireRefStream
 	// WireBoundary crosses a machine boundary. Sealed aggregates cannot
 	// be passed by reference to another machine, so the sender gathers
 	// the payload straight from its slices into the socket send buffer —
@@ -73,20 +72,11 @@ func (m WireMode) String() string {
 		return "copy"
 	case WireRef:
 		return "ref"
-	case WireRefStream:
-		return "ref-stream"
 	case WireBoundary:
 		return "boundary"
 	}
 	return "unknown"
 }
-
-// refWrite reports whether this direction writes aggregate records.
-func (m WireMode) refWrite() bool { return m == WireRef || m == WireRefStream }
-
-// streamRead reports whether inbound records are reassembled from an
-// aggregate stream rather than arriving atomically or as a byte FIFO.
-func (m WireMode) streamRead() bool { return m == WireRefStream || m == WireBoundary }
 
 // Conn frames records over one fd pair: rfd is the inbound record stream,
 // wfd the outbound one, both fds in process pr's table (a full-duplex
@@ -108,7 +98,7 @@ type Conn struct {
 	wlock lock
 
 	// rbuf reassembles copy-mode records across reads; rAgg reassembles
-	// stream-mode records across deliveries; scratch is the reusable
+	// aggregate-mode records across deliveries; scratch is the reusable
 	// POSIX read buffer.
 	rbuf    []byte
 	rAgg    *core.Agg
@@ -163,8 +153,8 @@ func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int) *Conn {
 
 // NewConnModes wraps the fd pair with explicit per-direction wire modes —
 // the constructor Transports use, since only the transport knows whether
-// a socket stays on-machine (WireRefStream keeps references) or crosses
-// to another one (WireBoundary must degrade to the single boundary copy).
+// a socket stays on-machine (WireRef keeps references) or crosses to
+// another one (WireBoundary must degrade to the single boundary copy).
 func NewConnModes(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int, rmode, wmode WireMode) *Conn {
 	c := &Conn{m: m, pr: pr, rfd: rfd, wfd: wfd, id: id, rmode: rmode, wmode: wmode}
 	if d, err := pr.Desc(wfd); err == nil {
@@ -191,11 +181,7 @@ func (c *Conn) StallTime() sim.Duration {
 func (c *Conn) ID() int { return c.id }
 
 // RefMode reports whether outbound payloads travel by reference.
-func (c *Conn) RefMode() bool { return c.wmode.refWrite() }
-
-// WriteMode and ReadMode report the per-direction wire modes.
-func (c *Conn) WriteMode() WireMode { return c.wmode }
-func (c *Conn) ReadMode() WireMode  { return c.rmode }
+func (c *Conn) RefMode() bool { return c.wmode == WireRef }
 
 // Stats reports records received, records sent, and write errors (the
 // peer's end of the outbound channel was gone — the simulated EPIPE).
@@ -203,14 +189,60 @@ func (c *Conn) Stats() (in, out, writeErrs int64) {
 	return c.recsIn, c.recsOut, c.writeErrs
 }
 
-// packHeader places the 8 header bytes in the conn's pool as a sealed
-// single-slice aggregate. The header is generated in place — freshly
-// produced data, like a formatted response header's bytes, not a copy of
-// an existing object — so ref-mode framing charges buffer allocation and
-// aggregate work but zero copy bytes: the meter stays clean for the
-// "payload bytes copied" assertions the subsystem is built to win.
-func (c *Conn) packHeader(p *sim.Proc, hdr []byte) *core.Agg {
-	return core.FromOwnedSlice(c.pr.Pool.Pack(p, hdr))
+// framed is one outbound record ready for the channel. On a reference
+// channel agg holds the whole record: the header packed in the sender's
+// pool with the payload concatenated by reference. Serialized channels
+// carry hdr then pay as bytes.
+type framed struct {
+	agg *core.Agg
+	hdr []byte
+	pay []byte
+}
+
+// frame encodes rec's header and, on a reference channel, packs it with
+// the payload into one aggregate. The header is generated in place —
+// freshly produced data, like a formatted response header's bytes, not a
+// copy of an existing object — so ref-mode framing charges buffer
+// allocation and aggregate work but zero copy bytes: the meter stays
+// clean for the "payload bytes copied" assertions the subsystem is built
+// to win. A serialized record's payload is staged separately (stage), so
+// the direct path can charge it after the header write.
+func (c *Conn) frame(p *sim.Proc, rec Record) framed {
+	var hbuf [HeaderLen + TraceLen]byte
+	hdr := hbuf[:rec.Header.encode(hbuf[:])]
+	if c.wmode != WireRef {
+		return framed{hdr: append([]byte(nil), hdr...)}
+	}
+	out := core.FromOwnedSlice(c.pr.Pool.Pack(p, hdr))
+	if rec.Agg != nil {
+		out.Concat(rec.Agg)
+	} else if len(rec.Bytes) > 0 {
+		// Copy-payload caller on a reference channel: the bytes are
+		// packed into pool buffers (the producer's copy, charged by
+		// PackBytes) and then travel by reference.
+		pay := core.PackBytes(p, c.pr.Pool, rec.Bytes)
+		out.Concat(pay)
+		pay.Release()
+	}
+	return framed{agg: out}
+}
+
+// stage returns a serialized record's payload bytes. WireCopy stages an
+// aggregate payload into contiguous bytes first (a real copy, charged) —
+// the conventional wire format cannot gather from references.
+// WireBoundary gathers writev-style straight from the slices (aggregate
+// walking only): the machine boundary's single charged copy per payload
+// byte is the write into the socket send buffer itself.
+func (c *Conn) stage(p *sim.Proc, rec Record) []byte {
+	if rec.Agg == nil {
+		return rec.Bytes
+	}
+	if c.wmode == WireBoundary {
+		c.m.Host.Use(p, sim.Duration(rec.Agg.NumSlices())*c.m.Costs.AggOp)
+	} else {
+		c.m.Host.Use(p, c.m.Costs.Copy(rec.Agg.Len()))
+	}
+	return rec.Agg.Materialize()
 }
 
 // WriteRecord frames and sends one record. Ownership of rec.Agg passes to
@@ -220,101 +252,70 @@ func (c *Conn) packHeader(p *sim.Proc, hdr []byte) *core.Agg {
 // from the channel — the peer departed — is counted as a write error and
 // returned for the caller to surface.
 func (c *Conn) WriteRecord(p *sim.Proc, rec Record) error {
-	n := rec.payloadLen()
 	if rec.Type == RecEnd {
-		if n != 0 {
+		if rec.payloadLen() != 0 {
 			return ErrProtocol
 		}
 	} else {
-		rec.Length = uint32(n)
+		rec.Length = uint32(rec.payloadLen())
 	}
-	if c.closed {
+	var err error
+	switch {
+	case c.closed:
+		err = ErrBroken
+	case c.ringOn:
+		err = c.ringWriteRecord(p, rec)
+	default:
+		err = c.writeDirect(p, rec)
+	}
+	if err != nil {
 		c.writeErrs++
-		return ErrBroken
+		return err
 	}
-	if c.ringOn {
-		// Ring mode needs no write lock: each queue entry is one whole
-		// framed record, so the flusher serializes at record granularity
-		// by construction.
-		return c.ringWriteRecord(p, rec, n)
+	if rec.Agg != nil {
+		rec.Agg.Release() // a reference frame's Concat reference survives
 	}
+	c.recsOut++
+	return nil
+}
+
+// writeDirect moves one record with its own syscalls, holding the write
+// lock across the whole record.
+func (c *Conn) writeDirect(p *sim.Proc, rec Record) error {
 	c.wlock.acquire(p)
 	defer c.wlock.release()
 	if c.closed {
 		// Closed while this record waited for the write lock. The fd
 		// numbers may already belong to a replacement channel — writing
 		// through them would corrupt an innocent stream.
-		c.writeErrs++
 		return ErrBroken
 	}
-
-	var hbuf [HeaderLen + TraceLen]byte
-	hdr := hbuf[:rec.Header.encode(hbuf[:])]
-
-	if c.wmode.refWrite() {
-		out := c.packHeader(p, hdr)
-		if rec.Agg != nil {
-			out.Concat(rec.Agg)
-		} else if len(rec.Bytes) > 0 {
-			// Copy-payload caller on a reference channel: the bytes are
-			// packed into pool buffers (the producer's copy, charged by
-			// PackBytes) and then travel by reference.
-			pay := core.PackBytes(p, c.pr.Pool, rec.Bytes)
-			out.Concat(pay)
-			pay.Release()
+	f := c.frame(p, rec)
+	if f.agg != nil {
+		err := c.m.IOLWrite(p, c.pr, c.wfd, f.agg)
+		if err != nil {
+			f.agg.Release()
 		}
-		if err := c.m.IOLWrite(p, c.pr, c.wfd, out); err != nil {
-			out.Release()
-			c.writeErrs++
-			return err
-		}
-		if rec.Agg != nil {
-			rec.Agg.Release() // the conn's Concat reference survives
-		}
-		c.recsOut++
-		return nil
+		return err
 	}
-
 	// Serialized modes: header then payload through the channel as
-	// bytes, corked so the 8-byte record header never becomes its own
-	// sub-MSS segment on a socket channel. WireCopy stages an aggregate
-	// payload into contiguous bytes first (a real copy, charged) — the
-	// conventional wire format cannot gather from references.
-	// WireBoundary gathers writev-style straight from the slices
-	// (aggregate walking only): the machine boundary's single charged
-	// copy per payload byte is the write into the socket send buffer
-	// itself, below.
+	// bytes, corked so the record header never becomes its own sub-MSS
+	// segment on a socket channel.
 	c.cork(p, true)
-	if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, hdr); err != nil {
-		c.writeErrs++
+	if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, f.hdr); err != nil {
 		return err
 	}
 	if c.closed {
 		// Closed while the header write was blocked: the payload write
 		// would re-resolve wfd, which may be a reused number by now.
-		c.writeErrs++
 		return ErrBroken
 	}
-	if n > 0 {
-		pay := rec.Bytes
-		if rec.Agg != nil {
-			if c.wmode == WireBoundary {
-				c.m.Host.Use(p, sim.Duration(rec.Agg.NumSlices())*c.m.Costs.AggOp)
-			} else {
-				c.m.Host.Use(p, c.m.Costs.Copy(n))
-			}
-			pay = rec.Agg.Materialize()
-		}
-		if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, pay); err != nil {
-			c.writeErrs++
+	if rec.payloadLen() > 0 {
+		if _, err := c.m.WritePOSIX(p, c.pr, c.wfd, c.stage(p, rec)); err != nil {
 			return err
 		}
 	}
 	c.cork(p, false)
-	if rec.Agg != nil {
-		rec.Agg.Release()
-	}
-	c.recsOut++
 	return nil
 }
 
@@ -333,86 +334,35 @@ func (c *Conn) cork(p *sim.Proc, on bool) {
 // ReadRecord blocks for the next inbound record. io.EOF means the peer
 // closed cleanly between records; io.ErrUnexpectedEOF means it died
 // mid-record (a crashed worker); ErrProtocol means the stream is corrupt.
-// On a reference pipe each pipe aggregate is exactly one record (writes
-// are atomic), so framing is a header split away; on stream modes records
-// are reassembled from aggregate deliveries; on a copy channel they are
-// reassembled from the byte stream.
+// A WireCopy channel reassembles records from its byte stream; the
+// aggregate modes reassemble them from aggregate deliveries (one whole
+// record per read on a reference pipe, MSS-sized pieces on a socket,
+// coalesced runs of either through the ring).
 func (c *Conn) ReadRecord(p *sim.Proc) (Record, error) {
 	if c.closed {
 		return Record{}, io.EOF
 	}
-	if c.ringOn {
-		// Ring reads coalesce deliveries, which merges what an atomic
-		// pipe would hand over as one-record aggregates — so every
-		// aggregate mode reassembles from the stream in ring mode (the
-		// headers are self-describing), and copy mode refills its byte
-		// buffer through the ring.
-		if c.rmode == WireCopy {
-			return c.readCopyRecord(p, c.ringFill)
-		}
-		return c.readStreamRecord(p, c.ringFillAgg)
+	if c.rmode == WireCopy {
+		return c.readCopyRecord(p)
 	}
-	switch {
-	case c.rmode == WireRef:
-		return c.readAtomicRecord(p)
-	case c.rmode.streamRead():
-		return c.readStreamRecord(p, c.fillAgg)
-	}
-	return c.readCopyRecord(p, c.fill)
+	return c.readStreamRecord(p)
 }
 
-// readAtomicRecord takes one whole record per reference-pipe aggregate.
-func (c *Conn) readAtomicRecord(p *sim.Proc) (Record, error) {
-	a, err := c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
-	if err != nil {
-		return Record{}, err
-	}
-	var hb [HeaderLen + TraceLen]byte
-	have := a.Len()
-	if have > len(hb) {
-		have = len(hb)
-	}
-	a.ReadAt(hb[:have], 0)
-	h, hlen, err := DecodeHeader(hb[:have])
-	if err != nil {
-		a.Release()
-		if err == ErrTruncated {
-			// Writes on a reference pipe are atomic: a record torn inside
-			// its header is corruption, there is no more to read.
-			err = ErrProtocol
-		}
-		return Record{}, err
-	}
-	a.DropFront(hlen)
-	want := int(h.Length)
-	if h.Type == RecEnd {
-		want = 0
-	}
-	if a.Len() != want {
-		a.Release()
-		return Record{}, ErrProtocol
-	}
-	c.recsIn++
-	return Record{Header: h, Agg: a}, nil
-}
-
-// readStreamRecord reassembles one record from a segmented aggregate
-// stream (sockets deliver MSS-sized pieces; a record may span several, a
-// delivery may hold several records). The payload keeps its buffer
-// identity: on a same-machine reference socket those are the sender's
-// sealed buffers, across a machine boundary they are the receive buffers
-// early demultiplexing filled — in both cases zero copy charge here. The
-// fill argument is what refills rAgg: direct per-delivery reads
-// (fillAgg) or coalesced ring reads (ringFillAgg).
-func (c *Conn) readStreamRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Record, error) {
-	if err := fill(p, HeaderLen); err != nil {
+// readStreamRecord reassembles one record from the aggregate stream (a
+// record may span several deliveries, a delivery may hold several
+// records). The payload keeps its buffer identity: on the same machine
+// those are the sender's sealed buffers, across a machine boundary they
+// are the receive buffers early demultiplexing filled — in both cases
+// zero copy charge here.
+func (c *Conn) readStreamRecord(p *sim.Proc) (Record, error) {
+	if err := c.fillAgg(p, HeaderLen); err != nil {
 		return Record{}, err
 	}
 	var hb [HeaderLen + TraceLen]byte
 	c.rAgg.ReadAt(hb[:HeaderLen], 0)
 	have := HeaderLen
 	if hb[1]&FlagTraced != 0 {
-		if err := fill(p, HeaderLen+TraceLen); err != nil {
+		if err := c.fillAgg(p, HeaderLen+TraceLen); err != nil {
 			return Record{}, err
 		}
 		c.rAgg.ReadAt(hb[HeaderLen:], HeaderLen)
@@ -429,7 +379,7 @@ func (c *Conn) readStreamRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (R
 	// The header stays buffered until the whole record has arrived, so a
 	// peer that dies between a record's header and its payload reports
 	// io.ErrUnexpectedEOF (a torn record), never a clean end of stream.
-	if err := fill(p, hlen+want); err != nil {
+	if err := c.fillAgg(p, hlen+want); err != nil {
 		return Record{}, err
 	}
 	c.rAgg.DropFront(hlen)
@@ -442,34 +392,14 @@ func (c *Conn) readStreamRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (R
 	return Record{Header: h, Agg: pay}, nil
 }
 
-// fillAgg reads from the stream until at least n bytes are assembled.
-func (c *Conn) fillAgg(p *sim.Proc, n int) error {
-	for c.rAgg == nil || c.rAgg.Len() < n {
-		a, err := c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
-		if err != nil {
-			if err == io.EOF && c.rAgg != nil && c.rAgg.Len() > 0 {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		if c.rAgg == nil {
-			c.rAgg = a
-		} else {
-			c.rAgg.Concat(a)
-			a.Release()
-		}
-	}
-	return nil
-}
-
 // readCopyRecord reassembles one record from the conventional byte
-// stream, refilling rbuf through fill (direct reads or the ring).
-func (c *Conn) readCopyRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Record, error) {
-	if err := fill(p, HeaderLen); err != nil {
+// stream.
+func (c *Conn) readCopyRecord(p *sim.Proc) (Record, error) {
+	if err := c.fill(p, HeaderLen); err != nil {
 		return Record{}, err
 	}
 	if c.rbuf[1]&FlagTraced != 0 {
-		if err := fill(p, HeaderLen+TraceLen); err != nil {
+		if err := c.fill(p, HeaderLen+TraceLen); err != nil {
 			return Record{}, err
 		}
 	}
@@ -481,7 +411,7 @@ func (c *Conn) readCopyRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Rec
 	if h.Type == RecEnd {
 		want = 0
 	}
-	if err := fill(p, hlen+want); err != nil {
+	if err := c.fill(p, hlen+want); err != nil {
 		return Record{}, err
 	}
 	var pay []byte
@@ -493,14 +423,64 @@ func (c *Conn) readCopyRecord(p *sim.Proc, fill func(*sim.Proc, int) error) (Rec
 	return Record{Header: h, Bytes: pay}, nil
 }
 
-// fill reads from the copy-mode channel until at least n bytes are
-// buffered.
+// fillAgg refills rAgg until at least n bytes are assembled, one refill
+// op per pass: a direct IOL_read takes the next delivery; in ring mode
+// one Submit + Reap takes every ready delivery coalesced, with the
+// MSG_WAITALL threshold (the bytes still missing) keeping the op in
+// flight until the record can complete — a 16 KB record arriving as a
+// dozen MSS deliveries costs one refill, not a dozen reads. End of stream
+// with a partial record buffered is a torn record.
+func (c *Conn) fillAgg(p *sim.Proc, n int) error {
+	for {
+		have := 0
+		if c.rAgg != nil {
+			have = c.rAgg.Len()
+		}
+		if have >= n {
+			return nil
+		}
+		var a *core.Agg
+		var err error
+		if c.ringOn {
+			c.rring.PrepIOLReadFull(c.rfd, int64(n-have), kernel.MaxIO)
+			cqe := c.ringRead(p)
+			a, err = cqe.Agg, cqe.Err
+		} else {
+			a, err = c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
+		}
+		if err != nil {
+			if err == io.EOF && have > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		if c.rAgg == nil {
+			c.rAgg = a
+		} else {
+			c.rAgg.Concat(a)
+			a.Release()
+		}
+	}
+}
+
+// fill is fillAgg for the copy-mode byte buffer: each pass is one POSIX
+// read into the scratch buffer, direct or (in ring mode) coalesced
+// through the read ring.
 func (c *Conn) fill(p *sim.Proc, n int) error {
 	for len(c.rbuf) < n {
 		if c.scratch == nil {
 			c.scratch = make([]byte, 16<<10)
 		}
-		got, err := c.m.ReadPOSIX(p, c.pr, c.rfd, c.scratch)
+		var got int
+		var err error
+		if c.ringOn {
+			need := min(n-len(c.rbuf), len(c.scratch))
+			c.rring.PrepReadPOSIXFull(c.rfd, int64(need), c.scratch)
+			cqe := c.ringRead(p)
+			got, err = int(cqe.Res), cqe.Err
+		} else {
+			got, err = c.m.ReadPOSIX(p, c.pr, c.rfd, c.scratch)
+		}
 		if err != nil {
 			if err == io.EOF && len(c.rbuf) > 0 {
 				return io.ErrUnexpectedEOF

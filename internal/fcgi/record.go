@@ -226,9 +226,8 @@ func (h *Header) parseTrace(b []byte) {
 
 // Framing errors.
 var (
-	// ErrProtocol reports a malformed record (bad type, reserved id,
-	// flags the type never carries, or a ref-mode aggregate whose length
-	// disagrees with its header).
+	// ErrProtocol reports a malformed record (bad type, reserved id, or
+	// flags the type never carries).
 	ErrProtocol = errors.New("fcgi: malformed record")
 	// ErrTruncated reports a buffer that ends before the record it starts
 	// does: streaming decoders read more and retry, whole-message decoders
@@ -254,10 +253,11 @@ var (
 )
 
 // Record is one framed unit. Exactly one payload representation is
-// populated on receipt, matching the pipe's mode: Agg on a reference-mode
-// pipe (the receiver owns it), Bytes on a copy-mode pipe. On send the
-// caller may supply either; the Conn adapts to its pipe's mode, charging
-// exactly the copies the adaptation performs.
+// populated on receipt, matching the channel's wire mode: Agg on an
+// aggregate channel (WireRef, WireBoundary; the receiver owns it), Bytes
+// on a WireCopy channel. On send the caller may supply either; the Conn
+// adapts to its wire mode, charging exactly the copies the adaptation
+// performs.
 type Record struct {
 	Header
 	Agg   *core.Agg

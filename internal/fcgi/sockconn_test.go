@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"iolite/internal/core"
+	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
@@ -47,70 +48,108 @@ func (sb *sockBed) conns(ref bool, respWire WireMode) (srvConn, wkrConn *Conn) {
 	return srvConn, wkrConn
 }
 
-// TestConnFramesOverSocketStream drives records through every socket wire
-// mode. The sizes straddle MSS segment boundaries and the 64 KB socket
-// send window, so headers land mid-delivery and payloads span many
-// deliveries — the reassembly cases a pipe's atomic writes never hit.
+// pipeConns is conns over a pipe between the two processes of a local
+// bed: a reference pipe for WireRef, a copy pipe for WireCopy.
+func (sb *sockBed) pipeConns(respWire WireMode) (srvConn, wkrConn *Conn) {
+	mode := ipcsim.ModeCopy
+	if respWire == WireRef {
+		mode = ipcsim.ModeRef
+	}
+	rfd, wfd := sb.b.m.Pipe2(sb.b.srv, sb.wpr, mode)
+	wkrConn = NewConnModes(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
+	srvConn = NewConnModes(sb.b.m, sb.b.srv, rfd, rfd, 0, respWire, WireCopy)
+	return srvConn, wkrConn
+}
+
+// TestConnFramesOverSocketStream drives records through every wire mode
+// on every channel kind, with direct I/O and again with both ends in ring
+// mode. The sizes straddle MSS segment boundaries, the 64 KB socket send
+// window and the pipe buffer, so on sockets headers land mid-delivery and
+// payloads span many deliveries, a reference pipe hands over one whole
+// record per read, and ring reads coalesce several records into one
+// refill: the one stream decoder and both refill sources see every case.
 func TestConnFramesOverSocketStream(t *testing.T) {
 	cases := []struct {
-		name        string
-		remote, ref bool
-		mode        WireMode
+		name              string
+		pipe, remote, ref bool
+		mode              WireMode
 	}{
-		{"copy", false, false, WireCopy},
-		{"ref-stream", false, true, WireRefStream},
-		{"boundary", true, false, WireBoundary},
+		{"copy", false, false, false, WireCopy},
+		{"ref-stream", false, false, true, WireRef},
+		{"boundary", false, true, false, WireBoundary},
+		{"pipe-copy", true, false, false, WireCopy},
+		{"pipe-ref", true, false, true, WireRef},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sb := newSockBed(tc.remote)
-			srvConn, wkrConn := sb.conns(tc.ref, tc.mode)
-			sizes := []int{40, 100_000, 5, 3000}
-			payloads := make([][]byte, len(sizes))
-			for i, n := range sizes {
-				payloads[i] = doc(n)
+	for _, ring := range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name
+			if ring {
+				name += "-ring"
 			}
-			sb.b.eng.Go("writer", func(p *sim.Proc) {
-				for i, pay := range payloads {
-					rec := Record{Header: Header{Type: RecStdout, ReqID: uint16(i + 1)}}
-					if tc.mode == WireCopy {
-						rec.Bytes = pay
-					} else {
-						rec.Agg = core.PackBytes(p, sb.wpr.Pool, pay)
-					}
-					if err := wkrConn.WriteRecord(p, rec); err != nil {
-						t.Errorf("WriteRecord %d: %v", i, err)
-						return
-					}
+			t.Run(name, func(t *testing.T) {
+				sb := newSockBed(tc.remote)
+				var srvConn, wkrConn *Conn
+				if tc.pipe {
+					srvConn, wkrConn = sb.pipeConns(tc.mode)
+				} else {
+					srvConn, wkrConn = sb.conns(tc.ref, tc.mode)
 				}
-				err := wkrConn.WriteRecord(p, Record{Header: Header{Type: RecEnd, Flags: FlagEndStream, ReqID: 1, Length: 7}})
-				if err != nil {
-					t.Errorf("WriteRecord END: %v", err)
+				if ring {
+					srvConn.EnableRing()
+					wkrConn.EnableRing()
 				}
-			})
-			sb.b.eng.Go("reader", func(p *sim.Proc) {
-				for i, pay := range payloads {
-					rec, err := srvConn.ReadRecord(p)
+				sizes := []int{40, 100_000, 5, 3000}
+				payloads := make([][]byte, len(sizes))
+				for i, n := range sizes {
+					payloads[i] = doc(n)
+				}
+				sb.b.eng.Go("writer", func(p *sim.Proc) {
+					defer wkrConn.Close(p)
+					for i, pay := range payloads {
+						rec := Record{Header: Header{Type: RecStdout, ReqID: uint16(i + 1)}}
+						if tc.mode == WireCopy {
+							rec.Bytes = pay
+						} else {
+							rec.Agg = core.PackBytes(p, sb.wpr.Pool, pay)
+						}
+						if err := wkrConn.WriteRecord(p, rec); err != nil {
+							t.Errorf("WriteRecord %d: %v", i, err)
+							return
+						}
+					}
+					err := wkrConn.WriteRecord(p, Record{Header: Header{Type: RecEnd, Flags: FlagEndStream, ReqID: 1, Length: 7}})
 					if err != nil {
-						t.Errorf("ReadRecord %d: %v", i, err)
-						return
+						t.Errorf("WriteRecord END: %v", err)
 					}
-					if rec.Type != RecStdout || rec.ReqID != uint16(i+1) {
-						t.Errorf("record %d: got %v req %d", i, rec.Type, rec.ReqID)
+				})
+				sb.b.eng.Go("reader", func(p *sim.Proc) {
+					defer srvConn.Close(p)
+					for i, pay := range payloads {
+						rec, err := srvConn.ReadRecord(p)
+						if err != nil {
+							t.Errorf("ReadRecord %d: %v", i, err)
+							return
+						}
+						if rec.Type != RecStdout || rec.ReqID != uint16(i+1) {
+							t.Errorf("record %d: got %v req %d", i, rec.Type, rec.ReqID)
+						}
+						if !bytes.Equal(rec.payloadBytes(), pay) {
+							t.Errorf("record %d (%d bytes): payload corrupted across deliveries", i, len(pay))
+						}
+						rec.Release()
 					}
-					if !bytes.Equal(rec.payloadBytes(), pay) {
-						t.Errorf("record %d (%d bytes): payload corrupted across segments", i, len(pay))
+					end, err := srvConn.ReadRecord(p)
+					if err != nil || end.Type != RecEnd || end.Length != 7 {
+						t.Errorf("END record = %+v, %v; want status 7", end.Header, err)
 					}
-					rec.Release()
+					end.Release()
+				})
+				sb.b.eng.Run()
+				if n := sb.b.eng.LiveProcs(); n != 0 {
+					t.Errorf("%d procs still live after both ends closed", n)
 				}
-				end, err := srvConn.ReadRecord(p)
-				if err != nil || end.Type != RecEnd || end.Length != 7 {
-					t.Errorf("END record = %+v, %v; want status 7", end.Header, err)
-				}
-				end.Release()
 			})
-			sb.b.eng.Run()
-		})
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //
 //	transport     ref-requested payloads     copy charge per payload byte
 //	pipe          by reference (WireRef)     0
-//	sock-local    by reference (WireRefStream) 0 (plus per-packet protocol work)
+//	sock-local    by reference (WireRef)     0 (plus per-packet protocol work)
 //	sock-remote   degrade (WireBoundary)     exactly 1 — the machine boundary
 //
 // Sealed aggregates cannot cross machines by reference, so a remote
@@ -263,7 +263,7 @@ func (t *SocketTransport) Connect(id int, name string) Channel {
 		if t.Remote() {
 			respWire = WireBoundary
 		} else {
-			respWire = WireRefStream
+			respWire = WireRef
 		}
 	}
 	return Channel{

@@ -40,7 +40,6 @@ type TokenBucket struct {
 	timer   *sim.Timer
 
 	throttles int64
-	throttled sim.Duration
 
 	// notify fires when solvency returns after nonblocking debt; the
 	// limiter descriptor hangs poll notification off it.
@@ -66,9 +65,6 @@ func NewTokenBucket(eng *sim.Engine, ratePerSec, burst int64) *TokenBucket {
 		last:  eng.Now(),
 	}
 }
-
-// Rate returns the refill rate in tokens/second.
-func (b *TokenBucket) Rate() int64 { return b.rate }
 
 // Burst returns the bucket capacity in tokens.
 func (b *TokenBucket) Burst() int64 { return b.burst }
@@ -110,7 +106,7 @@ func (b *TokenBucket) TryTake(n int64) bool {
 // could never succeed) and leave the balance negative — the debt drains at
 // the refill rate before the next waiter is served, so the long-run rate
 // holds. Waiters are served strictly FIFO; waits are timed on the shared
-// wheel and accumulated into ThrottledTime.
+// wheel.
 func (b *TokenBucket) Take(p *sim.Proc, n int64) {
 	if n <= 0 {
 		return
@@ -129,11 +125,9 @@ func (b *TokenBucket) Take(p *sim.Proc, n int64) {
 	w := &tbWaiter{p: p, need: need, take: take}
 	b.waiters = append(b.waiters, w)
 	b.arm()
-	start := b.eng.Now()
 	for !w.done {
 		p.Park()
 	}
-	b.throttled += b.eng.Now().Sub(start)
 }
 
 // pump is the wheel callback: admit every satisfied waiter in FIFO order,
@@ -225,7 +219,3 @@ func (b *TokenBucket) armNotify() {
 // Throttles counts ops that could not proceed immediately (blocking waits
 // plus refused TryTakes).
 func (b *TokenBucket) Throttles() int64 { return b.throttles }
-
-// ThrottledTime is the total simulated time procs have spent parked on
-// this bucket.
-func (b *TokenBucket) ThrottledTime() sim.Duration { return b.throttled }

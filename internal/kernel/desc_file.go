@@ -3,6 +3,7 @@ package kernel
 import (
 	"io"
 
+	"iolite/internal/cache"
 	"iolite/internal/core"
 	"iolite/internal/fsim"
 	"iolite/internal/sim"
@@ -45,15 +46,22 @@ func (d *fileDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
 }
 
 // ReadAggAt is the positional IOL_read (no cursor touched) — the PReader
-// capability.
+// capability, and the file half of Fig. 2 (§3.5): the extent comes from
+// the splice source below and is made readable in pr's domain, with no
+// data copied. A hit costs a lookup plus VM grants (free in steady
+// state); a miss adds the disk read. The caller's snapshot stays intact
+// even if a writer later replaces the cached extent. A private-pool read
+// (§3.4) skips the cache, and with it the per-slice aggregate work.
 func (d *fileDesc) ReadAggAt(p *sim.Proc, pr *Process, off, n int64) (*core.Agg, error) {
-	if off >= d.f.Size() {
-		return nil, io.EOF
+	a, err := d.SpliceOutAt(p, off, n)
+	if err != nil {
+		return nil, err
 	}
-	if d.pool != nil {
-		return d.m.iolReadPool(p, pr, d.pool, d.f, off, n), nil
+	if d.pool == nil {
+		d.m.Host.Use(p, sim.Duration(a.NumSlices())*d.m.Costs.AggOp)
 	}
-	return d.m.iolReadFile(p, pr, d.f, off, n), nil
+	core.Transfer(p, a, pr.Domain)
+	return a, nil
 }
 
 // SpliceOut is the cursor-advancing splice source: the extent comes out of
@@ -68,20 +76,34 @@ func (d *fileDesc) SpliceOut(p *sim.Proc, n int64) (*core.Agg, error) {
 	return a, nil
 }
 
-// SpliceOutAt is the positional splice source (the sendfile(2) shape).
+// SpliceOutAt is the positional splice source (the sendfile(2) shape). A
+// private-pool descriptor reads the backing store into its pool on every
+// call: the data's ACL is the pool's, so it never enters the shared cache.
 func (d *fileDesc) SpliceOutAt(p *sim.Proc, off, n int64) (*core.Agg, error) {
 	if off >= d.f.Size() {
 		return nil, io.EOF
 	}
 	if d.pool != nil {
-		return d.m.readPool(p, d.pool, d.f, off, n), nil
+		return d.m.readExtent(p, d.pool, d.f, off, n), nil
 	}
 	return d.m.readCached(p, d.f, off, n), nil
 }
 
+// WriteAgg is IOL_write on a file (Fig. 2, §3.5): the aggregate's contents
+// replace [off, off+len) at the cursor. The cache entries covering that
+// range are replaced — not overwritten — so concurrent readers' snapshots
+// persist. No data copy occurs; the file system's write-behind picks the
+// data up by reference.
 func (d *fileDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
+	m := d.m
+	core.CheckReadable(a, pr.Domain) // writer must itself have access
 	n := int64(a.Len())
-	d.m.iolWriteFile(p, pr, d.f, d.off, a)
+	m.Host.Use(p, sim.Duration(a.NumSlices())*m.Costs.AggOp)
+	m.FileCache.InvalidateOverlap(d.f.ID, d.off, n)
+	m.FileCache.Insert(p, cache.Key{File: d.f.ID, Off: d.off, Len: n}, a)
+	core.Transfer(p, a, m.KernelDomain)
+	// Write-behind to the backing store; DMA, no CPU copy charged.
+	m.FS.WriteRange(d.f, d.off, a.Materialize())
 	// The generic IOL_write transfers ownership; the cache holds its own
 	// references, so the caller's goes away here.
 	a.Release()
@@ -89,18 +111,41 @@ func (d *fileDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
 	return nil
 }
 
+// ReadCopy is the backward-compatible read(2): the data comes through the
+// unified cache exactly as IOL_read's would, then is copied into the
+// application's private buffer (§4.2: "a data copy operation is used to
+// move data between application buffers and IO-Lite buffers").
 func (d *fileDesc) ReadCopy(p *sim.Proc, pr *Process, dst []byte) (int, error) {
 	if d.off >= d.f.Size() {
 		return 0, io.EOF
 	}
-	n := d.m.readPOSIXFile(p, pr, d.f, d.off, dst)
-	d.off += int64(n)
-	return n, nil
+	n := int64(len(dst))
+	if d.off+n > d.f.Size() {
+		n = d.f.Size() - d.off
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	a := d.m.readCached(p, d.f, d.off, n)
+	a.ReadAt(dst[:n], 0)
+	d.m.Host.Use(p, d.m.Costs.Copy(int(n)))
+	a.Release()
+	d.off += n
+	return int(n), nil
 }
 
+// WriteCopy is the backward-compatible write(2): the application's bytes
+// are copied into freshly allocated IO-Lite buffers, which then replace the
+// cached range as IOL_write's would.
 func (d *fileDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) {
-	d.m.writePOSIXFile(p, pr, d.f, d.off, src)
-	d.off += int64(len(src))
+	m := d.m
+	n := int64(len(src))
+	a := core.PackBytes(p, m.FilePool, src) // PackBytes charges the copy
+	m.FileCache.InvalidateOverlap(d.f.ID, d.off, n)
+	m.FileCache.Insert(p, cache.Key{File: d.f.ID, Off: d.off, Len: n}, a)
+	m.FS.WriteRange(d.f, d.off, src)
+	a.Release()
+	d.off += n
 	return len(src), nil
 }
 

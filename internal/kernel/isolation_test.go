@@ -1,21 +1,30 @@
 package kernel
 
 import (
+	"io"
 	"testing"
 
 	"iolite/internal/core"
 	"iolite/internal/ipcsim"
-	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
 
-func TestIOLReadPoolUsesCallersPoolAndACL(t *testing.T) {
+func TestOpenWithPoolReadUsesCallersPoolAndACL(t *testing.T) {
 	e, m := newMachine(Config{})
 	app := m.NewProcess("app", 1<<20)
 	other := m.NewProcess("other", 1<<20)
 	f := m.FS.Create("/doc", 100<<10)
 	run(t, e, func(p *sim.Proc) {
-		a := m.IOLReadPool(p, app, app.Pool, f, 0, f.Size())
+		fd, err := m.OpenWithPool(p, app, "/doc", app.Pool)
+		if err != nil {
+			t.Errorf("OpenWithPool: %v", err)
+			return
+		}
+		a, err := m.IOLRead(p, app, fd, f.Size())
+		if err != nil {
+			t.Errorf("IOLRead: %v", err)
+			return
+		}
 		defer a.Release()
 		if !a.Equal(m.FS.Expected(f, 0, f.Size())) {
 			t.Fatal("pool read returned wrong bytes")
@@ -49,11 +58,13 @@ func TestCGIFaultIsolation(t *testing.T) {
 	e, m := newMachine(Config{})
 	srv := m.NewProcess("srv", 1<<20)
 	cgi := m.NewProcess("cgi", 1<<20)
-	pipe := m.NewPipe(ipcsim.ModeRef, srv)
+	rfd, wfd := m.Pipe2(srv, cgi, ipcsim.ModeRef)
 	var served []byte
 	e.Go("cgi", func(p *sim.Proc) {
 		doc := core.PackBytes(p, cgi.Pool, []byte("legitimate content"))
-		pipe.WriteAgg(p, doc.Clone())
+		if err := m.IOLWrite(p, cgi, wfd, doc.Clone()); err != nil {
+			t.Errorf("IOLWrite: %v", err)
+		}
 
 		// After handing the document to the server, the CGI process tries
 		// to rewrite it in place — immutability must stop it.
@@ -66,12 +77,15 @@ func TestCGIFaultIsolation(t *testing.T) {
 			doc.Slices()[0].Buf.Write(0, []byte("EVIL"))
 		}()
 		doc.Release()
-		pipe.CloseWrite(p)
+		m.Close(p, cgi, wfd)
 	})
 	e.Go("srv", func(p *sim.Proc) {
 		for {
-			a := pipe.ReadAgg(p)
-			if a == nil {
+			a, err := m.IOLRead(p, srv, rfd, MaxIO)
+			if err != nil {
+				if err != io.EOF {
+					t.Errorf("IOLRead: %v", err)
+				}
 				return
 			}
 			served = append(served, a.Materialize()...)
@@ -90,8 +104,9 @@ func TestWriteRequiresAccess(t *testing.T) {
 	e, m := newMachine(Config{})
 	alice := m.NewProcess("alice", 1<<20)
 	mallory := m.NewProcess("mallory", 1<<20)
-	f := m.FS.Create("/secretcopy", 64)
+	m.FS.Create("/secretcopy", 64)
 	run(t, e, func(p *sim.Proc) {
+		fd := mustOpen(t, p, m, mallory, "/secretcopy")
 		secret := core.PackBytes(p, alice.Pool, []byte("alice's private data"))
 		defer secret.Release()
 		defer func() {
@@ -99,7 +114,6 @@ func TestWriteRequiresAccess(t *testing.T) {
 				t.Error("mallory wrote data she cannot read")
 			}
 		}()
-		m.IOLWriteFile(p, mallory, f, 0, secret)
+		m.IOLWrite(p, mallory, fd, secret)
 	})
-	_ = mem.PageSize
 }

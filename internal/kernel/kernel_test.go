@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"iolite/internal/cache"
@@ -22,13 +23,48 @@ func run(t *testing.T, e *sim.Engine, body func(p *sim.Proc)) {
 	e.Run()
 }
 
+// The helpers below run inside simulated procs, which are goroutines of
+// their own, so they report failures with t.Errorf and return a value the
+// test can keep going with instead of calling t.Fatal.
+
+// mustOpen opens name in pr's descriptor table (-1 on error).
+func mustOpen(t *testing.T, p *sim.Proc, m *Machine, pr *Process, name string) int {
+	t.Helper()
+	fd, err := m.Open(p, pr, name)
+	if err != nil {
+		t.Errorf("Open %s: %v", name, err)
+	}
+	return fd
+}
+
+// readAt is IOL_read at an explicit offset (an empty aggregate on error).
+func readAt(t *testing.T, p *sim.Proc, m *Machine, pr *Process, fd int, off, n int64) *core.Agg {
+	t.Helper()
+	a, err := m.IOLReadAt(p, pr, fd, off, n)
+	if err != nil {
+		t.Errorf("IOLReadAt(%d, %d): %v", off, n, err)
+		return core.NewAgg()
+	}
+	return a
+}
+
+// seek moves fd's cursor to off.
+func seek(t *testing.T, p *sim.Proc, m *Machine, pr *Process, fd int, off int64) {
+	t.Helper()
+	if _, err := m.Seek(p, pr, fd, off, io.SeekStart); err != nil {
+		t.Errorf("Seek %d: %v", off, err)
+	}
+}
+
 func TestIOLReadServesCachedSecondRead(t *testing.T) {
 	e, m := newMachine(Config{})
 	f := m.FS.Create("/doc", 100<<10)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
+		fd := mustOpen(t, p, m, pr, "/doc")
+		m.Disk.ResetStats() // Open's metadata read is not the data read under test
 		t0 := p.Now()
-		a1 := m.IOLReadFile(p, pr, f, 0, f.Size())
+		a1 := readAt(t, p, m, pr, fd, 0, f.Size())
 		coldCost := p.Now().Sub(t0)
 		want := m.FS.Expected(f, 0, f.Size())
 		if !a1.Equal(want) {
@@ -37,7 +73,7 @@ func TestIOLReadServesCachedSecondRead(t *testing.T) {
 		core.CheckReadable(a1, pr.Domain) // grants happened
 
 		t1 := p.Now()
-		a2 := m.IOLReadFile(p, pr, f, 0, f.Size())
+		a2 := readAt(t, p, m, pr, fd, 0, f.Size())
 		hotCost := p.Now().Sub(t1)
 		if !a2.Equal(want) {
 			t.Fatal("second IOLRead wrong data")
@@ -54,7 +90,7 @@ func TestIOLReadServesCachedSecondRead(t *testing.T) {
 	})
 	reads, _, _, _ := m.Disk.Stats()
 	if reads != 1 {
-		t.Fatalf("disk reads = %d, want 1 (metadata reads are separate)", reads)
+		t.Fatalf("disk reads = %d, want 1 (the cold data read; the hit reads no disk)", reads)
 	}
 }
 
@@ -63,21 +99,23 @@ func TestIOLWriteReplacesAndPreservesSnapshot(t *testing.T) {
 	f := m.FS.Create("/doc", 8192)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
-		snap := m.IOLReadFile(p, pr, f, 0, 8192)
+		fd := mustOpen(t, p, m, pr, "/doc")
+		snap := readAt(t, p, m, pr, fd, 0, 8192)
 		before := snap.Materialize()
 
-		// Writer replaces the whole extent with new content.
+		// Writer replaces the whole extent with new content (the cursor is
+		// still at 0: IOLReadAt does not move it). IOL_write takes ownership.
 		newData := bytes.Repeat([]byte{0xCD}, 8192)
-		wa := core.PackBytes(p, pr.Pool, newData)
-		m.IOLWriteFile(p, pr, f, 0, wa)
-		wa.Release()
+		if err := m.IOLWrite(p, pr, fd, core.PackBytes(p, pr.Pool, newData)); err != nil {
+			t.Errorf("IOLWrite: %v", err)
+		}
 
 		// Snapshot semantics (§3.5).
 		if !snap.Equal(before) {
 			t.Error("reader snapshot disturbed by IOL_write")
 		}
 		// New readers see new data, from cache.
-		a := m.IOLReadFile(p, pr, f, 0, 8192)
+		a := readAt(t, p, m, pr, fd, 0, 8192)
 		if !a.Equal(newData) {
 			t.Error("IOLRead after write returned stale data")
 		}
@@ -96,20 +134,22 @@ func TestPOSIXReadCopiesAndCosts(t *testing.T) {
 	f := m.FS.Create("/doc", 64<<10)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
+		fd := mustOpen(t, p, m, pr, "/doc")
 		dst := make([]byte, f.Size())
-		m.ReadPOSIXFile(p, pr, f, 0, dst) // cold: disk + copy
+		m.ReadPOSIX(p, pr, fd, dst) // cold: disk + copy
 		if !bytes.Equal(dst, m.FS.Expected(f, 0, f.Size())) {
 			t.Fatal("read(2) returned wrong data")
 		}
 
 		// Warm read still pays the copy: that is the POSIX tax IOL_read
-		// removes.
+		// removes. The rewind is outside the timed window.
+		seek(t, p, m, pr, fd, 0)
 		t0 := p.Now()
-		m.ReadPOSIXFile(p, pr, f, 0, dst)
+		m.ReadPOSIX(p, pr, fd, dst)
 		warmPOSIX := p.Now().Sub(t0)
 
 		t1 := p.Now()
-		a := m.IOLReadFile(p, pr, f, 0, f.Size())
+		a := readAt(t, p, m, pr, fd, 0, f.Size())
 		warmIOL := p.Now().Sub(t1)
 		a.Release()
 
@@ -121,13 +161,16 @@ func TestPOSIXReadCopiesAndCosts(t *testing.T) {
 
 func TestWritePOSIXRoundTrip(t *testing.T) {
 	e, m := newMachine(Config{})
-	f := m.FS.Create("/doc", 4096)
+	m.FS.Create("/doc", 4096)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
+		fd := mustOpen(t, p, m, pr, "/doc")
 		data := bytes.Repeat([]byte{7}, 3000)
-		m.WritePOSIXFile(p, pr, f, 500, data)
+		seek(t, p, m, pr, fd, 500)
+		m.WritePOSIX(p, pr, fd, data)
 		dst := make([]byte, 3000)
-		m.ReadPOSIXFile(p, pr, f, 500, dst)
+		seek(t, p, m, pr, fd, 500)
+		m.ReadPOSIX(p, pr, fd, dst)
 		if !bytes.Equal(dst, data) {
 			t.Fatal("write(2)/read(2) round trip failed")
 		}
@@ -172,13 +215,13 @@ func TestMemoryPressureEvictsFileCache(t *testing.T) {
 	// entries rather than overcommit.
 	e, m := newMachine(Config{MemBytes: 16 << 20, KernelReserveBytes: 4 << 20})
 	pr := m.NewProcess("app", 1<<20)
-	files := make([]interface{ Size() int64 }, 0)
-	_ = files
 	run(t, e, func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
-			f := m.FS.Create("/f"+string(rune('a'+i)), 1<<20)
-			a := m.IOLReadFile(p, pr, f, 0, f.Size())
-			a.Release()
+			name := "/f" + string(rune('a'+i))
+			f := m.FS.Create(name, 1<<20)
+			fd := mustOpen(t, p, m, pr, name)
+			readAt(t, p, m, pr, fd, 0, f.Size()).Release()
+			m.Close(p, pr, fd)
 		}
 	})
 	if m.VM.Overcommitted() != 0 {
@@ -218,8 +261,8 @@ func TestGDSPolicyPluggable(t *testing.T) {
 	big := m.FS.Create("/big", 1<<20)
 	small := m.FS.Create("/small", 4<<10)
 	run(t, e, func(p *sim.Proc) {
-		m.IOLReadFile(p, pr, big, 0, big.Size()).Release()
-		m.IOLReadFile(p, pr, small, 0, small.Size()).Release()
+		readAt(t, p, m, pr, mustOpen(t, p, m, pr, "/big"), 0, big.Size()).Release()
+		readAt(t, p, m, pr, mustOpen(t, p, m, pr, "/small"), 0, small.Size()).Release()
 		m.FileCache.EvictOne()
 	})
 	if m.FileCache.Contains(cache.Key{File: small.ID, Off: 0, Len: small.Size()}) == false {
@@ -256,16 +299,21 @@ func TestRefPipeBetweenProcesses(t *testing.T) {
 	e, m := newMachine(Config{})
 	cgi := m.NewProcess("cgi", 1<<20)
 	srv := m.NewProcess("srv", 1<<20)
-	pipe := m.NewPipe(ipcsim.ModeRef, srv)
+	rfd, wfd := m.Pipe2(srv, cgi, ipcsim.ModeRef)
 	var got []byte
 	e.Go("cgi", func(p *sim.Proc) {
-		pipe.WriteAgg(p, core.PackBytes(p, cgi.Pool, []byte("hello over fbuf pipe")))
-		pipe.CloseWrite(p)
+		if err := m.IOLWrite(p, cgi, wfd, core.PackBytes(p, cgi.Pool, []byte("hello over fbuf pipe"))); err != nil {
+			t.Errorf("IOLWrite: %v", err)
+		}
+		m.Close(p, cgi, wfd)
 	})
 	e.Go("srv", func(p *sim.Proc) {
 		for {
-			a := pipe.ReadAgg(p)
-			if a == nil {
+			a, err := m.IOLRead(p, srv, rfd, MaxIO)
+			if err != nil {
+				if err != io.EOF {
+					t.Errorf("IOLRead: %v", err)
+				}
 				return
 			}
 			core.CheckReadable(a, srv.Domain)
@@ -295,17 +343,17 @@ func TestProcessExitReleasesMemory(t *testing.T) {
 
 func TestIOLReadBeyondEOFTruncates(t *testing.T) {
 	e, m := newMachine(Config{})
-	f := m.FS.Create("/short", 1000)
+	m.FS.Create("/short", 1000)
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
-		a := m.IOLReadFile(p, pr, f, 500, 10000)
+		fd := mustOpen(t, p, m, pr, "/short")
+		a := readAt(t, p, m, pr, fd, 500, 10000)
 		if a.Len() != 500 {
 			t.Fatalf("Len = %d, want 500 (IOL_read may return less than asked)", a.Len())
 		}
 		a.Release()
-		empty := m.IOLReadFile(p, pr, f, 1000, 10)
-		if empty.Len() != 0 {
-			t.Fatal("read past EOF returned data")
+		if empty, err := m.IOLReadAt(p, pr, fd, 1000, 10); err != io.EOF {
+			t.Errorf("read past EOF = %v, %v; want no data and io.EOF", empty, err)
 		}
 	})
 }

@@ -33,10 +33,10 @@ func TestPrewarmUnifiedStopsAtHeadroom(t *testing.T) {
 	}
 	// Prewarmed entries are real: a read hits without disk.
 	pr := m.NewProcess("app", 1<<20)
-	m.Disk.ResetStats()
 	run(t, e, func(p *sim.Proc) {
-		a := m.IOLReadFile(p, pr, files[0], 0, files[0].Size())
-		a.Release()
+		fd := mustOpen(t, p, m, pr, files[0].Name)
+		m.Disk.ResetStats() // Open's metadata read is not the data read under test
+		readAt(t, p, m, pr, fd, 0, files[0].Size()).Release()
 	})
 	if reads, _, _, _ := m.Disk.Stats(); reads != 0 {
 		t.Fatalf("prewarmed read hit the disk %d times", reads)

@@ -1,74 +1,6 @@
 package kernel
 
-import (
-	"iolite/internal/core"
-	"iolite/internal/ipcsim"
-	"iolite/internal/netsim"
-	"iolite/internal/sim"
-)
-
-// SendIOL is IOL_write on a TCP socket: the aggregate passes to the network
-// subsystem by reference — mbufs point at the IO-Lite buffers out of line
-// (§4.1). Ownership of a transfers to the transport; buffers free as the
-// peer acknowledges. done, if non-nil, runs at full acknowledgment.
-//
-// Deprecated: new code should hold a socket descriptor (Accept/Connect)
-// and use the generic Machine.IOLWrite; this typed entry point remains for
-// callers that need the acknowledgment callback.
-func (m *Machine) SendIOL(p *sim.Proc, pr *Process, ep *netsim.Endpoint, a *core.Agg, done func()) {
-	m.syscall(p)
-	core.CheckReadable(a, pr.Domain)
-	m.Host.Use(p, sim.Duration(a.NumSlices())*m.Costs.AggOp)
-	core.Transfer(p, a, m.KernelDomain)
-	ep.Send(p, netsim.Payload{Agg: a}, done)
-}
-
-// SendCopy is write(2) on a TCP socket: the application's bytes are copied
-// into socket buffers (charged here), which then pin memory until
-// acknowledged — the conventional path with its double buffering.
-//
-// Deprecated: new code should use the generic Machine.WritePOSIX on a
-// socket descriptor; this remains for the acknowledgment callback.
-func (m *Machine) SendCopy(p *sim.Proc, ep *netsim.Endpoint, data []byte, done func()) {
-	m.syscall(p)
-	m.Host.Use(p, m.Costs.Copy(len(data)))
-	ep.Send(p, netsim.Payload{Data: data}, done)
-}
-
-// RecvCopy is read(2) on a socket: the next chunk is copied from socket
-// buffers into the application (copy charged).
-//
-// Deprecated: use the generic Machine.ReadPOSIX on a socket descriptor.
-func (m *Machine) RecvCopy(p *sim.Proc, ep *netsim.Endpoint) ([]byte, bool) {
-	m.syscall(p)
-	d, ok := ep.Recv(p)
-	if !ok {
-		return nil, false
-	}
-	data := d.Bytes()
-	m.Host.Use(p, m.Costs.Copy(len(data)))
-	d.Release()
-	return data, true
-}
-
-// RecvIOL is IOL_read on a socket: early demultiplexing (§3.6) placed the
-// packet data where the process can be granted access, so no copy occurs.
-// The chunk arrives as received bytes (client senders are copy-mode) or as
-// an aggregate.
-//
-// Deprecated: this entry point flattens aggregate deliveries to a []byte,
-// losing the zero-copy reference. Use the generic Machine.IOLRead on a
-// socket descriptor, which returns a real *core.Agg.
-func (m *Machine) RecvIOL(p *sim.Proc, pr *Process, ep *netsim.Endpoint) ([]byte, bool) {
-	m.syscall(p)
-	d, ok := ep.Recv(p)
-	if !ok {
-		return nil, false
-	}
-	data := d.Bytes()
-	d.Release()
-	return data, true
-}
+import "iolite/internal/sim"
 
 // corker is the capability of descriptors whose transport can gather
 // adjacent writes into full segments (sockets; see sockDesc.SetCork).
@@ -109,13 +41,6 @@ type nonblocker interface {
 	setNonblock(on bool)
 }
 
-// Nonblockable reports whether a descriptor supports non-blocking mode (an
-// uncharged capability probe, like Corkable).
-func Nonblockable(d Desc) bool {
-	_, ok := d.(nonblocker)
-	return ok
-}
-
 // SetNonblock is fcntl(O_NONBLOCK) on a descriptor: while on, operations
 // that would park the process return ErrAgain instead, and readiness is
 // observed through a ReadyDesc. One syscall is charged. Descriptors without
@@ -133,14 +58,4 @@ func (m *Machine) SetNonblock(p *sim.Proc, pr *Process, fd int, on bool) error {
 	}
 	nb.setNonblock(on)
 	return nil
-}
-
-// NewPipe creates a pipe whose reader is process reader. IO-Lite machines
-// create reference-mode pipes for IOL-aware endpoints (§4.4); conventional
-// ones copy.
-//
-// Deprecated: use Pipe2, which installs both ends as file descriptors in
-// their processes' tables.
-func (m *Machine) NewPipe(mode ipcsim.Mode, reader *Process) *ipcsim.Pipe {
-	return ipcsim.New(m.Eng, m.Costs, m.CPU(), m.VM, mode, reader.Domain)
 }

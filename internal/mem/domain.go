@@ -28,10 +28,6 @@ func (vm *VM) NewDomain(name string, trusted bool) *Domain {
 // Name returns the diagnostic name.
 func (d *Domain) Name() string { return d.name }
 
-// Trusted reports whether the domain may hold permanent write access to
-// recycled buffers.
-func (d *Domain) Trusted() bool { return d.trusted }
-
 // Chunk is a 64 KB region of the IO-Lite window. All pages of a chunk share
 // identical access-control attributes (§4.5): in a given domain either every
 // page of the chunk is accessible or none is.

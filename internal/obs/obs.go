@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 
 	"iolite/internal/sim"
@@ -227,9 +226,6 @@ func (s *Span) Abandon() {
 	s.done = true
 	delete(s.col.active, s.id)
 }
-
-// Done reports whether the span has finished.
-func (s *Span) Done() bool { return s != nil && s.done }
 
 // Latency returns the span's end-to-end duration (finished spans only).
 func (s *Span) Latency() sim.Duration {
@@ -529,29 +525,4 @@ func (c *Collector) ResetMeters() {
 	for _, ser := range c.series {
 		ser.pts = ser.pts[:0]
 	}
-}
-
-// Summary renders per-phase time and charge totals, the "where does the
-// work land" view (e.g. which share of copy bytes is in the dispatch
-// path).
-func (c *Collector) Summary() string {
-	if c == nil {
-		return ""
-	}
-	var out string
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		tot := c.phaseTot[ph]
-		var any bool
-		for k := 0; k < int(sim.NumChargeKinds); k++ {
-			any = any || c.chargeTot[ph][k] != 0
-		}
-		if tot == 0 && !any {
-			continue
-		}
-		out += fmt.Sprintf("%-13s %12v  copy %d  cksum %d  syscalls %d  wire %d\n",
-			ph, tot,
-			c.chargeTot[ph][sim.ChargeCopy], c.chargeTot[ph][sim.ChargeCksum],
-			c.chargeTot[ph][sim.ChargeSyscall], c.chargeTot[ph][sim.ChargeWire])
-	}
-	return out
 }

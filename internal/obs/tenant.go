@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // Per-tenant meters — the 0-OS pkg/metrics collector shape: one lazily
 // allocated stats record per tenant, cheap enough to keep for thousands
 // of tenants, reset together with the other meters at the warmup
@@ -49,33 +47,6 @@ func (t *Tenants) Len() int {
 		return 0
 	}
 	return len(t.m)
-}
-
-// Totals sums every tenant's counters.
-func (t *Tenants) Totals() (requests, sheds, throttles int64) {
-	if t == nil {
-		return 0, 0, 0
-	}
-	for _, s := range t.m {
-		requests += s.Requests
-		sheds += s.Sheds
-		throttles += s.Throttles
-	}
-	return requests, sheds, throttles
-}
-
-// Names returns the known tenants, sorted (deterministic iteration for
-// reports).
-func (t *Tenants) Names() []string {
-	if t == nil {
-		return nil
-	}
-	names := make([]string, 0, len(t.m))
-	for n := range t.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ResetMeters zeroes every tenant's counters (the Resetter seam), keeping

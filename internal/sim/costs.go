@@ -114,14 +114,13 @@ type CostModel struct {
 	// bytes. Misses charge Cksum for the bytes on top.
 	CksumLookup time.Duration
 
-	// meter accumulates the per-byte work the model has priced out, for
-	// tests and benchmarks that assert "zero copies on this path" or report
-	// copies avoided. Copy and Cksum are only invoked where the resulting
-	// duration is charged, so the meter tracks charged work. meterSyscalls
-	// counts kernel crossings priced via MeterSyscall — the currency the
+	// meter accumulates the copy work the model has priced out, for tests
+	// and benchmarks that assert "zero copies on this path" or report
+	// copies avoided. Copy is only invoked where the resulting duration is
+	// charged, so the meter tracks charged work. meterSyscalls counts
+	// kernel crossings priced via MeterSyscall — the currency the
 	// submission ring economizes.
 	meterCopied   int64
-	meterCksum    int64
 	meterSyscalls int64
 
 	// DiskSeek is the average positioning time per disk request;
@@ -205,7 +204,6 @@ func (c *CostModel) PriceCopy(n int) time.Duration {
 // Cksum returns the cost of checksumming n bytes and meters them as charged
 // checksum work. Pure queries must use PriceCksum.
 func (c *CostModel) Cksum(n int) time.Duration {
-	c.meterCksum += int64(n)
 	if c.OnCharge != nil {
 		c.OnCharge(ChargeCksum, int64(n), nil)
 	}
@@ -245,12 +243,8 @@ func (c *CostModel) MeterSyscallCount() int64 { return c.meterSyscalls }
 // ResetMeter — every site that charges CostModel.Copy, machine-wide.
 func (c *CostModel) MeterCopiedBytes() int64 { return c.meterCopied }
 
-// MeterCksumBytes reports the bytes of checksum work priced since the last
-// ResetMeter (checksum-cache hits never reach Cksum, so they don't count).
-func (c *CostModel) MeterCksumBytes() int64 { return c.meterCksum }
-
 // ResetMeter zeroes the charged-work meter.
-func (c *CostModel) ResetMeter() { c.meterCopied, c.meterCksum, c.meterSyscalls = 0, 0, 0 }
+func (c *CostModel) ResetMeter() { c.meterCopied, c.meterSyscalls = 0, 0 }
 
 // ResetMeters implements the obs.Resetter seam (alias for ResetMeter).
 func (c *CostModel) ResetMeters() { c.ResetMeter() }

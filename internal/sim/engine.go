@@ -136,9 +136,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunFor advances the simulation by d. See RunUntil.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
 // Stop makes the innermost Run/RunUntil return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 

@@ -56,22 +56,10 @@ func (r *Ring) PrepIOLReadFull(fd int, need, n int64) uint64 {
 	return r.prep(kernel.SQE{Op: kernel.OpIOLRead, FD: fd, Off: -1, N: n, Need: need})
 }
 
-// PrepIOLReadAt stages the positional IOL_read (pread shape): no cursor
-// is read or moved, so one cached file descriptor can serve concurrent
-// connections through the ring.
-func (r *Ring) PrepIOLReadAt(fd int, off, n int64) uint64 {
-	return r.prep(kernel.SQE{Op: kernel.OpIOLRead, FD: fd, Off: off, N: n})
-}
-
 // PrepIOLWrite stages IOL_write of a to fd. Ownership of a transfers to
 // the ring now; a failed op releases it and reports the error in its CQE.
 func (r *Ring) PrepIOLWrite(fd int, a *core.Agg) uint64 {
 	return r.prep(kernel.SQE{Op: kernel.OpIOLWrite, FD: fd, Agg: a, N: int64(a.Len())})
-}
-
-// PrepReadPOSIX stages read(2) into buf (copy charged at execution).
-func (r *Ring) PrepReadPOSIX(fd int, buf []byte) uint64 {
-	return r.prep(kernel.SQE{Op: kernel.OpReadPOSIX, FD: fd, Buf: buf})
 }
 
 // PrepReadPOSIXFull stages read(2) that parks until at least need bytes
