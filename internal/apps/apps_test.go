@@ -94,7 +94,7 @@ func TestGCCComputeBound(t *testing.T) {
 
 func TestWCWarmCacheNoDisk(t *testing.T) {
 	m := NewAppMachine(newWarm(1 << 20))
-	m.Disk.ResetStats()
+	m.Disk.ResetMeters()
 	WC(m, IOLite, testFile)
 	reads, _, _, _ := m.Disk.Stats()
 	if reads != 0 {

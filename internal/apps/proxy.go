@@ -210,15 +210,12 @@ func (px *Proxy) StaleServed() int64 { return px.staleServed }
 // before the origin recovered.
 func (px *Proxy) Shed() int64 { return px.shed }
 
-// ResetStats zeroes the counters (cache contents stay).
-func (px *Proxy) ResetStats() {
+// ResetMeters zeroes the counters (cache contents stay), so a proxy drops
+// into an obs.ResetSet alongside cost models, hosts, and collectors.
+func (px *Proxy) ResetMeters() {
 	px.requests, px.hits, px.misses, px.bytesOut, px.aborted, px.expired = 0, 0, 0, 0, 0, 0
 	px.retries, px.staleServed, px.shed = 0, 0, 0
 }
-
-// ResetMeters aliases ResetStats so a proxy drops into an obs.ResetSet
-// alongside cost models, hosts, and collectors.
-func (px *Proxy) ResetMeters() { px.ResetStats() }
 
 func (px *Proxy) acceptLoop(p *sim.Proc) {
 	for {

@@ -142,8 +142,8 @@ func TestProxyHitAvoidsOriginAndCopies(t *testing.T) {
 	b.fetch(t, []string{"/a"}) // cold: origin fetch + first client serve
 	_, _, originBytesOut0, _ := b.origin.Host.Stats()
 
-	costs.ResetMeter()
-	b.proxy.CkCache.ResetStats()
+	costs.ResetMeters()
+	b.proxy.CkCache.ResetMeters()
 	got := b.fetch(t, []string{"/a", "/a"}) // warm: pure cache hits
 	if !bytes.Equal(got["/a"], want) {
 		t.Fatal("hit served wrong bytes")

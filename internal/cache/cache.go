@@ -250,11 +250,8 @@ func (c *Cache) EvictionStats() (inserts, evictions, invalidated int64) {
 	return c.inserts, c.evictions, c.invalidated
 }
 
-// ResetStats zeroes the counters.
-// ResetMeters aliases ResetStats for the obs reset seam.
-func (c *Cache) ResetMeters() { c.ResetStats() }
-
-func (c *Cache) ResetStats() {
+// ResetMeters zeroes the counters.
+func (c *Cache) ResetMeters() {
 	c.hits, c.misses, c.hitBytes, c.missBytes = 0, 0, 0, 0
 	c.inserts, c.evictions, c.invalidated = 0, 0, 0
 }

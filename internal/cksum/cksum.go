@@ -102,12 +102,9 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.hits) / float64(c.hits+c.misses)
 }
 
-// ResetStats zeroes the hit/miss counters (cached sums stay valid), so a
+// ResetMeters zeroes the hit/miss counters (cached sums stay valid), so a
 // measurement window can exclude warmup.
-// ResetMeters aliases ResetStats for the obs reset seam.
-func (c *Cache) ResetMeters() { c.ResetStats() }
-
-func (c *Cache) ResetStats() {
+func (c *Cache) ResetMeters() {
 	c.hits, c.misses, c.hitBytes, c.missBytes = 0, 0, 0, 0
 }
 

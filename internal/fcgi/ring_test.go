@@ -99,7 +99,7 @@ func TestAcceptanceRingQuartersSyscallCharges(t *testing.T) {
 			},
 		})
 		runRound(t, b, pool, M, params, docBytes)
-		b.m.Costs.ResetMeter()
+		b.m.Costs.ResetMeters()
 		runRound(t, b, pool, M, params, docBytes)
 		return b.m.Costs.MeterSyscallCount()
 	}

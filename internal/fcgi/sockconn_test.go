@@ -164,7 +164,7 @@ func TestBoundaryWriteChargesSingleCopy(t *testing.T) {
 	costs := sb.b.m.Costs
 	sb.b.eng.Go("writer", func(p *sim.Proc) {
 		agg := core.PackBytes(p, sb.wpr.Pool, doc(n)) // producer copy, excluded below
-		costs.ResetMeter()
+		costs.ResetMeters()
 		if err := wkrConn.WriteRecord(p, Record{Header: Header{Type: RecStdout, ReqID: 1}, Agg: agg}); err != nil {
 			t.Errorf("WriteRecord: %v", err)
 		}
@@ -417,7 +417,7 @@ func TestAcceptanceRemoteRefBoundaryCopiesPayloadOnce(t *testing.T) {
 		// Warm round: every worker's document aggregate is packed (the
 		// charged producer copy) outside measurement.
 		runRound(t, b, pool, M, params, docBytes)
-		b.m.Costs.ResetMeter()
+		b.m.Costs.ResetMeters()
 		runRound(t, b, pool, M, params, docBytes)
 		return b.m.Costs.MeterCopiedBytes()
 	}

@@ -76,7 +76,7 @@ func TestAcceptanceRefModeZeroPayloadCopies(t *testing.T) {
 	// every experiment here).
 	runRound(t, b, pool, M, params, docBytes)
 
-	b.m.Costs.ResetMeter()
+	b.m.Costs.ResetMeters()
 	runRound(t, b, pool, M, params, docBytes)
 	copied := b.m.Costs.MeterCopiedBytes()
 
@@ -107,7 +107,7 @@ func TestAcceptanceCopyModeChargesPayload(t *testing.T) {
 	pool := docServer(b, workers, depth, false, docBytes)
 	runRound(t, b, pool, M, []byte("/doc"), docBytes)
 
-	b.m.Costs.ResetMeter()
+	b.m.Costs.ResetMeters()
 	runRound(t, b, pool, M, []byte("/doc"), docBytes)
 	copied := b.m.Costs.MeterCopiedBytes()
 

@@ -50,11 +50,8 @@ func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 // Utilization reports the disk arm's busy fraction.
 func (d *Disk) Utilization() float64 { return d.arm.Utilization() }
 
-// ResetStats clears counters and utilization accounting.
-// ResetMeters aliases ResetStats for the obs reset seam.
-func (d *Disk) ResetMeters() { d.ResetStats() }
-
-func (d *Disk) ResetStats() {
+// ResetMeters clears counters and utilization accounting.
+func (d *Disk) ResetMeters() {
 	d.reads, d.writes, d.bytesRead, d.bytesWrite = 0, 0, 0, 0
-	d.arm.ResetStats()
+	d.arm.ResetMeters()
 }

@@ -178,7 +178,7 @@ func TestDiskUtilizationAndReset(t *testing.T) {
 	if u := d.Utilization(); u < 0.7 || u > 0.9 {
 		t.Fatalf("utilization = %v, want ≈0.8", u)
 	}
-	d.ResetStats()
+	d.ResetMeters()
 	reads, _, _, _ := d.Stats()
 	if reads != 0 || d.Utilization() != 0 {
 		t.Fatal("reset did not clear stats")

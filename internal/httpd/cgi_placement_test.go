@@ -43,7 +43,7 @@ func TestCGIRemotePlacementChargesBoundaryCopy(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			b.fetchOnce(t, CGIDocPath(docBytes))
 		}
-		b.m.Costs.ResetMeter()
+		b.m.Costs.ResetMeters()
 		b.fetchOnce(t, CGIDocPath(docBytes))
 		return b.m.Costs.MeterCopiedBytes()
 	}

@@ -74,14 +74,15 @@ func (s *Server) eventLoop(p *sim.Proc) {
 	// The listener must not block the loop: accept drains to ErrAgain.
 	_ = s.m.SetNonblock(p, s.proc, s.lfd, true)
 
-	s.po = uring.NewPoller(s.m, s.proc)
+	s.po = kernel.NewReadyDesc(s.m, s.proc)
+	s.proc.Install(s.po)
 	s.ring = uring.New(s.m, s.proc)
 	s.conns = make(map[int]*connState)
 	s.tokens = make(map[uint64]connToken)
-	if err := s.po.Add(s.lfd, kernel.Acceptable); err != nil {
+	if err := s.po.Watch(s.lfd, kernel.Acceptable); err != nil {
 		panic("httpd: listener not pollable: " + err.Error())
 	}
-	if err := s.po.Add(s.ring.FD(), kernel.Readable); err != nil {
+	if err := s.po.Watch(s.ring.FD(), kernel.Readable); err != nil {
 		panic("httpd: ring not pollable: " + err.Error())
 	}
 
@@ -131,13 +132,13 @@ func (s *Server) acceptReady(p *sim.Proc) {
 		if err != nil {
 			// Listener closed: stop watching; the loop winds down once
 			// the remaining connections finish.
-			s.po.Del(s.lfd)
+			s.po.Unwatch(s.lfd)
 			s.lclosed = true
 			return
 		}
 		c := &connState{fd: cfd}
 		s.conns[cfd] = c
-		_ = s.po.Add(cfd, kernel.Readable)
+		_ = s.po.Watch(cfd, kernel.Readable)
 	}
 }
 
@@ -190,7 +191,7 @@ func (s *Server) tryServe(p *sim.Proc, c *connState) {
 	c.keepalive = keepalive
 	c.failed = false
 	c.creditBody, c.creditTotal = 0, 0
-	s.po.Del(c.fd) // suppress readability while the response is in flight
+	s.po.Unwatch(c.fd) // suppress readability while the response is in flight
 
 	if s.cfg.CGI {
 		// CGI rides a helper process: Do blocks on the worker round trip,
@@ -351,16 +352,16 @@ func (s *Server) finishConn(p *sim.Proc, c *connState, served bool) {
 		return
 	}
 	c.busy = false
-	// Re-watch: if the next request's bytes are already queued, Add wakes
+	// Re-watch: if the next request's bytes are already queued, Watch wakes
 	// the parked loop immediately (level-triggered).
-	_ = s.po.Add(c.fd, kernel.Readable)
+	_ = s.po.Watch(c.fd, kernel.Readable)
 }
 
 // closeConn tears a connection out of the loop.
 func (s *Server) closeConn(p *sim.Proc, c *connState) {
 	c.span.Abandon() // a span still open here belongs to a dead request
 	c.span = nil
-	s.po.Del(c.fd)
+	s.po.Unwatch(c.fd)
 	delete(s.conns, c.fd)
 	s.m.Close(p, s.proc, c.fd)
 }

@@ -25,8 +25,8 @@ func TestAcceptanceSplicePacketEconomy(t *testing.T) {
 
 			// Cold fetch: open-FD and file-cache warmup, outside the pins.
 			b.fetchOnce(t, "/doc.html")
-			b.m.Host.ResetNetStats()
-			b.m.Costs.ResetMeter()
+			b.m.Host.ResetMeters()
+			b.m.Costs.ResetMeters()
 
 			got := b.fetchOnce(t, "/doc.html")
 			if !bytes.Equal(got, want) {

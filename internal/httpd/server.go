@@ -132,7 +132,7 @@ type Server struct {
 
 	// Event-loop state (Flash-family kinds; see eventloop.go). Apache
 	// keeps its process-per-connection path and never touches these.
-	po      *uring.Poller
+	po      *kernel.ReadyDesc
 	ring    *uring.Ring
 	conns   map[int]*connState
 	tokens  map[uint64]connToken
@@ -220,14 +220,12 @@ func (s *Server) Stats() ServerStats {
 // a subset of the aborted count (shed responses are never delivered).
 func (s *Server) Shed() int64 { return s.shed }
 
-// ResetStats zeroes the counters (used when an experiment discards warmup).
-func (s *Server) ResetStats() {
+// ResetMeters zeroes the counters (used when an experiment discards
+// warmup), so a server drops into an obs.ResetSet alongside cost models,
+// hosts, and collectors.
+func (s *Server) ResetMeters() {
 	s.requests, s.bytesBody, s.bytesTotal, s.aborted, s.shed = 0, 0, 0, 0, 0
 }
-
-// ResetMeters aliases ResetStats so a server drops into an obs.ResetSet
-// alongside cost models, hosts, and collectors.
-func (s *Server) ResetMeters() { s.ResetStats() }
 
 func (s *Server) acceptLoop(p *sim.Proc) {
 	for {

@@ -28,7 +28,7 @@ func TestNullDescDiscardsWithoutCopyCharge(t *testing.T) {
 
 	eng.Go("writer", func(p *sim.Proc) {
 		agg := core.PackBytes(p, a.Pool, make([]byte, 10000))
-		m.Costs.ResetMeter()
+		m.Costs.ResetMeters()
 		if err := m.IOLWrite(p, a, fd, agg); err != nil {
 			t.Errorf("IOLWrite to null: %v", err)
 		}
@@ -66,7 +66,7 @@ func TestTeeDescDuplicatesRefWritesZeroCopy(t *testing.T) {
 	data := []byte("tee duplicates by reference")
 	eng.Go("writer", func(p *sim.Proc) {
 		agg := core.PackBytes(p, b.Pool, data)
-		m.Costs.ResetMeter()
+		m.Costs.ResetMeters()
 		if err := m.IOLWrite(p, b, tfd, agg); err != nil {
 			t.Errorf("IOLWrite via tee: %v", err)
 		}

@@ -62,7 +62,7 @@ func TestIOLReadServesCachedSecondRead(t *testing.T) {
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
 		fd := mustOpen(t, p, m, pr, "/doc")
-		m.Disk.ResetStats() // Open's metadata read is not the data read under test
+		m.Disk.ResetMeters() // Open's metadata read is not the data read under test
 		t0 := p.Now()
 		a1 := readAt(t, p, m, pr, fd, 0, f.Size())
 		coldCost := p.Now().Sub(t0)

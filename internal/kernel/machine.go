@@ -132,14 +132,14 @@ func (m *Machine) CPU() *sim.Resource { return m.Host.CPU() }
 // network stats — so one obs.ResetSet entry covers a whole machine at a
 // measurement boundary. Cache contents are untouched.
 func (m *Machine) ResetMeters() {
-	m.CPU().ResetStats()
-	m.Disk.ResetStats()
-	m.FileCache.ResetStats()
-	m.Mmaps.ResetStats()
+	m.CPU().ResetMeters()
+	m.Disk.ResetMeters()
+	m.FileCache.ResetMeters()
+	m.Mmaps.ResetMeters()
 	if m.CkCache != nil {
-		m.CkCache.ResetStats()
+		m.CkCache.ResetMeters()
 	}
-	m.Host.ResetNetStats()
+	m.Host.ResetMeters()
 }
 
 // syscall charges one system-call entry/exit and counts it on the cost

@@ -67,8 +67,8 @@ func (mc *MmapCache) Pages() int { return mc.m.VM.UsedBy(mem.TagMmap) }
 // Stats reports hit/miss counts.
 func (mc *MmapCache) Stats() (hits, misses int64) { return mc.hits, mc.misses }
 
-// ResetStats zeroes the hit/miss counters (mappings stay).
-func (mc *MmapCache) ResetStats() { mc.hits, mc.misses = 0, 0 }
+// ResetMeters zeroes the hit/miss counters (mappings stay).
+func (mc *MmapCache) ResetMeters() { mc.hits, mc.misses = 0, 0 }
 
 // reclaim evicts least-recently-used files until need pages are freed.
 func (mc *MmapCache) reclaim(need int) int {

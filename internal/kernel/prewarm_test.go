@@ -35,7 +35,7 @@ func TestPrewarmUnifiedStopsAtHeadroom(t *testing.T) {
 	pr := m.NewProcess("app", 1<<20)
 	run(t, e, func(p *sim.Proc) {
 		fd := mustOpen(t, p, m, pr, files[0].Name)
-		m.Disk.ResetStats() // Open's metadata read is not the data read under test
+		m.Disk.ResetMeters() // Open's metadata read is not the data read under test
 		readAt(t, p, m, pr, fd, 0, files[0].Size()).Release()
 	})
 	if reads, _, _, _ := m.Disk.Stats(); reads != 0 {
@@ -54,7 +54,7 @@ func TestPrewarmMmapServesWithoutDisk(t *testing.T) {
 	if n != 1 || !m.Mmaps.Resident(f.ID) {
 		t.Fatalf("prewarm loaded %d, resident=%v", n, m.Mmaps.Resident(f.ID))
 	}
-	m.Disk.ResetStats()
+	m.Disk.ResetMeters()
 	run(t, e, func(p *sim.Proc) {
 		mp := m.Mmap(p, pr, f)
 		if int64(len(mp.Bytes(0, f.Size()))) != f.Size() {

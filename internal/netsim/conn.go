@@ -242,7 +242,7 @@ type Endpoint struct {
 
 	// Delayed-ack state (active only when the host's offload knob is on):
 	// ackEvents counts in-order receive events since the last ack left;
-	// every AckEvery-th event acks immediately, and the wheel timer
+	// every DefaultAckEvery-th event acks immediately, and the wheel timer
 	// bounds the wait for the rest. An out-of-order arrival flushes
 	// immediately — the dup-ack fast-retransmit signal never waits out
 	// the delay — and an outgoing data segment piggybacks any pending
@@ -517,7 +517,7 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 	}
 	maxChunks := 1
 	if e.host.offload {
-		maxChunks = e.host.ocfg.SuperSeg / MSS
+		maxChunks = e.host.superSeg / MSS
 	}
 	cpu := costs.MbufAlloc + costs.Packet
 	for len(rec.chunks) < maxChunks && len(e.sndQ) > 0 {
@@ -823,7 +823,7 @@ func (e *Endpoint) queueDeliveries(pieces []segPiece) {
 	for _, pc := range pieces {
 		if e.host.offload && len(e.rcvQ) > 0 {
 			tail := &e.rcvQ[len(e.rcvQ)-1]
-			if tail.Len() < e.host.ocfg.SuperSeg {
+			if tail.Len() < e.host.superSeg {
 				if pc.agg != nil && tail.Agg != nil {
 					tail.Agg.Concat(pc.agg) // tail is rcvQ's own clone; safe to grow
 					continue
@@ -862,18 +862,18 @@ func (e *Endpoint) sendAck(ackNo int64) {
 }
 
 // scheduleAck notes one in-order receive event under the delayed-ack
-// policy: every AckEvery-th event acks immediately; otherwise the wheel
-// timer guarantees an ack within AckDelay, which bounds the classic
-// Nagle/delayed-ack stall (a sender holding a sub-MSS tail for this ack
-// waits out the delay, never deadlocks).
+// policy: every DefaultAckEvery-th event acks immediately; otherwise the
+// wheel timer guarantees an ack within DefaultAckDelay, which bounds the
+// classic Nagle/delayed-ack stall (a sender holding a sub-MSS tail for
+// this ack waits out the delay, never deadlocks).
 func (e *Endpoint) scheduleAck() {
 	e.ackEvents++
-	if e.ackEvents >= e.host.ocfg.AckEvery {
+	if e.ackEvents >= DefaultAckEvery {
 		e.flushAck()
 		return
 	}
 	if e.ackTimer == nil || !e.ackTimer.Pending() {
-		e.ackTimer = e.host.eng.Wheel().Schedule(e.host.ocfg.AckDelay, e.onAckDelay)
+		e.ackTimer = e.host.eng.Wheel().Schedule(DefaultAckDelay, e.onAckDelay)
 	}
 }
 

@@ -23,7 +23,7 @@ const (
 	EthOverlay = 18 // Ethernet framing overhead per packet on the wire
 )
 
-// Segment-offload defaults: an LSO super-segment gathers up to SuperSeg
+// Segment-offload constants: an LSO super-segment gathers up to SuperSeg
 // bytes of adjacent send pieces and is charged fixed protocol work once;
 // the delayed-ack policy acks every DefaultAckEvery-th receive event or
 // after DefaultAckDelay on the shared timer wheel, whichever comes first.
@@ -34,18 +34,6 @@ const (
 	DefaultAckEvery = 2
 	DefaultAckDelay = 100 * sim.Microsecond
 )
-
-// OffloadConfig are the per-host segment-offload knobs.
-type OffloadConfig struct {
-	// SuperSeg caps the payload bytes one charged super-segment gathers
-	// (it carries up to SuperSeg/MSS full MSS chunks).
-	SuperSeg int
-	// AckEvery acks every Nth in-order receive event immediately.
-	AckEvery int
-	// AckDelay bounds how long a delayed ack waits for a companion
-	// event before the wheel timer flushes it.
-	AckDelay sim.Duration
-}
 
 // Host is one machine on the network.
 type Host struct {
@@ -78,9 +66,10 @@ type Host struct {
 
 	// offload enables LSO/GRO-style segment offload for this host's
 	// endpoints: super-segment send gathering, coalesced receive events,
-	// and the delayed-ack policy, per ocfg.
-	offload bool
-	ocfg    OffloadConfig
+	// and the delayed-ack policy. superSeg caps the payload bytes one
+	// charged super-segment gathers (up to superSeg/MSS full MSS chunks).
+	offload  bool
+	superSeg int
 
 	// faults, when non-nil, injects faults into every data segment this
 	// host transmits (see fault.go).
@@ -151,29 +140,14 @@ func (h *Host) charge(d sim.Duration, fn func()) {
 }
 
 // SetOffload enables (or disables) LSO/GRO segment offload for this
-// host's endpoints with the default knobs: send pumps gather up to
-// SuperSeg bytes into one charged super-segment, receive events coalesce
-// a super-segment's chunks into one charge and one reader wake-up, and
-// acks run the delayed-ack policy (every DefaultAckEvery-th event or
-// DefaultAckDelay, dup-acks immediate, outgoing data piggybacks).
+// host's endpoints: send pumps gather up to SuperSeg bytes into one
+// charged super-segment, receive events coalesce a super-segment's chunks
+// into one charge and one reader wake-up, and acks run the delayed-ack
+// policy (every DefaultAckEvery-th event or DefaultAckDelay, dup-acks
+// immediate, outgoing data piggybacks).
 func (h *Host) SetOffload(on bool) {
-	h.SetOffloadConfig(on, OffloadConfig{})
-}
-
-// SetOffloadConfig enables offload with explicit knobs; zero fields take
-// the defaults.
-func (h *Host) SetOffloadConfig(on bool, cfg OffloadConfig) {
-	if cfg.SuperSeg < MSS {
-		cfg.SuperSeg = SuperSeg
-	}
-	if cfg.AckEvery <= 0 {
-		cfg.AckEvery = DefaultAckEvery
-	}
-	if cfg.AckDelay <= 0 {
-		cfg.AckDelay = DefaultAckDelay
-	}
 	h.offload = on
-	h.ocfg = cfg
+	h.superSeg = SuperSeg
 }
 
 // Offload reports whether segment offload is on for this host.
@@ -218,7 +192,7 @@ func (h *Host) WFQGrants() int64 { return h.wfqGrants }
 // denominator MeanSegFill measures against.
 func (h *Host) SegCapacity() int {
 	if h.offload {
-		return h.ocfg.SuperSeg
+		return h.superSeg
 	}
 	return MSS
 }
@@ -239,17 +213,14 @@ func (h *Host) SegsOut() int64 { return h.segsOut }
 // and don't count.
 func (h *Host) AcksOut() int64 { return h.acksOut }
 
-// ResetNetStats zeroes the packet, byte, and recovery counters, so a
+// ResetMeters zeroes the packet, byte, and recovery counters, so a
 // measurement window can exclude warmup traffic.
-func (h *Host) ResetNetStats() {
+func (h *Host) ResetMeters() {
 	h.pktsOut, h.pktsIn, h.bytesOut, h.bytesIn = 0, 0, 0, 0
 	h.segsOut, h.acksOut = 0, 0
 	h.retransSegs, h.retransBytes, h.fastRetrans, h.corruptIn = 0, 0, 0, 0
 	h.wfqGrants = 0
 }
-
-// ResetMeters implements the obs.Resetter seam (alias for ResetNetStats).
-func (h *Host) ResetMeters() { h.ResetNetStats() }
 
 // RetransStats reports data segments this host retransmitted and the
 // payload bytes they re-carried — the recovery-overhead meter. Retransmitted

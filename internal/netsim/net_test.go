@@ -248,7 +248,7 @@ func TestChecksumCacheSavesServerCPU(t *testing.T) {
 		master := core.PackBytes(p, r.pool, want)
 		ep := conn.ServerEnd()
 
-		r.server.CPU().ResetStats()
+		r.server.CPU().ResetMeters()
 		b0 := r.server.CPU().FreeAt()
 		ep.Send(p, Payload{Agg: master.Clone()}, nil)
 		ep.Drain(p)

@@ -64,8 +64,8 @@ func TestOffloadPacketEconomy(t *testing.T) {
 	if on.server.SegsOut() != offPkts {
 		t.Fatalf("offload put %d MSS chunks on the wire, offload-off %d — same payload, same chunks", on.server.SegsOut(), offPkts)
 	}
-	// Delayed acks: at most one ack per AckEvery receive events (plus the
-	// timer flushes), against one per segment without offload.
+	// Delayed acks: at most one ack per DefaultAckEvery receive events (plus
+	// the timer flushes), against one per segment without offload.
 	offAcks, onAcks := off.client.AcksOut(), on.client.AcksOut()
 	if offAcks == 0 || onAcks == 0 {
 		t.Fatalf("ack meters silent: off %d, on %d", offAcks, onAcks)
@@ -81,9 +81,9 @@ func TestOffloadPacketEconomy(t *testing.T) {
 
 // TestNagleDelayedAckNoDeadlock pins the classic interaction: a sub-MSS
 // tail held by the Nagle auto-cork waits for an ack the receiver is
-// delaying. The AckDelay wheel timer must break the stall — the transfer
-// completes, and in far less time than a retransmission timeout would
-// take (nothing is ever retransmitted on this reliable wire).
+// delaying. The DefaultAckDelay wheel timer must break the stall — the
+// transfer completes, and in far less time than a retransmission timeout
+// would take (nothing is ever retransmitted on this reliable wire).
 func TestNagleDelayedAckNoDeadlock(t *testing.T) {
 	want := pattern(MSS + 200) // one full chunk + a corked tail
 	got, r := offloadTransfer(t, nil, want, 0)
@@ -100,15 +100,18 @@ func TestNagleDelayedAckNoDeadlock(t *testing.T) {
 
 // fastOffloadTransfer is offloadTransfer on a 40 Gb/s, 10 µs wire — fast
 // enough that acks beat the 200 µs minimum RTO, so the recovery tests
-// below observe ack-driven behavior instead of timer cascades. cfg sets
-// the offload knobs on both hosts.
-func fastOffloadTransfer(t *testing.T, fp *FaultPlan, want []byte, tss int, cfg OffloadConfig) (got []byte, r *rig) {
+// below observe ack-driven behavior instead of timer cascades. A nonzero
+// superSeg overrides the super-segment cap on both hosts.
+func fastOffloadTransfer(t *testing.T, fp *FaultPlan, want []byte, tss, superSeg int) (got []byte, r *rig) {
 	t.Helper()
 	ck := cksum.NewCache(0)
 	r = newRig(true, ck, 100*time.Microsecond)
 	r.link = NewLink(r.eng, r.client, r.server, 40_000_000_000, 10*time.Microsecond)
-	r.server.SetOffloadConfig(true, cfg)
-	r.client.SetOffloadConfig(true, cfg)
+	r.server.SetOffload(true)
+	r.client.SetOffload(true)
+	if superSeg > 0 {
+		r.server.superSeg, r.client.superSeg = superSeg, superSeg
+	}
 	if fp != nil {
 		r.link.SetFaultPlan(fp)
 	}
@@ -136,7 +139,7 @@ func TestOffloadHoleRetransmit(t *testing.T) {
 	const chunks = 5
 	want := pattern(chunks * MSS)
 	fp := &FaultPlan{DropList: []int64{2}} // the 2nd judged chunk
-	got, r := fastOffloadTransfer(t, fp, want, 0, OffloadConfig{})
+	got, r := fastOffloadTransfer(t, fp, want, 0, 0)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("hole not recovered: got %d bytes, want %d", len(got), len(want))
 	}
@@ -165,10 +168,9 @@ func TestOffloadHoleRetransmit(t *testing.T) {
 // record resends only its unacked chunks — well before a timer cascade
 // would have (the whole run finishes in well under two RTO periods).
 func TestOffloadDupAckFastRetransmit(t *testing.T) {
-	cfg := OffloadConfig{SuperSeg: 4 * MSS}
 	want := pattern(8 * MSS) // two 4-chunk super-segments in flight
 	fp := &FaultPlan{DropList: []int64{2}}
-	got, r := fastOffloadTransfer(t, fp, want, 8*MSS, cfg)
+	got, r := fastOffloadTransfer(t, fp, want, 8*MSS, 4*MSS)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("hole not recovered: got %d bytes, want %d", len(got), len(want))
 	}

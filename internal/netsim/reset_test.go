@@ -8,29 +8,29 @@ import (
 	"iolite/internal/sim"
 )
 
-// hostNonCounters are the Host fields ResetNetStats must NOT touch:
+// hostNonCounters are the Host fields ResetMeters must NOT touch:
 // identity, wiring, and configuration. Every other field is required to
-// be an int64 counter that ResetNetStats zeroes — so adding a counter to
-// Host without adding it to ResetNetStats (the bug class this PR's sweep
+// be an int64 counter that ResetMeters zeroes — so adding a counter to
+// Host without adding it to ResetMeters (the bug class this test
 // hunts: a stale warmup value silently inflating every measured window)
 // fails this test, as does adding a non-counter field without
 // classifying it here.
 var hostNonCounters = map[string]bool{
-	"Name":    true,
-	"eng":     true,
-	"costs":   true,
-	"cpu":     true,
-	"vm":      true,
-	"ck":      true,
-	"offload": true,
-	"ocfg":    true,
-	"faults":  true,
-	"wfq":     true,
-	"weights": true,
+	"Name":     true,
+	"eng":      true,
+	"costs":    true,
+	"cpu":      true,
+	"vm":       true,
+	"ck":       true,
+	"offload":  true,
+	"superSeg": true,
+	"faults":   true,
+	"wfq":      true,
+	"weights":  true,
 }
 
 // TestResetNetStatsCoversEveryCounter poisons every counter field of a
-// Host via reflection and asserts ResetNetStats returns them all to
+// Host via reflection and asserts ResetMeters returns them all to
 // zero, leaving the non-counter fields alone.
 func TestResetNetStatsCoversEveryCounter(t *testing.T) {
 	eng := sim.New()
@@ -60,7 +60,7 @@ func TestResetNetStatsCoversEveryCounter(t *testing.T) {
 		t.Fatalf("found only %d counter fields %v — reflection walk broken?", len(counters), counters)
 	}
 
-	h.ResetNetStats()
+	h.ResetMeters()
 
 	for i := 0; i < ty.NumField(); i++ {
 		f := ty.Field(i)
@@ -69,12 +69,12 @@ func TestResetNetStatsCoversEveryCounter(t *testing.T) {
 		}
 		fv := reflect.NewAt(f.Type, unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
 		if got := fv.Int(); got != 0 {
-			t.Errorf("ResetNetStats left Host.%s = %d, want 0", f.Name, got)
+			t.Errorf("ResetMeters left Host.%s = %d, want 0", f.Name, got)
 		}
 	}
 
 	// And the configuration survived the reset.
 	if !h.Offload() || !h.WFQ() || h.TenantWeight("t") != 3 {
-		t.Error("ResetNetStats disturbed configuration state")
+		t.Error("ResetMeters disturbed configuration state")
 	}
 }

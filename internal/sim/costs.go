@@ -236,18 +236,15 @@ func (c *CostModel) EmitWire(n int64, bind interface{}) {
 	}
 }
 
-// MeterSyscallCount reports the syscalls charged since the last ResetMeter.
+// MeterSyscallCount reports the syscalls charged since the last ResetMeters.
 func (c *CostModel) MeterSyscallCount() int64 { return c.meterSyscalls }
 
 // MeterCopiedBytes reports the bytes of copy work priced since the last
-// ResetMeter — every site that charges CostModel.Copy, machine-wide.
+// ResetMeters — every site that charges CostModel.Copy, machine-wide.
 func (c *CostModel) MeterCopiedBytes() int64 { return c.meterCopied }
 
-// ResetMeter zeroes the charged-work meter.
-func (c *CostModel) ResetMeter() { c.meterCopied, c.meterSyscalls = 0, 0 }
-
-// ResetMeters implements the obs.Resetter seam (alias for ResetMeter).
-func (c *CostModel) ResetMeters() { c.ResetMeter() }
+// ResetMeters zeroes the charged-work meter.
+func (c *CostModel) ResetMeters() { c.meterCopied, c.meterSyscalls = 0, 0 }
 
 // Touch returns the default cost of application code examining n bytes.
 func (c *CostModel) Touch(n int) time.Duration {

@@ -39,6 +39,35 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 	}
 }
 
+// TestEngineTimerCancel pins that every engine event is a cancelable
+// timer: a canceled callback never runs (though the clock still reaches
+// its instant), and Cancel after firing reports false.
+func TestEngineTimerCancel(t *testing.T) {
+	e := New()
+	canceledRan, keptRan := false, false
+	canceled := e.At(Time(2*time.Millisecond), func() { canceledRan = true })
+	kept := e.After(time.Millisecond, func() { keptRan = true })
+	if !canceled.Pending() || !canceled.Cancel() {
+		t.Fatal("Cancel of a pending timer failed")
+	}
+	if canceled.Pending() || canceled.Cancel() {
+		t.Fatal("canceled timer still cancelable")
+	}
+	e.Run()
+	if canceledRan {
+		t.Fatal("canceled callback ran")
+	}
+	if !keptRan || kept.Pending() {
+		t.Fatalf("kept timer: ran %v, pending %v", keptRan, kept.Pending())
+	}
+	if kept.Cancel() {
+		t.Fatal("Cancel after firing returned true")
+	}
+	if e.Now() != Time(2*time.Millisecond) {
+		t.Fatalf("Now = %v, want 2ms (a canceled timer still moves the clock)", e.Now())
+	}
+}
+
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := New()
 	e.After(time.Second, func() {})

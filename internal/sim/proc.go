@@ -77,9 +77,6 @@ func (p *Proc) SetTenant(t string) { p.tenant = t }
 // Tenant returns the proc's tenant tag, "" if unattributed.
 func (p *Proc) Tenant() string { return p.tenant }
 
-// Engine returns the engine this proc runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 

@@ -91,12 +91,9 @@ func (r *Resource) Uses() int64 { return r.uses }
 // extend past the current instant when work is queued).
 func (r *Resource) BusyTime() Duration { return r.busy }
 
-// ResetStats zeroes the utilization counters.
-// ResetMeters aliases ResetStats so a resource drops into an
+// ResetMeters zeroes the utilization counters, so a resource drops into an
 // obs.ResetSet alongside the other meters.
-func (r *Resource) ResetMeters() { r.ResetStats() }
-
-func (r *Resource) ResetStats() {
+func (r *Resource) ResetMeters() {
 	r.busy = 0
 	r.uses = 0
 	r.statFrom = r.eng.now

@@ -6,21 +6,20 @@ import (
 )
 
 // TestWheelFiresInOrder pins basic ordering: timers fire in expiry order,
-// never early, and within one tick of their requested delay.
+// each at exactly its requested delay (every delay here is a tick
+// boundary).
 func TestWheelFiresInOrder(t *testing.T) {
 	eng := New()
 	w := eng.Wheel()
 	var order []int
 	delays := []Duration{5 * time.Millisecond, time.Millisecond, 3 * time.Millisecond}
+	timers := make([]*Timer, len(delays))
 	for i, d := range delays {
 		i, d := i, d
-		w.Schedule(d, func() {
+		timers[i] = w.Schedule(d, func() {
 			order = append(order, i)
-			if got := eng.Now(); got < Time(d) {
-				t.Errorf("timer %d fired at %v, before its %v delay", i, got, d)
-			}
-			if got := eng.Now(); got > Time(d)+Time(2*w.Tick()) {
-				t.Errorf("timer %d fired at %v, more than 2 ticks after %v", i, got, d)
+			if got := eng.Now(); got != Time(d) {
+				t.Errorf("timer %d fired at %v, want exactly %v", i, got, d)
 			}
 		})
 	}
@@ -28,8 +27,10 @@ func TestWheelFiresInOrder(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 0 {
 		t.Fatalf("fire order = %v, want [1 2 0]", order)
 	}
-	if w.Pending() != 0 {
-		t.Errorf("pending = %d after drain, want 0", w.Pending())
+	for i, tm := range timers {
+		if tm.Pending() {
+			t.Errorf("timer %d still pending after drain", i)
+		}
 	}
 }
 
@@ -46,52 +47,104 @@ func TestWheelCancel(t *testing.T) {
 	if tm.Cancel() {
 		t.Fatal("second Cancel returned true")
 	}
-	var after *Timer
-	after = w.Schedule(time.Millisecond, func() {})
+	afterFired := false
+	after := w.Schedule(time.Millisecond, func() { afterFired = true })
 	eng.Run()
 	if fired {
 		t.Fatal("canceled timer fired")
 	}
-	if after.Pending() {
-		t.Fatal("uncanceled timer still pending after Run")
+	if tm.Pending() {
+		t.Fatal("canceled timer still pending")
 	}
-	if w.Pending() != 0 {
-		t.Errorf("pending = %d, want 0", w.Pending())
+	if !afterFired || after.Pending() {
+		t.Fatalf("uncanceled timer: fired %v, pending %v after Run", afterFired, after.Pending())
 	}
 }
 
-// TestWheelCoarseLevels pins the hierarchical part: timers far beyond
-// level 0's span cascade down and still fire within a tick of their
-// expiry.
+// TestWheelCoarseLevels pins that timers far out — the delays a
+// hierarchical wheel would park in its coarse levels — fire at exactly
+// their expiry.
 func TestWheelCoarseLevels(t *testing.T) {
 	eng := New()
 	w := eng.Wheel()
-	// Spread timers across all levels: level 0 spans 64 ticks (3.2 ms at
-	// the default 50 µs tick), level 1 ~205 ms, level 2 ~13 s.
 	delays := []Duration{
-		time.Millisecond,       // level 0
-		100 * time.Millisecond, // level 1
-		time.Second,            // level 2
-		30 * time.Second,       // level 3
+		time.Millisecond,
+		100 * time.Millisecond,
+		time.Second,
+		30 * time.Second,
 	}
 	fired := make([]Time, len(delays))
+	timers := make([]*Timer, len(delays))
 	for i, d := range delays {
-		i, d := i, d
-		w.Schedule(d, func() { fired[i] = eng.Now() })
+		i := i
+		timers[i] = w.Schedule(d, func() { fired[i] = eng.Now() })
 	}
 	eng.Run()
 	for i, d := range delays {
 		if fired[i] == 0 {
 			t.Fatalf("timer %d (%v) never fired", i, d)
 		}
-		if fired[i] < Time(d) || fired[i] > Time(d)+Time(2*w.Tick()) {
-			t.Errorf("timer %d fired at %v, want within 2 ticks after %v", i, fired[i], d)
+		if fired[i] != Time(d) {
+			t.Errorf("timer %d fired at %v, want exactly %v", i, fired[i], d)
+		}
+		if timers[i].Pending() {
+			t.Errorf("timer %d still pending after firing", i)
 		}
 	}
 }
 
-// TestWheelSleep pins the backoff primitive: Sleep parks the proc for at
-// least d and resumes it on the wheel's boundary.
+// TestWheelSameBoundaryScheduleOrder pins that timers due at one tick
+// boundary fire in the order they were scheduled, however far out each
+// was armed: a 10 ms timer, then a 3 ms timer armed at 7 ms, both due at
+// 10 ms, fire first-armed first.
+func TestWheelSameBoundaryScheduleOrder(t *testing.T) {
+	eng := New()
+	w := eng.Wheel()
+	var order []string
+	w.Schedule(10*time.Millisecond, func() { order = append(order, "A") })
+	w.Schedule(7*time.Millisecond, func() {
+		w.Schedule(3*time.Millisecond, func() { order = append(order, "B") })
+	})
+	eng.Run()
+	if len(order) != 2 || order[0] != "A" || order[1] != "B" {
+		t.Fatalf("fire order = %v, want [A B]", order)
+	}
+	if eng.Now() != Time(10*time.Millisecond) {
+		t.Fatalf("fired at %v, want 10ms", eng.Now())
+	}
+}
+
+// TestWheelRoundsUpToBoundary pins the rounding rule: a due time moves to
+// the first tick boundary at or after it, and always past now.
+func TestWheelRoundsUpToBoundary(t *testing.T) {
+	cases := []struct {
+		name    string
+		armAt   Time     // instant the timer is scheduled
+		d       Duration // Schedule delay
+		wantDue Time
+	}{
+		{"off boundary rounds up", 0, 120 * Microsecond, Time(150 * Microsecond)},
+		{"on boundary stays", Time(30 * Microsecond), 170 * Microsecond, Time(200 * Microsecond)},
+		{"zero delay on boundary waits a tick", Time(100 * Microsecond), 0, Time(150 * Microsecond)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := New()
+			w := eng.Wheel()
+			var firedAt Time = -1
+			eng.At(c.armAt, func() {
+				w.Schedule(c.d, func() { firedAt = eng.Now() })
+			})
+			eng.Run()
+			if firedAt != c.wantDue {
+				t.Fatalf("armed at %v with delay %v: fired at %v, want %v", c.armAt, c.d, firedAt, c.wantDue)
+			}
+		})
+	}
+}
+
+// TestWheelSleep pins the backoff primitive: Sleep parks the proc for d
+// rounded up to a tick boundary.
 func TestWheelSleep(t *testing.T) {
 	eng := New()
 	w := eng.Wheel()
@@ -101,8 +154,8 @@ func TestWheelSleep(t *testing.T) {
 		woke = p.Now()
 	})
 	eng.Run()
-	if woke < Time(3*time.Millisecond) {
-		t.Fatalf("woke at %v, before the 3ms sleep", woke)
+	if woke != Time(3*time.Millisecond) {
+		t.Fatalf("woke at %v, want exactly the 3ms boundary", woke)
 	}
 	if eng.LiveProcs() != 0 {
 		t.Fatalf("%d procs leaked", eng.LiveProcs())

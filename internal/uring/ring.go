@@ -1,10 +1,10 @@
 // Package uring is the application-facing face of the submission-ring
-// subsystem: a staging API over kernel.RingDesc (batched syscalls) and
-// kernel.ReadyDesc (readiness-driven waiting). An event loop preps any
-// number of descriptor operations, pays one charged syscall to Submit them
-// all, and one more to Reap their completions — the io_uring shape, scaled
-// to the simulator's cost model. The Poller half is the epoll shape: watch
-// many descriptors, pay one syscall per ready-set collection.
+// subsystem: a staging API over kernel.RingDesc (batched syscalls). An
+// event loop preps any number of descriptor operations, pays one charged
+// syscall to Submit them all, and one more to Reap their completions — the
+// io_uring shape, scaled to the simulator's cost model. The epoll shape
+// needs no wrapper: a loop watches many descriptors through one
+// kernel.ReadyDesc and pays one syscall per ready-set collection.
 package uring
 
 import (
@@ -26,13 +26,13 @@ type Ring struct {
 
 // New creates a ring over pr's descriptor table and installs it. The
 // ring's fd is Pollable — readable when completions await Reap — so a
-// Poller can watch it alongside the sockets whose ops it carries.
+// kernel.ReadyDesc can watch it alongside the sockets whose ops it carries.
 func New(m *kernel.Machine, pr *kernel.Process) *Ring {
 	rd := kernel.NewRingDesc(m, pr)
 	return &Ring{rd: rd, fd: pr.Install(rd)}
 }
 
-// FD returns the ring's descriptor number (for Poller.Add).
+// FD returns the ring's descriptor number (for ReadyDesc.Watch).
 func (r *Ring) FD() int { return r.fd }
 
 // prep stages one entry and returns its token.

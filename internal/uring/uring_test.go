@@ -268,8 +268,9 @@ func TestPollerListenerBacklog(t *testing.T) {
 		if err := m.SetNonblock(p, pr, lfd, true); err != nil {
 			t.Fatalf("SetNonblock: %v", err)
 		}
-		po := NewPoller(m, pr)
-		if err := po.Add(lfd, kernel.Acceptable); err != nil {
+		po := kernel.NewReadyDesc(m, pr)
+		pr.Install(po)
+		if err := po.Watch(lfd, kernel.Acceptable); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 		evs := po.Wait(p)
@@ -341,8 +342,9 @@ func TestRingAccept(t *testing.T) {
 	}
 }
 
-// TestPollerRingNesting: a Poller watching a Ring's fd sees it become
-// readable when completions land — the wiring the httpd event loop runs on.
+// TestPollerRingNesting: a readiness descriptor watching a Ring's fd sees
+// it become readable when completions land — the wiring the httpd event
+// loop runs on.
 func TestPollerRingNesting(t *testing.T) {
 	b := newBed(t, ipcsim.ModeRef)
 
@@ -358,8 +360,9 @@ func TestPollerRingNesting(t *testing.T) {
 
 	b.eng.Go("writer", func(p *sim.Proc) {
 		rung := New(b.m, b.wr)
-		po := NewPoller(b.m, b.wr)
-		if err := po.Add(rung.FD(), kernel.Readable); err != nil {
+		po := kernel.NewReadyDesc(b.m, b.wr)
+		b.wr.Install(po)
+		if err := po.Watch(rung.FD(), kernel.Readable); err != nil {
 			t.Fatalf("Add(ring): %v", err)
 		}
 		rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, doc(100)))
