@@ -75,8 +75,6 @@ type ProxyConfig struct {
 	// OriginRef must be true when the origin is an IO-Lite server (its
 	// sends pass buffer references).
 	OriginRef bool
-	// Tss is the socket send buffer size for both tiers (default 64 KB).
-	Tss int
 	// CacheBytes caps the response cache (0 = unlimited). Eviction is LRU.
 	CacheBytes int64
 	// TTL bounds how long a cached response may be served (0 = forever).
@@ -161,9 +159,6 @@ type Proxy struct {
 
 // NewProxy creates and starts a reverse proxy on cfg.Listener.
 func NewProxy(cfg ProxyConfig) *Proxy {
-	if cfg.Tss <= 0 {
-		cfg.Tss = 64 << 10
-	}
 	if cfg.Retries > 0 && cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = time.Millisecond
 	}
@@ -258,26 +253,12 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 				pending = nil
 				break
 			}
-			if px.cfg.Mode.RefMode() {
-				a, err := px.m.IOLRead(p, px.proc, cfd, proxyRecvChunk)
-				if err != nil {
-					sp.Abandon()
-					px.m.Close(p, px.proc, cfd)
-					return
-				}
-				pending = append(pending, a.Materialize()...)
-				a.Release()
-			} else {
-				if buf == nil {
-					buf = make([]byte, proxyRecvChunk)
-				}
-				n, err := px.m.ReadPOSIX(p, px.proc, cfd, buf)
-				if err != nil {
-					sp.Abandon()
-					px.m.Close(p, px.proc, cfd)
-					return
-				}
-				pending = append(pending, buf[:n]...)
+			var err error
+			pending, err = httpd.ReadRequest(p, px.m, px.proc, cfd, px.cfg.Mode.RefMode(), pending, &buf)
+			if err != nil {
+				sp.Abandon()
+				px.m.Close(p, px.proc, cfd)
+				return
 			}
 		}
 
@@ -441,10 +422,7 @@ func (px *Proxy) fetchRetry(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry
 // fetch retrieves path from the origin over a fresh outbound connection and
 // returns it as a cache entry (the complete response, header included).
 func (px *Proxy) fetch(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry, error) {
-	ofd, err := px.m.Connect(p, px.proc, px.cfg.OriginLink, px.cfg.Origin, netsim.ConnOpts{
-		Tss:           px.cfg.Tss,
-		ServerRefMode: px.cfg.OriginRef,
-	})
+	ofd, err := px.m.Connect(p, px.proc, px.cfg.OriginLink, px.cfg.Origin, netsim.ConnOpts{ServerRefMode: px.cfg.OriginRef})
 	if err != nil {
 		return nil, err
 	}

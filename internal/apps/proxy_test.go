@@ -66,7 +66,6 @@ func (b *proxyBed) fetch(t *testing.T, paths []string) map[string][]byte {
 			Host:      b.client,
 			Link:      b.link,
 			Listener:  b.lst,
-			Tss:       64 << 10,
 			RefServer: b.px.cfg.Mode.RefMode(),
 			OnResponse: func(path string, body []byte) {
 				got[path] = append([]byte(nil), body...)

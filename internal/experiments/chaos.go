@@ -116,7 +116,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	// the full pass, so recovery overhead is wire bytes, not CPU.
 	m := kernel.NewMachine(b.eng, b.costs, kernel.Config{ChecksumCache: true, Offload: cp.Offload})
 	srv := m.NewProcess("chaos-srv", 2<<20)
-	tr := fcgi.NewLoopbackTransport(m, srv, true, 0)
+	tr := fcgi.NewLoopbackTransport(m, srv, true)
 
 	var plan *netsim.FaultPlan
 	if cp.LossProb > 0 || cp.CorruptProb > 0 {
@@ -252,7 +252,7 @@ func RunStaleChaos() StaleChaosResult {
 
 	(&clientTier{
 		clients: 1, machines: 1,
-		cfg: httpd.ClientConfig{Listener: plst, Tss: 64 << 10, RefServer: true},
+		cfg: httpd.ClientConfig{Listener: plst, RefServer: true},
 		next: func(p *sim.Proc, _ *rand.Rand) string {
 			p.Sleep(time.Millisecond)
 			return "/doc.html"

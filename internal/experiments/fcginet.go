@@ -114,11 +114,11 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 	wm := m
 	switch fp.Placement {
 	case PlacePipe:
-		tr = fcgi.NewPipeTransport(m, srv, fp.Ref, 0)
+		tr = fcgi.NewPipeTransport(m, srv, fp.Ref)
 	case PlaceSockLocal:
-		tr = fcgi.NewLoopbackTransport(m, srv, fp.Ref, 0)
+		tr = fcgi.NewLoopbackTransport(m, srv, fp.Ref)
 	case PlaceSockRemote:
-		tr, wm = fcgi.NewLANTransport(m, srv, fp.Ref, 0, "wkr")
+		tr, wm = fcgi.NewLANTransport(m, srv, fp.Ref, "wkr")
 	default:
 		panic("experiments: unknown placement " + string(fp.Placement))
 	}

@@ -37,7 +37,6 @@ type ProxyParams struct {
 	Clients        int
 	ClientMachines int
 	Persistent     bool
-	Tss            int
 
 	// Offload enables LSO/GRO segment offload on every machine in the
 	// topology — serving tier, origin, and the client hosts (clients
@@ -82,7 +81,6 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	orDefault(&pp.DocBytes, 64<<10)
 	orDefault(&pp.Clients, 32)
 	orDefault(&pp.ClientMachines, 4)
-	orDefault(&pp.Tss, 64<<10)
 	orDefault(&pp.Warmup, 500*time.Millisecond)
 	orDefault(&pp.Measure, 2*time.Second)
 
@@ -127,7 +125,6 @@ func RunProxy(pp ProxyParams) ProxyResult {
 			Origin:     originLst,
 			OriginLink: originLink,
 			OriginRef:  pp.Origin.Kind.Lite(),
-			Tss:        pp.Tss,
 			Obs:        pp.Obs,
 		})
 		frontLst = proxyLst
@@ -141,7 +138,7 @@ func RunProxy(pp ProxyParams) ProxyResult {
 	}
 	clients := &clientTier{
 		clients: pp.Clients, machines: pp.ClientMachines, offload: pp.Offload, seed: pp.Seed,
-		cfg:  httpd.ClientConfig{Listener: frontLst, Tss: pp.Tss, RefServer: refFront, Persistent: pp.Persistent},
+		cfg:  httpd.ClientConfig{Listener: frontLst, RefServer: refFront, Persistent: pp.Persistent},
 		next: func(_ *sim.Proc, rng *rand.Rand) string { return paths[rng.Intn(len(paths))] },
 	}
 	clients.start(b, serveMachine.Host)

@@ -132,7 +132,7 @@ func RunQoS(fp QoSParams) QoSResult {
 		Workers:         fp.Workers,
 		Depth:           fp.Depth,
 		Ref:             true,
-		Transport:       fcgi.NewLoopbackTransport(m, srv, true, 2<<20),
+		Transport:       fcgi.NewLoopbackTransport(m, srv, true),
 		TypicalResponse: int(fp.DocBytes),
 		Name:            "qw",
 		Obs:             fp.Obs,

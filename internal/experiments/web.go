@@ -65,8 +65,6 @@ type WebParams struct {
 	// Delay is the one-way link delay injected by the delay routers
 	// (Figure 12).
 	Delay time.Duration
-	// Tss is the socket send buffer size (default 64 KB).
-	Tss int
 	// MemBytes is server memory (default 128 MB).
 	MemBytes int64
 
@@ -122,7 +120,6 @@ func (sc ServerConfig) machineConfig(memBytes int64, offload bool) kernel.Config
 func RunWeb(wp WebParams) WebResult {
 	orDefault(&wp.ClientMachines, 5)
 	orDefault(&wp.Clients, 40)
-	orDefault(&wp.Tss, 64<<10)
 	orDefault(&wp.MemBytes, 128<<20)
 	orDefault(&wp.Warmup, 2*time.Second)
 	orDefault(&wp.Measure, 5*time.Second)
@@ -177,7 +174,7 @@ func RunWeb(wp WebParams) WebResult {
 
 	clients := &clientTier{
 		clients: wp.Clients, machines: wp.ClientMachines, delay: wp.Delay, seed: wp.Seed,
-		cfg:  httpd.ClientConfig{Listener: lst, Tss: wp.Tss, RefServer: isLite, Persistent: wp.Persistent},
+		cfg:  httpd.ClientConfig{Listener: lst, RefServer: isLite, Persistent: wp.Persistent},
 		next: next,
 	}
 	clients.start(b, m.Host)

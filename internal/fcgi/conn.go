@@ -7,7 +7,6 @@ import (
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
-	"iolite/internal/uring"
 )
 
 // lock is a FIFO mutex for simulated processes. WriteRecord holds it
@@ -127,8 +126,8 @@ type Conn struct {
 	// through rring with receive coalescing. See ring.go.
 	ringOn     bool
 	ringClosed bool
-	wring      *uring.Ring
-	rring      *uring.Ring
+	wring      *kernel.RingDesc
+	rring      *kernel.RingDesc
 	ringQ      []*ringWrite
 	ringWake   sim.WaitQueue
 
@@ -442,8 +441,7 @@ func (c *Conn) fillAgg(p *sim.Proc, n int) error {
 		var a *core.Agg
 		var err error
 		if c.ringOn {
-			c.rring.PrepIOLReadFull(c.rfd, int64(n-have), kernel.MaxIO)
-			cqe := c.ringRead(p)
+			cqe := c.ringRead(p, kernel.SQE{Op: kernel.OpIOLRead, FD: c.rfd, N: kernel.MaxIO, Need: int64(n - have)})
 			a, err = cqe.Agg, cqe.Err
 		} else {
 			a, err = c.m.IOLRead(p, c.pr, c.rfd, kernel.MaxIO)
@@ -475,8 +473,7 @@ func (c *Conn) fill(p *sim.Proc, n int) error {
 		var err error
 		if c.ringOn {
 			need := min(n-len(c.rbuf), len(c.scratch))
-			c.rring.PrepReadPOSIXFull(c.rfd, int64(need), c.scratch)
-			cqe := c.ringRead(p)
+			cqe := c.ringRead(p, kernel.SQE{Op: kernel.OpReadPOSIX, FD: c.rfd, Buf: c.scratch, Need: int64(need)})
 			got, err = int(cqe.Res), cqe.Err
 		} else {
 			got, err = c.m.ReadPOSIX(p, c.pr, c.rfd, c.scratch)

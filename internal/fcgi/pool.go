@@ -29,10 +29,9 @@ type PoolConfig struct {
 	// tiny).
 	Ref bool
 	// Transport supplies worker channels. Nil selects the in-machine
-	// pipe transport built from Machine/Server/Ref/WorkerMem (PR 3's
-	// wiring). A non-nil transport carries its own payload-mode
-	// configuration; keep its ref setting consistent with Ref so
-	// handlers and channels agree.
+	// pipe transport built from Machine/Server/Ref. A non-nil transport
+	// carries its own payload-mode configuration; keep its ref setting
+	// consistent with Ref so handlers and channels agree.
 	Transport Transport
 	// Ring routes both ends of every worker channel through submission
 	// rings (Conn.EnableRing): record writes from the mux's concurrent
@@ -62,8 +61,6 @@ type PoolConfig struct {
 	// worker's cached resources — e.g. AggCache.Drop, or sealed
 	// documents stay pinned in the dead process's pool forever.
 	OnRetire func(w *Worker)
-	// WorkerMem is each worker process's private memory (default 2 MB).
-	WorkerMem int
 	// TypicalResponse is the expected response payload per request, used
 	// to autotune socket-transport send windows (depth × typical record;
 	// see AutoWindow). 0 selects TypicalRecordBytes.
@@ -183,9 +180,6 @@ func NewWorkerPool(cfg PoolConfig) *WorkerPool {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 8
 	}
-	if cfg.WorkerMem <= 0 {
-		cfg.WorkerMem = 2 << 20
-	}
 	if cfg.Name == "" {
 		cfg.Name = "fcgi"
 	}
@@ -194,7 +188,7 @@ func NewWorkerPool(cfg PoolConfig) *WorkerPool {
 	}
 	wp := &WorkerPool{cfg: cfg, transport: cfg.Transport}
 	if wp.transport == nil {
-		wp.transport = NewPipeTransport(cfg.Machine, cfg.Server, cfg.Ref, cfg.WorkerMem)
+		wp.transport = NewPipeTransport(cfg.Machine, cfg.Server, cfg.Ref)
 	}
 	// Socket transports size their channel send windows from the pool's
 	// concurrency instead of a hardwired constant: a window-starved mux
@@ -469,8 +463,6 @@ func (wp *WorkerPool) Stats() (requests, failures, writeErrs int64) {
 	return wp.requests, wp.failures, writeErrs
 }
 
-// Reroutes reports requests re-routed to another worker after their
-// first-choice worker died pre-dispatch.
 // InFlight reports requests currently dispatched across the pool's
 // workers — the queue-depth signal obs samplers watch.
 func (wp *WorkerPool) InFlight() int {
@@ -481,6 +473,8 @@ func (wp *WorkerPool) InFlight() int {
 	return n
 }
 
+// Reroutes reports requests re-routed to another worker after their
+// first-choice worker died pre-dispatch.
 func (wp *WorkerPool) Reroutes() int64 { return wp.reroutes }
 
 // Respawns reports workers replaced by supervision.

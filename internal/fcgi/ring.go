@@ -5,7 +5,6 @@ import (
 
 	"iolite/internal/kernel"
 	"iolite/internal/sim"
-	"iolite/internal/uring"
 )
 
 // Ring mode routes a connection's record I/O through submission rings.
@@ -44,8 +43,10 @@ func (c *Conn) EnableRing() {
 		return
 	}
 	c.ringOn = true
-	c.wring = uring.New(c.m, c.pr)
-	c.rring = uring.New(c.m, c.pr)
+	c.wring = kernel.NewRingDesc(c.m, c.pr)
+	c.pr.Install(c.wring)
+	c.rring = kernel.NewRingDesc(c.m, c.pr)
+	c.pr.Install(c.rring)
 	c.m.Eng.Go(fmt.Sprintf("fcgi.ringflush%d", c.id), c.ringFlusher)
 }
 
@@ -89,21 +90,20 @@ func (c *Conn) ringFlusher(p *sim.Proc) {
 		c.ringQ = nil
 
 		if c.corkable {
-			c.wring.PrepCork(c.wfd, true)
+			c.wring.Prep(kernel.SQE{Op: kernel.OpCork, FD: c.wfd, On: true})
 		}
-		toks := make(map[uint64]*ringWrite, 2*len(batch))
 		for _, w := range batch {
 			if w.agg != nil {
-				toks[c.wring.PrepIOLWrite(c.wfd, w.agg)] = w
+				c.wring.Prep(kernel.SQE{Op: kernel.OpIOLWrite, FD: c.wfd, Agg: w.agg, User: w})
 			} else {
-				toks[c.wring.PrepWritePOSIX(c.wfd, w.hdr)] = w
+				c.wring.Prep(kernel.SQE{Op: kernel.OpWritePOSIX, FD: c.wfd, Buf: w.hdr, User: w})
 				if len(w.pay) > 0 {
-					toks[c.wring.PrepWritePOSIX(c.wfd, w.pay)] = w
+					c.wring.Prep(kernel.SQE{Op: kernel.OpWritePOSIX, FD: c.wfd, Buf: w.pay, User: w})
 				}
 			}
 		}
 		if c.corkable {
-			c.wring.PrepCork(c.wfd, false)
+			c.wring.Prep(kernel.SQE{Op: kernel.OpCork, FD: c.wfd})
 		}
 
 		want := c.wring.Submit(p)
@@ -114,11 +114,10 @@ func (c *Conn) ringFlusher(p *sim.Proc) {
 			}
 			collected += len(cqes)
 			for _, cqe := range cqes {
-				w := toks[cqe.Token]
-				if w == nil {
-					continue // cork toggles: advisory, as on the direct path
+				if cqe.Err == nil || cqe.Op == kernel.OpCork {
+					continue // cork toggles are advisory, as on the direct path
 				}
-				if cqe.Err != nil && w.err == nil {
+				if w := cqe.User.(*ringWrite); w.err == nil {
 					w.err = cqe.Err
 				}
 			}
@@ -130,9 +129,10 @@ func (c *Conn) ringFlusher(p *sim.Proc) {
 	}
 }
 
-// ringRead submits the one staged read op and reaps its completion: the
-// ring refill behind fillAgg and fill.
-func (c *Conn) ringRead(p *sim.Proc) kernel.CQE {
+// ringRead submits one read op and reaps its completion: the ring refill
+// behind fillAgg and fill.
+func (c *Conn) ringRead(p *sim.Proc, sqe kernel.SQE) kernel.CQE {
+	c.rring.Prep(sqe)
 	c.rring.Submit(p)
 	return c.rring.Reap(p, 1)[0]
 }

@@ -88,7 +88,7 @@ func TestAcceptanceRingQuartersSyscallCharges(t *testing.T) {
 
 	run := func(ring bool) int64 {
 		b := newBed()
-		tr := NewLoopbackTransport(b.m, b.srv, true, 0)
+		tr := NewLoopbackTransport(b.m, b.srv, true)
 		aggs := NewAggCache()
 		pool := NewWorkerPool(PoolConfig{
 			Machine: b.m, Server: b.srv, Workers: 2, Depth: depth,
@@ -120,7 +120,7 @@ func TestAcceptanceRingQuartersSyscallCharges(t *testing.T) {
 // instead of hanging a parked writer or the flusher.
 func TestRingResetSurfacesThroughMux(t *testing.T) {
 	b := newBed()
-	tr, _ := NewLANTransport(b.m, b.srv, true, 0, "wkr")
+	tr, _ := NewLANTransport(b.m, b.srv, true, "wkr")
 	pool := NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: 2,
 		Ref: true, Transport: tr, Ring: true, Name: "rrst",

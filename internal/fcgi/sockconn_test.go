@@ -187,11 +187,11 @@ func TestBoundaryWriteChargesSingleCopy(t *testing.T) {
 func buildTransport(b *bed, name string, ref bool) Transport {
 	switch name {
 	case "pipe":
-		return NewPipeTransport(b.m, b.srv, ref, 0)
+		return NewPipeTransport(b.m, b.srv, ref)
 	case "sock-local":
-		return NewLoopbackTransport(b.m, b.srv, ref, 0)
+		return NewLoopbackTransport(b.m, b.srv, ref)
 	case "sock-remote":
-		tr, _ := NewLANTransport(b.m, b.srv, ref, 0, "wkr")
+		tr, _ := NewLANTransport(b.m, b.srv, ref, "wkr")
 		return tr
 	}
 	panic("unknown transport " + name)
@@ -268,9 +268,9 @@ func TestMuxInterleavesRecordsOverSocket(t *testing.T) {
 			b := newBed()
 			var tr Transport
 			if tc.remote {
-				tr, _ = NewLANTransport(b.m, b.srv, true, 0, "wkr")
+				tr, _ = NewLANTransport(b.m, b.srv, true, "wkr")
 			} else {
-				tr = NewLoopbackTransport(b.m, b.srv, true, 0)
+				tr = NewLoopbackTransport(b.m, b.srv, true)
 			}
 			pool := NewWorkerPool(PoolConfig{
 				Machine: b.m, Server: b.srv, Workers: 1, Depth: 8,
@@ -355,7 +355,7 @@ func TestStreamReadTornRecordIsUnexpectedEOF(t *testing.T) {
 // terminally broken.
 func TestSocketResetSurfacesThroughMux(t *testing.T) {
 	b := newBed()
-	tr, _ := NewLANTransport(b.m, b.srv, true, 0, "wkr")
+	tr, _ := NewLANTransport(b.m, b.srv, true, "wkr")
 	pool := NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: 2,
 		Ref: true, Transport: tr, Name: "rst",
@@ -398,7 +398,7 @@ func TestAcceptanceRemoteRefBoundaryCopiesPayloadOnce(t *testing.T) {
 
 	run := func(ref bool) int64 {
 		b := newBed()
-		tr, _ := NewLANTransport(b.m, b.srv, ref, 0, "wkr")
+		tr, _ := NewLANTransport(b.m, b.srv, ref, "wkr")
 		aggs := NewAggCache()
 		raws := NewRawCache()
 		pool := NewWorkerPool(PoolConfig{

@@ -118,6 +118,9 @@ type Transport interface {
 	Connect(id int, name string) Channel
 }
 
+// workerMem is each worker process's private memory.
+const workerMem = 2 << 20
+
 // PipeTransport is PR 3's wiring as a Transport: workers as processes on
 // the pool's own machine, one pipe pair per worker (copy-mode request
 // pipe, copy- or reference-mode response pipe).
@@ -126,13 +129,11 @@ type PipeTransport struct {
 	Server *kernel.Process
 	// Ref selects reference-mode response pipes.
 	Ref bool
-	// WorkerMem is each worker process's private memory (default 2 MB).
-	WorkerMem int
 }
 
 // NewPipeTransport wires workers over pipe pairs on m.
-func NewPipeTransport(m *kernel.Machine, server *kernel.Process, ref bool, workerMem int) *PipeTransport {
-	return &PipeTransport{M: m, Server: server, Ref: ref, WorkerMem: workerMem}
+func NewPipeTransport(m *kernel.Machine, server *kernel.Process, ref bool) *PipeTransport {
+	return &PipeTransport{M: m, Server: server, Ref: ref}
 }
 
 func (t *PipeTransport) Label() string     { return "pipe" }
@@ -140,11 +141,7 @@ func (t *PipeTransport) RefPayloads() bool { return t.Ref }
 
 func (t *PipeTransport) Connect(id int, name string) Channel {
 	m := t.M
-	mem := t.WorkerMem
-	if mem <= 0 {
-		mem = 2 << 20
-	}
-	wp := m.NewProcess(name, mem)
+	wp := m.NewProcess(name, workerMem)
 	respPipe, respWire := ipcsim.ModeCopy, WireCopy
 	if t.Ref {
 		respPipe, respWire = ipcsim.ModeRef, WireRef
@@ -175,8 +172,6 @@ type SocketTransport struct {
 	// a same-machine socket and degraded to the boundary copy on a
 	// remote one.
 	Ref bool
-	// WorkerMem is each worker process's private memory (default 2 MB).
-	WorkerMem int
 	// Tss is an explicit socket send buffer size per direction; 0 (the
 	// default) autotunes it with AutoWindow from Depth and TypicalRecord.
 	// Worker channels are long-lived, deliberately tuned server-to-server
@@ -194,27 +189,27 @@ type SocketTransport struct {
 // NewLoopbackTransport wires workers behind loopback TCP on m: same
 // machine, same payload-mode capabilities as pipes, but every record pays
 // the per-packet protocol path — the first installment of the LAN tax.
-func NewLoopbackTransport(m *kernel.Machine, server *kernel.Process, ref bool, workerMem int) *SocketTransport {
+func NewLoopbackTransport(m *kernel.Machine, server *kernel.Process, ref bool) *SocketTransport {
 	link := netsim.NewLink(m.Eng, m.Host, m.Host, LoopbackBps, LoopbackDelay)
-	return &SocketTransport{M: m, Server: server, WorkerMachine: m, Link: link, Ref: ref, WorkerMem: workerMem}
+	return &SocketTransport{M: m, Server: server, WorkerMachine: m, Link: link, Ref: ref}
 }
 
 // NewRemoteTransport wires workers as processes on worker machine wm,
 // reached from m over link — the distributed-FastCGI topology.
-func NewRemoteTransport(m *kernel.Machine, server *kernel.Process, wm *kernel.Machine, link *netsim.Link, ref bool, workerMem int) *SocketTransport {
-	return &SocketTransport{M: m, Server: server, WorkerMachine: wm, Link: link, Ref: ref, WorkerMem: workerMem}
+func NewRemoteTransport(m *kernel.Machine, server *kernel.Process, wm *kernel.Machine, link *netsim.Link, ref bool) *SocketTransport {
+	return &SocketTransport{M: m, Server: server, WorkerMachine: wm, Link: link, Ref: ref}
 }
 
 // NewLANTransport builds a remote transport on a freshly created worker
 // machine connected by the default 1 Gb/s, 50 µs LAN link — the standard
 // distributed-worker topology. It returns the transport and the worker
 // machine (callers measure its CPU separately).
-func NewLANTransport(m *kernel.Machine, server *kernel.Process, ref bool, workerMem int, hostName string) (*SocketTransport, *kernel.Machine) {
+func NewLANTransport(m *kernel.Machine, server *kernel.Process, ref bool, hostName string) (*SocketTransport, *kernel.Machine) {
 	// The worker machine inherits the server machine's offload setting so
 	// both ends of the link run the same packet economy.
 	wm := kernel.NewMachine(m.Eng, m.Costs, kernel.Config{HostName: hostName, Offload: m.Host.Offload()})
 	link := netsim.NewLink(m.Eng, m.Host, wm.Host, LANBps, LANDelay)
-	return NewRemoteTransport(m, server, wm, link, ref, workerMem), wm
+	return NewRemoteTransport(m, server, wm, link, ref), wm
 }
 
 // TuneWindow records the pool's mux depth and typical response size for
@@ -249,11 +244,7 @@ func (t *SocketTransport) RefPayloads() bool { return t.Ref && !t.Remote() }
 
 func (t *SocketTransport) Connect(id int, name string) Channel {
 	wm := t.WorkerMachine
-	mem := t.WorkerMem
-	if mem <= 0 {
-		mem = 2 << 20
-	}
-	wp := wm.NewProcess(name, mem)
+	wp := wm.NewProcess(name, workerMem)
 	// The worker side gets the reference-mode endpoint only when its
 	// sealed buffers may legally cross: on the same machine.
 	opts := netsim.ConnOpts{Tss: t.Window(), ServerRefMode: t.Ref && !t.Remote()}

@@ -34,7 +34,7 @@ func TestPoolTunesSocketTransportWindow(t *testing.T) {
 	handler := func(p *sim.Proc, w *Worker, req *ServerRequest) { req.ReplyBytes(p, []byte("x"), 0) }
 
 	b := newBed()
-	tr := NewLoopbackTransport(b.m, b.srv, true, 0)
+	tr := NewLoopbackTransport(b.m, b.srv, true)
 	NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: 16,
 		Ref: true, Transport: tr, TypicalResponse: 32 << 10,
@@ -45,7 +45,7 @@ func TestPoolTunesSocketTransportWindow(t *testing.T) {
 	}
 
 	b2 := newBed()
-	tr2 := NewLoopbackTransport(b2.m, b2.srv, true, 0)
+	tr2 := NewLoopbackTransport(b2.m, b2.srv, true)
 	tr2.Tss = 96 << 10
 	NewWorkerPool(PoolConfig{
 		Machine: b2.m, Server: b2.srv, Workers: 1, Depth: 16,
@@ -69,7 +69,7 @@ func TestWindowStarvedStreamStaysFullSegments(t *testing.T) {
 		docBytes = 32 << 10
 	)
 	b := newBed()
-	tr := NewLoopbackTransport(b.m, b.srv, true, 0)
+	tr := NewLoopbackTransport(b.m, b.srv, true)
 	tr.Tss = 4 << 10 // far below depth × record: admission is window-starved
 	pool := NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: depth,

@@ -50,9 +50,9 @@ func newCGIPool(s *Server, workers, depth int) *cgiPool {
 	case "", "pipe":
 		// nil selects the pool's default pipe transport.
 	case "sock-local":
-		tr = fcgi.NewLoopbackTransport(s.m, s.proc, ref, 0)
+		tr = fcgi.NewLoopbackTransport(s.m, s.proc, ref)
 	case "sock-remote":
-		tr, _ = fcgi.NewLANTransport(s.m, s.proc, ref, 0, "cgihost")
+		tr, _ = fcgi.NewLANTransport(s.m, s.proc, ref, "cgihost")
 	default:
 		panic("httpd: unknown CGIPlacement " + s.cfg.CGIPlacement)
 	}

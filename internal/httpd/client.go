@@ -13,9 +13,6 @@ type ClientConfig struct {
 	Host     *netsim.Host
 	Link     *netsim.Link
 	Listener *netsim.Listener
-	// Tss is the server socket send buffer size for connections this
-	// client opens (64 KB in the paper).
-	Tss int
 	// RefServer must be true when the server is Flash-Lite (its sends pass
 	// IO-Lite references).
 	RefServer bool
@@ -54,10 +51,7 @@ func RunClient(p *sim.Proc, cfg ClientConfig, next func() (path string, ok bool)
 			return
 		}
 		if conn == nil {
-			conn = netsim.Dial(p, cfg.Host, cfg.Link, cfg.Listener, netsim.ConnOpts{
-				Tss:           cfg.Tss,
-				ServerRefMode: cfg.RefServer,
-			})
+			conn = netsim.Dial(p, cfg.Host, cfg.Link, cfg.Listener, netsim.ConnOpts{ServerRefMode: cfg.RefServer})
 		}
 		ep := conn.ClientEnd()
 		start := p.Now()

@@ -8,7 +8,6 @@ import (
 	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
-	"iolite/internal/uring"
 )
 
 // The Flash-family servers (Flash, Flash-Lite, FL-splice) run as one
@@ -29,20 +28,6 @@ import (
 // owns it) and re-watched on completion, so the loop never spins on a
 // condition it is not ready to consume. The listener is drained to
 // ErrAgain on every acceptable event for the same reason.
-
-// connRole classifies one staged ring op for completion routing.
-type connRole int
-
-const (
-	// roleData is a response op whose failure aborts the response.
-	roleData connRole = iota
-	// roleCork is a cork toggle; failures are ignored, as the direct
-	// path's `_ = SetCork(...)` always has.
-	roleCork
-	// roleSplice is the FL-splice document move; ErrNotSupported triggers
-	// the IOL_read + IOL_write fallback instead of an abort.
-	roleSplice
-)
 
 // connState is one connection's place in the event loop's state machine.
 type connState struct {
@@ -76,13 +61,13 @@ func (s *Server) eventLoop(p *sim.Proc) {
 
 	s.po = kernel.NewReadyDesc(s.m, s.proc)
 	s.proc.Install(s.po)
-	s.ring = uring.New(s.m, s.proc)
+	s.ring = kernel.NewRingDesc(s.m, s.proc)
+	s.ringFD = s.proc.Install(s.ring)
 	s.conns = make(map[int]*connState)
-	s.tokens = make(map[uint64]connToken)
 	if err := s.po.Watch(s.lfd, kernel.Acceptable); err != nil {
 		panic("httpd: listener not pollable: " + err.Error())
 	}
-	if err := s.po.Watch(s.ring.FD(), kernel.Readable); err != nil {
+	if err := s.po.Watch(s.ringFD, kernel.Readable); err != nil {
 		panic("httpd: ring not pollable: " + err.Error())
 	}
 
@@ -98,7 +83,7 @@ func (s *Server) eventLoop(p *sim.Proc) {
 			switch ev.FD {
 			case s.lfd:
 				s.acceptReady(p)
-			case s.ring.FD():
+			case s.ringFD:
 				s.reapReady(p)
 			default:
 				c := s.conns[ev.FD]
@@ -114,12 +99,6 @@ func (s *Server) eventLoop(p *sim.Proc) {
 			s.ring.Submit(p)
 		}
 	}
-}
-
-// connToken routes a ring completion back to its connection.
-type connToken struct {
-	c    *connState
-	role connRole
 }
 
 // acceptReady drains the listener backlog.
@@ -155,24 +134,11 @@ func (s *Server) connReadable(p *sim.Proc, c *connState) {
 	}
 	p.SetAttrib(c.span)
 	defer p.SetAttrib(nil)
-	if s.cfg.Kind.Lite() {
-		a, err := s.m.IOLRead(p, s.proc, c.fd, recvChunk)
-		if err != nil {
-			s.closeConn(p, c)
-			return
-		}
-		c.pending = append(c.pending, a.Materialize()...)
-		a.Release()
-	} else {
-		if c.buf == nil {
-			c.buf = make([]byte, recvChunk)
-		}
-		n, err := s.m.ReadPOSIX(p, s.proc, c.fd, c.buf)
-		if err != nil {
-			s.closeConn(p, c)
-			return
-		}
-		c.pending = append(c.pending, c.buf[:n]...)
+	var err error
+	c.pending, err = ReadRequest(p, s.m, s.proc, c.fd, s.cfg.Kind.Lite(), c.pending, &c.buf)
+	if err != nil {
+		s.closeConn(p, c)
+		return
 	}
 	s.tryServe(p, c)
 }
@@ -251,7 +217,7 @@ func (s *Server) stageStatic(p *sim.Proc, c *connState, path string) {
 	e, ok := s.openCached(p, path)
 	c.span.Enter(p.Now(), obs.PhaseSend)
 	if !ok {
-		s.stage(c, roleData, s.ring.PrepWritePOSIX(c.fd, []byte("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n")))
+		s.stage(c, kernel.SQE{Op: kernel.OpWritePOSIX, FD: c.fd, Buf: []byte("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n")})
 		return
 	}
 	f := e.f
@@ -271,46 +237,43 @@ func (s *Server) stageStatic(p *sim.Proc, c *connState, path string) {
 		resp := core.PackBytes(p, s.proc.Pool, hdr)
 		resp.Concat(body)
 		body.Release()
-		s.stage(c, roleData, s.ring.PrepIOLWrite(c.fd, resp))
+		s.stage(c, kernel.SQE{Op: kernel.OpIOLWrite, FD: c.fd, Agg: resp})
 	case FlashLiteSplice:
 		// Cork, header, splice, uncork: four ops, one submission, executed
 		// in order on the connection's write domain.
 		c.fbFD, c.fbSize = e.fd, f.Size()
-		s.stage(c, roleCork, s.ring.PrepCork(c.fd, true))
-		s.stage(c, roleData, s.ring.PrepIOLWrite(c.fd, core.PackBytes(p, s.proc.Pool, hdr)))
-		s.stage(c, roleSplice, s.ring.PrepSpliceAt(c.fd, e.fd, 0, f.Size()))
-		s.stage(c, roleCork, s.ring.PrepCork(c.fd, false))
+		s.stage(c, kernel.SQE{Op: kernel.OpCork, FD: c.fd, On: true})
+		s.stage(c, kernel.SQE{Op: kernel.OpIOLWrite, FD: c.fd, Agg: core.PackBytes(p, s.proc.Pool, hdr)})
+		s.stage(c, kernel.SQE{Op: kernel.OpSpliceAt, FD: c.fd, SrcFD: e.fd, N: f.Size()})
+		s.stage(c, kernel.SQE{Op: kernel.OpCork, FD: c.fd})
 	case Flash:
 		mp := s.m.Mmap(p, s.proc, f)
-		s.stage(c, roleCork, s.ring.PrepCork(c.fd, true))
-		s.stage(c, roleData, s.ring.PrepWritePOSIX(c.fd, hdr))
-		s.stage(c, roleData, s.ring.PrepWritePOSIX(c.fd, mp.Bytes(0, f.Size())))
-		s.stage(c, roleCork, s.ring.PrepCork(c.fd, false))
+		s.stage(c, kernel.SQE{Op: kernel.OpCork, FD: c.fd, On: true})
+		s.stage(c, kernel.SQE{Op: kernel.OpWritePOSIX, FD: c.fd, Buf: hdr})
+		s.stage(c, kernel.SQE{Op: kernel.OpWritePOSIX, FD: c.fd, Buf: mp.Bytes(0, f.Size())})
+		s.stage(c, kernel.SQE{Op: kernel.OpCork, FD: c.fd})
 	}
 }
 
-// stage records a staged op's routing.
-func (s *Server) stage(c *connState, role connRole, token uint64) {
-	s.tokens[token] = connToken{c: c, role: role}
+// stage stages one of c's response ops; its completion carries c back.
+func (s *Server) stage(c *connState, sqe kernel.SQE) {
+	sqe.User = c
+	s.ring.Prep(sqe)
 	c.inflight++
 }
 
 // reapReady collects completions (the poller said the ring is readable, so
-// Reap returns without parking) and advances each touched connection.
+// Reap returns without parking) and advances each touched connection. A
+// failed response op aborts its response, with two exceptions.
 func (s *Server) reapReady(p *sim.Proc) {
 	for _, cqe := range s.ring.Reap(p, 1) {
-		rt, ok := s.tokens[cqe.Token]
-		if !ok {
-			continue
-		}
-		delete(s.tokens, cqe.Token)
-		c := rt.c
+		c := cqe.User.(*connState)
 		c.inflight--
 		switch {
 		case cqe.Err == nil:
-		case rt.role == roleCork:
+		case cqe.Op == kernel.OpCork:
 			// Cork is advisory, exactly as on the direct path.
-		case rt.role == roleSplice && errors.Is(cqe.Err, kernel.ErrNotSupported):
+		case cqe.Op == kernel.OpSpliceAt && errors.Is(cqe.Err, kernel.ErrNotSupported):
 			// The connection can't splice (a conventional client
 			// endpoint): re-send the document by the IOL_read + IOL_write
 			// pair the splice shortcuts. The header already went out.
@@ -318,7 +281,7 @@ func (s *Server) reapReady(p *sim.Proc) {
 			if rerr != nil {
 				body = core.NewAgg()
 			}
-			s.stage(c, roleData, s.ring.PrepIOLWrite(c.fd, body))
+			s.stage(c, kernel.SQE{Op: kernel.OpIOLWrite, FD: c.fd, Agg: body})
 		default:
 			c.failed = true
 		}

@@ -46,7 +46,6 @@ func (b *bed) clientCfg(persistent bool, onResp func(string, []byte)) ClientConf
 		Host:       b.client,
 		Link:       b.link,
 		Listener:   b.lst,
-		Tss:        64 << 10,
 		RefServer:  b.srv.cfg.Kind.Lite(),
 		Persistent: persistent,
 		OnResponse: onResp,

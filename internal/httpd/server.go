@@ -11,7 +11,6 @@ import (
 	"iolite/internal/netsim"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
-	"iolite/internal/uring"
 )
 
 // Kind selects the server implementation.
@@ -133,9 +132,9 @@ type Server struct {
 	// Event-loop state (Flash-family kinds; see eventloop.go). Apache
 	// keeps its process-per-connection path and never touches these.
 	po      *kernel.ReadyDesc
-	ring    *uring.Ring
+	ring    *kernel.RingDesc
+	ringFD  int
 	conns   map[int]*connState
-	tokens  map[uint64]connToken
 	lclosed bool
 
 	cgi *cgiPool
@@ -259,6 +258,32 @@ func (s *Server) acceptLoop(p *sim.Proc) {
 // request; deliveries are segment-sized, far below this.
 const recvChunk = 64 << 10
 
+// ReadRequest is one read step of accumulating an HTTP request: it reads
+// the next bytes from connection fd and returns pending with them
+// appended. An IO-Lite server (lite) uses IOL_read, so request bytes
+// arrive in buffers placed by early demultiplexing, no copy; any other
+// server uses read(2) into *buf, made on first use and reused after. On
+// error pending comes back unchanged.
+func ReadRequest(p *sim.Proc, m *kernel.Machine, pr *kernel.Process, fd int, lite bool, pending []byte, buf *[]byte) ([]byte, error) {
+	if lite {
+		a, err := m.IOLRead(p, pr, fd, recvChunk)
+		if err != nil {
+			return pending, err
+		}
+		pending = append(pending, a.Materialize()...)
+		a.Release()
+		return pending, nil
+	}
+	if *buf == nil {
+		*buf = make([]byte, recvChunk)
+	}
+	n, err := m.ReadPOSIX(p, pr, fd, *buf)
+	if err != nil {
+		return pending, err
+	}
+	return append(pending, (*buf)[:n]...), nil
+}
+
 // handleConn serves requests on connection descriptor cfd until close.
 func (s *Server) handleConn(p *sim.Proc, cfd int, acceptedAt sim.Time) {
 	var pending []byte
@@ -291,28 +316,12 @@ func (s *Server) handleConn(p *sim.Proc, cfd int, acceptedAt sim.Time) {
 				pending = nil
 				break
 			}
-			if s.cfg.Kind.Lite() {
-				// IOL_read on the socket: request bytes arrive in IO-Lite
-				// buffers placed by early demultiplexing, no copy.
-				a, err := s.m.IOLRead(p, s.proc, cfd, recvChunk)
-				if err != nil {
-					sp.Abandon()
-					s.m.Close(p, s.proc, cfd)
-					return
-				}
-				pending = append(pending, a.Materialize()...)
-				a.Release()
-			} else {
-				if buf == nil {
-					buf = make([]byte, recvChunk)
-				}
-				n, err := s.m.ReadPOSIX(p, s.proc, cfd, buf)
-				if err != nil {
-					sp.Abandon()
-					s.m.Close(p, s.proc, cfd)
-					return
-				}
-				pending = append(pending, buf[:n]...)
+			var err error
+			pending, err = ReadRequest(p, s.m, s.proc, cfd, s.cfg.Kind.Lite(), pending, &buf)
+			if err != nil {
+				sp.Abandon()
+				s.m.Close(p, s.proc, cfd)
+				return
 			}
 		}
 

@@ -188,19 +188,13 @@ func (pp *Pipe) Read(p *sim.Proc, dst []byte) int {
 
 // WriteAgg sends an aggregate down a ref-mode pipe by reference: pointer
 // manipulation per slice and (first time per chunk) a read grant for the
-// reader's domain. Ownership of agg transfers to the pipe. Panics on a
-// copy-mode pipe. The syscall that carried the write is charged by the
-// descriptor layer's entry point, not here.
-func (pp *Pipe) WriteAgg(p *sim.Proc, agg *core.Agg) {
-	pp.PutAgg(p, agg)
-}
-
-// PutAgg is the kernel-internal enqueue (also used by the splice path). It
-// reports false when the reader is gone and the aggregate was discarded
-// (the caller's EPIPE).
-func (pp *Pipe) PutAgg(p *sim.Proc, agg *core.Agg) bool {
+// reader's domain. Ownership of agg transfers to the pipe. It reports
+// false when the reader is gone and the aggregate was discarded (the
+// caller's EPIPE). Panics on a copy-mode pipe. The syscall that carried
+// the write is charged by the descriptor layer's entry point, not here.
+func (pp *Pipe) WriteAgg(p *sim.Proc, agg *core.Agg) bool {
 	if pp.mode != ModeRef {
-		panic("ipcsim: PutAgg on copy-mode pipe; use Write")
+		panic("ipcsim: WriteAgg on copy-mode pipe; use Write")
 	}
 	if pp.wClosed {
 		panic("ipcsim: write on closed pipe")
@@ -230,13 +224,8 @@ func (pp *Pipe) PutAgg(p *sim.Proc, agg *core.Agg) bool {
 // The caller owns the returned aggregate. As with WriteAgg, the carrying
 // syscall is charged at the descriptor boundary.
 func (pp *Pipe) ReadAgg(p *sim.Proc) *core.Agg {
-	return pp.TakeAgg(p)
-}
-
-// TakeAgg is the kernel-internal dequeue (also used by the splice path).
-func (pp *Pipe) TakeAgg(p *sim.Proc) *core.Agg {
 	if pp.mode != ModeRef {
-		panic("ipcsim: TakeAgg on copy-mode pipe; use Read")
+		panic("ipcsim: ReadAgg on copy-mode pipe; use Read")
 	}
 	for len(pp.aggs) == 0 {
 		if pp.wClosed || pp.rClosed {

@@ -48,42 +48,6 @@ var (
 // from a pipe, one delivery from a socket) without capping it.
 const MaxIO = int64(1) << 40
 
-// DescKind names a descriptor's flavor (a capability query).
-type DescKind int
-
-// Descriptor kinds.
-const (
-	KindFile DescKind = iota
-	KindPipe
-	KindSocket
-	KindListener
-	// KindObject is a sealed in-kernel buffer aggregate behind an fd
-	// (NewAggDesc) — a memfd-style object servers splice from.
-	KindObject
-	// KindDevice is a virtual device descriptor (NewNullDesc's /dev/null
-	// sink, NewTeeDesc's stream duplicator) — kernel-internal endpoints
-	// with no backing file, pipe, or socket.
-	KindDevice
-)
-
-func (k DescKind) String() string {
-	switch k {
-	case KindFile:
-		return "file"
-	case KindPipe:
-		return "pipe"
-	case KindSocket:
-		return "socket"
-	case KindListener:
-		return "listener"
-	case KindObject:
-		return "object"
-	case KindDevice:
-		return "device"
-	}
-	return "unknown"
-}
-
 // Desc is the vnode-style descriptor interface: one implementation per
 // descriptor kind (file, pipe end, socket endpoint, listener), all served
 // by the same four Machine I/O calls. New descriptor kinds (CGI streams,
@@ -97,14 +61,10 @@ func (k DescKind) String() string {
 // execute N descriptor operations behind a single charged Submit/Reap pair
 // without changing any per-byte accounting.
 type Desc interface {
-	// Kind reports the descriptor's flavor.
-	Kind() DescKind
 	// RefMode reports whether the aggregate paths (ReadAgg/WriteAgg) move
 	// data by reference — i.e. whether IOL_read/IOL_write on this
 	// descriptor are zero-copy.
 	RefMode() bool
-	// Seekable reports whether the descriptor maintains a settable offset.
-	Seekable() bool
 
 	// ReadAgg is IOL_read: up to n bytes as a buffer aggregate the caller
 	// owns, readable in pr's domain. Returns io.EOF at end of stream.

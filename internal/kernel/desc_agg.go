@@ -30,9 +30,7 @@ func NewAggDesc(m *Machine, a *core.Agg) Desc {
 	return &aggDesc{m: m, a: a}
 }
 
-func (d *aggDesc) Kind() DescKind { return KindObject }
-func (d *aggDesc) RefMode() bool  { return true }
-func (d *aggDesc) Seekable() bool { return true }
+func (d *aggDesc) RefMode() bool { return true }
 
 // rng clips [off, off+n) to the object and returns it as a caller-owned
 // aggregate (same immutable buffers, no copy), or nil at end of object.

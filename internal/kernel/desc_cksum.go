@@ -44,12 +44,7 @@ func NewCksumDesc(m *Machine, inner Desc, want uint16) Desc {
 	return &cksumDesc{m: m, inner: inner, want: want}
 }
 
-func (d *cksumDesc) Kind() DescKind { return d.inner.Kind() }
-func (d *cksumDesc) RefMode() bool  { return d.inner.RefMode() }
-
-// Seekable is false even over a seekable inner descriptor: a running
-// stream checksum is only meaningful for sequential consumption.
-func (d *cksumDesc) Seekable() bool { return false }
+func (d *cksumDesc) RefMode() bool { return d.inner.RefMode() }
 
 // foldAgg absorbs an aggregate into the running sum, charging cached or
 // full checksum work.
@@ -122,6 +117,8 @@ func (d *cksumDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error)
 	return d.inner.WriteCopy(p, pr, src)
 }
 
+// Seek is refused even over a seekable inner descriptor: a running stream
+// checksum is only meaningful for sequential consumption.
 func (d *cksumDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
 
 func (d *cksumDesc) Close(p *sim.Proc) error { return d.inner.Close(p) }

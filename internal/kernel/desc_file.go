@@ -32,9 +32,7 @@ func FileOf(d Desc) (*fsim.File, bool) {
 	return fd.f, true
 }
 
-func (d *fileDesc) Kind() DescKind { return KindFile }
-func (d *fileDesc) RefMode() bool  { return true }
-func (d *fileDesc) Seekable() bool { return true }
+func (d *fileDesc) RefMode() bool { return true }
 
 func (d *fileDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
 	a, err := d.ReadAggAt(p, pr, d.off, n)

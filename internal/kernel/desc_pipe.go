@@ -28,9 +28,7 @@ type pipeDesc struct {
 	nonblock bool
 }
 
-func (d *pipeDesc) Kind() DescKind { return KindPipe }
-func (d *pipeDesc) RefMode() bool  { return d.pp.Mode() == ipcsim.ModeRef }
-func (d *pipeDesc) Seekable() bool { return false }
+func (d *pipeDesc) RefMode() bool { return d.pp.Mode() == ipcsim.ModeRef }
 
 // Pipe exposes the underlying pipe (for its Stats). PipeOf unwraps it.
 func (d *pipeDesc) Pipe() *ipcsim.Pipe { return d.pp }
@@ -96,7 +94,7 @@ func (d *pipeDesc) SpliceOut(p *sim.Proc, n int64) (*core.Agg, error) {
 	a := d.pending
 	d.pending = nil
 	if a == nil {
-		if a = d.pp.TakeAgg(p); a == nil {
+		if a = d.pp.ReadAgg(p); a == nil {
 			return nil, io.EOF
 		}
 	}
@@ -118,7 +116,7 @@ func (d *pipeDesc) SpliceIn(p *sim.Proc, a *core.Agg) error {
 	if d.pp.WriteClosed() || d.pp.ReadClosed() {
 		return ErrClosed
 	}
-	if !d.pp.PutAgg(p, a.Clone()) {
+	if !d.pp.WriteAgg(p, a.Clone()) {
 		return ErrClosed
 	}
 	a.Release()

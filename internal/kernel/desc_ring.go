@@ -22,14 +22,13 @@ type RingOp int
 
 // Ring operations.
 const (
-	// OpIOLRead is IOL_read: up to N bytes from FD as an aggregate. With
-	// Off >= 0 it is the positional pread form (PReader capability).
-	// Stream reads coalesce: every delivery that is ready by the time the
-	// op executes folds into one completion, up to N.
+	// OpIOLRead is IOL_read: up to N bytes from FD as an aggregate,
+	// advancing the cursor. Stream reads coalesce: every delivery that is
+	// ready by the time the op executes folds into one completion, up to N.
 	OpIOLRead RingOp = iota
 	// OpIOLWrite is IOL_write: Agg to FD by reference. Ownership of Agg
-	// transfers to the ring at Submit, like io_uring's fixed buffers; on
-	// error the ring releases it.
+	// transfers to the ring at Prep, like io_uring's fixed buffers; on
+	// error the ring releases it. The completion's Res is Agg's length.
 	OpIOLWrite
 	// OpReadPOSIX is read(2): fill Buf from FD, copy charged.
 	OpReadPOSIX
@@ -67,31 +66,33 @@ func (op RingOp) String() string {
 	return "unknown"
 }
 
-// SQE is one submission-queue entry. Token is opaque to the kernel and
-// returned verbatim in the completion, so callers can route results.
+// SQE is one submission-queue entry. User is opaque to the kernel and
+// returned verbatim in the completion (io_uring's user_data), so callers
+// route results without a table of their own.
 type SQE struct {
 	Op    RingOp
 	FD    int
 	SrcFD int   // OpSpliceAt source
-	Off   int64 // OpIOLRead positional offset (negative = cursor), OpSpliceAt offset
+	Off   int64 // OpSpliceAt offset
 	N     int64
-	// Need, on cursor reads, parks the op until at least Need bytes have
+	// Need, on reads, parks the op until at least Need bytes have
 	// coalesced (the MSG_WAITALL shape; EOF still completes short). Zero
 	// keeps the one-delivery-plus-whatever-is-ready default.
-	Need  int64
-	Agg   *core.Agg // OpIOLWrite payload
-	Buf   []byte    // OpReadPOSIX destination / OpWritePOSIX source
-	On    bool      // OpCork
-	Token uint64
+	Need int64
+	Agg  *core.Agg // OpIOLWrite payload
+	Buf  []byte    // OpReadPOSIX destination / OpWritePOSIX source
+	On   bool      // OpCork
+	User any
 }
 
 // CQE is one completion-queue entry: the op's results exactly as the
-// direct call would have returned them.
+// direct call would have returned them, with its entry's Op and User.
 type CQE struct {
-	Token uint64
-	Res   int64     // bytes moved, or the new fd for OpAccept
-	Agg   *core.Agg // OpIOLRead result, caller-owned
-	Err   error
+	Op   RingOp
+	User any
+	Res  int64     // bytes moved, or the new fd for OpAccept
+	Agg  *core.Agg // OpIOLRead result, caller-owned
+	Err  error
 }
 
 // RingDesc is the submission ring. Ops against the same descriptor and
@@ -103,6 +104,7 @@ type RingDesc struct {
 	m  *Machine
 	pr *Process
 
+	staged  []SQE          // prepped, awaiting Submit
 	queues  map[int][]*SQE // per (fd, direction) FIFO awaiting a worker
 	working map[int]bool   // a worker proc is draining this key
 	cq      []CQE
@@ -141,24 +143,35 @@ func opKey(sqe *SQE) int {
 	}
 }
 
-// Submit charges exactly one syscall for all queued entries and dispatches
+// Prep stages one entry for the next Submit. Staging is free: no syscall
+// is charged until Submit. Ownership of an OpIOLWrite payload passes to
+// the ring here.
+func (r *RingDesc) Prep(sqe SQE) { r.staged = append(r.staged, sqe) }
+
+// Staged reports how many entries await Submit.
+func (r *RingDesc) Staged() int { return len(r.staged) }
+
+// Submit charges exactly one syscall for every staged entry and dispatches
 // them to their ordering domains' worker processes. The entries' fds are
 // resolved at execution time, not submission time — an fd closed before
 // its op runs completes with ErrBadFD, and an op on a Dup'd fd keeps
 // working through the shared open-file entry, matching io_uring. Returns
-// the number of ops accepted.
-func (r *RingDesc) Submit(p *sim.Proc, sqes []SQE) int {
+// the number of ops submitted. Submitting nothing still charges the
+// syscall that was made — don't call it idly.
+func (r *RingDesc) Submit(p *sim.Proc) int {
 	r.m.syscall(p)
 	r.submitCalls++
+	sqes := r.staged
+	r.staged = nil
 	for i := range sqes {
-		sqe := sqes[i]
+		sqe := &sqes[i]
 		if r.closed {
-			r.finish(CQE{Token: sqe.Token, Err: ErrClosed}, sqe.Agg)
+			r.finish(CQE{Op: sqe.Op, User: sqe.User, Err: ErrClosed}, sqe.Agg)
 			continue
 		}
 		r.submitted++
-		key := opKey(&sqe)
-		r.queues[key] = append(r.queues[key], &sqe)
+		key := opKey(sqe)
+		r.queues[key] = append(r.queues[key], sqe)
 		if !r.working[key] {
 			r.working[key] = true
 			r.m.Eng.Go(fmt.Sprintf("%s.ring-wq", r.m.Host.Name), func(wp *sim.Proc) {
@@ -202,7 +215,7 @@ func (r *RingDesc) finish(cqe CQE, failed *core.Agg) {
 // semantics). Data costs are charged here, to the machine, exactly as the
 // direct entry point would have charged them — minus the kernel crossing.
 func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
-	cqe := CQE{Token: sqe.Token}
+	cqe := CQE{Op: sqe.Op, User: sqe.User}
 	d, err := r.pr.Desc(sqe.FD)
 	if err != nil {
 		if sqe.Agg != nil {
@@ -213,20 +226,6 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 	}
 	switch sqe.Op {
 	case OpIOLRead:
-		if sqe.Off >= 0 {
-			pd, ok := d.(PReader)
-			if !ok {
-				cqe.Err = ErrNotSupported
-				return cqe
-			}
-			a, err := pd.ReadAggAt(p, r.pr, sqe.Off, sqe.N)
-			if err != nil {
-				cqe.Err = err
-				return cqe
-			}
-			cqe.Agg, cqe.Res = a, int64(a.Len())
-			return cqe
-		}
 		a, err := d.ReadAgg(p, r.pr, sqe.N)
 		if err != nil {
 			cqe.Err = err
@@ -253,12 +252,13 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		}
 		cqe.Agg, cqe.Res = a, int64(a.Len())
 	case OpIOLWrite:
+		n := int64(sqe.Agg.Len())
 		if err := d.WriteAgg(p, r.pr, sqe.Agg); err != nil {
-			sqe.Agg.Release() // ownership came to the ring at Submit
+			sqe.Agg.Release() // ownership came to the ring at Prep
 			cqe.Err = err
 			return cqe
 		}
-		cqe.Res = sqe.N
+		cqe.Res = n
 	case OpReadPOSIX:
 		n, err := d.ReadCopy(p, r.pr, sqe.Buf)
 		if err != nil {
@@ -331,9 +331,6 @@ func (r *RingDesc) Reap(p *sim.Proc, min int) []CQE {
 // inflight reports submitted ops not yet completed.
 func (r *RingDesc) inflight() int { return int(r.submitted - r.completed) }
 
-// Outstanding reports in-flight ops plus uncollected completions.
-func (r *RingDesc) Outstanding() int { return r.inflight() + len(r.cq) }
-
 // Stats reports total ops submitted and the Submit/Reap syscalls that
 // carried them — the batching ratio the acceptance test pins.
 func (r *RingDesc) Stats() (ops, submits, reaps int64) {
@@ -343,9 +340,7 @@ func (r *RingDesc) Stats() (ops, submits, reaps int64) {
 // Desc interface: a RingDesc installs like any descriptor but supports no
 // direct data I/O.
 
-func (r *RingDesc) Kind() DescKind { return KindDevice }
-func (r *RingDesc) RefMode() bool  { return true }
-func (r *RingDesc) Seekable() bool { return false }
+func (r *RingDesc) RefMode() bool { return true }
 
 func (r *RingDesc) ReadAgg(*sim.Proc, *Process, int64) (*core.Agg, error) {
 	return nil, ErrNotSupported

@@ -26,9 +26,7 @@ type sockDesc struct {
 	nonblock bool
 }
 
-func (d *sockDesc) Kind() DescKind { return KindSocket }
-func (d *sockDesc) RefMode() bool  { return d.ep.RefMode() }
-func (d *sockDesc) Seekable() bool { return false }
+func (d *sockDesc) RefMode() bool { return d.ep.RefMode() }
 
 // Endpoint exposes the underlying transport endpoint. EndpointOf unwraps.
 func (d *sockDesc) Endpoint() *netsim.Endpoint { return d.ep }
@@ -233,9 +231,7 @@ type listenDesc struct {
 	nonblock bool
 }
 
-func (d *listenDesc) Kind() DescKind { return KindListener }
-func (d *listenDesc) RefMode() bool  { return false }
-func (d *listenDesc) Seekable() bool { return false }
+func (d *listenDesc) RefMode() bool { return false }
 
 func (d *listenDesc) ReadAgg(p *sim.Proc, _ *Process, _ int64) (*core.Agg, error) {
 	return nil, ErrNotSupported

@@ -31,9 +31,7 @@ func NewTeeDesc(m *Machine, primary, secondary Desc) Desc {
 	return &teeDesc{m: m, primary: primary, secondary: secondary}
 }
 
-func (d *teeDesc) Kind() DescKind { return KindDevice }
-func (d *teeDesc) RefMode() bool  { return d.primary.RefMode() }
-func (d *teeDesc) Seekable() bool { return false }
+func (d *teeDesc) RefMode() bool { return d.primary.RefMode() }
 
 func (d *teeDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
 	return nil, ErrNotSupported

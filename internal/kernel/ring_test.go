@@ -1,4 +1,4 @@
-package uring
+package kernel
 
 import (
 	"bytes"
@@ -7,31 +7,31 @@ import (
 
 	"iolite/internal/core"
 	"iolite/internal/ipcsim"
-	"iolite/internal/kernel"
+	"iolite/internal/mem"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
 )
 
-// bed is one machine with a writer and reader process joined by a pipe.
-type bed struct {
+// ringBed is one machine with a writer and reader process joined by a pipe.
+type ringBed struct {
 	eng    *sim.Engine
-	m      *kernel.Machine
-	wr, rd *kernel.Process
+	m      *Machine
+	wr, rd *Process
 	rfd    int
 	wfd    int
 }
 
-func newBed(t *testing.T, mode ipcsim.Mode) *bed {
+func newRingBed(t *testing.T, mode ipcsim.Mode) *ringBed {
 	t.Helper()
 	eng := sim.New()
-	m := kernel.NewMachine(eng, sim.DefaultCosts(), kernel.Config{})
+	m := NewMachine(eng, sim.DefaultCosts(), Config{})
 	wr := m.NewProcess("writer", 1<<20)
 	rd := m.NewProcess("reader", 1<<20)
 	rfd, wfd := m.Pipe2(rd, wr, mode)
-	return &bed{eng: eng, m: m, wr: wr, rd: rd, rfd: rfd, wfd: wfd}
+	return &ringBed{eng: eng, m: m, wr: wr, rd: rd, rfd: rfd, wfd: wfd}
 }
 
-func doc(n int) []byte {
+func ringDoc(n int) []byte {
 	d := make([]byte, n)
 	for i := range d {
 		d[i] = byte(i*3 + 1)
@@ -43,9 +43,9 @@ func doc(n int) []byte {
 // through the ring cost exactly two charged syscalls (one Submit, one
 // Reap), where the direct path charges N.
 func TestSubmitBatchesSyscalls(t *testing.T) {
-	b := newBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, ipcsim.ModeRef)
 	const ops = 8
-	data := doc(2000) // ops × len(data) fits the pipe: no write blocks on drain
+	data := ringDoc(2000) // ops × len(data) fits the pipe: no write blocks on drain
 
 	var drained []byte
 	b.eng.Go("reader", func(p *sim.Proc) {
@@ -53,7 +53,7 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 		// own syscalls stay out of the machine-wide meter delta.
 		p.Sleep(sim.Duration(1e9))
 		for {
-			a, err := b.m.IOLRead(p, b.rd, b.rfd, kernel.MaxIO)
+			a, err := b.m.IOLRead(p, b.rd, b.rfd, MaxIO)
 			if err != nil {
 				return
 			}
@@ -62,14 +62,14 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 		}
 	})
 
-	var rung *Ring
-	var cqes []kernel.CQE
+	var rung *RingDesc
+	var cqes []CQE
 	var before, after int64
 	b.eng.Go("writer", func(p *sim.Proc) {
-		rung = New(b.m, b.wr)
+		rung = NewRingDesc(b.m, b.wr)
 		before = b.m.Costs.MeterSyscallCount()
 		for i := 0; i < ops; i++ {
-			rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, data))
+			rung.Prep(SQE{Op: OpIOLWrite, FD: b.wfd, Agg: core.PackBytes(p, b.wr.Pool, data), User: i})
 		}
 		if got := rung.Submit(p); got != ops {
 			t.Errorf("Submit accepted %d ops, want %d", got, ops)
@@ -88,7 +88,7 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 	}
 	for _, cqe := range cqes {
 		if cqe.Err != nil {
-			t.Errorf("token %d: unexpected error %v", cqe.Token, cqe.Err)
+			t.Errorf("op %v: unexpected error %v", cqe.User, cqe.Err)
 		}
 	}
 	if len(drained) != ops*len(data) {
@@ -102,12 +102,12 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 // TestPerOpErrors: one bad entry in a batch fails alone; its neighbors
 // complete normally, exactly as if each had been its own syscall.
 func TestPerOpErrors(t *testing.T) {
-	b := newBed(t, ipcsim.ModeRef)
-	data := doc(500)
+	b := newRingBed(t, ipcsim.ModeRef)
+	data := ringDoc(500)
 
 	b.eng.Go("reader", func(p *sim.Proc) {
 		for {
-			a, err := b.m.IOLRead(p, b.rd, b.rfd, kernel.MaxIO)
+			a, err := b.m.IOLRead(p, b.rd, b.rfd, MaxIO)
 			if err != nil {
 				return
 			}
@@ -115,28 +115,96 @@ func TestPerOpErrors(t *testing.T) {
 		}
 	})
 
-	var byToken map[uint64]kernel.CQE
-	var good1, bad, good2 uint64
+	var byUser map[string]CQE
 	b.eng.Go("writer", func(p *sim.Proc) {
-		rung := New(b.m, b.wr)
-		good1 = rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, data))
-		bad = rung.PrepIOLWrite(999, core.PackBytes(p, b.wr.Pool, data))
-		good2 = rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, data))
+		rung := NewRingDesc(b.m, b.wr)
+		rung.Prep(SQE{Op: OpIOLWrite, FD: b.wfd, Agg: core.PackBytes(p, b.wr.Pool, data), User: "good1"})
+		rung.Prep(SQE{Op: OpIOLWrite, FD: 999, Agg: core.PackBytes(p, b.wr.Pool, data), User: "bad"})
+		rung.Prep(SQE{Op: OpIOLWrite, FD: b.wfd, Agg: core.PackBytes(p, b.wr.Pool, data), User: "good2"})
 		rung.Submit(p)
-		byToken = map[uint64]kernel.CQE{}
+		byUser = map[string]CQE{}
 		for _, cqe := range rung.Reap(p, 3) {
-			byToken[cqe.Token] = cqe
+			byUser[cqe.User.(string)] = cqe
 		}
 		b.m.Close(p, b.wr, b.wfd)
 	})
 	b.eng.Run()
 
-	if err := byToken[bad].Err; !errors.Is(err, kernel.ErrBadFD) {
+	if err := byUser["bad"].Err; !errors.Is(err, ErrBadFD) {
 		t.Errorf("bad-fd op: err = %v, want ErrBadFD", err)
 	}
-	for _, tok := range []uint64{good1, good2} {
-		if err := byToken[tok].Err; err != nil {
-			t.Errorf("good op %d: err = %v, want nil", tok, err)
+	for _, user := range []string{"good1", "good2"} {
+		if err := byUser[user].Err; err != nil {
+			t.Errorf("good op %s: err = %v, want nil", user, err)
+		}
+	}
+}
+
+// TestCompletionCarriesOpAndUser: every completion hands back its entry's
+// Op and User — a success, a per-op error, and an entry a closed ring
+// refused alike — and the refused write's payload is released.
+func TestCompletionCarriesOpAndUser(t *testing.T) {
+	b := newRingBed(t, ipcsim.ModeRef)
+
+	b.eng.Go("reader", func(p *sim.Proc) {
+		for {
+			a, err := b.m.IOLRead(p, b.rd, b.rfd, MaxIO)
+			if err != nil {
+				return
+			}
+			a.Release()
+		}
+	})
+
+	byUser := map[string]CQE{}
+	var refused []core.Slice
+	b.eng.Go("writer", func(p *sim.Proc) {
+		rung := NewRingDesc(b.m, b.wr)
+		rung.Prep(SQE{Op: OpWritePOSIX, FD: b.wfd, Buf: ringDoc(100), User: "ok"})
+		rung.Prep(SQE{Op: OpIOLWrite, FD: 999, Agg: core.PackBytes(p, b.wr.Pool, ringDoc(100)), User: "badfd"})
+		rung.Submit(p)
+		cqes := rung.Reap(p, 2)
+		rung.Close(p)
+		// Larger than a chunk, the payload gets buffers of its own, so
+		// their counts show whether the closed ring released it.
+		big := core.PackBytes(p, b.wr.Pool, ringDoc(mem.ChunkSize+1))
+		refused = big.Slices()
+		rung.Prep(SQE{Op: OpIOLWrite, FD: b.wfd, Agg: big, User: "closed"})
+		rung.Submit(p)
+		for _, cqe := range append(cqes, rung.Reap(p, 1)...) {
+			byUser[cqe.User.(string)] = cqe
+		}
+		b.m.Close(p, b.wr, b.wfd)
+	})
+	b.eng.Run()
+
+	for _, want := range []struct {
+		user string
+		op   RingOp
+		err  error
+	}{
+		{"ok", OpWritePOSIX, nil},
+		{"badfd", OpIOLWrite, ErrBadFD},
+		{"closed", OpIOLWrite, ErrClosed},
+	} {
+		cqe, ok := byUser[want.user]
+		if !ok {
+			t.Errorf("%s: no completion carried User %q", want.user, want.user)
+			continue
+		}
+		if cqe.Op != want.op || !errors.Is(cqe.Err, want.err) {
+			t.Errorf("%s: completion (%v, %v), want (%v, %v)", want.user, cqe.Op, cqe.Err, want.op, want.err)
+		}
+	}
+	if len(byUser) != 3 {
+		t.Errorf("reaped %d distinct completions, want 3", len(byUser))
+	}
+	if len(refused) < 2 {
+		t.Fatalf("refused payload has %d buffers, want one per chunk", len(refused))
+	}
+	for _, s := range refused {
+		if s.Buf.Refs() != 0 {
+			t.Errorf("refused payload buffer %d still holds %d refs", s.Buf.ID(), s.Buf.Refs())
 		}
 	}
 }
@@ -145,11 +213,11 @@ func TestPerOpErrors(t *testing.T) {
 // closed between Submit and execution completes with ErrBadFD instead of
 // writing through a stale table entry.
 func TestCloseBeforeReap(t *testing.T) {
-	b := newBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, ipcsim.ModeRef)
 
 	b.eng.Go("writer", func(p *sim.Proc) {
-		rung := New(b.m, b.wr)
-		rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, doc(100)))
+		rung := NewRingDesc(b.m, b.wr)
+		rung.Prep(SQE{Op: OpIOLWrite, FD: b.wfd, Agg: core.PackBytes(p, b.wr.Pool, ringDoc(100))})
 		rung.Submit(p)
 		// The worker has not run yet: its first dispatch is an event, and
 		// this process hasn't parked since Submit queued the op. Close with
@@ -160,7 +228,7 @@ func TestCloseBeforeReap(t *testing.T) {
 		if len(cqes) != 1 {
 			t.Fatalf("reaped %d completions, want 1", len(cqes))
 		}
-		if !errors.Is(cqes[0].Err, kernel.ErrBadFD) {
+		if !errors.Is(cqes[0].Err, ErrBadFD) {
 			t.Errorf("close-before-exec: err = %v, want ErrBadFD", cqes[0].Err)
 		}
 	})
@@ -171,13 +239,13 @@ func TestCloseBeforeReap(t *testing.T) {
 // when the original closes first — the open-file entry is shared, like
 // POSIX dup(2), and only the last reference tears it down.
 func TestDupSurvivesClose(t *testing.T) {
-	b := newBed(t, ipcsim.ModeRef)
-	data := doc(300)
+	b := newRingBed(t, ipcsim.ModeRef)
+	data := ringDoc(300)
 
 	var got []byte
 	b.eng.Go("reader", func(p *sim.Proc) {
 		for {
-			a, err := b.m.IOLRead(p, b.rd, b.rfd, kernel.MaxIO)
+			a, err := b.m.IOLRead(p, b.rd, b.rfd, MaxIO)
 			if err != nil {
 				return
 			}
@@ -191,8 +259,8 @@ func TestDupSurvivesClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Dup: %v", err)
 		}
-		rung := New(b.m, b.wr)
-		rung.PrepIOLWrite(dupfd, core.PackBytes(p, b.wr.Pool, data))
+		rung := NewRingDesc(b.m, b.wr)
+		rung.Prep(SQE{Op: OpIOLWrite, FD: dupfd, Agg: core.PackBytes(p, b.wr.Pool, data)})
 		rung.Submit(p)
 		b.m.Close(p, b.wr, b.wfd) // original fd gone; entry lives via dup
 		cqes := rung.Reap(p, 1)
@@ -211,9 +279,9 @@ func TestDupSurvivesClose(t *testing.T) {
 // TestReadCoalescing: deliveries already queued when a ring read executes
 // fold into one completion — the receive-side half of the economy.
 func TestReadCoalescing(t *testing.T) {
-	b := newBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, ipcsim.ModeRef)
 	const chunks = 6
-	chunk := doc(1000)
+	chunk := ringDoc(1000)
 
 	b.eng.Go("writer", func(p *sim.Proc) {
 		for i := 0; i < chunks; i++ {
@@ -227,8 +295,8 @@ func TestReadCoalescing(t *testing.T) {
 	b.eng.Go("reader", func(p *sim.Proc) {
 		// Let every chunk land in the pipe before the ring read runs.
 		p.Sleep(sim.Duration(1e9))
-		rung := New(b.m, b.rd)
-		rung.PrepIOLRead(b.rfd, kernel.MaxIO)
+		rung := NewRingDesc(b.m, b.rd)
+		rung.Prep(SQE{Op: OpIOLRead, FD: b.rfd, N: MaxIO})
 		rung.Submit(p)
 		cqes := rung.Reap(p, 1)
 		if len(cqes) != 1 || cqes[0].Err != nil {
@@ -250,7 +318,7 @@ func TestPollerListenerBacklog(t *testing.T) {
 	const dials = 3
 	eng := sim.New()
 	costs := sim.DefaultCosts()
-	m := kernel.NewMachine(eng, costs, kernel.Config{HostName: "server"})
+	m := NewMachine(eng, costs, Config{HostName: "server"})
 	pr := m.NewProcess("srv", 1<<20)
 	client := netsim.NewHost(eng, costs, "client", false, nil, nil)
 	link := netsim.NewLink(eng, client, m.Host, 100_000_000, sim.Duration(1e6))
@@ -268,18 +336,18 @@ func TestPollerListenerBacklog(t *testing.T) {
 		if err := m.SetNonblock(p, pr, lfd, true); err != nil {
 			t.Fatalf("SetNonblock: %v", err)
 		}
-		po := kernel.NewReadyDesc(m, pr)
+		po := NewReadyDesc(m, pr)
 		pr.Install(po)
-		if err := po.Watch(lfd, kernel.Acceptable); err != nil {
+		if err := po.Watch(lfd, Acceptable); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 		evs := po.Wait(p)
-		if len(evs) != 1 || evs[0].FD != lfd || evs[0].Ready&kernel.Acceptable == 0 {
+		if len(evs) != 1 || evs[0].FD != lfd || evs[0].Ready&Acceptable == 0 {
 			t.Fatalf("Wait = %+v, want one Acceptable event on %d", evs, lfd)
 		}
 		for {
 			fd, err := m.Accept(p, pr, lfd)
-			if errors.Is(err, kernel.ErrAgain) {
+			if errors.Is(err, ErrAgain) {
 				break
 			}
 			if err != nil {
@@ -302,7 +370,7 @@ func TestRingAccept(t *testing.T) {
 	const dials = 2
 	eng := sim.New()
 	costs := sim.DefaultCosts()
-	m := kernel.NewMachine(eng, costs, kernel.Config{HostName: "server"})
+	m := NewMachine(eng, costs, Config{HostName: "server"})
 	pr := m.NewProcess("srv", 1<<20)
 	client := netsim.NewHost(eng, costs, "client", false, nil, nil)
 	link := netsim.NewLink(eng, client, m.Host, 100_000_000, sim.Duration(1e6))
@@ -317,9 +385,9 @@ func TestRingAccept(t *testing.T) {
 
 	var fds []int
 	eng.Go("srv", func(p *sim.Proc) {
-		rung := New(m, pr)
+		rung := NewRingDesc(m, pr)
 		for i := 0; i < dials; i++ {
-			rung.PrepAccept(lfd)
+			rung.Prep(SQE{Op: OpAccept, FD: lfd})
 		}
 		rung.Submit(p)
 		for _, cqe := range rung.Reap(p, dials) {
@@ -330,8 +398,10 @@ func TestRingAccept(t *testing.T) {
 			fds = append(fds, int(cqe.Res))
 		}
 		for _, fd := range fds {
-			if d, err := pr.Desc(fd); err != nil || d.Kind() != kernel.KindSocket {
-				t.Errorf("fd %d: not an open socket (%v)", fd, err)
+			if d, err := pr.Desc(fd); err != nil {
+				t.Errorf("fd %d: not open (%v)", fd, err)
+			} else if _, ok := EndpointOf(d); !ok {
+				t.Errorf("fd %d: not a socket", fd)
 			}
 		}
 	})
@@ -342,15 +412,15 @@ func TestRingAccept(t *testing.T) {
 	}
 }
 
-// TestPollerRingNesting: a readiness descriptor watching a Ring's fd sees
+// TestPollerRingNesting: a readiness descriptor watching a ring's fd sees
 // it become readable when completions land — the wiring the httpd event
 // loop runs on.
 func TestPollerRingNesting(t *testing.T) {
-	b := newBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, ipcsim.ModeRef)
 
 	b.eng.Go("reader", func(p *sim.Proc) {
 		for {
-			a, err := b.m.IOLRead(p, b.rd, b.rfd, kernel.MaxIO)
+			a, err := b.m.IOLRead(p, b.rd, b.rfd, MaxIO)
 			if err != nil {
 				return
 			}
@@ -359,16 +429,17 @@ func TestPollerRingNesting(t *testing.T) {
 	})
 
 	b.eng.Go("writer", func(p *sim.Proc) {
-		rung := New(b.m, b.wr)
-		po := kernel.NewReadyDesc(b.m, b.wr)
+		rung := NewRingDesc(b.m, b.wr)
+		ringFD := b.wr.Install(rung)
+		po := NewReadyDesc(b.m, b.wr)
 		b.wr.Install(po)
-		if err := po.Watch(rung.FD(), kernel.Readable); err != nil {
+		if err := po.Watch(ringFD, Readable); err != nil {
 			t.Fatalf("Add(ring): %v", err)
 		}
-		rung.PrepIOLWrite(b.wfd, core.PackBytes(p, b.wr.Pool, doc(100)))
+		rung.Prep(SQE{Op: OpIOLWrite, FD: b.wfd, Agg: core.PackBytes(p, b.wr.Pool, ringDoc(100))})
 		rung.Submit(p)
 		evs := po.Wait(p)
-		if len(evs) != 1 || evs[0].FD != rung.FD() {
+		if len(evs) != 1 || evs[0].FD != ringFD {
 			t.Fatalf("Wait = %+v, want ring fd readable", evs)
 		}
 		if cqes := rung.Reap(p, 1); len(cqes) != 1 || cqes[0].Err != nil {

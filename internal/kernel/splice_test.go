@@ -164,7 +164,7 @@ func TestAggDescReadSeekSplice(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		fd := pr.Install(NewAggDesc(m, core.PackBytes(p, pr.Pool, payload)))
 		d, _ := pr.Desc(fd)
-		if d.Kind() != KindObject || !d.RefMode() || !d.Seekable() {
+		if _, err := d.Seek(0, io.SeekStart); err != nil || !d.RefMode() {
 			t.Fatal("object descriptor capabilities wrong")
 		}
 		// Positional IOL_read does not move the cursor.

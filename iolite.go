@@ -65,8 +65,6 @@ type (
 	// Desc is the vnode-style descriptor interface behind every fd;
 	// implement it and Process.Install it to add new descriptor kinds.
 	Desc = kernel.Desc
-	// DescKind names a descriptor's flavor.
-	DescKind = kernel.DescKind
 	// LimitConfig configures a rate-limiting descriptor (bytes/sec,
 	// burst, optionally a shared TokenBucket).
 	LimitConfig = kernel.LimitConfig
@@ -85,15 +83,6 @@ const (
 // one call can yield".
 const MaxIO = kernel.MaxIO
 
-// Descriptor kinds.
-const (
-	KindFile     = kernel.KindFile
-	KindPipe     = kernel.KindPipe
-	KindSocket   = kernel.KindSocket
-	KindListener = kernel.KindListener
-	KindObject   = kernel.KindObject
-)
-
 // Descriptor-layer errors. End of stream is io.EOF.
 var (
 	ErrBadFD        = kernel.ErrBadFD
@@ -108,8 +97,8 @@ var (
 // PipeOf returns the pipe behind a pipe descriptor (for Stats).
 func PipeOf(d Desc) (*Pipe, bool) { return kernel.PipeOf(d) }
 
-// NewAggDesc wraps a sealed aggregate as a read-only object descriptor
-// (KindObject): install it with Process.Install and serve it with the
+// NewAggDesc wraps a sealed aggregate as a read-only object descriptor:
+// install it with Process.Install and serve it with the
 // splice fast path — System.Splice/SpliceAt move sealed buffer references
 // from files, sockets, ref-mode pipes, and objects to sockets and pipes
 // entirely in-kernel, with zero copy charge.

@@ -146,10 +146,6 @@ func TestSystemSpliceFileToPipe(t *testing.T) {
 		}
 		obj := core.PackBytes(p, app.Pool, []byte("sealed"))
 		ofd := app.Install(sys.NewAggDesc(obj))
-		d, _ := app.Desc(ofd)
-		if d.Kind() != KindObject {
-			t.Fatalf("Kind = %v, want object", d.Kind())
-		}
 		if moved, err := sys.SpliceAt(p, app, wfd, ofd, 0, MaxIO); err != nil || moved != 6 {
 			t.Fatalf("SpliceAt object: moved=%d err=%v", moved, err)
 		}
