@@ -5,6 +5,7 @@
 // Usage:
 //
 //	webbench -fig 3          # one figure
+//	webbench -fig 13 -quick  # the converted-application suite (wc, grep, permute, gcc)
 //	webbench -fig proxy      # the reverse-proxy tier comparison
 //	webbench -fig fcgi       # the fcgi worker-pool scaling study
 //	webbench -fig fcginet    # fcgi worker placement: the LAN-tax study

@@ -17,20 +17,21 @@ import (
 
 	"iolite"
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 )
 
-func run(mode ipcsim.Mode) {
+// run serves the document over a reference-mode pipe when ref is set, a
+// copy-mode one otherwise.
+func run(ref bool) {
 	sys := iolite.NewSystem(iolite.SystemConfig{})
 	cgi := sys.NewProcess("cgi", 1<<20)
 	srv := sys.NewProcess("server", 1<<20)
-	rfd, wfd := sys.Pipe2(srv, cgi, mode)
+	rfd, wfd := sys.Pipe2(srv, cgi, ref)
 
 	doc := bytes.Repeat([]byte("<li>dynamic item</li>\n"), 3000) // ~64 KB
 	const requests = 5
 
 	label := "copy-mode pipe (conventional)"
-	if mode == iolite.PipeRef {
+	if ref {
 		label = "reference-mode pipe (IO-Lite)"
 	}
 
@@ -39,7 +40,7 @@ func run(mode ipcsim.Mode) {
 	sys.Go("cgi", func(p *iolite.Proc) {
 		var cached *core.Agg // the caching CGI program of §3.10
 		for i := 0; i < requests; i++ {
-			if mode == iolite.PipeCopy {
+			if !ref {
 				sys.WritePOSIX(p, cgi, wfd, doc)
 				continue
 			}
@@ -55,7 +56,7 @@ func run(mode ipcsim.Mode) {
 	var received, bad int
 	sys.Go("server", func(p *iolite.Proc) {
 		for {
-			if mode == iolite.PipeCopy {
+			if !ref {
 				// The byte stream has no message boundaries: read exactly
 				// one document's worth.
 				buf := make([]byte, 0, len(doc))
@@ -92,8 +93,7 @@ func run(mode ipcsim.Mode) {
 			received++
 		}
 		d, _ := srv.Desc(rfd)
-		pipe, _ := iolite.PipeOf(d)
-		moved, copied, _ := pipe.Stats()
+		moved, copied, _, _ := iolite.PipeStats(d)
 		fmt.Printf("%-34s %d docs, %d KB moved, %d KB copied, CPU busy %v (corrupt: %d)\n",
 			label, received, moved>>10, copied>>10, sys.CPU().BusyTime(), bad)
 	})
@@ -102,8 +102,8 @@ func run(mode ipcsim.Mode) {
 
 func main() {
 	fmt.Println("A CGI process serves the same cached document 5 times over a pipe:")
-	run(iolite.PipeCopy)
-	run(iolite.PipeRef)
+	run(false)
+	run(true)
 	fmt.Println("\nReference mode moves the same bytes with zero copies — the dynamic-content")
 	fmt.Println("path keeps full fault isolation (separate pools/ACLs) at library-API speed.")
 }

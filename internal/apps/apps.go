@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/sim"
 )
@@ -169,11 +168,7 @@ outer:
 func CatGrep(m *kernel.Machine, v Variant, fileName string, pattern []byte) GrepResult {
 	catPr := m.NewProcess("cat", 1<<20)
 	grepPr := m.NewProcess("grep", 1<<20)
-	mode := ipcsim.ModeCopy
-	if v == IOLite {
-		mode = ipcsim.ModeRef
-	}
-	rfd, wfd := m.Pipe2(grepPr, catPr, mode)
+	rfd, wfd := m.Pipe2(grepPr, catPr, v == IOLite)
 	var res GrepResult
 	var t0 sim.Time
 
@@ -277,11 +272,7 @@ type PermuteResult struct {
 func Permute(m *kernel.Machine, v Variant, totalBytes int64) PermuteResult {
 	genPr := m.NewProcess("permute", 1<<20)
 	wcPr := m.NewProcess("wc", 1<<20)
-	mode := ipcsim.ModeCopy
-	if v == IOLite {
-		mode = ipcsim.ModeRef
-	}
-	rfd, wfd := m.Pipe2(wcPr, genPr, mode)
+	rfd, wfd := m.Pipe2(wcPr, genPr, v == IOLite)
 	var res PermuteResult
 	t0 := m.Eng.Now()
 
@@ -372,12 +363,8 @@ func GCC(m *kernel.Machine, v Variant, fileNames []string) GCCResult {
 	cppPr := m.NewProcess("cpp", 1<<20)
 	cc1Pr := m.NewProcess("cc1", 2<<20)
 	asPr := m.NewProcess("as", 1<<20)
-	mode := ipcsim.ModeCopy
-	if v == IOLite {
-		mode = ipcsim.ModeRef
-	}
-	cc1In, cppOut := m.Pipe2(cc1Pr, cppPr, mode)
-	asIn, cc1Out := m.Pipe2(asPr, cc1Pr, mode)
+	cc1In, cppOut := m.Pipe2(cc1Pr, cppPr, v == IOLite)
+	asIn, cc1Out := m.Pipe2(asPr, cc1Pr, v == IOLite)
 	var res GCCResult
 	t0 := m.Eng.Now()
 

@@ -80,9 +80,7 @@ func (m WireMode) String() string {
 // Conn frames records over one fd pair: rfd is the inbound record stream,
 // wfd the outbound one, both fds in process pr's table (a full-duplex
 // socket channel passes the same fd twice). Each direction follows its
-// own WireMode; NewConn infers modes from the descriptors (ref pipes
-// frame by aggregate, everything else by serialized bytes) and
-// NewConnModes lets a Transport pick explicitly.
+// own WireMode, which the Transport picks.
 type Conn struct {
 	m  *kernel.Machine
 	pr *kernel.Process
@@ -135,26 +133,12 @@ type Conn struct {
 	writeErrs       int64
 }
 
-// NewConn wraps the fd pair as a record stream, inferring each
-// direction's wire mode from the descriptor behind the fd (RefMode): a
-// Conn over reference pipes frames by aggregate and a Conn over
-// conventional pipes frames by serialized bytes, with no configuration.
-func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int) *Conn {
-	rmode, wmode := WireCopy, WireCopy
-	if d, err := pr.Desc(rfd); err == nil && d.RefMode() {
-		rmode = WireRef
-	}
-	if d, err := pr.Desc(wfd); err == nil && d.RefMode() {
-		wmode = WireRef
-	}
-	return NewConnModes(m, pr, rfd, wfd, id, rmode, wmode)
-}
-
-// NewConnModes wraps the fd pair with explicit per-direction wire modes —
-// the constructor Transports use, since only the transport knows whether
-// a socket stays on-machine (WireRef keeps references) or crosses to
-// another one (WireBoundary must degrade to the single boundary copy).
-func NewConnModes(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int, rmode, wmode WireMode) *Conn {
+// NewConn wraps the fd pair as a record stream with explicit
+// per-direction wire modes. The transport picks them, since only it knows
+// whether a pipe passes references, or whether a socket stays on-machine
+// (WireRef keeps references) or crosses to another one (WireBoundary must
+// degrade to the single boundary copy).
+func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int, rmode, wmode WireMode) *Conn {
 	c := &Conn{m: m, pr: pr, rfd: rfd, wfd: wfd, id: id, rmode: rmode, wmode: wmode}
 	if d, err := pr.Desc(wfd); err == nil {
 		c.corkable = kernel.Corkable(d)
@@ -178,9 +162,6 @@ func (c *Conn) StallTime() sim.Duration {
 
 // ID returns the connection's diagnostic id.
 func (c *Conn) ID() int { return c.id }
-
-// RefMode reports whether outbound payloads travel by reference.
-func (c *Conn) RefMode() bool { return c.wmode == WireRef }
 
 // Stats reports records received, records sent, and write errors (the
 // peer's end of the outbound channel was gone — the simulated EPIPE).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/sim"
 )
@@ -72,14 +71,14 @@ func TestConnFramesRecordsBothModes(t *testing.T) {
 		t.Run(fmt.Sprintf("ref=%v", ref), func(t *testing.T) {
 			b := newBed()
 			other := b.m.NewProcess("peer", 1<<20)
-			mode := ipcsim.ModeCopy
+			wire := WireCopy
 			if ref {
-				mode = ipcsim.ModeRef
+				wire = WireRef
 			}
-			rfd, wfd := b.m.Pipe2(b.srv, other, mode)
-			back, backW := b.m.Pipe2(other, b.srv, mode)
-			sc := NewConn(b.m, b.srv, rfd, backW, 0)
-			oc := NewConn(b.m, other, back, wfd, 0)
+			rfd, wfd := b.m.Pipe2(b.srv, other, ref)
+			back, backW := b.m.Pipe2(other, b.srv, ref)
+			sc := NewConn(b.m, b.srv, rfd, backW, 0, wire, wire)
+			oc := NewConn(b.m, other, back, wfd, 0, wire, wire)
 
 			payload := doc(100_000) // several copy-mode pipe buffers
 			b.eng.Go("peer", func(p *sim.Proc) {
@@ -153,10 +152,10 @@ func TestPoolServesRequestsBothModes(t *testing.T) {
 func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
 	b := newBed()
 	worker := b.m.NewProcess("worker", 1<<20)
-	reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeRef)
-	respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeRef)
-	wconn := NewConn(b.m, worker, reqR, respW, 0)
-	sconn := NewConn(b.m, b.srv, respR, reqW, 0)
+	reqR, reqW := b.m.Pipe2(worker, b.srv, true)
+	respR, respW := b.m.Pipe2(b.srv, worker, true)
+	wconn := NewConn(b.m, worker, reqR, respW, 0, WireRef, WireRef)
+	sconn := NewConn(b.m, b.srv, respR, reqW, 0, WireRef, WireRef)
 
 	var served []byte
 	b.eng.Go("worker", func(p *sim.Proc) {
@@ -211,15 +210,15 @@ func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
 func TestConnThroughTee(t *testing.T) {
 	b := newBed()
 	other := b.m.NewProcess("peer", 1<<20)
-	rfd, wfd := b.m.Pipe2(b.srv, other, ipcsim.ModeRef)
+	rfd, wfd := b.m.Pipe2(b.srv, other, true)
 	wdesc, err := other.Desc(wfd)
 	if err != nil {
 		t.Fatalf("Desc: %v", err)
 	}
 	null := kernel.NewNullDesc(b.m)
 	tfd := other.Install(kernel.NewTeeDesc(b.m, wdesc, null))
-	oc := NewConn(b.m, other, -1, tfd, 0)
-	sc := NewConn(b.m, b.srv, rfd, -1, 0)
+	oc := NewConn(b.m, other, -1, tfd, 0, WireCopy, WireRef)
+	sc := NewConn(b.m, b.srv, rfd, -1, 0, WireRef, WireCopy)
 
 	payload := doc(5000)
 	b.eng.Go("peer", func(p *sim.Proc) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
@@ -70,12 +69,12 @@ func TestMuxInterleavesConcurrentRequests(t *testing.T) {
 func TestMuxWorkerCrashMidRecord(t *testing.T) {
 	b := newBed()
 	worker := b.m.NewProcess("worker", 1<<20)
-	reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeCopy)
-	respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeCopy)
-	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0), 4)
+	reqR, reqW := b.m.Pipe2(worker, b.srv, false)
+	respR, respW := b.m.Pipe2(b.srv, worker, false)
+	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0, WireCopy, WireCopy), 4)
 
 	b.eng.Go("worker", func(p *sim.Proc) {
-		c := NewConn(b.m, worker, reqR, respW, 0)
+		c := NewConn(b.m, worker, reqR, respW, 0, WireCopy, WireCopy)
 		// Drain the request records, then emit a record header promising
 		// 5000 payload bytes, deliver half, and die.
 		for i := 0; i < 2; i++ {
@@ -120,13 +119,13 @@ func TestMuxFailWakesInRequestOrder(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		b := newBed()
 		worker := b.m.NewProcess("worker", 1<<20)
-		reqR, reqW := b.m.Pipe2(worker, b.srv, ipcsim.ModeCopy)
-		respR, respW := b.m.Pipe2(b.srv, worker, ipcsim.ModeCopy)
-		mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0), n)
+		reqR, reqW := b.m.Pipe2(worker, b.srv, false)
+		respR, respW := b.m.Pipe2(b.srv, worker, false)
+		mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0, WireCopy, WireCopy), n)
 
 		b.eng.Go("worker", func(p *sim.Proc) {
 			// Accept every request (BEGIN + PARAMS each), answer none, die.
-			c := NewConn(b.m, worker, reqR, respW, 0)
+			c := NewConn(b.m, worker, reqR, respW, 0, WireCopy, WireCopy)
 			for i := 0; i < 2*n; i++ {
 				if _, err := c.ReadRecord(p); err != nil {
 					t.Errorf("worker read: %v", err)

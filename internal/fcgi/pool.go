@@ -298,9 +298,6 @@ func (wp *WorkerPool) superviseRespawn(dead *Worker) {
 // state). Respawned slots hold fresh *Worker values.
 func (wp *WorkerPool) Workers() []*Worker { return wp.workers }
 
-// Transport returns the transport the pool's channels ride on.
-func (wp *WorkerPool) Transport() Transport { return wp.transport }
-
 // pick selects the live worker with the fewest in-flight requests,
 // breaking ties round-robin so sequential loads still warm every worker
 // over time. A tenant-tagged request compares the tenant's own in-flight

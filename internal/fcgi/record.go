@@ -7,8 +7,8 @@
 // BEGIN/PARAMS/STDIN/STDOUT/END records interleaved on the stream and
 // demultiplexed by request id on both ends.
 //
-// Records carry their payload in one of two modes, chosen per pipe by the
-// pipe's own mode (the descriptor layer's RefMode):
+// Records carry their payload in one of two modes, chosen per direction
+// by the transport that wires the channel (a Conn's WireMode):
 //
 //   - copy mode: header and payload bytes are serialized into the pipe's
 //     kernel FIFO (the conventional FastCGI wire format, one copy in and

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
@@ -43,21 +42,17 @@ func newSockBed(remote bool) *sockBed {
 func (sb *sockBed) conns(ref bool, respWire WireMode) (srvConn, wkrConn *Conn) {
 	opts := netsim.ConnOpts{ServerRefMode: ref}
 	sfd, wfd := kernel.SocketPair(sb.b.m, sb.b.srv, sb.wm, sb.wpr, sb.link, opts)
-	wkrConn = NewConnModes(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
-	srvConn = NewConnModes(sb.b.m, sb.b.srv, sfd, sfd, 0, respWire, WireCopy)
+	wkrConn = NewConn(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
+	srvConn = NewConn(sb.b.m, sb.b.srv, sfd, sfd, 0, respWire, WireCopy)
 	return srvConn, wkrConn
 }
 
 // pipeConns is conns over a pipe between the two processes of a local
 // bed: a reference pipe for WireRef, a copy pipe for WireCopy.
 func (sb *sockBed) pipeConns(respWire WireMode) (srvConn, wkrConn *Conn) {
-	mode := ipcsim.ModeCopy
-	if respWire == WireRef {
-		mode = ipcsim.ModeRef
-	}
-	rfd, wfd := sb.b.m.Pipe2(sb.b.srv, sb.wpr, mode)
-	wkrConn = NewConnModes(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
-	srvConn = NewConnModes(sb.b.m, sb.b.srv, rfd, rfd, 0, respWire, WireCopy)
+	rfd, wfd := sb.b.m.Pipe2(sb.b.srv, sb.wpr, respWire == WireRef)
+	wkrConn = NewConn(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
+	srvConn = NewConn(sb.b.m, sb.b.srv, rfd, rfd, 0, respWire, WireCopy)
 	return srvConn, wkrConn
 }
 
@@ -224,9 +219,6 @@ func TestPoolServesOverEveryTransport(t *testing.T) {
 						req.ReplyBytes(p, body, uint32(len(req.Params)))
 					},
 				})
-				if got := pool.Transport().Label(); got != name {
-					t.Errorf("transport label = %q, want %q", got, name)
-				}
 				done := 0
 				for i := 0; i < 6; i++ {
 					i := i

@@ -3,7 +3,6 @@ package fcgi
 import (
 	"time"
 
-	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/netsim"
 )
@@ -101,15 +100,9 @@ type Channel struct {
 }
 
 // Transport produces worker channels for a pool: dial/accept a framed fd
-// pair plus the payload-mode capabilities each direction supports.
+// pair, with each direction's wire mode picked from what the channel
+// supports.
 type Transport interface {
-	// Label names the transport in figures and stats
-	// ("pipe", "sock-local", "sock-remote").
-	Label() string
-	// RefPayloads reports whether a ref-requested pool's response
-	// payloads cross the channel by reference (zero payload copies).
-	// False means they degrade to copies at the machine boundary.
-	RefPayloads() bool
 	// Connect establishes one worker channel: it creates the worker
 	// process and wires a framed channel between it and the pool's
 	// server process. id labels the channel; name names the worker
@@ -136,23 +129,20 @@ func NewPipeTransport(m *kernel.Machine, server *kernel.Process, ref bool) *Pipe
 	return &PipeTransport{M: m, Server: server, Ref: ref}
 }
 
-func (t *PipeTransport) Label() string     { return "pipe" }
-func (t *PipeTransport) RefPayloads() bool { return t.Ref }
-
 func (t *PipeTransport) Connect(id int, name string) Channel {
 	m := t.M
 	wp := m.NewProcess(name, workerMem)
-	respPipe, respWire := ipcsim.ModeCopy, WireCopy
+	respWire := WireCopy
 	if t.Ref {
-		respPipe, respWire = ipcsim.ModeRef, WireRef
+		respWire = WireRef
 	}
-	reqR, reqW := m.Pipe2(wp, t.Server, ipcsim.ModeCopy)
-	respR, respW := m.Pipe2(t.Server, wp, respPipe)
+	reqR, reqW := m.Pipe2(wp, t.Server, false)
+	respR, respW := m.Pipe2(t.Server, wp, t.Ref)
 	return Channel{
 		WorkerM:    m,
 		WorkerProc: wp,
-		WorkerConn: NewConnModes(m, wp, reqR, respW, id, WireCopy, respWire),
-		ServerConn: NewConnModes(m, t.Server, respR, reqW, id, respWire, WireCopy),
+		WorkerConn: NewConn(m, wp, reqR, respW, id, WireCopy, respWire),
+		ServerConn: NewConn(m, t.Server, respR, reqW, id, respWire, WireCopy),
 	}
 }
 
@@ -233,15 +223,6 @@ func (t *SocketTransport) Window() int {
 // pool's server process.
 func (t *SocketTransport) Remote() bool { return t.WorkerMachine != t.M }
 
-func (t *SocketTransport) Label() string {
-	if t.Remote() {
-		return "sock-remote"
-	}
-	return "sock-local"
-}
-
-func (t *SocketTransport) RefPayloads() bool { return t.Ref && !t.Remote() }
-
 func (t *SocketTransport) Connect(id int, name string) Channel {
 	wm := t.WorkerMachine
 	wp := wm.NewProcess(name, workerMem)
@@ -260,7 +241,7 @@ func (t *SocketTransport) Connect(id int, name string) Channel {
 	return Channel{
 		WorkerM:    wm,
 		WorkerProc: wp,
-		WorkerConn: NewConnModes(wm, wp, wfd, wfd, id, WireCopy, respWire),
-		ServerConn: NewConnModes(t.M, t.Server, sfd, sfd, id, respWire, WireCopy),
+		WorkerConn: NewConn(wm, wp, wfd, wfd, id, WireCopy, respWire),
+		ServerConn: NewConn(t.M, t.Server, sfd, sfd, id, respWire, WireCopy),
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"iolite/internal/core"
 	"iolite/internal/fsim"
-	"iolite/internal/ipcsim"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
 )
@@ -25,8 +24,8 @@ var (
 	// ErrBadFD reports an fd that is not open in the process's table.
 	ErrBadFD = errors.New("kernel: bad file descriptor")
 	// ErrClosed reports I/O on a descriptor whose endpoint has been shut
-	// down (e.g. writing a pipe after CloseWrite, sending on a closing
-	// socket).
+	// down (e.g. writing a pipe whose reader has closed, sending on a
+	// closing socket).
 	ErrClosed = errors.New("kernel: I/O on closed descriptor")
 	// ErrNotSupported reports an operation the descriptor kind cannot
 	// perform (e.g. Seek on a pipe, data I/O on a listener).
@@ -61,11 +60,6 @@ const MaxIO = int64(1) << 40
 // execute N descriptor operations behind a single charged Submit/Reap pair
 // without changing any per-byte accounting.
 type Desc interface {
-	// RefMode reports whether the aggregate paths (ReadAgg/WriteAgg) move
-	// data by reference — i.e. whether IOL_read/IOL_write on this
-	// descriptor are zero-copy.
-	RefMode() bool
-
 	// ReadAgg is IOL_read: up to n bytes as a buffer aggregate the caller
 	// owns, readable in pr's domain. Returns io.EOF at end of stream.
 	ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
@@ -172,12 +166,13 @@ func NewFileDesc(m *Machine, f *fsim.File, pool *core.Pool) Desc {
 
 // Pipe2 creates a pipe and installs its two ends: the read end in reader's
 // table, the write end in writer's table. IO-Lite endpoints pass
-// reference-mode pipes (§4.4); conventional ones copy. No cost is charged
-// (descriptor setup happens at process wiring time, outside measurement).
-func (m *Machine) Pipe2(reader, writer *Process, mode ipcsim.Mode) (rfd, wfd int) {
-	pp := ipcsim.New(m.Eng, m.Costs, m.CPU(), m.VM, mode, reader.Domain)
-	rfd = reader.Install(&pipeDesc{m: m, pp: pp})
-	wfd = writer.Install(&pipeDesc{m: m, pp: pp, write: true})
+// reference-mode pipes (ref, §4.4); conventional ones copy. No cost is
+// charged (descriptor setup happens at process wiring time, outside
+// measurement).
+func (m *Machine) Pipe2(reader, writer *Process, ref bool) (rfd, wfd int) {
+	pp := &pipe{m: m, ref: ref, readerDomain: reader.Domain}
+	rfd = reader.Install(&pipeDesc{pp: pp})
+	wfd = writer.Install(&pipeDesc{pp: pp, write: true})
 	return rfd, wfd
 }
 

@@ -30,8 +30,6 @@ func NewAggDesc(m *Machine, a *core.Agg) Desc {
 	return &aggDesc{m: m, a: a}
 }
 
-func (d *aggDesc) RefMode() bool { return true }
-
 // rng clips [off, off+n) to the object and returns it as a caller-owned
 // aggregate (same immutable buffers, no copy), or nil at end of object.
 func (d *aggDesc) rng(off, n int64) *core.Agg {

@@ -44,8 +44,6 @@ func NewCksumDesc(m *Machine, inner Desc, want uint16) Desc {
 	return &cksumDesc{m: m, inner: inner, want: want}
 }
 
-func (d *cksumDesc) RefMode() bool { return d.inner.RefMode() }
-
 // foldAgg absorbs an aggregate into the running sum, charging cached or
 // full checksum work.
 func (d *cksumDesc) foldAgg(p *sim.Proc, a *core.Agg) {

@@ -8,7 +8,6 @@ import (
 
 	"iolite/internal/cksum"
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/sim"
 )
 
@@ -21,7 +20,7 @@ func cksumBed(t *testing.T, want uint16) (eng *sim.Engine, m *Machine, wr, rd *P
 	m = NewMachine(eng, sim.DefaultCosts(), Config{ChecksumCache: true})
 	wr = m.NewProcess("writer", 1<<20)
 	rd = m.NewProcess("reader", 1<<20)
-	rfd, wfd := m.Pipe2(rd, wr, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(rd, wr, true)
 	inner, err := rd.Desc(rfd)
 	if err != nil {
 		t.Fatalf("Desc: %v", err)
@@ -138,7 +137,7 @@ func TestCksumDescChargesLookupsOnWarmSlices(t *testing.T) {
 
 	var shared *core.Agg
 	run := func(tag string) {
-		rfd, wfd := m.Pipe2(rd, wr, ipcsim.ModeRef)
+		rfd, wfd := m.Pipe2(rd, wr, true)
 		inner, _ := rd.Desc(rfd)
 		vfd := rd.Install(NewCksumDesc(m, inner, want))
 		eng.Go("writer"+tag, func(p *sim.Proc) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/sim"
 )
 
@@ -55,7 +54,7 @@ func TestNullDescDiscardsWithoutCopyCharge(t *testing.T) {
 
 func TestTeeDescDuplicatesRefWritesZeroCopy(t *testing.T) {
 	eng, m, a, b := deviceBed()
-	rfd, wfd := m.Pipe2(a, b, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(a, b, true)
 	wdesc, err := b.Desc(wfd)
 	if err != nil {
 		t.Fatalf("Desc(wfd): %v", err)
@@ -96,7 +95,7 @@ func TestTeeDescDuplicatesRefWritesZeroCopy(t *testing.T) {
 
 func TestTeeDescRejectsReads(t *testing.T) {
 	eng, m, a, b := deviceBed()
-	_, wfd := m.Pipe2(a, b, ipcsim.ModeCopy)
+	_, wfd := m.Pipe2(a, b, false)
 	wdesc, _ := b.Desc(wfd)
 	tfd := b.Install(NewTeeDesc(m, wdesc, NewNullDesc(m)))
 	eng.Go("p", func(p *sim.Proc) {

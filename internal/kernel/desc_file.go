@@ -32,8 +32,6 @@ func FileOf(d Desc) (*fsim.File, bool) {
 	return fd.f, true
 }
 
-func (d *fileDesc) RefMode() bool { return true }
-
 func (d *fileDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
 	a, err := d.ReadAggAt(p, pr, d.off, n)
 	if err != nil {

@@ -55,8 +55,6 @@ func NewLimitDesc(m *Machine, inner Desc, cfg LimitConfig) *LimitDesc {
 // Bucket exposes the descriptor's bucket (for sharing and for meters).
 func (d *LimitDesc) Bucket() *TokenBucket { return d.bucket }
 
-func (d *LimitDesc) RefMode() bool { return d.inner.RefMode() }
-
 // charge debits n bytes: parking until paid, or as non-parking debt under
 // O_NONBLOCK.
 func (d *LimitDesc) charge(p *sim.Proc, n int64) {

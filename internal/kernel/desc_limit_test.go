@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
 )
@@ -27,7 +26,7 @@ func TestLimitDescPacesWrites(t *testing.T) {
 	m := NewMachine(eng, sim.DefaultCosts(), Config{})
 	wr := m.NewProcess("writer", 1<<20)
 	rd := m.NewProcess("reader", 1<<20)
-	rfd, wfd := m.Pipe2(rd, wr, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(rd, wr, true)
 
 	inner, err := wr.Desc(wfd)
 	if err != nil {
@@ -88,7 +87,7 @@ func TestLimitDescSharedBucket(t *testing.T) {
 	shared := NewTokenBucket(eng, rate, burst)
 	var rfds []int
 	wrap := func() int {
-		rfd, wfd := m.Pipe2(rd, wr, ipcsim.ModeRef)
+		rfd, wfd := m.Pipe2(rd, wr, true)
 		rfds = append(rfds, rfd)
 		inner, err := wr.Desc(wfd)
 		if err != nil {
@@ -149,7 +148,7 @@ func TestLimitDescSpliceCompose(t *testing.T) {
 	doc := m.FS.Create("/doc", size)
 	pr := m.NewProcess("srv", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, wfd := m.Pipe2(cons, pr, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(cons, pr, true)
 
 	inner, err := pr.Desc(wfd)
 	if err != nil {
@@ -212,7 +211,7 @@ func TestLimitDescNonblockReadiness(t *testing.T) {
 	m := NewMachine(eng, sim.DefaultCosts(), Config{})
 	wr := m.NewProcess("writer", 1<<20)
 	rd := m.NewProcess("reader", 1<<20)
-	rfd, wfd := m.Pipe2(rd, wr, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(rd, wr, true)
 
 	inner, err := wr.Desc(wfd)
 	if err != nil {

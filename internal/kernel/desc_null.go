@@ -35,8 +35,6 @@ func (d *NullDesc) Discarded() int64 { return d.bytes }
 // Writes reports how many write calls the sink has absorbed.
 func (d *NullDesc) Writes() int64 { return d.recs }
 
-func (d *NullDesc) RefMode() bool { return true }
-
 func (d *NullDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
 	return nil, io.EOF
 }

@@ -170,8 +170,6 @@ func (rd *ReadyDesc) Wait(p *sim.Proc) []ReadyEvent {
 // Desc interface: a ReadyDesc installs like any descriptor but supports no
 // data I/O of its own.
 
-func (rd *ReadyDesc) RefMode() bool { return false }
-
 func (rd *ReadyDesc) ReadAgg(*sim.Proc, *Process, int64) (*core.Agg, error) {
 	return nil, ErrNotSupported
 }

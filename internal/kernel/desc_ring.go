@@ -340,8 +340,6 @@ func (r *RingDesc) Stats() (ops, submits, reaps int64) {
 // Desc interface: a RingDesc installs like any descriptor but supports no
 // direct data I/O.
 
-func (r *RingDesc) RefMode() bool { return true }
-
 func (r *RingDesc) ReadAgg(*sim.Proc, *Process, int64) (*core.Agg, error) {
 	return nil, ErrNotSupported
 }

@@ -26,8 +26,6 @@ type sockDesc struct {
 	nonblock bool
 }
 
-func (d *sockDesc) RefMode() bool { return d.ep.RefMode() }
-
 // Endpoint exposes the underlying transport endpoint. EndpointOf unwraps.
 func (d *sockDesc) Endpoint() *netsim.Endpoint { return d.ep }
 
@@ -230,8 +228,6 @@ type listenDesc struct {
 	lst      *netsim.Listener
 	nonblock bool
 }
-
-func (d *listenDesc) RefMode() bool { return false }
 
 func (d *listenDesc) ReadAgg(p *sim.Proc, _ *Process, _ int64) (*core.Agg, error) {
 	return nil, ErrNotSupported

@@ -31,8 +31,6 @@ func NewTeeDesc(m *Machine, primary, secondary Desc) Desc {
 	return &teeDesc{m: m, primary: primary, secondary: secondary}
 }
 
-func (d *teeDesc) RefMode() bool { return d.primary.RefMode() }
-
 func (d *teeDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
 	return nil, ErrNotSupported
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
+	"iolite/internal/mem"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
 )
@@ -165,7 +165,7 @@ func TestPipeFDEOFOnDrainAndWriteAfterClose(t *testing.T) {
 	e, m := newMachine(Config{})
 	prod := m.NewProcess("prod", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, wfd := m.Pipe2(cons, prod, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(cons, prod, true)
 	msgs := [][]byte{[]byte("first message"), []byte("second message")}
 	e.Go("prod", func(p *sim.Proc) {
 		for _, msg := range msgs {
@@ -210,7 +210,7 @@ func TestPipeFDWriteAfterCloseWriteSharedEntry(t *testing.T) {
 	e, m := newMachine(Config{})
 	prod := m.NewProcess("prod", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	_, wfd := m.Pipe2(cons, prod, ipcsim.ModeRef)
+	_, wfd := m.Pipe2(cons, prod, true)
 	run(t, e, func(p *sim.Proc) {
 		dup, _ := m.Dup(p, prod, wfd)
 		// Closing one of two fds sharing the entry leaves the stream open.
@@ -229,8 +229,8 @@ func TestPipeFDReadEndCloseUnblocksWriter(t *testing.T) {
 	e, m := newMachine(Config{})
 	prod := m.NewProcess("prod", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, wfd := m.Pipe2(cons, prod, ipcsim.ModeCopy)
-	big := make([]byte, ipcsim.CapDefault*2) // twice the pipe capacity: blocks
+	rfd, wfd := m.Pipe2(cons, prod, false)
+	big := make([]byte, pipeCap*2) // twice the pipe capacity: blocks
 	wrote := false
 	e.Go("prod", func(p *sim.Proc) {
 		m.WritePOSIX(p, prod, wfd, big) // blocks until the reader closes
@@ -247,6 +247,11 @@ func TestPipeFDReadEndCloseUnblocksWriter(t *testing.T) {
 	e.Run() // deadlock here would hang the test
 	if !wrote {
 		t.Fatal("writer never unblocked after reader close")
+	}
+	// The reader walked away mid-stream: closing its end must return the
+	// kernel buffer pages the discarded data occupied.
+	if n := m.VM.UsedBy(mem.TagSockBuf); n != 0 {
+		t.Errorf("%d kernel pipe buffer pages still held after the reader closed", n)
 	}
 }
 
@@ -273,7 +278,7 @@ func TestFileFDPositionalRead(t *testing.T) {
 			t.Fatalf("IOLReadAt past EOF: %v, want io.EOF", err)
 		}
 		// Streams don't implement the capability.
-		rfd, _ := m.Pipe2(pr, pr, ipcsim.ModeRef)
+		rfd, _ := m.Pipe2(pr, pr, true)
 		if _, err := m.IOLReadAt(p, pr, rfd, 0, 1); !errors.Is(err, ErrNotSupported) {
 			t.Fatalf("IOLReadAt on pipe: %v, want ErrNotSupported", err)
 		}
@@ -287,7 +292,7 @@ func TestPipeFDPosixOverRefPipe(t *testing.T) {
 	e, m := newMachine(Config{})
 	prod := m.NewProcess("prod", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, wfd := m.Pipe2(cons, prod, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(cons, prod, true)
 	payload := bytes.Repeat([]byte("abcdefgh"), 512) // 4 KB
 	e.Go("prod", func(p *sim.Proc) {
 		if _, err := m.WritePOSIX(p, prod, wfd, payload); err != nil {
@@ -479,21 +484,17 @@ func TestDescCapabilityQueries(t *testing.T) {
 	m.FS.Create("/doc", 4096)
 	prod := m.NewProcess("prod", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, _ := m.Pipe2(cons, prod, ipcsim.ModeCopy)
-	rfd2, _ := m.Pipe2(cons, prod, ipcsim.ModeRef)
+	rfd, _ := m.Pipe2(cons, prod, false)
+	m.Pipe2(cons, prod, true)
 	run(t, e, func(p *sim.Proc) {
 		ffd, _ := m.Open(p, cons, "/doc")
 		filed, _ := cons.Desc(ffd)
-		if _, err := filed.Seek(0, io.SeekStart); err != nil || !filed.RefMode() {
+		if _, err := filed.Seek(0, io.SeekStart); err != nil {
 			t.Error("file descriptor capabilities wrong")
 		}
 		cd, _ := cons.Desc(rfd)
-		if _, err := cd.Seek(0, io.SeekStart); !errors.Is(err, ErrNotSupported) || cd.RefMode() {
+		if _, err := cd.Seek(0, io.SeekStart); !errors.Is(err, ErrNotSupported) {
 			t.Error("copy pipe capabilities wrong")
-		}
-		rd, _ := cons.Desc(rfd2)
-		if !rd.RefMode() {
-			t.Error("ref pipe should report RefMode")
 		}
 		if _, err := m.Seek(p, cons, rfd, 0, io.SeekStart); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("Seek on pipe: %v", err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/sim"
 )
 
@@ -58,7 +57,7 @@ func TestCGIFaultIsolation(t *testing.T) {
 	e, m := newMachine(Config{})
 	srv := m.NewProcess("srv", 1<<20)
 	cgi := m.NewProcess("cgi", 1<<20)
-	rfd, wfd := m.Pipe2(srv, cgi, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(srv, cgi, true)
 	var served []byte
 	e.Go("cgi", func(p *sim.Proc) {
 		doc := core.PackBytes(p, cgi.Pool, []byte("legitimate content"))

@@ -7,7 +7,6 @@ import (
 
 	"iolite/internal/cache"
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
@@ -299,7 +298,7 @@ func TestRefPipeBetweenProcesses(t *testing.T) {
 	e, m := newMachine(Config{})
 	cgi := m.NewProcess("cgi", 1<<20)
 	srv := m.NewProcess("srv", 1<<20)
-	rfd, wfd := m.Pipe2(srv, cgi, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(srv, cgi, true)
 	var got []byte
 	e.Go("cgi", func(p *sim.Proc) {
 		if err := m.IOLWrite(p, cgi, wfd, core.PackBytes(p, cgi.Pool, []byte("hello over fbuf pipe"))); err != nil {

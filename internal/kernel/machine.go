@@ -2,7 +2,10 @@
 // implements the two I/O API families of the paper: the IO-Lite API
 // (IOL_read / IOL_write over the unified buffer and caching system, Fig. 2)
 // and the backward-compatible POSIX API (read / write with copy semantics
-// and mmap, §4.2, §6.1–6.2). It also owns the pageout pressure chain that
+// and mmap, §4.2, §6.1–6.2), over one descriptor layer that serves files,
+// sockets, and pipes alike. A pipe is copy-mode (the conventional kernel
+// byte FIFO) or reference-mode (IO-Lite's copy-free IPC, §4.4), fixed when
+// Pipe2 creates it. The package also owns the pageout pressure chain that
 // couples the VM system to the caches (§3.7).
 package kernel
 
@@ -66,8 +69,6 @@ type Machine struct {
 	// Host is the machine's network identity; its CPU resource serializes
 	// all kernel and application work on the machine.
 	Host *netsim.Host
-
-	procs []*Process
 }
 
 // NewMachine builds a machine per cfg.
@@ -181,7 +182,6 @@ func (m *Machine) NewProcess(name string, memBytes int) *Process {
 	}
 	pr.Pool = core.NewPool(m.VM, pr.Domain, name)
 	m.VM.Reserve(mem.TagProc, pr.memPages)
-	m.procs = append(m.procs, pr)
 	return pr
 }
 

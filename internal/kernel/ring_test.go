@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/mem"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
@@ -21,13 +20,13 @@ type ringBed struct {
 	wfd    int
 }
 
-func newRingBed(t *testing.T, mode ipcsim.Mode) *ringBed {
+func newRingBed(t *testing.T, ref bool) *ringBed {
 	t.Helper()
 	eng := sim.New()
 	m := NewMachine(eng, sim.DefaultCosts(), Config{})
 	wr := m.NewProcess("writer", 1<<20)
 	rd := m.NewProcess("reader", 1<<20)
-	rfd, wfd := m.Pipe2(rd, wr, mode)
+	rfd, wfd := m.Pipe2(rd, wr, ref)
 	return &ringBed{eng: eng, m: m, wr: wr, rd: rd, rfd: rfd, wfd: wfd}
 }
 
@@ -43,7 +42,7 @@ func ringDoc(n int) []byte {
 // through the ring cost exactly two charged syscalls (one Submit, one
 // Reap), where the direct path charges N.
 func TestSubmitBatchesSyscalls(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 	const ops = 8
 	data := ringDoc(2000) // ops × len(data) fits the pipe: no write blocks on drain
 
@@ -102,7 +101,7 @@ func TestSubmitBatchesSyscalls(t *testing.T) {
 // TestPerOpErrors: one bad entry in a batch fails alone; its neighbors
 // complete normally, exactly as if each had been its own syscall.
 func TestPerOpErrors(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 	data := ringDoc(500)
 
 	b.eng.Go("reader", func(p *sim.Proc) {
@@ -144,7 +143,7 @@ func TestPerOpErrors(t *testing.T) {
 // Op and User — a success, a per-op error, and an entry a closed ring
 // refused alike — and the refused write's payload is released.
 func TestCompletionCarriesOpAndUser(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 
 	b.eng.Go("reader", func(p *sim.Proc) {
 		for {
@@ -213,7 +212,7 @@ func TestCompletionCarriesOpAndUser(t *testing.T) {
 // closed between Submit and execution completes with ErrBadFD instead of
 // writing through a stale table entry.
 func TestCloseBeforeReap(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 
 	b.eng.Go("writer", func(p *sim.Proc) {
 		rung := NewRingDesc(b.m, b.wr)
@@ -239,7 +238,7 @@ func TestCloseBeforeReap(t *testing.T) {
 // when the original closes first — the open-file entry is shared, like
 // POSIX dup(2), and only the last reference tears it down.
 func TestDupSurvivesClose(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 	data := ringDoc(300)
 
 	var got []byte
@@ -279,7 +278,7 @@ func TestDupSurvivesClose(t *testing.T) {
 // TestReadCoalescing: deliveries already queued when a ring read executes
 // fold into one completion — the receive-side half of the economy.
 func TestReadCoalescing(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 	const chunks = 6
 	chunk := ringDoc(1000)
 
@@ -416,7 +415,7 @@ func TestRingAccept(t *testing.T) {
 // it become readable when completions land — the wiring the httpd event
 // loop runs on.
 func TestPollerRingNesting(t *testing.T) {
-	b := newRingBed(t, ipcsim.ModeRef)
+	b := newRingBed(t, true)
 
 	b.eng.Go("reader", func(p *sim.Proc) {
 		for {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"iolite/internal/core"
-	"iolite/internal/ipcsim"
 	"iolite/internal/netsim"
 	"iolite/internal/sim"
 )
@@ -35,7 +34,7 @@ func newSpliceBed(t *testing.T, fileSize int64) *spliceBed {
 	m.FS.Create("/doc", fileSize)
 	b.pr = m.NewProcess("app", 1<<20)
 	b.cons = m.NewProcess("cons", 1<<20)
-	b.rfd, b.wfd = m.Pipe2(b.cons, b.pr, ipcsim.ModeRef)
+	b.rfd, b.wfd = m.Pipe2(b.cons, b.pr, true)
 	e.Go("cons", func(p *sim.Proc) {
 		for {
 			a, err := m.IOLRead(p, b.cons, b.rfd, MaxIO)
@@ -81,7 +80,7 @@ func TestSpliceIntoClosedReaderPipe(t *testing.T) {
 	m.FS.Create("/doc", 4096)
 	pr := m.NewProcess("app", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, wfd := m.Pipe2(cons, pr, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(cons, pr, true)
 	run(t, e, func(p *sim.Proc) {
 		fd, _ := m.Open(p, pr, "/doc")
 		m.Close(p, cons, rfd) // reader walks away
@@ -100,13 +99,13 @@ func TestSpliceCapabilityNegotiation(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		fd, _ := m.Open(p, pr, "/doc")
 		// Copy-mode pipes have no sealed buffers: not a splice sink.
-		_, cwfd := m.Pipe2(cons, pr, ipcsim.ModeCopy)
+		_, cwfd := m.Pipe2(cons, pr, false)
 		if _, err := m.Splice(p, pr, cwfd, fd, 100); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("splice into copy pipe: %v, want ErrNotSupported", err)
 		}
 		// Listeners are neither source nor sink.
 		lfd := m.Listen(pr, lst)
-		refR, refW := m.Pipe2(cons, pr, ipcsim.ModeRef)
+		refR, refW := m.Pipe2(cons, pr, true)
 		if _, err := m.Splice(p, pr, refW, lfd, 100); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("splice from listener: %v, want ErrNotSupported", err)
 		}
@@ -159,12 +158,12 @@ func TestAggDescReadSeekSplice(t *testing.T) {
 	e, m := newMachine(Config{})
 	pr := m.NewProcess("app", 1<<20)
 	cons := m.NewProcess("cons", 1<<20)
-	rfd, wfd := m.Pipe2(cons, pr, ipcsim.ModeRef)
+	rfd, wfd := m.Pipe2(cons, pr, true)
 	payload := bytes.Repeat([]byte("sealed-object!"), 300)
 	run(t, e, func(p *sim.Proc) {
 		fd := pr.Install(NewAggDesc(m, core.PackBytes(p, pr.Pool, payload)))
 		d, _ := pr.Desc(fd)
-		if _, err := d.Seek(0, io.SeekStart); err != nil || !d.RefMode() {
+		if _, err := d.Seek(0, io.SeekStart); err != nil {
 			t.Fatal("object descriptor capabilities wrong")
 		}
 		// Positional IOL_read does not move the cursor.

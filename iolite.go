@@ -37,7 +37,6 @@ import (
 	"iolite/internal/cache"
 	"iolite/internal/core"
 	"iolite/internal/fsim"
-	"iolite/internal/ipcsim"
 	"iolite/internal/kernel"
 	"iolite/internal/sim"
 )
@@ -60,8 +59,6 @@ type (
 	Process = kernel.Process
 	// File is a file in the simulated file system.
 	File = fsim.File
-	// Pipe is a UNIX pipe (copy-mode or IO-Lite reference-mode).
-	Pipe = ipcsim.Pipe
 	// Desc is the vnode-style descriptor interface behind every fd;
 	// implement it and Process.Install it to add new descriptor kinds.
 	Desc = kernel.Desc
@@ -71,12 +68,6 @@ type (
 	// TokenBucket is a wheel-driven token bucket; share one across
 	// several LimitConfigs to enforce an aggregate tenant rate.
 	TokenBucket = kernel.TokenBucket
-)
-
-// Pipe modes.
-const (
-	PipeCopy = ipcsim.ModeCopy
-	PipeRef  = ipcsim.ModeRef
 )
 
 // MaxIO is a read/splice length that exceeds any queued data: "everything
@@ -94,8 +85,10 @@ var (
 	ErrCorrupt = kernel.ErrCorrupt
 )
 
-// PipeOf returns the pipe behind a pipe descriptor (for Stats).
-func PipeOf(d Desc) (*Pipe, bool) { return kernel.PipeOf(d) }
+// PipeStats reports the pipe behind a pipe descriptor's bytes moved,
+// bytes physically copied (0 on a reference-mode pipe), and blocking
+// context switches. ok is false when d is not a pipe end.
+func PipeStats(d Desc) (moved, copied, switches int64, ok bool) { return kernel.PipeStats(d) }
 
 // NewAggDesc wraps a sealed aggregate as a read-only object descriptor:
 // install it with Process.Install and serve it with the

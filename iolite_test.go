@@ -83,7 +83,7 @@ func TestSystemPipeProducersConsumers(t *testing.T) {
 	sys := NewSystem(SystemConfig{})
 	prod := sys.NewProcess("prod", 1<<20)
 	cons := sys.NewProcess("cons", 1<<20)
-	rfd, wfd := sys.Pipe2(cons, prod, PipeRef)
+	rfd, wfd := sys.Pipe2(cons, prod, true)
 	msg := []byte("through the reference pipe")
 	var got []byte
 	sys.Go("prod", func(p *Proc) {
@@ -122,7 +122,7 @@ func TestSystemSpliceFileToPipe(t *testing.T) {
 	f := sys.FS.Create("/doc", 12<<10)
 	app := sys.NewProcess("app", 1<<20)
 	cons := sys.NewProcess("cons", 1<<20)
-	rfd, wfd := sys.Pipe2(cons, app, PipeRef)
+	rfd, wfd := sys.Pipe2(cons, app, true)
 	want := sys.FS.Expected(f, 0, f.Size())
 	var got []byte
 	sys.Go("cons", func(p *Proc) {
