@@ -1,14 +1,16 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
 // The QoS acceptance pin: with 1 aggressor offering ≥10× one tenant's
 // fair rate among 1000 well-behaved tenants, enforcement holds the victim
-// p99 within 30% of its no-aggressor baseline — while on a uniform
-// population enforcement costs ≤5% kreq/s vs QoS off.
+// p99 within 30% of its no-aggressor baseline and cuts the aggressor's
+// goodput — while on a uniform population enforcement moves kreq/s by at
+// most 5% vs QoS off.
 func TestQoSIsolationAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-leg 1000-tenant run")
@@ -52,10 +54,17 @@ func TestQoSIsolationAcceptance(t *testing.T) {
 		t.Errorf("aggressor barely moved victim p99 (%.0fµs vs %.0fµs baseline) — scenario too weak",
 			aggrOff.VictimP99Us, uniformOff.VictimP99Us)
 	}
-	// Overhead: uniform population pays ≤5% kreq/s for enforcement.
-	if floor := uniformOff.KReqPerSec * 0.95; uniformOn.KReqPerSec < floor {
-		t.Errorf("enforcement costs too much: %.2f kreq/s with QoS on vs %.2f off",
-			uniformOn.KReqPerSec, uniformOff.KReqPerSec)
+	// Overhead: enforcement moves a uniform population's kreq/s by at
+	// most 5% either way — a large gain would mean QoS changed the
+	// workload, not merely policed it.
+	if ovh := (uniformOff.KReqPerSec - uniformOn.KReqPerSec) / uniformOff.KReqPerSec; math.Abs(ovh) > 0.05 {
+		t.Errorf("enforcement overhead %.1f%%: %.2f kreq/s with QoS on vs %.2f off, want within ±5%%",
+			100*ovh, uniformOn.KReqPerSec, uniformOff.KReqPerSec)
+	}
+	// Containment: the aggressor's own goodput falls once QoS is on.
+	if aggrOn.AggKReqPerSec >= aggrOff.AggKReqPerSec {
+		t.Errorf("aggressor goodput %.2f → %.2f kreq/s with QoS on; want it contained",
+			aggrOff.AggKReqPerSec, aggrOn.AggKReqPerSec)
 	}
 }
 

@@ -101,14 +101,11 @@ type Conn struct {
 	rAgg    *core.Agg
 	scratch []byte
 
-	// corkable records whether wfd's transport accepts TCP_CORK (sockets
-	// do, pipes don't), probed uncharged at construction so pipe channels
-	// never pay a setsockopt syscall.
-	corkable bool
-
 	// ep is the socket endpoint behind wfd, probed uncharged at
-	// construction like corkable; nil on pipe channels. Observability
-	// samples its loss-recovery stall around blocking waits.
+	// construction; nil on pipe channels. Observability samples its
+	// loss-recovery stall around blocking waits, and only a socket channel
+	// corks its writes (TCP_CORK), so pipe channels never pay a setsockopt
+	// syscall.
 	ep *netsim.Endpoint
 
 	// closed latches Close: a Conn handle outlives its descriptors (a
@@ -141,10 +138,7 @@ type Conn struct {
 func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int, rmode, wmode WireMode) *Conn {
 	c := &Conn{m: m, pr: pr, rfd: rfd, wfd: wfd, id: id, rmode: rmode, wmode: wmode}
 	if d, err := pr.Desc(wfd); err == nil {
-		c.corkable = kernel.Corkable(d)
-		if ep, ok := kernel.EndpointOf(d); ok {
-			c.ep = ep
-		}
+		c.ep, _ = kernel.EndpointOf(d)
 	}
 	return c
 }
@@ -305,7 +299,7 @@ func (c *Conn) writeDirect(p *sim.Proc, rec Record) error {
 // is safe because a failed write means the channel is dead and Close
 // flushes the transport anyway.
 func (c *Conn) cork(p *sim.Proc, on bool) {
-	if !c.corkable {
+	if c.ep == nil {
 		return
 	}
 	_ = c.m.SetCork(p, c.pr, c.wfd, on)

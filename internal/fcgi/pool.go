@@ -112,7 +112,8 @@ type Worker struct {
 
 	// Retirement state: active counts handlers currently running in the
 	// worker, serveDone marks its serve loop exited, retire holds the
-	// pool's OnRetire hook once supervision has replaced the worker.
+	// pool's retire hook once supervision has replaced the worker (it
+	// totals the worker's late write errors and runs OnRetire).
 	active    int
 	serveDone bool
 	retire    func(*Worker)
@@ -163,11 +164,12 @@ type WorkerPool struct {
 	qosState  map[string]*tenantQoS
 	sheds     int64
 	throttles int64
-	// retired holds the worker-side channels of workers supervision has
-	// replaced: their write errors — including EPIPEs that in-flight
-	// handlers hit after the respawn — stay in Stats, keeping the count
-	// monotonic across respawns.
-	retired []*Conn
+	// deadWriteErrs totals the write errors of workers supervision has
+	// replaced, so Stats stays monotonic across respawns without keeping
+	// the dead channels (and through them the dead processes' pools)
+	// reachable. A dead worker's count is added at the respawn, and the
+	// EPIPEs its in-flight handlers hit afterwards once it quiesces.
+	deadWriteErrs int64
 }
 
 // NewWorkerPool builds the workers, their transport channels, muxes, and
@@ -279,15 +281,20 @@ func (wp *WorkerPool) superviseRespawn(dead *Worker) {
 		// crash) drains to EOF and exits instead of serving or blocking
 		// forever, and the server-side fds are reclaimed.
 		dead.mux.Close(p)
-		wp.retired = append(wp.retired, dead.conn)
 		dead.Proc.Exit() // the crashed process's memory goes back
 		nw := wp.spawn(dead.ID, dead.Gen+1)
 		wp.workers[dead.ID] = nw
 		wp.respawns++
-		if wp.cfg.OnRetire != nil {
-			dead.retire = wp.cfg.OnRetire
-			dead.maybeRetire() // fires now if the worker is already quiet
+		_, _, counted := dead.conn.Stats()
+		wp.deadWriteErrs += counted
+		dead.retire = func(w *Worker) {
+			_, _, we := w.conn.Stats()
+			wp.deadWriteErrs += we - counted
+			if wp.cfg.OnRetire != nil {
+				wp.cfg.OnRetire(w)
+			}
 		}
+		dead.maybeRetire() // fires now if the worker is already quiet
 		// Recovery is not free: creating the replacement process is
 		// charged like any fork (channel wiring stays setup-priced).
 		nw.M.Fork(p)
@@ -446,13 +453,10 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 
 // Stats reports requests issued, requests failed, and worker-side write
 // errors (a worker's response hit a closed channel — the EPIPE a server
-// abort leaves behind). Write errors include retired workers', so the
+// abort leaves behind). Write errors include replaced workers', so the
 // count stays monotonic across supervision respawns.
 func (wp *WorkerPool) Stats() (requests, failures, writeErrs int64) {
-	for _, c := range wp.retired {
-		_, _, we := c.Stats()
-		writeErrs += we
-	}
+	writeErrs = wp.deadWriteErrs
 	for _, w := range wp.workers {
 		_, _, we := w.conn.Stats()
 		writeErrs += we

@@ -3,7 +3,6 @@ package fcgi
 import (
 	"errors"
 
-	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
 )
@@ -11,10 +10,11 @@ import (
 // Multi-tenant QoS at the pool router — the PAIO-style policy/enforcement
 // split: policy lives here in one QoSConfig, enforcement rides the seams
 // that already exist (the routing decision in Do, the per-worker mux
-// depth, the shared-wheel token bucket). Admission control is deliberately
-// fail-fast: an over-limit request sheds with a typed error instead of
-// queueing, so an adversarial tenant's backlog lives in the tenant's own
-// retry loop, not in pool state the other tenants must queue behind.
+// depth) plus one request-rate bucket per tenant. Admission control is
+// deliberately fail-fast: an over-limit request sheds with a typed error
+// instead of queueing, so an adversarial tenant's backlog lives in the
+// tenant's own retry loop, not in pool state the other tenants must queue
+// behind.
 
 // QoS admission errors. Both mean "this tenant, right now" — the request
 // never dispatched, the caller retains ownership of req.StdinAgg (the
@@ -45,8 +45,8 @@ type QoSConfig struct {
 	// (default 2); a tenant at its bound sheds with ErrOverShare.
 	MaxShare int
 	// ReqRate, when positive, bounds a weight-1 tenant's admitted
-	// requests/second with a per-tenant token bucket on the shared wheel;
-	// a tenant outrunning it sheds with ErrThrottled.
+	// requests/second with a per-tenant token bucket; a tenant outrunning
+	// it sheds with ErrThrottled.
 	ReqRate int64
 	// ReqBurst is the weight-1 bucket burst (default: one second of
 	// ReqRate).
@@ -77,11 +77,59 @@ func (q *QoSConfig) maxShare() int {
 type tenantQoS struct {
 	weight   int64
 	inflight int
-	bucket   *kernel.TokenBucket // nil when ReqRate is unset
+	bucket   *tokenBucket // nil when ReqRate is unset
 }
 
-// tenantState lazily builds tenant's admission state.
-func (wp *WorkerPool) tenantState(tenant string) *tenantQoS {
+// nanoTok is the bucket's token granularity: one request is 1e9
+// nano-tokens. At that scale a refill of rate tokens/second is exactly
+// rate nano-tokens per nanosecond, so refill arithmetic is integer and
+// drift-free.
+const nanoTok = int64(1e9)
+
+// tokenBucket is one tenant's request-rate allowance. Tokens accrue
+// continuously at rate per second up to a burst, and each admitted request
+// takes one. It never parks a caller and never goes into debt: a request
+// that finds less than a whole token is throttled.
+type tokenBucket struct {
+	rate  int64 // tokens per second == nano-tokens per nanosecond
+	burst int64 // capacity in nano-tokens
+	avail int64 // nano-tokens on hand
+	last  sim.Time
+}
+
+// newTokenBucket makes a bucket, full at now, refilling at rate
+// tokens/second with the given burst in tokens; burst <= 0 means one second
+// of rate.
+func newTokenBucket(now sim.Time, rate, burst int64) *tokenBucket {
+	if burst <= 0 {
+		burst = rate
+	}
+	full := burst * nanoTok
+	return &tokenBucket{rate: rate, burst: full, avail: full, last: now}
+}
+
+// tryTake accrues tokens for the time since the last call, then takes one
+// if a whole token is on hand.
+func (b *tokenBucket) tryTake(now sim.Time) bool {
+	if el := int64(now.Sub(b.last)); el > 0 {
+		// Guard el*rate against overflow: if the elapsed time is enough
+		// to fill the bucket outright, clamp instead of multiplying.
+		if nsToFill := (b.burst - b.avail) / b.rate; el > nsToFill {
+			b.avail = b.burst
+		} else {
+			b.avail += el * b.rate
+		}
+	}
+	b.last = now
+	if b.avail < nanoTok {
+		return false
+	}
+	b.avail -= nanoTok
+	return true
+}
+
+// tenantState lazily builds tenant's admission state at now.
+func (wp *WorkerPool) tenantState(now sim.Time, tenant string) *tenantQoS {
 	ts, ok := wp.qosState[tenant]
 	if ok {
 		return ts
@@ -93,22 +141,13 @@ func (wp *WorkerPool) tenantState(tenant string) *tenantQoS {
 		if burst > 0 {
 			burst *= ts.weight
 		}
-		ts.bucket = kernel.NewTokenBucket(wp.eng(), q.ReqRate*ts.weight, burst)
+		ts.bucket = newTokenBucket(now, q.ReqRate*ts.weight, burst)
 	}
 	if wp.qosState == nil {
 		wp.qosState = make(map[string]*tenantQoS)
 	}
 	wp.qosState[tenant] = ts
 	return ts
-}
-
-// eng resolves the engine everything runs on (cfg.Machine when the pool
-// owns one, else any worker's machine).
-func (wp *WorkerPool) eng() *sim.Engine {
-	if wp.cfg.Machine != nil {
-		return wp.cfg.Machine.Eng
-	}
-	return wp.workers[0].M.Eng
 }
 
 // admitQoS is the admission decision for one request. It returns a
@@ -123,14 +162,14 @@ func (wp *WorkerPool) admitQoS(p *sim.Proc, req *Request) (func(), error) {
 	if m := wp.cfg.Machine; m != nil {
 		m.Host.Use(p, qosAdmitCost)
 	}
-	ts := wp.tenantState(req.Tenant)
+	ts := wp.tenantState(p.Now(), req.Tenant)
 	stats := q.Meters.Get(req.Tenant)
 	if ts.inflight >= int(ts.weight)*q.maxShare() {
 		wp.sheds++
 		stats.Sheds++
 		return nil, ErrOverShare
 	}
-	if ts.bucket != nil && !ts.bucket.TryTake(1) {
+	if ts.bucket != nil && !ts.bucket.tryTake(p.Now()) {
 		wp.throttles++
 		stats.Throttles++
 		return nil, ErrThrottled

@@ -75,7 +75,7 @@ func (c *Conn) ringWriteRecord(p *sim.Proc, rec Record) error {
 
 // ringFlusher is the connection's write-batching process: park until
 // records queue, then move the whole queue in one Submit + one Reap. The
-// cork pair rides the same submission on corkable channels, so a batch of
+// cork pair rides the same submission on socket channels, so a batch of
 // serialized records coalesces into full segments exactly as the direct
 // path's per-record corking arranged.
 func (c *Conn) ringFlusher(p *sim.Proc) {
@@ -89,7 +89,7 @@ func (c *Conn) ringFlusher(p *sim.Proc) {
 		batch := c.ringQ
 		c.ringQ = nil
 
-		if c.corkable {
+		if c.ep != nil {
 			c.wring.Prep(kernel.SQE{Op: kernel.OpCork, FD: c.wfd, On: true})
 		}
 		for _, w := range batch {
@@ -102,7 +102,7 @@ func (c *Conn) ringFlusher(p *sim.Proc) {
 				}
 			}
 		}
-		if c.corkable {
+		if c.ep != nil {
 			c.wring.Prep(kernel.SQE{Op: kernel.OpCork, FD: c.wfd})
 		}
 

@@ -136,3 +136,52 @@ func TestPoolReroutesRequestWaitingOnDeadWorker(t *testing.T) {
 		t.Errorf("pool failures = %d, want exactly 1 (the in-flight request)", fails)
 	}
 }
+
+// TestPoolStatsKeepDeadWorkerWriteErrors kills the only worker while its
+// handler sleeps. The handler's reply then hits the closed channel after
+// supervision has replaced the worker: that write error must still reach
+// pool.Stats, and the count must never fall while it travels from the
+// dead worker to the pool's total.
+func TestPoolStatsKeepDeadWorkerWriteErrors(t *testing.T) {
+	b := newBed()
+	pool := slowPool(b, nil, 1, 1, 500*time.Microsecond, true, nil)
+	victim := pool.Workers()[0]
+
+	var doErr error
+	b.eng.Go("client", func(p *sim.Proc) {
+		_, doErr = pool.Do(p, Request{Params: []byte("/x")})
+	})
+	b.eng.Go("killer", func(p *sim.Proc) {
+		p.Sleep(50 * time.Microsecond)
+		victim.Conn().Close(p)
+	})
+	var prev int64
+	var respawnedFirst bool
+	b.eng.Go("sampler", func(p *sim.Proc) {
+		for i := 0; i < 40; i++ {
+			p.Sleep(50 * time.Microsecond)
+			_, _, we := pool.Stats()
+			if we < prev {
+				t.Errorf("at %v write errors fell %d → %d", p.Now(), prev, we)
+			}
+			if prev == 0 && we > 0 {
+				respawnedFirst = pool.Respawns() == 1
+			}
+			prev = we
+		}
+	})
+	b.eng.Run()
+
+	if doErr == nil {
+		t.Error("request on the killed worker succeeded; want a real failure")
+	}
+	if pool.Respawns() != 1 || pool.Workers()[0] == victim {
+		t.Fatalf("pool respawned %d workers, want the victim replaced once", pool.Respawns())
+	}
+	if _, _, we := pool.Stats(); we == 0 {
+		t.Error("the dead worker's late write error is missing from pool.Stats")
+	}
+	if !respawnedFirst {
+		t.Error("the write error was counted before the respawn; the test no longer exercises a late error")
+	}
+}

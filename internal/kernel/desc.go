@@ -54,7 +54,7 @@ const MaxIO = int64(1) << 40
 // installing with Process.Install — no new Machine methods required.
 //
 // Cost accounting contract: the Machine entry points (IOLRead, IOLWrite,
-// ReadPOSIX, WritePOSIX, Seek, Close, Accept, Splice...) charge exactly one
+// ReadPOSIX, WritePOSIX, Seek, Close, Accept, SpliceAt...) charge exactly one
 // syscall at the boundary; Desc methods charge only data costs (copies,
 // aggregate ops, cache work). This split is what lets the submission ring
 // execute N descriptor operations behind a single charged Submit/Reap pair

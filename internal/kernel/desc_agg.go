@@ -63,17 +63,8 @@ func (d *aggDesc) ReadAggAt(p *sim.Proc, pr *Process, off, n int64) (*core.Agg, 
 	return a, nil
 }
 
-// SpliceOut / SpliceOutAt hand the sealed object over in-kernel: no user
-// grant, no per-slice boundary validation — the flat splice hand-off.
-func (d *aggDesc) SpliceOut(p *sim.Proc, n int64) (*core.Agg, error) {
-	a, err := d.SpliceOutAt(p, d.off, n)
-	if err != nil {
-		return nil, err
-	}
-	d.off += int64(a.Len())
-	return a, nil
-}
-
+// SpliceOutAt hands the sealed object over in-kernel: no user grant, no
+// per-slice boundary validation — the flat splice hand-off.
 func (d *aggDesc) SpliceOutAt(_ *sim.Proc, off, n int64) (*core.Agg, error) {
 	a := d.rng(off, n)
 	if a == nil {

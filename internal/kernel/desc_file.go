@@ -60,18 +60,6 @@ func (d *fileDesc) ReadAggAt(p *sim.Proc, pr *Process, off, n int64) (*core.Agg,
 	return a, nil
 }
 
-// SpliceOut is the cursor-advancing splice source: the extent comes out of
-// the unified cache (or the private pool) as sealed kernel-resident buffers
-// — no user grant, no per-slice boundary validation, no copy.
-func (d *fileDesc) SpliceOut(p *sim.Proc, n int64) (*core.Agg, error) {
-	a, err := d.SpliceOutAt(p, d.off, n)
-	if err != nil {
-		return nil, err
-	}
-	d.off += int64(a.Len())
-	return a, nil
-}
-
 // SpliceOutAt is the positional splice source (the sendfile(2) shape). A
 // private-pool descriptor reads the backing store into its pool on every
 // call: the data's ACL is the pool's, so it never enters the shared cache.

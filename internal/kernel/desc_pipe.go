@@ -270,23 +270,6 @@ func (d *pipeDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
 	return splitPending(a, n, &d.pending), nil
 }
 
-// SpliceOut hands over queued aggregates of a reference-mode pipe without
-// mapping them into the process (socket→pipe→socket chains stay in-kernel).
-// Copy-mode pipes have no sealed buffers to pass: ErrNotSupported.
-func (d *pipeDesc) SpliceOut(p *sim.Proc, n int64) (*core.Agg, error) {
-	if d.write || !d.pp.ref {
-		return nil, ErrNotSupported
-	}
-	a := d.pending
-	d.pending = nil
-	if a == nil {
-		if a = d.pp.readAgg(p); a == nil {
-			return nil, io.EOF
-		}
-	}
-	return splitPending(a, n, &d.pending), nil
-}
-
 // spliceInSupported gates the sink capability: only the write end of a
 // reference-mode pipe can enqueue sealed aggregates.
 func (d *pipeDesc) spliceInSupported() bool {

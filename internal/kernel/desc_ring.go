@@ -302,12 +302,12 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		}
 		cqe.Res = int64(r.pr.Install(&sockDesc{m: r.m, ep: conn.ServerEnd()}))
 	case OpCork:
-		c, ok := d.(corker)
+		sd, ok := d.(*sockDesc)
 		if !ok {
 			cqe.Err = ErrNotSupported
 			return cqe
 		}
-		c.SetCork(sqe.On)
+		sd.ep.SetCork(sqe.On)
 	default:
 		cqe.Err = ErrNotSupported
 	}

@@ -26,9 +26,6 @@ type sockDesc struct {
 	nonblock bool
 }
 
-// Endpoint exposes the underlying transport endpoint. EndpointOf unwraps.
-func (d *sockDesc) Endpoint() *netsim.Endpoint { return d.ep }
-
 // EndpointOf returns the transport endpoint behind a socket descriptor,
 // for callers that need transport-level control (Drain, socket-buffer
 // stats).
@@ -46,52 +43,23 @@ func EndpointOf(d Desc) (*netsim.Endpoint, bool) {
 // buffers, with read access granted to pr's domain (no data copy, no
 // charge beyond VM grants that are free in steady state). Copy-mode
 // deliveries (conventional peers) arrive as received bytes and are wrapped
-// uncharged: early demux already placed them where the process can read.
+// uncharged in pr's pool: early demux already placed them where the
+// process can read. nil reports end of stream.
 func (d *sockDesc) takeAgg(p *sim.Proc, pr *Process) *core.Agg {
-	a := d.takeKernel(p, pr.Pool)
-	if a != nil {
-		core.Transfer(p, a, pr.Domain)
+	a := d.pending
+	d.pending = nil
+	if a == nil {
+		dv, ok := d.ep.Recv(p)
+		if !ok {
+			return nil
+		}
+		if a = dv.Agg; a == nil {
+			a = core.PackBytes(nil, pr.Pool, dv.Data)
+		}
 	}
+	core.Transfer(p, a, pr.Domain)
 	return a
 }
-
-// takeKernel dequeues the next delivery without granting any user domain —
-// the kernel-resident form the splice path forwards directly. Copy-mode
-// deliveries are wrapped from pool (socket-buffer memory the wire already
-// paid for); nil reports end of stream.
-func (d *sockDesc) takeKernel(p *sim.Proc, pool *core.Pool) *core.Agg {
-	if d.pending != nil {
-		a := d.pending
-		d.pending = nil
-		return a
-	}
-	dv, ok := d.ep.Recv(p)
-	if !ok {
-		return nil
-	}
-	if a := dv.Agg; a != nil {
-		return a
-	}
-	return core.PackBytes(nil, pool, dv.Data)
-}
-
-// SpliceOut dequeues received data as sealed kernel-resident buffers: a
-// socket can feed a splice (socket→socket relay, socket→pipe) without the
-// data ever being mapped into the process.
-func (d *sockDesc) SpliceOut(p *sim.Proc, n int64) (*core.Agg, error) {
-	a := d.takeKernel(p, d.m.FilePool)
-	if a == nil {
-		return nil, io.EOF
-	}
-	return splitPending(a, n, &d.pending), nil
-}
-
-// SetCork toggles the endpoint's send-side cork (TCP_CORK): corked, the
-// transport holds a sub-MSS tail so adjacent writes — a response header,
-// then the spliced document — gather into full segments. Works on any
-// socket regardless of payload mode; the cork is about segment boundaries,
-// not buffer ownership.
-func (d *sockDesc) SetCork(on bool) { d.ep.SetCork(on) }
 
 // spliceInSupported gates the sink capability on the endpoint's send path:
 // a conventional socket's send buffer requires a private copy, so only

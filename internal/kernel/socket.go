@@ -2,36 +2,24 @@ package kernel
 
 import "iolite/internal/sim"
 
-// corker is the capability of descriptors whose transport can gather
-// adjacent writes into full segments (sockets; see sockDesc.SetCork).
-type corker interface {
-	SetCork(on bool)
-}
-
-// Corkable reports whether a descriptor's transport understands TCP_CORK
-// (an uncharged capability probe, for callers that decide once at setup
-// whether to cork their writes at all).
-func Corkable(d Desc) bool {
-	_, ok := d.(corker)
-	return ok
-}
-
 // SetCork is setsockopt(TCP_CORK) on a socket descriptor: while on, the
 // transport holds sub-MSS data so adjacent writes coalesce into MSS-sized
-// segments; turning it off flushes the held tail. One syscall is charged.
-// Descriptors without a segmenting transport (pipes, files) report
-// ErrNotSupported — for them every write is already boundary-free.
+// segments (a response header, then the spliced document); turning it off
+// flushes the held tail. It works on any socket regardless of payload mode:
+// the cork is about segment boundaries, not buffer ownership. One syscall
+// is charged. Descriptors without a segmenting transport (pipes, files)
+// report ErrNotSupported — for them every write is already boundary-free.
 func (m *Machine) SetCork(p *sim.Proc, pr *Process, fd int, on bool) error {
 	m.syscall(p)
 	d, err := pr.Desc(fd)
 	if err != nil {
 		return err
 	}
-	c, ok := d.(corker)
+	sd, ok := d.(*sockDesc)
 	if !ok {
 		return ErrNotSupported
 	}
-	c.SetCork(on)
+	sd.ep.SetCork(on)
 	return nil
 }
 

@@ -11,27 +11,17 @@ import (
 // references from one descriptor to another entirely inside the kernel.
 // Where IOL_read + IOL_write cross the user/kernel boundary twice — two
 // syscalls, per-slice validation of the user-supplied aggregate, read
-// grants into the caller's domain — Splice crosses once and hands the
+// grants into the caller's domain — SpliceAt crosses once and hands the
 // sink the source's kernel-resident aggregate directly. No data is copied,
 // no user mapping is established, and because the buffers (and hence their
 // ⟨id, generation, offset, length⟩ keys) are stable, every retransmission
 // downstream hits the §3.9 checksum cache.
 //
-// Descriptors opt in through two capability interfaces. File descriptors
-// and sealed-object descriptors are sources; socket and reference-mode pipe
-// descriptors are both; copy-mode pipes and listeners are neither, so a
-// splice over them fails with ErrNotSupported and the caller falls back to
-// the read/write pair.
-
-// SpliceSource is the capability of descriptors whose next data is already
-// (or can be brought) in kernel-resident sealed buffers.
-type SpliceSource interface {
-	// SpliceOut produces up to n bytes as a sealed aggregate owned by the
-	// caller, advancing the descriptor's cursor/stream position. The
-	// aggregate stays in the kernel domain: no user grant, no copy.
-	// io.EOF at end of stream.
-	SpliceOut(p *sim.Proc, n int64) (*core.Agg, error)
-}
+// Splice is positional only: the source is read at an explicit offset and
+// no cursor is read or moved. Descriptors opt in through two capability
+// interfaces. File descriptors and sealed-object descriptors are sources;
+// reference-mode socket and pipe descriptors are sinks. Anything else fails
+// with ErrNotSupported and the caller falls back to the read/write pair.
 
 // SpliceSourceAt is the positional splice capability (pread-flavored): no
 // cursor is read or moved, so one cached descriptor can feed concurrent
@@ -54,38 +44,50 @@ type spliceSinkReady interface {
 	spliceInSupported() bool
 }
 
-// spliceEnds resolves and capability-checks the two descriptors of a splice.
-// The syscall is charged by the entry points (Splice/SpliceAt), uniformly on
-// success and on every error path; the ring's splice op reuses the uncharged
-// internals below under its batched Submit.
-func (m *Machine) spliceEnds(p *sim.Proc, pr *Process, dstFD, srcFD int) (Desc, SpliceSink, error) {
+// SpliceAt moves up to n bytes from srcFD, starting at offset off, to dstFD
+// entirely in-kernel (the sendfile(2) shape): one syscall, sealed buffer
+// references end to end, zero copy charge. The source's cursor is neither
+// read nor moved, so the one descriptor a server caches per file can feed
+// every concurrent connection. It returns the number of bytes moved. io.EOF
+// reports off already at end of the source; ErrNotSupported reports a
+// descriptor pair without the splice capabilities (the caller should fall
+// back to IOL_read + IOL_write); ErrClosed is the sink's EPIPE. A partial
+// count with a nil error means the source ran out mid-way (short splice),
+// like a short write(2). The syscall is charged on success and on every
+// error path alike.
+func (m *Machine) SpliceAt(p *sim.Proc, pr *Process, dstFD, srcFD int, off, n int64) (int64, error) {
+	m.syscall(p)
+	return m.spliceAt(p, pr, dstFD, srcFD, off, n)
+}
+
+// spliceAt is SpliceAt minus the syscall charge — the form the submission
+// ring executes behind its batched Submit. The sink is capability-checked,
+// and may veto, before any source data is consumed. Each hop charges one
+// aggregate operation: the kernel threads the existing slice list through,
+// it never re-validates it slice by slice the way the user boundary must.
+func (m *Machine) spliceAt(p *sim.Proc, pr *Process, dstFD, srcFD int, off, n int64) (int64, error) {
 	src, err := pr.Desc(srcFD)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	dst, err := pr.Desc(dstFD)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	sink, ok := dst.(SpliceSink)
 	if !ok {
-		return nil, nil, ErrNotSupported
+		return 0, ErrNotSupported
 	}
 	if sr, ok := dst.(spliceSinkReady); ok && !sr.spliceInSupported() {
-		return nil, nil, ErrNotSupported
+		return 0, ErrNotSupported
 	}
-	return src, sink, nil
-}
-
-// spliceLoop moves up to n bytes from take to sink. take yields the next
-// sealed aggregate (nil+io.EOF at end of stream); the loop charges one
-// aggregate operation per hop — the kernel threads the existing slice list
-// through, it never re-validates it slice by slice the way the user
-// boundary must.
-func (m *Machine) spliceLoop(p *sim.Proc, sink SpliceSink, n int64, take func(rem int64) (*core.Agg, error)) (int64, error) {
+	source, ok := src.(SpliceSourceAt)
+	if !ok {
+		return 0, ErrNotSupported
+	}
 	var moved int64
 	for moved < n {
-		a, err := take(n - moved)
+		a, err := source.SpliceOutAt(p, off+moved, n-moved)
 		if err != nil {
 			if err == io.EOF && moved > 0 {
 				return moved, nil
@@ -105,61 +107,4 @@ func (m *Machine) spliceLoop(p *sim.Proc, sink SpliceSink, n int64, take func(re
 		moved += got
 	}
 	return moved, nil
-}
-
-// Splice moves up to n bytes from srcFD to dstFD entirely in-kernel: one
-// syscall, sealed buffer references end to end, zero copy charge. It
-// returns the number of bytes moved. io.EOF reports a source already at end
-// of stream; ErrNotSupported reports a descriptor pair without the splice
-// capabilities (the caller should fall back to IOL_read + IOL_write);
-// ErrClosed is the sink's EPIPE. A partial count with a nil error means the
-// source ran dry mid-way (short splice), like a short write(2).
-func (m *Machine) Splice(p *sim.Proc, pr *Process, dstFD, srcFD int, n int64) (int64, error) {
-	m.syscall(p)
-	return m.splice(p, pr, dstFD, srcFD, n)
-}
-
-// splice is Splice minus the syscall charge.
-func (m *Machine) splice(p *sim.Proc, pr *Process, dstFD, srcFD int, n int64) (int64, error) {
-	src, sink, err := m.spliceEnds(p, pr, dstFD, srcFD)
-	if err != nil {
-		return 0, err
-	}
-	source, ok := src.(SpliceSource)
-	if !ok {
-		return 0, ErrNotSupported
-	}
-	return m.spliceLoop(p, sink, n, func(rem int64) (*core.Agg, error) {
-		return source.SpliceOut(p, rem)
-	})
-}
-
-// SpliceAt is Splice reading the source at an explicit offset (the
-// sendfile(2) shape): the source's cursor is neither read nor moved, so the
-// one descriptor a server caches per file can feed every concurrent
-// connection. Only positional sources (files, sealed objects) support it.
-func (m *Machine) SpliceAt(p *sim.Proc, pr *Process, dstFD, srcFD int, off, n int64) (int64, error) {
-	m.syscall(p)
-	return m.spliceAt(p, pr, dstFD, srcFD, off, n)
-}
-
-// spliceAt is SpliceAt minus the syscall charge — the form the submission
-// ring executes behind its batched Submit.
-func (m *Machine) spliceAt(p *sim.Proc, pr *Process, dstFD, srcFD int, off, n int64) (int64, error) {
-	src, sink, err := m.spliceEnds(p, pr, dstFD, srcFD)
-	if err != nil {
-		return 0, err
-	}
-	source, ok := src.(SpliceSourceAt)
-	if !ok {
-		return 0, ErrNotSupported
-	}
-	return m.spliceLoop(p, sink, n, func(rem int64) (*core.Agg, error) {
-		a, err := source.SpliceOutAt(p, off, rem)
-		if err != nil {
-			return nil, err
-		}
-		off += int64(a.Len())
-		return a, nil
-	})
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // Tests of the kernel splice fast path: zero-copy file→socket serving with
-// checksum-cache reuse, partial splices, EPIPE, capability negotiation, and
-// Dup'd cursors.
+// checksum-cache reuse, partial splices, EPIPE, and capability
+// negotiation.
 
 // spliceBed is one process holding a file descriptor and a ref-mode pipe to
 // a draining consumer, the simplest splice sink.
@@ -53,20 +53,23 @@ func TestSplicePartialAndShort(t *testing.T) {
 	f := b.m.FS.Lookup(nil, "/doc")
 	run(t, b.e, func(p *sim.Proc) {
 		fd, _ := b.m.Open(p, b.pr, "/doc")
-		// Partial: n smaller than the file moves exactly n and advances the
-		// cursor.
-		moved, err := b.m.Splice(p, b.pr, b.wfd, fd, 4<<10)
+		// Partial: n smaller than the remainder moves exactly n.
+		moved, err := b.m.SpliceAt(p, b.pr, b.wfd, fd, 0, 4<<10)
 		if err != nil || moved != 4<<10 {
 			t.Fatalf("partial splice: moved=%d err=%v", moved, err)
 		}
 		// Larger than the remainder: a short splice, like a short write.
-		moved, err = b.m.Splice(p, b.pr, b.wfd, fd, 1<<20)
+		moved, err = b.m.SpliceAt(p, b.pr, b.wfd, fd, 4<<10, 1<<20)
 		if err != nil || moved != 6<<10 {
 			t.Fatalf("short splice: moved=%d err=%v, want %d", moved, err, 6<<10)
 		}
 		// At EOF.
-		if _, err := b.m.Splice(p, b.pr, b.wfd, fd, 1); err != io.EOF {
+		if _, err := b.m.SpliceAt(p, b.pr, b.wfd, fd, 10<<10, 1); err != io.EOF {
 			t.Fatalf("splice at EOF: %v, want io.EOF", err)
+		}
+		// Positional splices never touch the cursor.
+		if off, _ := b.m.Seek(p, b.pr, fd, 0, io.SeekCurrent); off != 0 {
+			t.Fatalf("cursor after SpliceAt = %d, want 0", off)
 		}
 		b.m.Close(p, b.pr, b.wfd)
 	})
@@ -84,7 +87,7 @@ func TestSpliceIntoClosedReaderPipe(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		fd, _ := m.Open(p, pr, "/doc")
 		m.Close(p, cons, rfd) // reader walks away
-		if _, err := m.Splice(p, pr, wfd, fd, 4096); !errors.Is(err, ErrClosed) {
+		if _, err := m.SpliceAt(p, pr, wfd, fd, 0, 4096); !errors.Is(err, ErrClosed) {
 			t.Fatalf("splice into closed-reader pipe: %v, want ErrClosed", err)
 		}
 	})
@@ -98,19 +101,29 @@ func TestSpliceCapabilityNegotiation(t *testing.T) {
 	lst := netsim.NewListener(m.Host)
 	run(t, e, func(p *sim.Proc) {
 		fd, _ := m.Open(p, pr, "/doc")
-		// Copy-mode pipes have no sealed buffers: not a splice sink.
+		// Copy-mode pipes have no sealed buffers: not a splice sink. The
+		// sink vetoes before the source is read, so the refused splice
+		// costs its one syscall and never touches the file cache.
 		_, cwfd := m.Pipe2(cons, pr, false)
-		if _, err := m.Splice(p, pr, cwfd, fd, 100); !errors.Is(err, ErrNotSupported) {
+		sys0 := m.Costs.MeterSyscallCount()
+		h0, m0, hb0, mb0 := m.FileCache.Stats()
+		if _, err := m.SpliceAt(p, pr, cwfd, fd, 0, 100); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("splice into copy pipe: %v, want ErrNotSupported", err)
+		}
+		if n := m.Costs.MeterSyscallCount() - sys0; n != 1 {
+			t.Errorf("refused splice charged %d syscalls, want 1", n)
+		}
+		if h, mi, hb, mb := m.FileCache.Stats(); h != h0 || mi != m0 || hb != hb0 || mb != mb0 {
+			t.Errorf("refused splice read the source: cache hits/misses %d/%d → %d/%d", h0, m0, h, mi)
 		}
 		// Listeners are neither source nor sink.
 		lfd := m.Listen(pr, lst)
 		refR, refW := m.Pipe2(cons, pr, true)
-		if _, err := m.Splice(p, pr, refW, lfd, 100); !errors.Is(err, ErrNotSupported) {
+		if _, err := m.SpliceAt(p, pr, refW, lfd, 0, 100); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("splice from listener: %v, want ErrNotSupported", err)
 		}
 		// Files are not sinks.
-		if _, err := m.Splice(p, pr, fd, fd, 100); !errors.Is(err, ErrNotSupported) {
+		if _, err := m.SpliceAt(p, pr, fd, fd, 0, 100); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("splice into file: %v, want ErrNotSupported", err)
 		}
 		// Streams are not positional sources.
@@ -118,40 +131,13 @@ func TestSpliceCapabilityNegotiation(t *testing.T) {
 			t.Errorf("SpliceAt from pipe: %v, want ErrNotSupported", err)
 		}
 		// Bad fds are ErrBadFD on either side.
-		if _, err := m.Splice(p, pr, 99, fd, 100); !errors.Is(err, ErrBadFD) {
+		if _, err := m.SpliceAt(p, pr, 99, fd, 0, 100); !errors.Is(err, ErrBadFD) {
 			t.Errorf("splice into bad fd: %v, want ErrBadFD", err)
 		}
-		if _, err := m.Splice(p, pr, refW, 99, 100); !errors.Is(err, ErrBadFD) {
+		if _, err := m.SpliceAt(p, pr, refW, 99, 0, 100); !errors.Is(err, ErrBadFD) {
 			t.Errorf("splice from bad fd: %v, want ErrBadFD", err)
 		}
 	})
-}
-
-func TestSpliceDupSharesCursor(t *testing.T) {
-	b := newSpliceBed(t, 8<<10)
-	f := b.m.FS.Lookup(nil, "/doc")
-	run(t, b.e, func(p *sim.Proc) {
-		fd, _ := b.m.Open(p, b.pr, "/doc")
-		dup, err := b.m.Dup(p, b.pr, fd)
-		if err != nil {
-			t.Fatalf("Dup: %v", err)
-		}
-		if moved, err := b.m.Splice(p, b.pr, b.wfd, fd, 4<<10); err != nil || moved != 4<<10 {
-			t.Fatalf("first half: moved=%d err=%v", moved, err)
-		}
-		// The dup shares the open-file entry, so its splice continues from
-		// the shared cursor rather than restarting at 0.
-		if moved, err := b.m.Splice(p, b.pr, b.wfd, dup, 4<<10); err != nil || moved != 4<<10 {
-			t.Fatalf("second half via dup: moved=%d err=%v", moved, err)
-		}
-		if off, _ := b.m.Seek(p, b.pr, fd, 0, io.SeekCurrent); off != 8<<10 {
-			t.Fatalf("cursor after dup splice = %d, want %d", off, 8<<10)
-		}
-		b.m.Close(p, b.pr, b.wfd)
-	})
-	if !bytes.Equal(b.got, b.m.FS.Expected(f, 0, f.Size())) {
-		t.Fatal("dup-cursor splice corrupted the stream")
-	}
 }
 
 func TestAggDescReadSeekSplice(t *testing.T) {

@@ -62,12 +62,6 @@ type (
 	// Desc is the vnode-style descriptor interface behind every fd;
 	// implement it and Process.Install it to add new descriptor kinds.
 	Desc = kernel.Desc
-	// LimitConfig configures a rate-limiting descriptor (bytes/sec,
-	// burst, optionally a shared TokenBucket).
-	LimitConfig = kernel.LimitConfig
-	// TokenBucket is a wheel-driven token bucket; share one across
-	// several LimitConfigs to enforce an aggregate tenant rate.
-	TokenBucket = kernel.TokenBucket
 )
 
 // MaxIO is a read/splice length that exceeds any queued data: "everything
@@ -80,9 +74,6 @@ var (
 	ErrClosed       = kernel.ErrClosed
 	ErrNotSupported = kernel.ErrNotSupported
 	ErrNotExist     = kernel.ErrNotExist
-	// ErrCorrupt reports a checksum-verifying descriptor whose stream did
-	// not match its expected checksum.
-	ErrCorrupt = kernel.ErrCorrupt
 )
 
 // PipeStats reports the pipe behind a pipe descriptor's bytes moved,
@@ -91,36 +82,11 @@ var (
 func PipeStats(d Desc) (moved, copied, switches int64, ok bool) { return kernel.PipeStats(d) }
 
 // NewAggDesc wraps a sealed aggregate as a read-only object descriptor:
-// install it with Process.Install and serve it with the
-// splice fast path — System.Splice/SpliceAt move sealed buffer references
-// from files, sockets, ref-mode pipes, and objects to sockets and pipes
-// entirely in-kernel, with zero copy charge.
+// install it with Process.Install and serve it with the splice fast path.
+// System.SpliceAt moves sealed buffer references from files and objects,
+// read at an explicit offset, to reference-mode sockets and pipes entirely
+// in-kernel, with zero copy charge.
 func (s *System) NewAggDesc(a *Agg) Desc { return kernel.NewAggDesc(s.Machine, a) }
-
-// NewCksumDesc wraps any descriptor with read-side integrity
-// verification: every byte read through it folds into a running Internet
-// checksum (charged through the checksum cache when data arrives as
-// sealed aggregates), and end of stream compares against want — a
-// mismatch surfaces as ErrCorrupt instead of a clean io.EOF.
-func (s *System) NewCksumDesc(inner Desc, want uint16) Desc {
-	return kernel.NewCksumDesc(s.Machine, inner, want)
-}
-
-// NewLimitDesc wraps any descriptor with a token-bucket byte-rate
-// limiter: reads, writes, and splices through it debit the bucket, and a
-// blocking caller over its allowance parks on the shared timer wheel
-// until tokens refill (nonblocking descriptors see ErrAgain and a poll
-// wakeup when the bucket turns solvent). Pass cfg.Bucket to share one
-// allowance across several descriptors of the same tenant.
-func (s *System) NewLimitDesc(inner Desc, cfg LimitConfig) Desc {
-	return kernel.NewLimitDesc(s.Machine, inner, cfg)
-}
-
-// NewTokenBucket builds a standalone bucket on the system's engine for
-// sharing across NewLimitDesc wrappers.
-func (s *System) NewTokenBucket(ratePerSec, burst int64) *TokenBucket {
-	return kernel.NewTokenBucket(s.Eng, ratePerSec, burst)
-}
 
 // SystemConfig sizes a simulated machine.
 type SystemConfig struct {

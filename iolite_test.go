@@ -140,9 +140,9 @@ func TestSystemSpliceFileToPipe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		moved, err := sys.Splice(p, app, wfd, fd, f.Size())
+		moved, err := sys.SpliceAt(p, app, wfd, fd, 0, f.Size())
 		if err != nil || moved != f.Size() {
-			t.Fatalf("Splice: moved=%d err=%v", moved, err)
+			t.Fatalf("SpliceAt file: moved=%d err=%v", moved, err)
 		}
 		obj := core.PackBytes(p, app.Pool, []byte("sealed"))
 		ofd := app.Install(sys.NewAggDesc(obj))
