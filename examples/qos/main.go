@@ -5,16 +5,16 @@
 // thousands of times a tenant's fair rate. Four legs:
 //
 //   - uniform off/on: nobody misbehaves; the on leg prices enforcement
-//     (per-request admission charge, WFQ arbitration) — it should be
-//     invisible, with zero sheds.
+//     (the per-request admission charge) — it should be invisible, with
+//     zero sheds.
 //
 //   - aggressor off: the flood takes the pool FIFO and the victims' p99
 //     collapses by orders of magnitude.
 //
-//   - aggressor on: admission control (in-flight share bound + per-tenant
-//     rate bucket), within-weight routing, and transport WFQ cap the
-//     aggressor at its allowance; the excess sheds with typed errors and
-//     the victims' p99 returns to baseline.
+//   - aggressor on: the pool's admission control (in-flight share bound +
+//     per-tenant rate bucket) and tenant-aware routing cap the aggressor
+//     at its allowance; the excess sheds with typed errors and the
+//     victims' p99 returns to baseline.
 //
 // Run it with:
 //

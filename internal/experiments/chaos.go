@@ -34,8 +34,6 @@ type ChaosParams struct {
 	Requesters int
 	// DocBytes sizes the response document (default 16 KB).
 	DocBytes int64
-	// AppDelay is the per-request off-CPU wait (default 400 µs).
-	AppDelay time.Duration
 	// Think is each requester's pause between completions (default 40 ms).
 	// A closed loop with no think time pins the host CPU at 100% — the
 	// era-faithful per-packet costs make a 16 KB response ≈ 1 ms of CPU —
@@ -105,7 +103,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	orDefault(&cp.Depth, 16)
 	orDefault(&cp.Requesters, cp.Workers*cp.Depth)
 	orDefault(&cp.DocBytes, 16<<10)
-	orDefault(&cp.AppDelay, 400*time.Microsecond)
 	orDefault(&cp.Think, 40*time.Millisecond)
 	orDefault(&cp.Warmup, 100*time.Millisecond)
 	orDefault(&cp.Measure, 500*time.Millisecond)
@@ -134,7 +131,7 @@ func RunChaos(cp ChaosParams) ChaosResult {
 		Replay:    cp.Replay,
 		Name:      "cw",
 		Obs:       cp.Obs,
-	}, cp.DocBytes, cp.AppDelay)
+	}, cp.DocBytes, fcgiAppDelay)
 
 	var n loopCounts
 	fcgiLoop{

@@ -11,7 +11,7 @@ import (
 // placement. A server process drives an internal/fcgi worker pool
 // directly — no HTTP tier, so the pipe transport is the entire data path
 // — under a closed-loop population of requesters. Each request models a FastCGI app: parse params, wait on a
-// backend (the off-CPU AppDelay), and stream a cached document back.
+// backend (the off-CPU fcgiAppDelay), and stream a cached document back.
 // Concurrency comes from two places the figure sweeps independently:
 // worker count (processes) and mux depth (in-flight requests per pipe
 // pair). Copy mode serializes every response byte through the pipe FIFO;

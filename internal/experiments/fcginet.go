@@ -53,9 +53,6 @@ type FCGINetParams struct {
 	Requesters int
 	// DocBytes sizes the response document (default 16 KB).
 	DocBytes int64
-	// AppDelay is the per-request off-CPU wait the app models (default
-	// 400 µs).
-	AppDelay time.Duration
 	// Ref requests reference-mode response payloads (degraded to the
 	// boundary copy on sock-remote).
 	Ref bool
@@ -102,7 +99,6 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 	orDefault(&fp.Depth, 8)
 	orDefault(&fp.Requesters, fp.Workers*fp.Depth)
 	orDefault(&fp.DocBytes, 16<<10)
-	orDefault(&fp.AppDelay, 400*time.Microsecond)
 	orDefault(&fp.Warmup, 300*time.Millisecond)
 	orDefault(&fp.Measure, 1500*time.Millisecond)
 
@@ -133,7 +129,7 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 		Respawn:   true,
 		Name:      "fw",
 		Obs:       fp.Obs,
-	}, fp.DocBytes, fp.AppDelay)
+	}, fp.DocBytes, fcgiAppDelay)
 
 	var n loopCounts
 	fcgiLoop{

@@ -162,6 +162,9 @@ func fcgiDoc(n int64) []byte {
 	return d
 }
 
+// fcgiAppDelay is the off-CPU backend wait of the fcgi-net and chaos apps.
+const fcgiAppDelay = 400 * time.Microsecond
+
 // docPool starts the worker pool every fcgi experiment serves from. Its
 // app parses each request (20 µs of CPU), waits on a backend (appDelay,
 // off-CPU), and replies with a cached docBytes document: a sealed

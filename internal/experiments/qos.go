@@ -15,42 +15,41 @@ import (
 // hitter floods it with zero-think closed loops. Measured: what the flood
 // does to a victim's p99 (isolation), what enforcement costs when nobody
 // misbehaves (overhead), and where the aggressor's excess goes (sheds).
-// Enforcement is the PR's three QoS seams together: the pool's admission
-// control (per-tenant rate bucket + in-flight share) and within-weight
-// routing, and the transport's weighted fair queueing of send-window
-// admission.
+// Enforcement is the fcgi pool's: admission control (per-tenant in-flight
+// share bound + request-rate bucket) and tenant-aware routing.
+
+// The QoS testbed. The pool has qosWorkers workers of mux depth qosDepth
+// serving qosDocBytes documents after a qosAppDelay backend wait. Each
+// well-behaved tenant thinks qosThink between requests, and tenant start
+// instants are staggered across it. The aggressor drives qosAggressorLoops
+// zero-think closed loops. With QoS on, each tenant may hold qosMaxShare
+// requests in flight and is admitted qosReqRate requests/sec with a
+// qosReqBurst burst: 2× a tenant's fair rate at qosThink, far below the
+// p99 sample fraction.
+const (
+	qosWorkers        = 4
+	qosDepth          = 16
+	qosDocBytes       = 4 << 10
+	qosAppDelay       = 200 * time.Microsecond
+	qosThink          = 400 * time.Millisecond
+	qosAggressorLoops = 32
+	qosMaxShare       = 2
+	qosReqRate        = 5
+	qosReqBurst       = 3
+)
 
 // QoSParams describes one multi-tenant run.
 type QoSParams struct {
 	// Tenants is the well-behaved tenant population (default 1000), one
 	// closed-loop requester each.
 	Tenants int
-	// Aggressor adds one heavy-hitter tenant driving AggressorConc
-	// zero-think closed loops (default 32) that retry immediately after
-	// a shed (with a jittered ~2 ms backoff so a shed storm can't wedge
-	// simulated time).
-	Aggressor     bool
-	AggressorConc int
-	// QoS enables enforcement: transport WFQ plus pool admission
-	// control (MaxShare 2, ReqRate/ReqBurst below). Off, the pool is
-	// the strictly-FIFO shared pool of the earlier PRs.
+	// Aggressor adds one heavy-hitter tenant driving qosAggressorLoops
+	// zero-think closed loops that retry immediately after a shed (with a
+	// jittered ~2 ms backoff so a shed storm can't wedge simulated time).
+	Aggressor bool
+	// QoS enables pool admission control. Off, the pool is one
+	// strictly-FIFO shared pool.
 	QoS bool
-	// ReqRate / ReqBurst are the per-unit-weight admitted requests/sec
-	// and burst when QoS is on (defaults 5 and 3 — 2× a tenant's fair
-	// rate at the default think time, far below the p99 sample fraction).
-	ReqRate  int64
-	ReqBurst int64
-
-	// Workers / Depth shape the pool (defaults 4 and 16).
-	Workers int
-	Depth   int
-	// DocBytes sizes the response document (default 4 KB).
-	DocBytes int64
-	// AppDelay is the worker's off-CPU backend wait (default 200 µs).
-	AppDelay time.Duration
-	// Think is each well-behaved tenant's between-requests think time
-	// (default 400 ms); tenant start instants are staggered across it.
-	Think time.Duration
 
 	Warmup  time.Duration
 	Measure time.Duration
@@ -83,10 +82,7 @@ type QoSResult struct {
 	Sheds       int64
 	Throttles   int64
 	ShedsPerReq float64
-	// WFQGrants counts transport window wakeups arbitrated by virtual
-	// time (enforcement activity at the netsim seam).
-	WFQGrants int64
-	CPUUtil   float64
+	CPUUtil     float64
 }
 
 // aggTenant is the heavy hitter's tenant name.
@@ -95,16 +91,8 @@ const aggTenant = "aggressor"
 // RunQoS executes one multi-tenant QoS experiment.
 func RunQoS(fp QoSParams) QoSResult {
 	orDefault(&fp.Tenants, 1000)
-	orDefault(&fp.AggressorConc, 32)
-	orDefault(&fp.Workers, 4)
-	orDefault(&fp.Depth, 16)
-	orDefault(&fp.DocBytes, 4<<10)
-	orDefault(&fp.AppDelay, 200*time.Microsecond)
-	orDefault(&fp.Think, 400*time.Millisecond)
 	orDefault(&fp.Warmup, 300*time.Millisecond)
 	orDefault(&fp.Measure, 1200*time.Millisecond)
-	orDefault(&fp.ReqRate, 5)
-	orDefault(&fp.ReqBurst, 3)
 
 	b := newBed(fp.Obs, fp.Warmup, fp.Measure)
 	m := kernel.NewMachine(b.eng, b.costs, kernel.Config{})
@@ -114,57 +102,55 @@ func RunQoS(fp QoSParams) QoSResult {
 	var qcfg *fcgi.QoSConfig
 	tenants := obs.NewTenants()
 	if fp.QoS {
-		m.Host.SetWFQ(true)
 		qcfg = &fcgi.QoSConfig{
-			MaxShare: 2,
-			ReqRate:  fp.ReqRate,
-			ReqBurst: fp.ReqBurst,
+			MaxShare: qosMaxShare,
+			ReqRate:  qosReqRate,
+			ReqBurst: qosReqBurst,
 			Meters:   tenants,
 		}
 	}
 
 	// The pool rides a loopback socket transport (not a pipe) so the
-	// netsim send pump — and with QoS on, its weighted fair queueing —
-	// is in the measured path.
+	// netsim send pump is in the measured path.
 	pool := docPool(fcgi.PoolConfig{
 		Machine:         m,
 		Server:          srv,
-		Workers:         fp.Workers,
-		Depth:           fp.Depth,
+		Workers:         qosWorkers,
+		Depth:           qosDepth,
 		Ref:             true,
 		Transport:       fcgi.NewLoopbackTransport(m, srv, true),
-		TypicalResponse: int(fp.DocBytes),
+		TypicalResponse: qosDocBytes,
 		Name:            "qw",
 		Obs:             fp.Obs,
 		QoS:             qcfg,
-	}, fp.DocBytes, fp.AppDelay)
-	params := []byte(fmt.Sprintf("/doc/%d", fp.DocBytes))
+	}, qosDocBytes, qosAppDelay)
+	params := []byte(fmt.Sprintf("/doc/%d", qosDocBytes))
 
 	// The well-behaved population: one closed loop per tenant, thinking
-	// fp.Think between requests (and after a shed: a tenant over its
+	// qosThink between requests (and after a shed: a tenant over its
 	// allowance just thinks again), start instants staggered across one
 	// think interval so the population doesn't arrive as a phased burst.
 	var vicN, aggN loopCounts
 	victim := fcgiLoop{
-		b: b, pool: pool, kind: "qos", think: fp.Think, shed: fp.Think, observe: true, n: &vicN,
+		b: b, pool: pool, kind: "qos", think: qosThink, shed: qosThink, observe: true, n: &vicN,
 		req: fcgi.Request{Params: params, Idempotent: true},
 	}
 	for i := 0; i < fp.Tenants; i++ {
 		l := victim
 		l.req.Tenant = fmt.Sprintf("t%04d", i)
-		offset := sim.Duration(int64(fp.Think) * int64(i) / int64(fp.Tenants))
+		offset := sim.Duration(int64(qosThink) * int64(i) / int64(fp.Tenants))
 		b.eng.Go(l.req.Tenant, func(p *sim.Proc) {
 			p.Sleep(offset)
 			l.run(p)
 		})
 	}
 
-	// The heavy hitter: AggressorConc zero-think loops under ONE tenant
+	// The heavy hitter: qosAggressorLoops zero-think loops under ONE tenant
 	// identity, retrying immediately on success and after a short backoff
 	// on a shed (the backoff consumes simulated time, so an admission-
 	// control wall can't spin the engine at one instant).
 	if fp.Aggressor {
-		for i := 0; i < fp.AggressorConc; i++ {
+		for i := 0; i < qosAggressorLoops; i++ {
 			// Per-loop backoff jitter: without it all the loops shed in
 			// lockstep and their admission attempts arrive as periodic
 			// bursts the victims' tail can feel.
@@ -211,7 +197,6 @@ func RunQoS(fp QoSParams) QoSResult {
 			offered := float64(aggN.attempts-aggN.warmAttempts) / secs
 			res.AggOfferedX = offered / fair
 		}
-		res.WFQGrants = m.Host.WFQGrants()
 		res.CPUUtil = m.CPU().Utilization()
 	})
 	if failed := vicN.failed + aggN.failed; failed > 0 {
@@ -254,8 +239,8 @@ func FigQoS(opt Options) *Table {
 			Measure:   meas,
 			Obs:       opt.Trace,
 		})
-		opt.progress("FigQoS %s: victim p99 %.0fµs, %.2f kreq/s (agg %.2f kreq/s, sheds/req %.2f, wfq %d, cpu %.2f)",
-			r.Label, r.VictimP99Us, r.KReqPerSec, r.AggKReqPerSec, r.ShedsPerReq, r.WFQGrants, r.CPUUtil)
+		opt.progress("FigQoS %s: victim p99 %.0fµs, %.2f kreq/s (agg %.2f kreq/s, sheds/req %.2f, cpu %.2f)",
+			r.Label, r.VictimP99Us, r.KReqPerSec, r.AggKReqPerSec, r.ShedsPerReq, r.CPUUtil)
 		row.Values = append(row.Values, r.VictimP99Us)
 		rs = append(rs, r)
 	}
@@ -269,8 +254,8 @@ func FigQoS(opt Options) *Table {
 			"enforcement overhead %.1f%% kreq/s, sheds/req %.2f, aggressor goodput %.2f → %.2f kreq/s",
 			rs[1].VictimP99Us, rs[3].VictimP99Us, overhead,
 			rs[3].ShedsPerReq, rs[2].AggKReqPerSec, rs[3].AggKReqPerSec),
-		fmt.Sprintf("aggressor offered %.0f× one tenant's fair rate (conc %d, zero think)", rs[3].AggOfferedX, 32),
-		"enforcement: pool admission (share bound + per-tenant rate bucket), within-weight routing, transport WFQ",
-		fmt.Sprintf("%d tenants, %s think, 4KB ref-mode docs over loopback socket, offload on", tenants, "400ms"))
+		fmt.Sprintf("aggressor offered %.0f× one tenant's fair rate (conc %d, zero think)", rs[3].AggOfferedX, qosAggressorLoops),
+		"enforcement: pool admission (share bound + per-tenant rate bucket), tenant-aware routing",
+		fmt.Sprintf("%d tenants, %s think, %dKB ref-mode docs over loopback socket, offload on", tenants, qosThink, qosDocBytes>>10))
 	return t
 }

@@ -37,8 +37,7 @@ type Request struct {
 	Span *obs.Span
 	// Tenant names the principal this request serves. On a QoS-enabled
 	// pool it selects the admission account (rate bucket, in-flight
-	// share) and the within-weight routing signal, tags the calling proc
-	// for the transport's weighted fair queueing, and lands in the span.
+	// share) and the tenant-aware routing signal, and lands in the span.
 	// Empty bypasses QoS.
 	Tenant string
 }

@@ -73,7 +73,7 @@ type PoolConfig struct {
 	// to the worker phase.
 	Obs *obs.Collector
 	// QoS, when set, enables multi-tenant admission control and
-	// within-weight routing for requests that carry a Tenant (see
+	// tenant-aware routing for requests that carry a Tenant (see
 	// QoSConfig; empty-tenant requests bypass it).
 	QoS *QoSConfig
 	// Handler serves each request; it receives the owning Worker so
@@ -106,7 +106,7 @@ type Worker struct {
 	conn     *Conn // worker side
 	mux      *Mux  // server side
 	inflight int
-	// perTenant tracks in-flight requests by tenant (within-weight
+	// perTenant tracks in-flight requests by tenant (tenant-aware
 	// routing); nil until the first tenant-tagged request.
 	perTenant map[string]int
 
@@ -378,11 +378,6 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 		defer qosRelease()
 	}
 	if req.Tenant != "" {
-		// Tag the proc (netsim WFQ reads it at send-window admission) and
-		// the span for the request's lifetime in the pool.
-		prev := p.Tenant()
-		p.SetTenant(req.Tenant)
-		defer p.SetTenant(prev)
 		req.Span.SetTenant(req.Tenant)
 	}
 	replayable := wp.cfg.Replay && req.Idempotent

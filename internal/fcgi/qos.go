@@ -37,34 +37,21 @@ const qosAdmitCost = sim.Duration(300) // 300 ns
 // an empty Tenant bypass QoS entirely (zero added cost — the
 // single-tenant pools of earlier PRs are unaffected).
 type QoSConfig struct {
-	// Weights maps tenant → relative weight; absent tenants get weight 1.
-	// A weight-w tenant gets w× the in-flight share and w× the request
-	// rate of a default tenant.
-	Weights map[string]int64
-	// MaxShare bounds a weight-1 tenant's concurrent in-flight requests
+	// MaxShare bounds each tenant's concurrent in-flight requests
 	// (default 2); a tenant at its bound sheds with ErrOverShare.
 	MaxShare int
-	// ReqRate, when positive, bounds a weight-1 tenant's admitted
-	// requests/second with a per-tenant token bucket; a tenant outrunning
-	// it sheds with ErrThrottled.
+	// ReqRate, when positive, bounds each tenant's admitted requests/second
+	// with a per-tenant token bucket; a tenant outrunning it sheds with
+	// ErrThrottled.
 	ReqRate int64
-	// ReqBurst is the weight-1 bucket burst (default: one second of
-	// ReqRate).
+	// ReqBurst is the bucket burst (default: one second of ReqRate).
 	ReqBurst int64
 	// Meters, when set, accumulates per-tenant admitted/shed/throttled
 	// counts.
 	Meters *obs.Tenants
 }
 
-// weight returns tenant's configured weight (1 when unset).
-func (q *QoSConfig) weight(tenant string) int64 {
-	if w, ok := q.Weights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// maxShare returns the weight-1 in-flight bound.
+// maxShare returns the per-tenant in-flight bound.
 func (q *QoSConfig) maxShare() int {
 	if q.MaxShare > 0 {
 		return q.MaxShare
@@ -72,10 +59,9 @@ func (q *QoSConfig) maxShare() int {
 	return 2
 }
 
-// tenantQoS is one tenant's admission state: its weight-scaled in-flight
-// count and rate bucket.
+// tenantQoS is one tenant's admission state: its in-flight count and rate
+// bucket.
 type tenantQoS struct {
-	weight   int64
 	inflight int
 	bucket   *tokenBucket // nil when ReqRate is unset
 }
@@ -135,13 +121,9 @@ func (wp *WorkerPool) tenantState(now sim.Time, tenant string) *tenantQoS {
 		return ts
 	}
 	q := wp.cfg.QoS
-	ts = &tenantQoS{weight: q.weight(tenant)}
+	ts = &tenantQoS{}
 	if q.ReqRate > 0 {
-		burst := q.ReqBurst
-		if burst > 0 {
-			burst *= ts.weight
-		}
-		ts.bucket = newTokenBucket(now, q.ReqRate*ts.weight, burst)
+		ts.bucket = newTokenBucket(now, q.ReqRate, q.ReqBurst)
 	}
 	if wp.qosState == nil {
 		wp.qosState = make(map[string]*tenantQoS)
@@ -164,7 +146,7 @@ func (wp *WorkerPool) admitQoS(p *sim.Proc, req *Request) (func(), error) {
 	}
 	ts := wp.tenantState(p.Now(), req.Tenant)
 	stats := q.Meters.Get(req.Tenant)
-	if ts.inflight >= int(ts.weight)*q.maxShare() {
+	if ts.inflight >= q.maxShare() {
 		wp.sheds++
 		stats.Sheds++
 		return nil, ErrOverShare
@@ -180,7 +162,7 @@ func (wp *WorkerPool) admitQoS(p *sim.Proc, req *Request) (func(), error) {
 }
 
 // tenantLoad reports how many of tenant's requests are in flight on this
-// worker (the within-weight routing signal).
+// worker (the tenant-aware routing signal).
 func (w *Worker) tenantLoad(tenant string) int {
 	return w.perTenant[tenant]
 }

@@ -95,45 +95,6 @@ func TestQoSShareBoundTypedError(t *testing.T) {
 	}
 }
 
-// TestQoSWeightScalesShare pins weighted shares: at MaxShare 1, a
-// weight-3 tenant holds 3 concurrent requests and sheds the 4th.
-func TestQoSWeightScalesShare(t *testing.T) {
-	b := newBed()
-	pool := qosPool(b, 1, 8, time.Millisecond, &QoSConfig{
-		MaxShare: 1,
-		Weights:  map[string]int64{"gold": 3},
-	})
-
-	var errs []error
-	for i := 0; i < 4; i++ {
-		i := i
-		b.eng.Go(fmt.Sprintf("g%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Duration(i) * 10 * sim.Microsecond)
-			resp, err := pool.Do(p, Request{Params: []byte("x"), Tenant: "gold"})
-			errs = append(errs, err)
-			if err == nil {
-				resp.Release()
-			}
-		})
-	}
-	b.eng.Run()
-
-	admitted, shed := 0, 0
-	for _, err := range errs {
-		switch {
-		case err == nil:
-			admitted++
-		case errors.Is(err, ErrOverShare):
-			shed++
-		default:
-			t.Fatalf("unexpected error: %v", err)
-		}
-	}
-	if admitted != 3 || shed != 1 {
-		t.Fatalf("weight-3 tenant: %d admitted, %d shed; want 3/1", admitted, shed)
-	}
-}
-
 // TestQoSRateThrottleTypedError pins the rate bucket: with a 1-token
 // bucket at 1 req/s, the second back-to-back request throttles with
 // ErrThrottled, and the allowance recovers with simulated time.

@@ -255,14 +255,6 @@ type Endpoint struct {
 	// descriptors hang their poll wakeups here.
 	rcvNotify func()
 	sndNotify func()
-
-	// WFQ state (active only when the host's wfq knob is on): vtime is
-	// each tenant's virtual finish time — bytes admitted to this
-	// endpoint's send window, normalized by the tenant's weight — and
-	// vbase the floor new/idle tenants start from, so a tenant that sat
-	// idle can't bank service and then starve the rest catching up.
-	vtime map[string]uint64
-	vbase uint64
 }
 
 // newConn wires two endpoints over link. clientHost dials serverHost.
@@ -355,9 +347,6 @@ func (e *Endpoint) Send(p *sim.Proc, pl Payload, done func()) {
 		if e.host.costs.OnCharge != nil {
 			item.bind = p.Attrib()
 		}
-		if e.host.wfq {
-			e.chargeVtime(p.Tenant(), take)
-		}
 		e.sndQ = append(e.sndQ, item)
 		e.wakePump()
 		off += take
@@ -387,53 +376,6 @@ func (e *Endpoint) wakePump() {
 		e.pumpIdle = false
 		e.pump.Unpark()
 	}
-}
-
-// vtQuantum scales virtual time so integer division by a weight keeps
-// per-byte resolution even at large weights.
-const vtQuantum = 1 << 16
-
-// chargeVtime advances tenant's virtual finish time by bytes/weight.
-// Virtual time only moves on admission into a contended window, so an
-// uncontended endpoint pays nothing for the feature; vbase floors idle
-// tenants at the busiest tenant's clock so returning tenants compete from
-// now rather than replaying banked idleness.
-func (e *Endpoint) chargeVtime(tenant string, bytes int) {
-	if e.vtime == nil {
-		e.vtime = make(map[string]uint64)
-	}
-	v := e.vtime[tenant]
-	if v < e.vbase {
-		v = e.vbase
-	} else {
-		e.vbase = v
-	}
-	e.vtime[tenant] = v + uint64(bytes)*vtQuantum/uint64(e.host.TenantWeight(tenant))
-}
-
-// vtimeOf ranks a waiter: its tenant's virtual finish time, floored at
-// vbase (tenants that haven't sent yet rank as least-served).
-func (e *Endpoint) vtimeOf(tenant string) uint64 {
-	v, ok := e.vtime[tenant]
-	if !ok || v < e.vbase {
-		return e.vbase
-	}
-	return v
-}
-
-// wakeSenders releases procs blocked on the transmit window: strictly
-// FIFO normally (byte-identical to pre-WFQ behaviour), or — with the
-// host's wfq knob on and actual competition parked — in ascending tenant
-// virtual time, so the least-served weight-normalized tenant re-admits
-// first. The woken procs re-check window space in Send's wait loop, so
-// ordering the wakes is sufficient: whoever runs first takes the space.
-func (e *Endpoint) wakeSenders() {
-	if e.host.wfq && e.sndWait.Len() > 1 {
-		e.host.wfqGrants++
-		e.sndWait.WakeSorted(func(p *sim.Proc) uint64 { return e.vtimeOf(p.Tenant()) })
-		return
-	}
-	e.sndWait.Wake(-1)
 }
 
 // startPump launches the endpoint's sender process.
@@ -989,7 +931,8 @@ func (e *Endpoint) acked(ackNo int64) {
 	if !e.refMode {
 		e.reserveSock()
 	}
-	e.wakeSenders()
+	// One proc sends on an endpoint at a time, so wake order never matters.
+	e.sndWait.Wake(-1)
 	if e.sndNotify != nil {
 		e.sndNotify()
 	}

@@ -81,19 +81,6 @@ type Host struct {
 	retransSegs, retransBytes int64
 	fastRetrans               int64
 	corruptIn                 int64
-
-	// wfq enables weighted fair queueing of send-window admission on this
-	// host's endpoints: waiters blocked on a full transmit window are
-	// released in virtual-time order (per-tenant service normalized by
-	// weight) instead of FIFO. weights maps tenant → weight; absent
-	// tenants (and the empty tenant) get weight 1.
-	wfq     bool
-	weights map[string]int64
-
-	// wfqGrants counts window-open events resolved by virtual-time order
-	// rather than plain FIFO (i.e. moments where WFQ actually arbitrated
-	// between competing tenants).
-	wfqGrants int64
 }
 
 // NewHost creates a host. charged selects whether the host has a measured
@@ -153,40 +140,6 @@ func (h *Host) SetOffload(on bool) {
 // Offload reports whether segment offload is on for this host.
 func (h *Host) Offload() bool { return h.offload }
 
-// SetWFQ enables (or disables) weighted fair queueing of send-window
-// admission for this host's endpoints. Off (the default), window waiters
-// wake strictly FIFO and behaviour is byte-identical to a host without
-// the feature.
-func (h *Host) SetWFQ(on bool) { h.wfq = on }
-
-// WFQ reports whether weighted fair queueing is on.
-func (h *Host) WFQ() bool { return h.wfq }
-
-// SetTenantWeight assigns tenant a relative WFQ weight (minimum 1). A
-// tenant with weight w receives w shares of contended send capacity for
-// every 1 share a default tenant gets.
-func (h *Host) SetTenantWeight(tenant string, w int64) {
-	if w < 1 {
-		w = 1
-	}
-	if h.weights == nil {
-		h.weights = make(map[string]int64)
-	}
-	h.weights[tenant] = w
-}
-
-// TenantWeight returns tenant's WFQ weight (1 when unset).
-func (h *Host) TenantWeight(tenant string) int64 {
-	if w, ok := h.weights[tenant]; ok {
-		return w
-	}
-	return 1
-}
-
-// WFQGrants reports how many window-open events were arbitrated by
-// virtual-time order (the enforcement-activity meter).
-func (h *Host) WFQGrants() int64 { return h.wfqGrants }
-
 // SegCapacity is the payload capacity of this host's charged transmit
 // unit: the super-segment size with offload on, one MSS without — the
 // denominator MeanSegFill measures against.
@@ -219,7 +172,6 @@ func (h *Host) ResetMeters() {
 	h.pktsOut, h.pktsIn, h.bytesOut, h.bytesIn = 0, 0, 0, 0
 	h.segsOut, h.acksOut = 0, 0
 	h.retransSegs, h.retransBytes, h.fastRetrans, h.corruptIn = 0, 0, 0, 0
-	h.wfqGrants = 0
 }
 
 // RetransStats reports data segments this host retransmitted and the

@@ -265,3 +265,59 @@ func TestOffloadDeterminism(t *testing.T) {
 		t.Fatalf("offload chaos not reproducible: (%d,%d,%d) vs (%d,%d,%d)", d1, c1, s1, d2, c2, s2)
 	}
 }
+
+// TestOffloadConcurrentSendersGather drives two procs' ref-mode sends
+// through one offloaded endpoint over a small window, so both park on it:
+// every byte of each sender must arrive, and the interleaved queue must
+// still gather many MSS chunks per charged transmit unit.
+func TestOffloadConcurrentSendersGather(t *testing.T) {
+	r := newRig(true, nil, 500*time.Microsecond)
+	r.server.SetOffload(true)
+	r.client.SetOffload(true)
+	const perSender, chunk = 96 << 10, 4 << 10
+	got := map[byte]int{}
+
+	r.eng.Go("client", func(p *sim.Proc) {
+		conn := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: true, Tss: 16 << 10})
+		for {
+			d, ok := conn.ClientEnd().Recv(p)
+			if !ok {
+				return
+			}
+			for _, b := range d.Bytes() {
+				got[b]++
+			}
+			d.Release()
+		}
+	})
+	r.eng.Go("server", func(p *sim.Proc) {
+		ep := r.lst.Accept(p).ServerEnd()
+		done := 0
+		sender := func(val byte) func(*sim.Proc) {
+			return func(p *sim.Proc) {
+				for sent := 0; sent < perSender; sent += chunk {
+					pl := core.PackBytes(p, r.pool, bytes.Repeat([]byte{val}, chunk))
+					ep.Send(p, Payload{Agg: pl}, nil)
+				}
+				if done++; done == 2 {
+					ep.Drain(p)
+					ep.Close(p)
+				}
+			}
+		}
+		r.eng.Go("a", sender(0xAA))
+		r.eng.Go("b", sender(0xBB))
+	})
+	r.eng.Run()
+
+	if len(got) != 2 || got[0xAA] != perSender || got[0xBB] != perSender {
+		t.Fatalf("received bytes by value %v, want %d each of 0xaa and 0xbb", got, perSender)
+	}
+	pkts, _, _, _ := r.server.Stats()
+	if segs := r.server.SegsOut(); segs < 2*pkts {
+		t.Fatalf("gather broken with two senders: %d MSS chunks in %d charged units", segs, pkts)
+	}
+	if fill := r.server.MeanSegFill(); fill <= 0 || fill > 1 {
+		t.Fatalf("MeanSegFill %v out of (0, 1] with two senders", fill)
+	}
+}

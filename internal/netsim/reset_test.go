@@ -25,8 +25,6 @@ var hostNonCounters = map[string]bool{
 	"offload":  true,
 	"superSeg": true,
 	"faults":   true,
-	"wfq":      true,
-	"weights":  true,
 }
 
 // TestResetNetStatsCoversEveryCounter poisons every counter field of a
@@ -36,8 +34,6 @@ func TestResetNetStatsCoversEveryCounter(t *testing.T) {
 	eng := sim.New()
 	h := NewHost(eng, sim.DefaultCosts(), "h", true, nil, nil)
 	h.SetOffload(true)
-	h.SetWFQ(true)
-	h.SetTenantWeight("t", 3)
 
 	v := reflect.ValueOf(h).Elem()
 	ty := v.Type()
@@ -56,7 +52,7 @@ func TestResetNetStatsCoversEveryCounter(t *testing.T) {
 		fv.SetInt(7)
 		counters = append(counters, f.Name)
 	}
-	if len(counters) < 11 {
+	if len(counters) < 10 {
 		t.Fatalf("found only %d counter fields %v — reflection walk broken?", len(counters), counters)
 	}
 
@@ -74,7 +70,7 @@ func TestResetNetStatsCoversEveryCounter(t *testing.T) {
 	}
 
 	// And the configuration survived the reset.
-	if !h.Offload() || !h.WFQ() || h.TenantWeight("t") != 3 {
+	if !h.Offload() {
 		t.Error("ResetMeters disturbed configuration state")
 	}
 }

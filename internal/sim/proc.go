@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Proc is a simulated process: a goroutine that runs in lock-step with the
 // engine. At any instant exactly one of {engine, one proc} executes, with
@@ -32,11 +29,6 @@ type Proc struct {
 	// stores the active span here); it rides the proc so charge hooks can
 	// find whose request is paying for the work.
 	attrib interface{}
-
-	// tenant names the principal whose work this proc is currently doing;
-	// QoS layers (fair queueing, rate limiting) read it to decide whose
-	// account to charge. Empty means unattributed.
-	tenant string
 }
 
 // Go starts fn as a simulated process at the current instant. fn runs on its
@@ -70,12 +62,6 @@ func (p *Proc) SetAttrib(v interface{}) { p.attrib = v }
 
 // Attrib returns the proc's attribution binding, nil if none.
 func (p *Proc) Attrib() interface{} { return p.attrib }
-
-// SetTenant tags the proc with the tenant it is working for ("" clears).
-func (p *Proc) SetTenant(t string) { p.tenant = t }
-
-// Tenant returns the proc's tenant tag, "" if unattributed.
-func (p *Proc) Tenant() string { return p.tenant }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
@@ -169,26 +155,6 @@ func (w *WaitQueue) Wake(n int) int {
 
 // Len reports how many procs are parked on the queue.
 func (w *WaitQueue) Len() int { return len(w.q) }
-
-// WakeSorted releases every waiter, ordered by ascending rank (stable, so
-// equally ranked waiters keep FIFO order). Because Unpark schedules each
-// resume as an After(0) event, released procs run in exactly this order —
-// a fair-queueing scheduler can rank waiters by virtual time and get
-// deterministic weighted service from a plain wait queue.
-func (w *WaitQueue) WakeSorted(rank func(*Proc) uint64) int {
-	if len(w.q) == 0 {
-		return 0
-	}
-	released := w.q
-	w.q = nil
-	sort.SliceStable(released, func(i, j int) bool {
-		return rank(released[i]) < rank(released[j])
-	})
-	for _, p := range released {
-		p.Unpark()
-	}
-	return len(released)
-}
 
 // String describes the proc for diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
