@@ -27,32 +27,7 @@ var stdlibMethods = map[string]bool{
 // members are exempt (a complete enum is clearer than a gapped one), as
 // are the test entry points go test runs.
 func TestNoUnreferencedExports(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files := parseTree(t)
 
 	uses := map[string]int{}
 	for _, f := range files {
@@ -102,6 +77,134 @@ func TestNoUnreferencedExports(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("%s is exported but referenced nowhere; delete it", d)
 	}
+}
+
+// parseTree parses every .go file in the repository, tests and the
+// benchmark module included; hidden directories and testdata are skipped.
+func parseTree(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// TestNoUnsetConfigFields fails when an exported field of a configuration
+// struct — a type named *Params, *Config or *Opts — is set nowhere in the
+// repository, tests and the benchmark module included. Such a field is a
+// constant in disguise: every run takes its default, so it should be a
+// constant with that value. A field counts as set when it is a key in a
+// composite literal of its type (T{...} or pkg.T{...}), or in an element
+// literal whose type is elided, or when any selector of its name is the
+// target of an assignment. The last two match by field name alone, so the
+// check misses a field whose name some other struct's elided literal or
+// assignment uses: an assignment to kernel.Config's MemBytes, say, hides
+// an unset MemBytes field in another struct.
+func TestNoUnsetConfigFields(t *testing.T) {
+	fset, files := parseTree(t)
+
+	// pkgOf names a file's package; an external test package (foo_test)
+	// counts as foo, whose exported types it uses by selector anyway.
+	pkgOf := func(f *ast.File) string { return strings.TrimSuffix(f.Name.Name, "_test") }
+
+	type field struct {
+		typ, name string // typ is pkg.Type
+		pos       token.Pos
+	}
+	var fields []field
+	set := map[string]bool{}   // pkg.Type.Field keys of typed literals
+	named := map[string]bool{} // field names set by elided literals or assignments
+	for _, f := range files {
+		pkg := pkgOf(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !isConfigType(n.Name.Name) {
+					return true
+				}
+				for _, decl := range st.Fields.List {
+					for _, id := range decl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{pkg + "." + n.Name.Name, id.Name, id.Pos()})
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				var typ string
+				switch lt := n.Type.(type) {
+				case nil:
+				case *ast.Ident:
+					typ = pkg + "." + lt.Name
+				case *ast.SelectorExpr:
+					if x, ok := lt.X.(*ast.Ident); ok {
+						typ = x.Name + "." + lt.Sel.Name
+					}
+				default:
+					return true
+				}
+				for _, elt := range n.Elts {
+					kv, ok := elt.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						if n.Type == nil {
+							named[key.Name] = true
+						} else if typ != "" {
+							set[typ+"."+key.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						named[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, fl := range fields {
+		if !set[fl.typ+"."+fl.name] && !named[fl.name] {
+			t.Errorf("%s: %s.%s is set nowhere; make it a constant", fset.Position(fl.pos), fl.typ, fl.name)
+		}
+	}
+}
+
+// isConfigType reports whether a struct type name marks a configuration
+// struct.
+func isConfigType(name string) bool {
+	for _, suffix := range []string{"Params", "Config", "Opts"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // isTestEntry reports whether a test-file function is one go test calls.

@@ -75,11 +75,10 @@ type ProxyConfig struct {
 	// OriginRef must be true when the origin is an IO-Lite server (its
 	// sends pass buffer references).
 	OriginRef bool
-	// CacheBytes caps the response cache (0 = unlimited). Eviction is LRU.
-	CacheBytes int64
-	// TTL bounds how long a cached response may be served (0 = forever).
-	// A lookup that finds an entry older than TTL retires it and refetches
-	// from the origin — expiry without conditional revalidation.
+	// TTL bounds how long a cached response may be served (0 = forever);
+	// it is the cache's only bound. A lookup that finds an entry older
+	// than TTL retires it and refetches from the origin — expiry without
+	// conditional revalidation.
 	TTL time.Duration
 
 	// Retries is how many extra origin-fetch attempts a failed miss gets
@@ -120,7 +119,6 @@ type proxyEntry struct {
 	raw  []byte
 	resp *core.Agg
 	fd   int
-	last sim.Time
 	// stored is the fetch instant, against which TTL expiry is judged.
 	stored sim.Time
 
@@ -139,8 +137,7 @@ type Proxy struct {
 	proc *kernel.Process
 	lfd  int
 
-	cache      map[string]*proxyEntry
-	cacheBytes int64
+	cache map[string]*proxyEntry
 
 	requests    int64
 	hits        int64
@@ -204,13 +201,6 @@ func (px *Proxy) StaleServed() int64 { return px.staleServed }
 // Shed reports requests answered 504 because the fetch deadline passed
 // before the origin recovered.
 func (px *Proxy) Shed() int64 { return px.shed }
-
-// ResetMeters zeroes the counters (cache contents stay), so a proxy drops
-// into an obs.ResetSet alongside cost models, hosts, and collectors.
-func (px *Proxy) ResetMeters() {
-	px.requests, px.hits, px.misses, px.bytesOut, px.aborted, px.expired = 0, 0, 0, 0, 0, 0
-	px.retries, px.staleServed, px.shed = 0, 0, 0
-}
 
 func (px *Proxy) acceptLoop(p *sim.Proc) {
 	for {
@@ -322,7 +312,6 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 			}
 		}
 		px.requests++
-		e.last = p.Now()
 		sp.Enter(p.Now(), obs.PhaseSend)
 		var stallBase sim.Duration
 		if sp != nil && cep != nil {
@@ -503,8 +492,7 @@ func (px *Proxy) drain(p *sim.Proc, ofd int) {
 	}
 }
 
-// insert adds e to the cache, evicting least-recently-used entries when
-// over the configured capacity. In splice mode the response is sealed
+// insert adds e to the cache. In splice mode the response is sealed
 // behind an object descriptor so hits can bypass user space entirely.
 func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 	if px.cfg.Mode == ProxySplice {
@@ -514,27 +502,12 @@ func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 	// Two connections can miss on the same path concurrently (both yield
 	// inside fetch) — and the TTL expiry path re-opens that window every
 	// period. The second insert must evict the first entry, not orphan
-	// it: a silent map overwrite would leak its aggregate or splice fd
-	// and leave its size counted against cacheBytes forever.
+	// it: a silent map overwrite would leak its aggregate or splice fd.
 	if old := px.cache[e.path]; old != nil && old != e {
 		px.evict(p, old)
 	}
-	e.last = p.Now()
 	e.stored = p.Now()
 	px.cache[e.path] = e
-	px.cacheBytes += e.size
-	for px.cfg.CacheBytes > 0 && px.cacheBytes > px.cfg.CacheBytes && len(px.cache) > 1 {
-		var victim *proxyEntry
-		for _, c := range px.cache {
-			if c != e && (victim == nil || c.last < victim.last) {
-				victim = c
-			}
-		}
-		if victim == nil {
-			return
-		}
-		px.evict(p, victim)
-	}
 }
 
 // evict removes one entry from the cache. Resources are reclaimed at once
@@ -542,7 +515,6 @@ func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 // in-flight sender reclaims it.
 func (px *Proxy) evict(p *sim.Proc, e *proxyEntry) {
 	delete(px.cache, e.path)
-	px.cacheBytes -= e.size
 	if e.inflight > 0 {
 		e.dead = true
 		return

@@ -23,10 +23,6 @@ type proxyBed struct {
 }
 
 func newProxyBed(mode ProxyMode, originKind httpd.Kind) *proxyBed {
-	return newProxyBedCapped(mode, originKind, 0)
-}
-
-func newProxyBedCapped(mode ProxyMode, originKind httpd.Kind, cacheBytes int64) *proxyBed {
 	eng := sim.New()
 	costs := sim.DefaultCosts()
 	b := &proxyBed{eng: eng}
@@ -49,7 +45,6 @@ func newProxyBedCapped(mode ProxyMode, originKind httpd.Kind, cacheBytes int64) 
 		Origin:     originLst,
 		OriginLink: originLink,
 		OriginRef:  originKind.Lite(),
-		CacheBytes: cacheBytes,
 	})
 
 	b.client = netsim.NewHost(eng, costs, "client", false, nil, nil)
@@ -159,51 +154,5 @@ func TestProxyHitAvoidsOriginAndCopies(t *testing.T) {
 	// by the second everything is cached, so hits must dominate overall.
 	if hitB < int64(f.Size()) {
 		t.Errorf("checksum-cache hit bytes = %d (miss %d), want ≥ %d", hitB, missB, f.Size())
-	}
-}
-
-// TestProxyCacheEviction bounds the cache and checks that LRU eviction
-// reclaims entries (splice fds included), evicted paths are re-fetched,
-// and the bytes stay correct throughout.
-func TestProxyCacheEviction(t *testing.T) {
-	for _, mode := range []ProxyMode{ProxyCopy, ProxyZeroCopy, ProxySplice} {
-		t.Run(mode.String(), func(t *testing.T) {
-			b := newProxyBedCapped(mode, httpd.FlashLite, 70<<10) // fits ~2 of 3 docs
-			const docSize = 30 << 10
-			var want [3][]byte
-			paths := []string{"/a", "/b", "/c"}
-			for i, path := range paths {
-				f := b.origin.FS.Create(path, docSize)
-				want[i] = b.origin.FS.Expected(f, 0, f.Size())
-			}
-			// Two LRU-hostile passes: every request past the first few evicts.
-			seq := []string{"/a", "/b", "/c", "/a", "/b", "/c", "/a"}
-			got := b.fetch(t, seq)
-			for i, path := range paths {
-				if !bytes.Equal(got[path], want[i]) {
-					t.Fatalf("%s served wrong bytes under eviction", path)
-				}
-			}
-			reqs, hits, misses, _, aborted := b.px.Stats()
-			if reqs != int64(len(seq)) || aborted != 0 {
-				t.Fatalf("reqs=%d aborted=%d", reqs, aborted)
-			}
-			if hits+misses != reqs {
-				t.Fatalf("hits(%d)+misses(%d) != requests(%d)", hits, misses, reqs)
-			}
-			if misses <= 3 {
-				t.Fatalf("misses=%d; the bounded cache should have evicted and re-fetched", misses)
-			}
-			if b.px.cacheBytes > 70<<10 {
-				t.Fatalf("cacheBytes=%d over the %d cap", b.px.cacheBytes, 70<<10)
-			}
-			// Evicted splice entries must close their object fds: the table
-			// holds at most the listener plus one fd per resident entry.
-			if mode == ProxySplice {
-				if n := b.px.proc.NumFDs(); n > 1+len(b.px.cache) {
-					t.Fatalf("proxy leaked descriptors: %d open, %d cache entries", n, len(b.px.cache))
-				}
-			}
-		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // newProxyBedTTL is newProxyBed with an entry TTL.
 func newProxyBedTTL(mode ProxyMode, originKind httpd.Kind, ttl time.Duration) *proxyBed {
-	b := newProxyBedCapped(mode, originKind, 0)
+	b := newProxyBed(mode, originKind)
 	// Rebuild the proxy with the TTL; the bed's other wiring is reusable.
 	cfg := b.px.cfg
 	cfg.TTL = ttl
@@ -59,8 +59,7 @@ func TestProxyTTLExpiresEntries(t *testing.T) {
 // TestProxyInsertDuplicatePathEvictsOldEntry: two concurrent misses on
 // one path (the window the TTL expiry re-opens every period) both
 // insert; the second insert must retire the first entry — releasing its
-// aggregate and its cacheBytes accounting — instead of orphaning it
-// behind a map overwrite.
+// aggregate — instead of orphaning it behind a map overwrite.
 func TestProxyInsertDuplicatePathEvictsOldEntry(t *testing.T) {
 	b := newProxyBed(ProxyZeroCopy, httpd.FlashLite)
 	px := b.px
@@ -71,9 +70,6 @@ func TestProxyInsertDuplicatePathEvictsOldEntry(t *testing.T) {
 		px.insert(p, second)
 		if px.cache["/x"] != second {
 			t.Error("second insert did not win the slot")
-		}
-		if px.cacheBytes != 1000 {
-			t.Errorf("cacheBytes = %d after duplicate insert, want 1000", px.cacheBytes)
 		}
 		if first.resp != nil {
 			t.Error("first entry's aggregate was orphaned, not released")

@@ -17,7 +17,7 @@ import (
 
 // The chaos experiment: the zero-copy claims under failure. A depth-D
 // sock-local ref fcgi tier runs its closed loop while the loopback wire
-// drops and corrupts data segments (netsim.FaultPlan + go-back-N recovery)
+// drops data segments (netsim.FaultPlan + go-back-N recovery)
 // and a killer process periodically tears a worker's channel down
 // mid-flight (supervision respawns capacity; the Replay policy decides
 // whether in-flight idempotent requests survive). The meters answer the
@@ -40,19 +40,16 @@ type ChaosParams struct {
 	// and a saturated host converts every retransmitted segment straight
 	// into lost goodput, measuring only the overhead, never the recovery.
 	Think time.Duration
-	// LossProb / CorruptProb are the per-data-segment fault probabilities
-	// on the loopback wire; 0/0 leaves the wire reliable (and the
-	// fault-free path timer-free).
-	LossProb    float64
-	CorruptProb float64
+	// LossProb is the per-data-segment drop probability on the loopback
+	// wire; 0 leaves the wire reliable (and the fault-free path
+	// timer-free). The fault plan runs on its default seed.
+	LossProb float64
 	// KillEvery is the period between worker kills (0 = no kills). Kills
 	// rotate round-robin over the pool and run through the whole window.
 	KillEvery time.Duration
 	// Replay enables the pool's idempotent replay policy; without it an
 	// in-flight request on a killed worker fails with ErrWorkerDied.
 	Replay bool
-	// Seed drives the fault plan's deterministic PRNG (0 = default).
-	Seed uint64
 	// Offload enables LSO/GRO segment offload on the machine: faults are
 	// then judged per MSS chunk inside super-segments, and recovery must
 	// retransmit chunk-granular holes (kernel.Config.Offload).
@@ -88,9 +85,6 @@ type ChaosResult struct {
 	// run's figure (sock-local ref payloads cross by reference; only
 	// framing and request params are copied).
 	CopiedKBPerReq float64
-	// DroppedSegs / CorruptedSegs are the plan's injection counts.
-	DroppedSegs   int64
-	CorruptedSegs int64
 	// LeakPages counts live pages beyond the per-pool open-chunk allowance
 	// after the run drains — nonzero means an abandoned delivery kept a
 	// *core.Agg reference.
@@ -115,10 +109,8 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	srv := m.NewProcess("chaos-srv", 2<<20)
 	tr := fcgi.NewLoopbackTransport(m, srv, true)
 
-	var plan *netsim.FaultPlan
-	if cp.LossProb > 0 || cp.CorruptProb > 0 {
-		plan = &netsim.FaultPlan{DropProb: cp.LossProb, CorruptProb: cp.CorruptProb, Seed: cp.Seed}
-		tr.Link.SetFaultPlan(plan)
+	if cp.LossProb > 0 {
+		tr.Link.SetFaultPlan(&netsim.FaultPlan{DropProb: cp.LossProb})
 	}
 	pool := docPool(fcgi.PoolConfig{
 		Machine:   m,
@@ -173,9 +165,6 @@ func RunChaos(cp ChaosParams) ChaosResult {
 	res.Replays = pool.Replays()
 	res.Reroutes = pool.Reroutes()
 	res.Respawns = pool.Respawns()
-	if plan != nil {
-		res.DroppedSegs, res.CorruptedSegs = plan.Stats()
-	}
 	res.LeakPages = leakPages(srv.Pool.LivePages())
 	for _, w := range pool.Workers() {
 		res.LeakPages += leakPages(w.Proc.Pool.LivePages())
@@ -194,9 +183,6 @@ func leakPages(live int) int {
 
 func chaosLabel(cp ChaosParams) string {
 	l := fmt.Sprintf("loss=%.1f%%", cp.LossProb*100)
-	if cp.CorruptProb > 0 {
-		l += fmt.Sprintf(" corrupt=%.1f%%", cp.CorruptProb*100)
-	}
 	if cp.KillEvery > 0 {
 		l += fmt.Sprintf(" kill=%v", cp.KillEvery)
 		if cp.Replay {

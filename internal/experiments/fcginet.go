@@ -114,7 +114,7 @@ func RunFCGINet(fp FCGINetParams) FCGINetResult {
 	case PlaceSockLocal:
 		tr = fcgi.NewLoopbackTransport(m, srv, fp.Ref)
 	case PlaceSockRemote:
-		tr, wm = fcgi.NewLANTransport(m, srv, fp.Ref, "wkr")
+		tr, wm = fcgi.NewLANTransport(m, srv, fp.Ref)
 	default:
 		panic("experiments: unknown placement " + string(fp.Placement))
 	}

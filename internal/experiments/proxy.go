@@ -28,16 +28,6 @@ type ProxyParams struct {
 	// Direct bypasses the proxy tier: clients dial the origin.
 	Direct bool
 
-	// Docs static documents of DocBytes each make up the workload
-	// (defaults 8 × 64 KB); requests sample them uniformly, so after one
-	// cold pass the proxy serves everything from its cache.
-	Docs     int
-	DocBytes int64
-
-	Clients        int
-	ClientMachines int
-	Persistent     bool
-
 	// Offload enables LSO/GRO segment offload on every machine in the
 	// topology — serving tier, origin, and the client hosts (clients
 	// must run the same delayed-ack policy for the economy to show).
@@ -50,6 +40,17 @@ type ProxyParams struct {
 	// Obs, when set, traces requests through the serving tier.
 	Obs *obs.Collector
 }
+
+// The proxy topology's fixed workload: proxyDocs static documents of
+// proxyDocBytes each, sampled uniformly by proxyClients nonpersistent
+// clients on proxyClientMachines machines, so after one cold pass the
+// proxy serves everything from its cache.
+const (
+	proxyDocs           = 8
+	proxyDocBytes       = 64 << 10
+	proxyClients        = 32
+	proxyClientMachines = 4
+)
 
 // ProxyResult is one proxy run's outcome, including the charged-cost
 // counters the figure quantifies: bytes of copy work priced anywhere in
@@ -77,10 +78,6 @@ type ProxyResult struct {
 
 // RunProxy executes one proxy-topology experiment.
 func RunProxy(pp ProxyParams) ProxyResult {
-	orDefault(&pp.Docs, 8)
-	orDefault(&pp.DocBytes, 64<<10)
-	orDefault(&pp.Clients, 32)
-	orDefault(&pp.ClientMachines, 4)
 	orDefault(&pp.Warmup, 500*time.Millisecond)
 	orDefault(&pp.Measure, 2*time.Second)
 
@@ -99,10 +96,10 @@ func RunProxy(pp ProxyParams) ProxyResult {
 		Listener: originLst,
 		Obs:      srvObs,
 	})
-	paths := make([]string, pp.Docs)
+	paths := make([]string, proxyDocs)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/doc%d", i)
-		origin.FS.Create(paths[i], pp.DocBytes)
+		origin.FS.Create(paths[i], proxyDocBytes)
 	}
 
 	// Proxy tier (skipped when Direct). The proxy machine runs the IO-Lite
@@ -137,8 +134,8 @@ func RunProxy(pp ProxyParams) ProxyResult {
 		refFront = pp.Mode.RefMode()
 	}
 	clients := &clientTier{
-		clients: pp.Clients, machines: pp.ClientMachines, offload: pp.Offload, seed: pp.Seed,
-		cfg:  httpd.ClientConfig{Listener: frontLst, RefServer: refFront, Persistent: pp.Persistent},
+		clients: proxyClients, machines: proxyClientMachines, offload: pp.Offload, seed: pp.Seed,
+		cfg:  httpd.ClientConfig{Listener: frontLst, RefServer: refFront},
 		next: func(_ *sim.Proc, rng *rand.Rand) string { return paths[rng.Intn(len(paths))] },
 	}
 	clients.start(b, serveMachine.Host)

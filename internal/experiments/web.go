@@ -57,16 +57,13 @@ type WebParams struct {
 	Server ServerConfig
 
 	// Clients is the closed-loop client population, spread over
-	// ClientMachines machines (default 5, as in the testbed).
-	Clients        int
-	ClientMachines int
+	// webClientMachines machines.
+	Clients int
 	// Persistent selects HTTP/1.1 keep-alive connections.
 	Persistent bool
 	// Delay is the one-way link delay injected by the delay routers
 	// (Figure 12).
 	Delay time.Duration
-	// MemBytes is server memory (default 128 MB).
-	MemBytes int64
 
 	// Exactly one workload:
 	// SingleFileSize serves one static document of this size (Figs 3-4);
@@ -101,6 +98,13 @@ type WebResult struct {
 	DiskUtil float64
 }
 
+// The paper's testbed (§5): five client machines, and 128 MB of server
+// memory.
+const (
+	webClientMachines = 5
+	webMemBytes       = 128 << 20
+)
+
 // machineConfig builds the kernel config of a machine serving sc: the
 // IO-Lite servers get their file cache policy and the checksum cache.
 func (sc ServerConfig) machineConfig(memBytes int64, offload bool) kernel.Config {
@@ -118,25 +122,19 @@ func (sc ServerConfig) machineConfig(memBytes int64, offload bool) kernel.Config
 
 // RunWeb executes one experiment and returns its result.
 func RunWeb(wp WebParams) WebResult {
-	orDefault(&wp.ClientMachines, 5)
 	orDefault(&wp.Clients, 40)
-	orDefault(&wp.MemBytes, 128<<20)
 	orDefault(&wp.Warmup, 2*time.Second)
 	orDefault(&wp.Measure, 5*time.Second)
 
 	b := newBed(wp.Obs, wp.Warmup, wp.Measure)
 	isLite := wp.Server.Kind.Lite()
-	m := kernel.NewMachine(b.eng, b.costs, wp.Server.machineConfig(wp.MemBytes, false))
+	m := kernel.NewMachine(b.eng, b.costs, wp.Server.machineConfig(webMemBytes, false))
 	lst := netsim.NewListener(m.Host)
 	srv := httpd.NewServer(httpd.Config{
 		Kind:     wp.Server.Kind,
 		Machine:  m,
 		Listener: lst,
 		CGI:      wp.CGISize > 0,
-		// The paper's measured servers dispatched one request per worker
-		// at a time (§5.3); pin that shape so Figs 5-6 keep measuring it.
-		// The multiplexed protocol (depth > 1) is FigFCGI's subject.
-		CGIDepth: 1,
 		Obs:      wp.Obs,
 	})
 
@@ -173,7 +171,7 @@ func RunWeb(wp WebParams) WebResult {
 	}
 
 	clients := &clientTier{
-		clients: wp.Clients, machines: wp.ClientMachines, delay: wp.Delay, seed: wp.Seed,
+		clients: wp.Clients, machines: webClientMachines, delay: wp.Delay, seed: wp.Seed,
 		cfg:  httpd.ClientConfig{Listener: lst, RefServer: isLite, Persistent: wp.Persistent},
 		next: next,
 	}

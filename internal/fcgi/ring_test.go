@@ -120,7 +120,7 @@ func TestAcceptanceRingQuartersSyscallCharges(t *testing.T) {
 // instead of hanging a parked writer or the flusher.
 func TestRingResetSurfacesThroughMux(t *testing.T) {
 	b := newBed()
-	tr, _ := NewLANTransport(b.m, b.srv, true, "wkr")
+	tr, _ := NewLANTransport(b.m, b.srv, true)
 	pool := NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: 2,
 		Ref: true, Transport: tr, Ring: true, Name: "rrst",

@@ -186,7 +186,7 @@ func buildTransport(b *bed, name string, ref bool) Transport {
 	case "sock-local":
 		return NewLoopbackTransport(b.m, b.srv, ref)
 	case "sock-remote":
-		tr, _ := NewLANTransport(b.m, b.srv, ref, "wkr")
+		tr, _ := NewLANTransport(b.m, b.srv, ref)
 		return tr
 	}
 	panic("unknown transport " + name)
@@ -260,7 +260,7 @@ func TestMuxInterleavesRecordsOverSocket(t *testing.T) {
 			b := newBed()
 			var tr Transport
 			if tc.remote {
-				tr, _ = NewLANTransport(b.m, b.srv, true, "wkr")
+				tr, _ = NewLANTransport(b.m, b.srv, true)
 			} else {
 				tr = NewLoopbackTransport(b.m, b.srv, true)
 			}
@@ -347,7 +347,7 @@ func TestStreamReadTornRecordIsUnexpectedEOF(t *testing.T) {
 // terminally broken.
 func TestSocketResetSurfacesThroughMux(t *testing.T) {
 	b := newBed()
-	tr, _ := NewLANTransport(b.m, b.srv, true, "wkr")
+	tr, _ := NewLANTransport(b.m, b.srv, true)
 	pool := NewWorkerPool(PoolConfig{
 		Machine: b.m, Server: b.srv, Workers: 1, Depth: 2,
 		Ref: true, Transport: tr, Name: "rst",
@@ -390,7 +390,7 @@ func TestAcceptanceRemoteRefBoundaryCopiesPayloadOnce(t *testing.T) {
 
 	run := func(ref bool) int64 {
 		b := newBed()
-		tr, _ := NewLANTransport(b.m, b.srv, ref, "wkr")
+		tr, _ := NewLANTransport(b.m, b.srv, ref)
 		aggs := NewAggCache()
 		raws := NewRawCache()
 		pool := NewWorkerPool(PoolConfig{

@@ -184,22 +184,16 @@ func NewLoopbackTransport(m *kernel.Machine, server *kernel.Process, ref bool) *
 	return &SocketTransport{M: m, Server: server, WorkerMachine: m, Link: link, Ref: ref}
 }
 
-// NewRemoteTransport wires workers as processes on worker machine wm,
-// reached from m over link — the distributed-FastCGI topology.
-func NewRemoteTransport(m *kernel.Machine, server *kernel.Process, wm *kernel.Machine, link *netsim.Link, ref bool) *SocketTransport {
-	return &SocketTransport{M: m, Server: server, WorkerMachine: wm, Link: link, Ref: ref}
-}
-
-// NewLANTransport builds a remote transport on a freshly created worker
-// machine connected by the default 1 Gb/s, 50 µs LAN link — the standard
-// distributed-worker topology. It returns the transport and the worker
-// machine (callers measure its CPU separately).
-func NewLANTransport(m *kernel.Machine, server *kernel.Process, ref bool, hostName string) (*SocketTransport, *kernel.Machine) {
+// NewLANTransport wires workers as processes on a freshly created worker
+// machine "wkr", reached from m over the default 1 Gb/s, 50 µs LAN link —
+// the distributed-FastCGI topology. It returns the transport and the
+// worker machine (callers measure its CPU separately).
+func NewLANTransport(m *kernel.Machine, server *kernel.Process, ref bool) (*SocketTransport, *kernel.Machine) {
 	// The worker machine inherits the server machine's offload setting so
 	// both ends of the link run the same packet economy.
-	wm := kernel.NewMachine(m.Eng, m.Costs, kernel.Config{HostName: hostName, Offload: m.Host.Offload()})
+	wm := kernel.NewMachine(m.Eng, m.Costs, kernel.Config{HostName: "wkr", Offload: m.Host.Offload()})
 	link := netsim.NewLink(m.Eng, m.Host, wm.Host, LANBps, LANDelay)
-	return NewRemoteTransport(m, server, wm, link, ref), wm
+	return &SocketTransport{M: m, Server: server, WorkerMachine: wm, Link: link, Ref: ref}, wm
 }
 
 // TuneWindow records the pool's mux depth and typical response size for

@@ -1,7 +1,6 @@
 package httpd
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,7 +8,6 @@ import (
 
 	"iolite/internal/core"
 	"iolite/internal/fcgi"
-	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
 )
@@ -17,14 +15,21 @@ import (
 // cgiRequestWork is the worker's per-request processing beyond moving data.
 const cgiRequestWork = 20 * time.Microsecond
 
+// The CGI tier's shape. The paper's measured servers dispatched one
+// request per worker at a time (§5.3), so Figs 5-6 measure exactly that:
+// 8 persistent workers at mux depth 1. The multiplexed protocol (depth
+// > 1) is FigFCGI's subject, and worker placement is FigFCGINet's.
+const (
+	cgiWorkers = 8
+	cgiDepth   = 1
+)
+
 // cgiPool serves dynamic documents through the internal/fcgi subsystem: a
 // FastCGI-style pool of persistent worker processes (§5.3 — FastCGI
 // amortizes fork/exec across requests; the remaining costs are framing
-// and, on conventional servers, pipe copies). Unlike the ad-hoc
-// one-request-per-worker pipe protocol this replaces, each worker's single
-// pipe pair multiplexes several in-flight requests (the pool's mux
-// depth), and on IO-Lite servers the response payload crosses both the
-// pipe and the socket by reference.
+// and, on conventional servers, pipe copies). Each worker is reached over
+// its own pipe pair, and on IO-Lite servers the response payload crosses
+// both the pipe and the socket by reference.
 type cgiPool struct {
 	s    *Server
 	pool *fcgi.WorkerPool
@@ -38,36 +43,23 @@ type cgiPool struct {
 	docsRaw *fcgi.RawCache
 }
 
-func newCGIPool(s *Server, workers, depth int) *cgiPool {
+func newCGIPool(s *Server) *cgiPool {
 	cp := &cgiPool{
 		s:       s,
 		docsAgg: fcgi.NewAggCache(),
 		docsRaw: fcgi.NewRawCache(),
 	}
-	ref := s.cfg.Kind.Lite()
-	var tr fcgi.Transport
-	switch s.cfg.CGIPlacement {
-	case "", "pipe":
-		// nil selects the pool's default pipe transport.
-	case "sock-local":
-		tr = fcgi.NewLoopbackTransport(s.m, s.proc, ref)
-	case "sock-remote":
-		tr, _ = fcgi.NewLANTransport(s.m, s.proc, ref, "cgihost")
-	default:
-		panic("httpd: unknown CGIPlacement " + s.cfg.CGIPlacement)
-	}
+	// A nil Transport selects the pool's default pipe transport.
 	cp.pool = fcgi.NewWorkerPool(fcgi.PoolConfig{
-		Machine:   s.m,
-		Server:    s.proc,
-		Workers:   workers,
-		Depth:     depth,
-		Ref:       ref,
-		Transport: tr,
-		Respawn:   true,
-		Replay:    s.cfg.CGIReplay,
-		Name:      "cgi",
-		Obs:       s.cfg.Obs,
-		Handler:   cp.handle,
+		Machine: s.m,
+		Server:  s.proc,
+		Workers: cgiWorkers,
+		Depth:   cgiDepth,
+		Ref:     s.cfg.Kind.Lite(),
+		Respawn: true,
+		Name:    "cgi",
+		Obs:     s.cfg.Obs,
+		Handler: cp.handle,
 		OnRetire: func(w *fcgi.Worker) {
 			cp.docsAgg.Drop(w)
 			cp.docsRaw.Drop(w)
@@ -87,9 +79,7 @@ func (cp *cgiPool) handle(p *sim.Proc, w *fcgi.Worker, req *fcgi.ServerRequest) 
 	if !ok {
 		size = 1
 	}
-	// The per-request work runs inside the worker process: charge the
-	// machine the worker is placed on (the server machine for pipe and
-	// sock-local placements, the worker tier's for sock-remote).
+	// The per-request work runs inside the worker process.
 	w.M.Host.Use(p, cgiRequestWork)
 
 	if cp.s.cfg.Kind.Lite() {
@@ -128,24 +118,11 @@ func cgiDoc(n int64) []byte {
 // worker-side failure (the mux surfaces broken pipes as errors) or a
 // client write error.
 func (s *Server) serveCGI(p *sim.Proc, cfd int, path string, sp *obs.Span) bool {
-	// CGI document requests are pure GETs — idempotent by construction —
-	// so the BEGIN record always carries the flag; whether a lost request
-	// actually replays is the pool's policy (Config.CGIReplay). The span
-	// rides along: the mux marks the dispatch and service phases and the
-	// BEGIN record carries the trace id to the worker.
-	resp, err := s.cgi.pool.Do(p, fcgi.Request{
-		Params:     []byte(path),
-		Idempotent: true,
-		Deadline:   s.cfg.CGIDeadline,
-		Span:       sp,
-	})
+	// The span rides along: the mux marks the dispatch and service phases
+	// and the BEGIN record carries the trace id to the worker.
+	resp, err := s.cgi.pool.Do(p, fcgi.Request{Params: []byte(path), Span: sp})
 	sp.Enter(p.Now(), obs.PhaseSend)
 	if err != nil {
-		if errors.Is(err, kernel.ErrTimedOut) {
-			// Shed, don't hang: the deadline passed before a worker
-			// answered. The abort accounting upstream still applies.
-			s.shed++
-		}
 		return false
 	}
 

@@ -22,10 +22,7 @@ type bed struct {
 	srv    *Server
 }
 
-func newBed(kind Kind, cgi bool) *bed { return newBedPlaced(kind, cgi, "") }
-
-// newBedPlaced is newBed with an explicit CGI worker placement.
-func newBedPlaced(kind Kind, cgi bool, placement string) *bed {
+func newBed(kind Kind, cgi bool) *bed {
 	eng := sim.New()
 	costs := sim.DefaultCosts()
 	var cfg kernel.Config
@@ -37,7 +34,7 @@ func newBedPlaced(kind Kind, cgi bool, placement string) *bed {
 	b.lst = netsim.NewListener(m.Host)
 	b.client = netsim.NewHost(eng, costs, "client", false, nil, nil)
 	b.link = netsim.NewLink(eng, b.client, m.Host, 100_000_000, 100*time.Microsecond)
-	b.srv = NewServer(Config{Kind: kind, Machine: m, Listener: b.lst, CGI: cgi, CGIPlacement: placement})
+	b.srv = NewServer(Config{Kind: kind, Machine: m, Listener: b.lst, CGI: cgi})
 	return b
 }
 
@@ -263,11 +260,6 @@ func TestServerStatsAccumulate(t *testing.T) {
 	reqs, body, total := st.Requests, st.BodyBytes, st.TotalBytes
 	if reqs != 4 || body != 40000 || total <= body {
 		t.Fatalf("stats: reqs=%d body=%d total=%d", reqs, body, total)
-	}
-	b.srv.ResetMeters()
-	reqs = b.srv.Stats().Requests
-	if reqs != 0 {
-		t.Fatal("ResetMeters did not clear")
 	}
 }
 

@@ -72,33 +72,10 @@ type Config struct {
 	Machine  *kernel.Machine
 	Listener *netsim.Listener
 	// CGI serves every request through a FastCGI-style worker instead of
-	// the static file path (§5.3). Workers ride the internal/fcgi
-	// record-multiplexing subsystem: one pipe pair per worker, many
-	// in-flight requests per pipe pair.
+	// the static file path (§5.3): a pool of persistent workers on the
+	// server machine, reached over pipes, each serving one request at a
+	// time.
 	CGI bool
-	// CGIWorkers is the FastCGI worker pool size (default 8).
-	CGIWorkers int
-	// CGIDepth is each worker's mux depth — concurrent requests
-	// multiplexed over one worker's pipe pair (default 4).
-	CGIDepth int
-	// CGIPlacement selects where CGI workers run and how records reach
-	// them: "" or "pipe" keeps workers on the server machine over pipe
-	// pairs; "sock-local" runs them on the server machine behind
-	// loopback TCP; "sock-remote" runs them as processes on a separate
-	// worker machine, records over a 1 Gb/s LAN link (IO-Lite servers'
-	// ref-mode payloads degrade to exactly one copy at the machine
-	// boundary). The pool supervises workers in every placement.
-	CGIPlacement string
-	// CGIDeadline bounds each CGI request end to end — slot wait,
-	// dispatch, and response. A request whose deadline passes is shed (the
-	// connection aborts instead of holding a handler proc forever) and
-	// counted in Shed(). 0 means no deadline.
-	CGIDeadline time.Duration
-	// CGIReplay lets the worker pool re-dispatch requests lost to a worker
-	// death or deadline onto a healthy worker. CGI document requests are
-	// idempotent (pure GETs), so replay is safe; off by default to keep
-	// the fail-fast baseline.
-	CGIReplay bool
 	// Obs, when set, opens a span per request: phase transitions mark
 	// accept/parse/cache-lookup/dispatch/send, metered charges bin into
 	// the open phase, and the span's trace id rides fcgi record headers to
@@ -143,7 +120,6 @@ type Server struct {
 	bytesBody  int64
 	bytesTotal int64
 	aborted    int64
-	shed       int64
 }
 
 // NewServer creates and starts a server on cfg.Listener.
@@ -157,15 +133,7 @@ func NewServer(cfg Config) *Server {
 	s.proc = s.m.NewProcess("httpd", 2<<20)
 	s.lfd = s.m.Listen(s.proc, cfg.Listener)
 	if cfg.CGI {
-		n := cfg.CGIWorkers
-		if n <= 0 {
-			n = 8
-		}
-		d := cfg.CGIDepth
-		if d <= 0 {
-			d = 4
-		}
-		s.cgi = newCGIPool(s, n, d)
+		s.cgi = newCGIPool(s)
 	}
 	if cfg.Kind == Apache {
 		// Process per connection: the accept loop forks a handler proc for
@@ -194,14 +162,12 @@ func (s *Server) PrimeOpen(path string, f *fsim.File) {
 // toward Requests but not toward the byte totals; the abort count covers
 // both sides of the data path — client write errors (client gone
 // mid-response) and CGI worker pipe write errors, which surface through
-// the mux as failed requests instead of being silently dropped. Shed is
-// the subset of aborts caused by a passed CGI deadline.
+// the mux as failed requests instead of being silently dropped.
 type ServerStats struct {
 	Requests   int64
 	BodyBytes  int64
 	TotalBytes int64
 	Aborted    int64
-	Shed       int64
 }
 
 // Stats snapshots the server's counters.
@@ -211,19 +177,7 @@ func (s *Server) Stats() ServerStats {
 		BodyBytes:  s.bytesBody,
 		TotalBytes: s.bytesTotal,
 		Aborted:    s.aborted,
-		Shed:       s.shed,
 	}
-}
-
-// Shed reports CGI requests abandoned because their deadline passed —
-// a subset of the aborted count (shed responses are never delivered).
-func (s *Server) Shed() int64 { return s.shed }
-
-// ResetMeters zeroes the counters (used when an experiment discards
-// warmup), so a server drops into an obs.ResetSet alongside cost models,
-// hosts, and collectors.
-func (s *Server) ResetMeters() {
-	s.requests, s.bytesBody, s.bytesTotal, s.aborted, s.shed = 0, 0, 0, 0, 0
 }
 
 func (s *Server) acceptLoop(p *sim.Proc) {

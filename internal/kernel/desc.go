@@ -32,9 +32,8 @@ var (
 	ErrNotSupported = errors.New("kernel: operation not supported by descriptor")
 	// ErrNotExist reports an Open of a name that does not resolve.
 	ErrNotExist = errors.New("kernel: no such file")
-	// ErrAgain reports that a non-blocking operation would have parked the
-	// process (EAGAIN): nothing to read, no room to write, no pending
-	// connection to accept. Retry when readiness says so.
+	// ErrAgain reports that an Accept on a non-blocking listener found no
+	// pending connection (EAGAIN). Retry when readiness says so.
 	ErrAgain = errors.New("kernel: operation would block")
 	// ErrTimedOut reports an operation abandoned because its deadline
 	// passed (ETIMEDOUT). Recovery code branches on errors.Is: a timed-out

@@ -33,12 +33,6 @@ type pipe struct {
 	wClosed bool
 	rClosed bool
 
-	// rNotify/wNotify fire (if set) whenever the read/write side becomes
-	// ready: data or EOF for the reader, space or EPIPE for the writer.
-	// Readiness descriptors hang their poll wakeups here.
-	rNotify func()
-	wNotify func()
-
 	kernPages int // TagSockBuf-style accounting of the kernel pipe buffer
 
 	moved    int64
@@ -97,7 +91,6 @@ func (pp *pipe) write(p *sim.Proc, data []byte) {
 		pp.copied += int64(take)
 		pp.accountKernBuf()
 		pp.readers.Wake(-1)
-		pp.noteReadable()
 		off += take
 	}
 }
@@ -125,7 +118,6 @@ func (pp *pipe) read(p *sim.Proc, dst []byte) int {
 	pp.copied += int64(n)
 	pp.accountKernBuf()
 	pp.writers.Wake(-1)
-	pp.noteWritable()
 	return n
 }
 
@@ -149,7 +141,6 @@ func (pp *pipe) writeAgg(p *sim.Proc, agg *core.Agg) bool {
 	pp.bytes += n
 	pp.moved += int64(n)
 	pp.readers.Wake(-1)
-	pp.noteReadable()
 	return true
 }
 
@@ -167,7 +158,6 @@ func (pp *pipe) readAgg(p *sim.Proc) *core.Agg {
 	pp.bytes -= a.Len()
 	pp.m.Host.Use(p, sim.Duration(a.NumSlices())*pp.m.Costs.AggOp)
 	pp.writers.Wake(-1)
-	pp.noteWritable()
 	return a
 }
 
@@ -176,27 +166,6 @@ func (pp *pipe) readAgg(p *sim.Proc) *core.Agg {
 // imply queued aggregates, so one test serves both modes.
 func (pp *pipe) readReady() bool {
 	return len(pp.aggs) > 0 || pp.bytes > 0 || pp.closed()
-}
-
-// canWrite reports whether writing n bytes right now would be admitted
-// without parking, mirroring each mode's admission rule (copy mode admits
-// piecewise into free room; reference mode admits whole aggregates when
-// the pipe is empty or the result fits the cap). Closed pipes never block
-// — the write errors instead.
-func (pp *pipe) canWrite(n int) bool {
-	return pp.closed() || pp.bytes+n <= pipeCap || (pp.ref && pp.bytes == 0)
-}
-
-func (pp *pipe) noteReadable() {
-	if pp.rNotify != nil {
-		pp.rNotify()
-	}
-}
-
-func (pp *pipe) noteWritable() {
-	if pp.wNotify != nil {
-		pp.wNotify()
-	}
 }
 
 // pipeDesc is one end of a UNIX pipe. A reference-mode pipe (§4.4) moves
@@ -212,10 +181,6 @@ type pipeDesc struct {
 	// pending holds the tail of a received aggregate that exceeded the
 	// reader's requested length; the next read continues from it.
 	pending *core.Agg
-
-	// nonblock makes reads and writes return ErrAgain instead of parking
-	// (O_NONBLOCK); readiness loops set it via Machine.SetNonblock.
-	nonblock bool
 }
 
 // PipeStats reports the pipe behind a pipe descriptor's bytes moved,
@@ -251,17 +216,9 @@ func (d *pipeDesc) takeAgg(p *sim.Proc, pr *Process) *core.Agg {
 	return core.PackBytes(nil, pr.Pool, buf[:n])
 }
 
-// readWouldBlock reports whether a read right now would park the proc.
-func (d *pipeDesc) readWouldBlock() bool {
-	return d.pending == nil && !d.pp.readReady()
-}
-
 func (d *pipeDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
 	if d.write {
 		return nil, ErrNotSupported
-	}
-	if d.nonblock && d.readWouldBlock() {
-		return nil, ErrAgain
 	}
 	a := d.takeAgg(p, pr)
 	if a == nil {
@@ -296,9 +253,6 @@ func (d *pipeDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
 	if d.pp.closed() {
 		return ErrClosed
 	}
-	if d.nonblock && !d.pp.canWrite(a.Len()) {
-		return ErrAgain
-	}
 	if d.pp.ref {
 		d.pp.writeAgg(p, a)
 		return nil
@@ -313,9 +267,6 @@ func (d *pipeDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
 func (d *pipeDesc) ReadCopy(p *sim.Proc, pr *Process, dst []byte) (int, error) {
 	if d.write {
 		return 0, ErrNotSupported
-	}
-	if d.nonblock && d.readWouldBlock() {
-		return 0, ErrAgain
 	}
 	if !d.pp.ref && d.pending == nil {
 		n := d.pp.read(p, dst)
@@ -340,9 +291,6 @@ func (d *pipeDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) 
 	if d.pp.closed() {
 		return 0, ErrClosed
 	}
-	if d.nonblock && !d.pp.canWrite(len(src)) {
-		return 0, ErrAgain
-	}
 	if !d.pp.ref {
 		d.pp.write(p, src)
 		return len(src), nil
@@ -356,30 +304,15 @@ func (d *pipeDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) 
 
 func (d *pipeDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
 
-func (d *pipeDesc) setNonblock(on bool) { d.nonblock = on }
-
-// PollReady implements Pollable for whichever end this descriptor is.
+// PollReady implements readyReporter for the read end: readable when a
+// read would complete without parking. The ring's receive coalescing asks
+// it after a read succeeded, which only a read end does. A pipe cannot be
+// watched: it has no readiness hook for a ReadyDesc.
 func (d *pipeDesc) PollReady() Interest {
-	if d.write {
-		if d.pp.canWrite(1) {
-			return Writable
-		}
-		return 0
-	}
-	if !d.readWouldBlock() {
+	if d.pending != nil || d.pp.readReady() {
 		return Readable
 	}
 	return 0
-}
-
-// SetPollNotify implements Pollable: the read end listens for arriving
-// data / writer close, the write end for freed space / reader close.
-func (d *pipeDesc) SetPollNotify(fn func()) {
-	if d.write {
-		d.pp.wNotify = fn
-	} else {
-		d.pp.rNotify = fn
-	}
 }
 
 // Close shuts this end. Closing the write end marks end of stream: blocked
@@ -394,7 +327,6 @@ func (d *pipeDesc) Close(p *sim.Proc) error {
 		if !pp.wClosed {
 			pp.wClosed = true
 			pp.readers.Wake(-1)
-			pp.noteReadable()
 		}
 		return nil
 	}
@@ -412,7 +344,5 @@ func (d *pipeDesc) Close(p *sim.Proc) error {
 	pp.accountKernBuf()
 	pp.writers.Wake(-1)
 	pp.readers.Wake(-1)
-	pp.noteWritable()
-	pp.noteReadable()
 	return nil
 }

@@ -21,19 +21,25 @@ const (
 	// Readable: a read would complete without parking (data, EOF, or
 	// teardown observable).
 	Readable Interest = 1 << iota
-	// Writable: a write would be admitted without parking.
-	Writable
 	// Acceptable: a listener has a pending connection (or has closed).
 	Acceptable
 )
 
-// Pollable is the capability of descriptors that can report readiness and
-// signal its transitions: sockets, pipe ends, listeners, and rings.
-// Descriptors without it (files, sealed objects) are always ready and
-// cannot be watched — their operations never park.
-type Pollable interface {
+// readyReporter is the capability of descriptors that can report their
+// current readiness: sockets, listeners, rings and pipe read ends. The
+// ring's receive coalescing asks it.
+type readyReporter interface {
 	// PollReady reports the conditions that currently hold.
 	PollReady() Interest
+}
+
+// Pollable is the capability of descriptors that can also signal their
+// readiness transitions, so a ReadyDesc can watch them: sockets, listeners
+// and rings. Pipes report readiness but cannot be watched; descriptors
+// without either (files, sealed objects) are always ready — their
+// operations never park.
+type Pollable interface {
+	readyReporter
 	// SetPollNotify registers fn to fire on any readiness transition. One
 	// watcher per descriptor; registering replaces the previous hook.
 	SetPollNotify(fn func())
@@ -48,8 +54,8 @@ type ReadyEvent struct {
 // ReadyDesc is the readiness descriptor. Register fds with Watch, collect
 // the ready set with Wait — one charged syscall per Wait regardless of how
 // many descriptors are watched or ready. Install it with Process.Install
-// like any descriptor; its own fd is Pollable (readable when Wait would
-// return immediately), so readiness loops can nest.
+// like any descriptor; its own fd is not Pollable, so readiness loops do
+// not nest.
 type ReadyDesc struct {
 	m  *Machine
 	pr *Process
@@ -57,7 +63,6 @@ type ReadyDesc struct {
 	order  []int
 	wants  map[int]Interest
 	waiter *sim.Proc
-	notify func()
 }
 
 // NewReadyDesc creates a readiness descriptor for pr's descriptor table.
@@ -67,8 +72,8 @@ func NewReadyDesc(m *Machine, pr *Process) *ReadyDesc {
 
 // Watch registers fd for the conditions in want. The registration is
 // bookkeeping that rides the next Wait (like a poll op submitted through a
-// ring), so it charges nothing. ErrNotSupported if the descriptor cannot
-// report readiness.
+// ring), so it charges nothing. ErrNotSupported if the descriptor is not
+// Pollable.
 func (rd *ReadyDesc) Watch(fd int, want Interest) error {
 	d, err := rd.pr.Desc(fd)
 	if err != nil {
@@ -114,9 +119,6 @@ func (rd *ReadyDesc) Watching() int { return len(rd.wants) }
 func (rd *ReadyDesc) wake() {
 	if rd.waiter != nil {
 		rd.waiter.Unpark()
-	}
-	if rd.notify != nil {
-		rd.notify()
 	}
 }
 
@@ -187,15 +189,3 @@ func (rd *ReadyDesc) Close(*sim.Proc) error {
 	rd.order = nil
 	return nil
 }
-
-// PollReady implements Pollable: a ReadyDesc is readable when Wait would
-// return immediately.
-func (rd *ReadyDesc) PollReady() Interest {
-	if len(rd.scan()) > 0 {
-		return Readable
-	}
-	return 0
-}
-
-// SetPollNotify implements Pollable for nested readiness loops.
-func (rd *ReadyDesc) SetPollNotify(fn func()) { rd.notify = fn }

@@ -237,9 +237,9 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		// read syscalls — the receive-side half of the ring's economy.
 		// Below Need bytes the op parks for more instead of completing
 		// short (the MSG_WAITALL shape); EOF still completes short.
-		if po, ok := d.(Pollable); ok {
+		if rr, ok := d.(readyReporter); ok {
 			for int64(a.Len()) < sqe.N {
-				if int64(a.Len()) >= sqe.Need && po.PollReady()&Readable == 0 {
+				if int64(a.Len()) >= sqe.Need && rr.PollReady()&Readable == 0 {
 					break
 				}
 				b, err := d.ReadAgg(p, r.pr, sqe.N-int64(a.Len()))
@@ -266,9 +266,9 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 			return cqe
 		}
 		// Coalesce exactly like the aggregate path, Need included.
-		if po, ok := d.(Pollable); ok {
+		if rr, ok := d.(readyReporter); ok {
 			for n < len(sqe.Buf) {
-				if int64(n) >= sqe.Need && po.PollReady()&Readable == 0 {
+				if int64(n) >= sqe.Need && rr.PollReady()&Readable == 0 {
 					break
 				}
 				more, err := d.ReadCopy(p, r.pr, sqe.Buf[n:])

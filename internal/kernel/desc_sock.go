@@ -20,10 +20,6 @@ type sockDesc struct {
 	// pending holds the tail of a delivery that exceeded the reader's
 	// requested length.
 	pending *core.Agg
-
-	// nonblock makes reads and writes return ErrAgain instead of parking
-	// (O_NONBLOCK); readiness loops set it via Machine.SetNonblock.
-	nonblock bool
 }
 
 // EndpointOf returns the transport endpoint behind a socket descriptor,
@@ -81,21 +77,7 @@ func (d *sockDesc) SpliceIn(p *sim.Proc, a *core.Agg) error {
 	return nil
 }
 
-// readWouldBlock reports whether a read right now would park the proc.
-func (d *sockDesc) readWouldBlock() bool {
-	return d.pending == nil && !d.ep.RecvReady()
-}
-
-// writeWouldBlock reports whether sending n bytes right now would park the
-// proc on the transmit window. Closed endpoints never block — they error.
-func (d *sockDesc) writeWouldBlock(n int) bool {
-	return !d.ep.Closing() && !d.ep.CanSend(n)
-}
-
 func (d *sockDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error) {
-	if d.nonblock && d.readWouldBlock() {
-		return nil, ErrAgain
-	}
 	a := d.takeAgg(p, pr)
 	if a == nil {
 		return nil, io.EOF
@@ -106,9 +88,6 @@ func (d *sockDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
 func (d *sockDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
 	if d.ep.Closing() {
 		return ErrClosed
-	}
-	if d.nonblock && d.writeWouldBlock(a.Len()) {
-		return ErrAgain
 	}
 	core.CheckReadable(a, pr.Domain)
 	d.m.Host.Use(p, sim.Duration(a.NumSlices())*d.m.Costs.AggOp)
@@ -125,9 +104,6 @@ func (d *sockDesc) WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error {
 }
 
 func (d *sockDesc) ReadCopy(p *sim.Proc, pr *Process, dst []byte) (int, error) {
-	if d.nonblock && d.readWouldBlock() {
-		return 0, ErrAgain
-	}
 	a := d.takeAgg(p, pr)
 	if a == nil {
 		return 0, io.EOF
@@ -139,9 +115,6 @@ func (d *sockDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) 
 	if d.ep.Closing() {
 		return 0, ErrClosed
 	}
-	if d.nonblock && d.writeWouldBlock(len(src)) {
-		return 0, ErrAgain
-	}
 	d.m.Host.Use(p, d.m.Costs.Copy(len(src)))
 	if d.ep.Closing() {
 		// Closed while the copy charge held the proc: EPIPE, not a panic.
@@ -151,28 +124,18 @@ func (d *sockDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) 
 	return len(src), nil
 }
 
-// setNonblock implements the nonblocker capability.
-func (d *sockDesc) setNonblock(on bool) { d.nonblock = on }
-
 // PollReady implements Pollable: readable when a delivery (or EOF) can be
-// taken without parking, writable when the transmit window has room.
+// taken without parking.
 func (d *sockDesc) PollReady() Interest {
-	var r Interest
-	if !d.readWouldBlock() {
-		r |= Readable
+	if d.pending != nil || d.ep.RecvReady() {
+		return Readable
 	}
-	if d.ep.Closing() || d.ep.CanSend(1) {
-		r |= Writable
-	}
-	return r
+	return 0
 }
 
-// SetPollNotify implements Pollable: fn fires whenever a delivery lands,
-// the peer closes, or transmit window frees up.
-func (d *sockDesc) SetPollNotify(fn func()) {
-	d.ep.SetRecvNotify(fn)
-	d.ep.SetSendNotify(fn)
-}
+// SetPollNotify implements Pollable: fn fires whenever a delivery lands or
+// the peer closes.
+func (d *sockDesc) SetPollNotify(fn func()) { d.ep.SetRecvNotify(fn) }
 
 func (d *sockDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
 
@@ -192,8 +155,11 @@ func (d *sockDesc) Close(p *sim.Proc) error {
 // listenDesc is a listening socket: it only accepts. Machine.Accept
 // unwraps it; every data operation is ErrNotSupported.
 type listenDesc struct {
-	m        *Machine
-	lst      *netsim.Listener
+	m   *Machine
+	lst *netsim.Listener
+
+	// nonblock makes Accept return ErrAgain instead of parking when no
+	// connection is pending (O_NONBLOCK, set by Machine.SetNonblock).
 	nonblock bool
 }
 
@@ -210,8 +176,6 @@ func (d *listenDesc) WriteCopy(p *sim.Proc, _ *Process, _ []byte) (int, error) {
 	return 0, ErrNotSupported
 }
 func (d *listenDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
-
-func (d *listenDesc) setNonblock(on bool) { d.nonblock = on }
 
 // PollReady implements Pollable: acceptable when a connection is queued
 // (or the listener has closed, so Accept returns without parking).

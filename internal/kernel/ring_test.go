@@ -363,6 +363,37 @@ func TestPollerListenerBacklog(t *testing.T) {
 	}
 }
 
+// TestSetNonblockListenerOnly pins O_NONBLOCK's scope: only a listener
+// takes it. Sockets and pipes always block, so SetNonblock on either pipe
+// end or on a connected socket reports ErrNotSupported, and still charges
+// the one syscall the fcntl made.
+func TestSetNonblockListenerOnly(t *testing.T) {
+	eng := sim.New()
+	costs := sim.DefaultCosts()
+	m := NewMachine(eng, costs, Config{HostName: "server"})
+	cm := NewMachine(eng, costs, Config{HostName: "client"})
+	pr := m.NewProcess("srv", 1<<20)
+	rfd, wfd := m.Pipe2(pr, pr, false)
+	link := netsim.NewLink(eng, cm.Host, m.Host, 100_000_000, sim.Duration(1e6))
+	_, sfd := SocketPair(cm, cm.NewProcess("cli", 1<<20), m, pr, link, netsim.ConnOpts{})
+
+	eng.Go("srv", func(p *sim.Proc) {
+		for _, tc := range []struct {
+			name string
+			fd   int
+		}{{"pipe read end", rfd}, {"pipe write end", wfd}, {"socket", sfd}} {
+			before := costs.MeterSyscallCount()
+			if err := m.SetNonblock(p, pr, tc.fd, true); !errors.Is(err, ErrNotSupported) {
+				t.Errorf("SetNonblock(%s) = %v, want ErrNotSupported", tc.name, err)
+			}
+			if n := costs.MeterSyscallCount() - before; n != 1 {
+				t.Errorf("SetNonblock(%s) charged %d syscalls, want 1", tc.name, n)
+			}
+		}
+	})
+	eng.Run()
+}
+
 // TestRingAccept: accepts flow through the ring like any other op, each
 // completion carrying the new connection's fd.
 func TestRingAccept(t *testing.T) {

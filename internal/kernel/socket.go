@@ -23,27 +23,22 @@ func (m *Machine) SetCork(p *sim.Proc, pr *Process, fd int, on bool) error {
 	return nil
 }
 
-// nonblocker is the capability of descriptors that support O_NONBLOCK
-// semantics (sockets, pipe ends, listeners; see ErrAgain).
-type nonblocker interface {
-	setNonblock(on bool)
-}
-
-// SetNonblock is fcntl(O_NONBLOCK) on a descriptor: while on, operations
-// that would park the process return ErrAgain instead, and readiness is
-// observed through a ReadyDesc. One syscall is charged. Descriptors without
-// a blocking path (files, sealed objects) report ErrNotSupported — their
-// operations never park.
+// SetNonblock is fcntl(O_NONBLOCK) on a listener descriptor: while on,
+// an Accept with no pending connection returns ErrAgain instead of
+// parking, so a readiness loop drains the backlog a ReadyDesc reported
+// and stops at its bottom. One syscall is charged. Every other descriptor
+// reports ErrNotSupported: sockets and pipes always block, and a readiness
+// loop reads a socket only once a ReadyDesc reports it readable.
 func (m *Machine) SetNonblock(p *sim.Proc, pr *Process, fd int, on bool) error {
 	m.syscall(p)
 	d, err := pr.Desc(fd)
 	if err != nil {
 		return err
 	}
-	nb, ok := d.(nonblocker)
+	ld, ok := d.(*listenDesc)
 	if !ok {
 		return ErrNotSupported
 	}
-	nb.setNonblock(on)
+	ld.nonblock = on
 	return nil
 }

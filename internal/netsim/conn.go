@@ -250,11 +250,10 @@ type Endpoint struct {
 	ackEvents int
 	ackTimer  *sim.Timer
 
-	// rcvNotify/sndNotify fire (if set) when the receive side becomes
-	// ready (delivery or FIN) / when transmit-window space frees. Readiness
-	// descriptors hang their poll wakeups here.
+	// rcvNotify fires (if set) when the receive side becomes ready
+	// (delivery or FIN). Readiness descriptors hang their poll wakeups
+	// here.
 	rcvNotify func()
-	sndNotify func()
 }
 
 // newConn wires two endpoints over link. clientHost dials serverHost.
@@ -933,9 +932,6 @@ func (e *Endpoint) acked(ackNo int64) {
 	}
 	// One proc sends on an endpoint at a time, so wake order never matters.
 	e.sndWait.Wake(-1)
-	if e.sndNotify != nil {
-		e.sndNotify()
-	}
 	// The timer now guards the next-oldest in-flight segment, or nothing.
 	e.restartRTO()
 	// A draining ack FIFO can end an auto-cork hold (the queue's sub-MSS
@@ -1034,16 +1030,9 @@ func (e *Endpoint) Close(p *sim.Proc) {
 // a delivery is queued or the peer's FIN has arrived.
 func (e *Endpoint) RecvReady() bool { return len(e.rcvQ) > 0 || e.rcvClosed }
 
-// CanSend reports whether sending n bytes right now would be admitted
-// whole without parking on the transmit window.
-func (e *Endpoint) CanSend(n int) bool { return e.tss-e.sndBytes >= n }
-
 // SetRecvNotify registers fn to fire whenever the receive side becomes
 // ready (a delivery lands or the peer half-closes).
 func (e *Endpoint) SetRecvNotify(fn func()) { e.rcvNotify = fn }
-
-// SetSendNotify registers fn to fire whenever transmit-window space frees.
-func (e *Endpoint) SetSendNotify(fn func()) { e.sndNotify = fn }
 
 // StallTime reports total loss-recovery stall on this endpoint's send
 // direction: time between a first retransmission and the ack that made
