@@ -251,6 +251,7 @@ func RunStaleChaos() StaleChaosResult {
 	res.Requests, _, _, _, res.Aborted = px.Stats()
 	res.StaleServed = px.StaleServed()
 	res.Shed = px.Shed()
+	b.eng.Close()
 	return res
 }
 

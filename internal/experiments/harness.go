@@ -93,11 +93,11 @@ func newBed(col *obs.Collector, warmup, measure time.Duration) *bed {
 	return b
 }
 
-// run runs the engine to completion. At the warmup boundary warm
-// snapshots the counters the window subtracts, then every registered
-// meter resets; done reads the window's results at its end. The latency
-// percentiles, in microseconds, include requests that started inside the
-// window and completed after it.
+// run runs the engine to completion, then closes it. At the warmup
+// boundary warm snapshots the counters the window subtracts, then every
+// registered meter resets; done reads the window's results at its end.
+// The latency percentiles, in microseconds, include requests that started
+// inside the window and completed after it.
 func (b *bed) run(warm, done func()) (p50, p99 float64) {
 	b.eng.At(sim.Time(b.warmup), func() {
 		warm()
@@ -105,6 +105,7 @@ func (b *bed) run(warm, done func()) (p50, p99 float64) {
 	})
 	b.eng.At(b.end, done)
 	b.eng.Run()
+	b.eng.Close()
 	return float64(b.lat.Quantile(0.50)) / 1e3, float64(b.lat.Quantile(0.99)) / 1e3
 }
 

@@ -1,8 +1,9 @@
 // Package sim provides the deterministic discrete-event simulation engine
 // that the IO-Lite reproduction runs on: a virtual clock, a heap of
-// cancelable timers, a cooperative process model with synchronous
-// hand-off, FIFO resources for modelling a CPU, and the calibrated cost
-// model approximating the paper's 333 MHz Pentium II testbed.
+// cancelable timers, a cooperative process model in which each process
+// runs on a coroutine (iter.Pull) that the engine switches to and back,
+// FIFO resources for modelling a CPU, and the calibrated cost model
+// approximating the paper's 333 MHz Pentium II testbed.
 //
 // All simulated activity is single-threaded from the engine's point of view:
 // exactly one of {engine, some process} runs at any instant, so simulated
@@ -10,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -55,24 +55,55 @@ func (t *Timer) Cancel() bool {
 // Pending reports whether the timer is still armed.
 func (t *Timer) Pending() bool { return t.fn != nil }
 
+// before orders timers by instant, then by schedule order.
+func (t *Timer) before(u *Timer) bool {
+	return t.at < u.at || t.at == u.at && t.seq < u.seq
+}
+
+// timerHeap is a binary min-heap of timers in before order.
 type timerHeap []*Timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *timerHeap) push(t *Timer) {
+	q := append(*h, t)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !t.before(q[up]) {
+			break
+		}
+		q[i] = q[up]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	q[i] = t
+	*h = q
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*Timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+
+func (h *timerHeap) pop() *Timer {
+	q := *h
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -83,8 +114,12 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 
-	// procs tracks live simulated processes for leak diagnostics.
-	procs map[*Proc]struct{}
+	// oldest and newest end the list of live procs in creation order;
+	// live counts them.
+	oldest, newest *Proc
+	live           int
+	// idle holds the coroutines of finished procs, for Go to reuse.
+	idle []*coro
 
 	// running is the proc currently dispatched (nil in engine context);
 	// attribution hooks use it to find whose work is being charged.
@@ -93,7 +128,7 @@ type Engine struct {
 
 // New returns an empty engine with the clock at zero.
 func New() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -102,13 +137,19 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run at instant t and returns its cancelable timer.
 // Scheduling in the past panics: it always indicates a modelling bug.
 func (e *Engine) At(t Time, fn func()) *Timer {
+	tm := new(Timer)
+	e.schedule(tm, t, fn)
+	return tm
+}
+
+// schedule arms tm to run fn at instant t, taking the next seq.
+func (e *Engine) schedule(tm *Timer, t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, e.now))
 	}
 	e.seq++
-	tm := &Timer{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, tm)
-	return tm
+	*tm = Timer{at: t, seq: e.seq, fn: fn}
+	e.events.push(tm)
 }
 
 // After schedules fn to run d after the current instant.
@@ -126,7 +167,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	tm := heap.Pop(&e.events).(*Timer)
+	tm := e.events.pop()
 	e.now = tm.at
 	if fn := tm.fn; fn != nil {
 		tm.fn = nil // a callback that re-arms sees its own timer as fired
@@ -157,10 +198,70 @@ func (e *Engine) RunUntil(t Time) {
 // Stop makes the innermost Run/RunUntil return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
+// Close ends a finished simulation so that it holds no goroutines: it
+// drops every pending timer, ends each live proc in creation order,
+// unwinding a parked one from its blocking call (its deferred calls run,
+// but it can block no more), then ends the coroutines kept for reuse.
+// Call it from engine context once Run has returned. An engine dropped
+// without Close leaves those as parked goroutines, and a parked proc's
+// goroutine keeps the whole engine reachable.
+func (e *Engine) Close() {
+	for p := e.oldest; p != nil; p = e.oldest {
+		// Dropping the timers first leaves every wake unarmed, so an
+		// unwinding proc's deferred Sleep or Unpark cannot arm a second.
+		e.dropTimers()
+		e.running = p
+		p.co.stop()
+		e.running = nil
+		p.waiting = false
+		e.unlink(p)
+	}
+	e.dropTimers()
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
+}
+
+func (e *Engine) dropTimers() {
+	for _, tm := range e.events {
+		tm.fn = nil
+	}
+	e.events = nil
+}
+
+// link adds p to the newest end of the live list.
+func (e *Engine) link(p *Proc) {
+	p.older = e.newest
+	if e.newest != nil {
+		e.newest.newer = p
+	} else {
+		e.oldest = p
+	}
+	e.newest = p
+	e.live++
+}
+
+// unlink removes a finished or ended proc from the live list.
+func (e *Engine) unlink(p *Proc) {
+	if p.older != nil {
+		p.older.newer = p.newer
+	} else {
+		e.oldest = p.newer
+	}
+	if p.newer != nil {
+		p.newer.older = p.older
+	} else {
+		e.newest = p.older
+	}
+	p.older, p.newer = nil, nil
+	e.live--
+}
+
 // LiveProcs reports how many simulated processes have been started and have
 // not yet returned. Useful for detecting leaked (permanently blocked)
 // processes in tests.
-func (e *Engine) LiveProcs() int { return len(e.procs) }
+func (e *Engine) LiveProcs() int { return e.live }
 
 // Running returns the proc currently executing, or nil when the engine
 // itself (an event callback) is running.

@@ -1,29 +1,39 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that runs in lock-step with the
-// engine. At any instant exactly one of {engine, one proc} executes, with
-// synchronous hand-off in both directions, so simulated code never races and
-// every interleaving is deterministic.
+// Proc is a simulated process: its body runs on a coroutine (iter.Pull) in
+// lock-step with the engine. At any instant exactly one of {engine, one
+// proc} executes, and control passes by a direct coroutine switch in both
+// directions, so simulated code never races and every interleaving is
+// deterministic.
 //
 // Simulated code running inside the proc may call the blocking operations
 // (Sleep, SleepUntil, Park) and anything built on them. Engine-side code
-// (event callbacks) may call Unpark.
+// (event callbacks) may call Unpark. Nothing may call Step, Run or RunUntil
+// from proc context. A panic inside a proc surfaces from Engine.Run, on the
+// goroutine that called it.
 type Proc struct {
 	eng  *Engine
 	name string
+	fn   func(*Proc)
 
-	// resume carries control from the engine to the proc; parked carries it
-	// back. Both are unbuffered: each send is a synchronous hand-off.
-	resume chan struct{}
-	parked chan struct{}
+	// co runs fn; once fn returns, the engine keeps co for the next Go.
+	co *coro
 
-	dead bool // set when the proc function has returned
+	// wake is the proc's one reusable wake-up event: its first dispatch,
+	// the end of a sleep, or an Unpark. run is dispatch, bound once.
+	wake Timer
+	run  func()
 
-	// parkSeq counts Park calls, letting Unpark detect stale wakeups.
-	parkSeq uint64
+	// waiting is set while the proc is parked with no wake claimed.
 	waiting bool
+
+	// older and newer link the engine's live procs in creation order.
+	older, newer *Proc
 
 	// attrib is an opaque attribution binding (the observability layer
 	// stores the active span here); it rides the proc so charge hooks can
@@ -31,26 +41,63 @@ type Proc struct {
 	attrib interface{}
 }
 
-// Go starts fn as a simulated process at the current instant. fn runs on its
-// own goroutine but only while the engine is suspended waiting for it.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first dispatch
-		fn(p)
-		p.dead = true
-		delete(e.procs, p)
-		p.parked <- struct{}{} // final hand-off back to the engine
+// coro is a coroutine that runs one proc body after another. next resumes
+// the current proc until it suspends (done false) or its body returns
+// (done true); the coroutine then idles until Go hands it the next proc.
+// Reuse spares each Go a coroutine's set-up, and the race detector a
+// goroutine context: Go 1.24's race runtime never releases the context of
+// an exited coroutine.
+type coro struct {
+	p     *Proc
+	next  func() (done, ok bool)
+	stop  func()
+	yield func(done bool) bool
+}
+
+// closed is the panic a suspended proc's yield raises when Engine.Close
+// ends it; runBody recovers it.
+type closed struct{}
+
+func newCoro() *coro {
+	c := new(coro)
+	c.next, c.stop = iter.Pull(func(yield func(bool) bool) {
+		c.yield = yield
+		for c.runBody() && yield(true) {
+		}
+	})
+	return c
+}
+
+// runBody runs the current proc's body and reports whether it returned
+// rather than being ended by Engine.Close.
+func (c *coro) runBody() (returned bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(closed); !ok {
+				panic(r)
+			}
+		}
 	}()
+	c.p.fn(c.p)
+	return true
+}
+
+// Go starts fn as a simulated process at the current instant. fn runs on a
+// coroutine, only while the engine is suspended waiting for it.
+func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, fn: fn}
+	if n := len(e.idle); n > 0 {
+		p.co = e.idle[n-1]
+		e.idle = e.idle[:n-1]
+	} else {
+		p.co = newCoro()
+	}
+	p.co.p = p
+	p.run = p.dispatch
+	e.link(p)
 	// First dispatch happens as a regular event so that Go can be called
 	// from engine or proc context alike.
-	e.After(0, func() { p.dispatch() })
+	p.arm(e.now)
 	return p
 }
 
@@ -66,24 +113,38 @@ func (p *Proc) Attrib() interface{} { return p.attrib }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// dispatch hands control to the proc and waits for it to park or finish.
-// Must be called from engine context.
-func (p *Proc) dispatch() {
-	if p.dead {
-		return
+// arm schedules the proc's wake at t. A proc has at most one pending wake:
+// a sleeping proc is not waiting, and Unpark claims the wake.
+func (p *Proc) arm(t Time) {
+	if p.wake.fn != nil {
+		panic(fmt.Sprintf("sim: %v armed a second wake", p))
 	}
-	prev := p.eng.running
-	p.eng.running = p
-	p.resume <- struct{}{}
-	<-p.parked
-	p.eng.running = prev
+	p.eng.schedule(&p.wake, t, p.run)
 }
 
-// yield parks the proc and returns control to the engine. The proc resumes
-// when something calls dispatch again. Must be called from proc context.
-func (p *Proc) yield() {
-	p.parked <- struct{}{}
-	<-p.resume
+// dispatch runs the proc until it parks or finishes. Must be called from
+// engine context: it is the proc's wake callback. A panic in the proc
+// surfaces here, on the engine's goroutine.
+func (p *Proc) dispatch() {
+	e := p.eng
+	e.running = p
+	done, _ := p.co.next()
+	e.running = nil
+	if done {
+		e.unlink(p)
+		p.co.p = nil // an idle coroutine keeps no proc, nor its engine, alive
+		e.idle = append(e.idle, p.co)
+		p.co = nil
+	}
+}
+
+// suspend returns control to the engine until the proc's wake fires. Must
+// be called from proc context. Once Engine.Close has ended the proc, it
+// unwinds the proc instead.
+func (p *Proc) suspend() {
+	if !p.co.yield(false) {
+		panic(closed{})
+	}
 }
 
 // SleepUntil blocks the proc until instant t.
@@ -91,8 +152,8 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < p.eng.now {
 		return
 	}
-	p.eng.At(t, func() { p.dispatch() })
-	p.yield()
+	p.arm(t)
+	p.suspend()
 }
 
 // Sleep blocks the proc for duration d.
@@ -101,10 +162,8 @@ func (p *Proc) Sleep(d Duration) { p.SleepUntil(p.eng.now.Add(d)) }
 // Park blocks the proc indefinitely until another party calls Unpark.
 // It returns the instant at which the proc was resumed.
 func (p *Proc) Park() Time {
-	p.parkSeq++
 	p.waiting = true
-	p.yield()
-	p.waiting = false
+	p.suspend()
 	return p.eng.now
 }
 
@@ -113,17 +172,11 @@ func (p *Proc) Park() Time {
 // idempotent, which waitqueue users rely on. May be called from engine or
 // proc context.
 func (p *Proc) Unpark() {
-	if p.dead || !p.waiting {
+	if !p.waiting {
 		return
 	}
-	seq := p.parkSeq
 	p.waiting = false // claim the wakeup so duplicate Unparks are no-ops
-	p.eng.After(0, func() {
-		if p.dead || p.parkSeq != seq {
-			return
-		}
-		p.dispatch()
-	})
+	p.arm(p.eng.now)
 }
 
 // WaitQueue is a FIFO list of parked processes, the building block for all
@@ -145,11 +198,13 @@ func (w *WaitQueue) Wake(n int) int {
 	if n < 0 || n > len(w.q) {
 		n = len(w.q)
 	}
-	released := w.q[:n]
-	w.q = append([]*Proc(nil), w.q[n:]...)
-	for _, p := range released {
+	// Unpark only arms a wake, so nothing re-enters the queue meanwhile.
+	for _, p := range w.q[:n] {
 		p.Unpark()
 	}
+	rest := copy(w.q, w.q[n:])
+	clear(w.q[rest:])
+	w.q = w.q[:rest]
 	return n
 }
 
