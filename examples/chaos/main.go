@@ -49,8 +49,8 @@ func main() {
 	run("kills+replay", experiments.ChaosParams{LossProb: 0.01, KillEvery: kill, Replay: true})
 
 	s := experiments.RunStaleChaos()
-	fmt.Printf("%-14s %d requests through an origin outage: %d stale-served, %d shed, %d failed\n",
-		"serve-stale", s.Requests, s.StaleServed, s.Shed, s.Aborted)
+	fmt.Printf("%-14s %d requests through an origin outage: %d stale-served, %d failed\n",
+		"serve-stale", s.Requests, s.StaleServed, s.Aborted)
 
 	fmt.Println()
 	fmt.Println("the kills row loses every in-flight request on the dead worker; the")

@@ -113,16 +113,21 @@ func parseTree(t *testing.T) (*token.FileSet, []*ast.File) {
 }
 
 // TestNoUnsetConfigFields fails when an exported field of a configuration
-// struct — a type named *Params, *Config or *Opts — is set nowhere in the
-// repository, tests and the benchmark module included. Such a field is a
-// constant in disguise: every run takes its default, so it should be a
-// constant with that value. A field counts as set when it is a key in a
-// composite literal of its type (T{...} or pkg.T{...}), or in an element
-// literal whose type is elided, or when any selector of its name is the
-// target of an assignment. The last two match by field name alone, so the
-// check misses a field whose name some other struct's elided literal or
-// assignment uses: an assignment to kernel.Config's MemBytes, say, hides
-// an unset MemBytes field in another struct.
+// struct — a type named *Params, *Config or *Opts — is set nowhere outside
+// tests (the benchmark module counts as outside). Such a field is a
+// constant in disguise: every figure, example and benchmark run takes its
+// default, so it should be a constant with that value, and a test that
+// sets it tests a configuration nothing runs. Two kinds of field also
+// count setters in tests: a func-typed hook, which a test sets to observe
+// (httpd.ClientConfig.OnResponse), and the fields of the root package's
+// config types, which modules outside this repository set. A field counts
+// as set when it is a key in a composite literal of its type (T{...} or
+// pkg.T{...}), or in an element literal whose type is elided, or when any
+// selector of its name is the target of an assignment. The last two match
+// by field name alone, so the check misses a field whose name some other
+// struct's elided literal or assignment uses: an assignment to
+// kernel.Config's MemBytes, say, hides an unset MemBytes field in another
+// struct.
 func TestNoUnsetConfigFields(t *testing.T) {
 	fset, files := parseTree(t)
 
@@ -133,12 +138,25 @@ func TestNoUnsetConfigFields(t *testing.T) {
 	type field struct {
 		typ, name string // typ is pkg.Type
 		pos       token.Pos
+		// testSet: setters in tests count for this field.
+		testSet bool
 	}
+	// Where a setter was seen: outside tests, in tests, or both.
+	const (
+		inCode = 1 << iota
+		inTest
+	)
 	var fields []field
-	set := map[string]bool{}   // pkg.Type.Field keys of typed literals
-	named := map[string]bool{} // field names set by elided literals or assignments
+	set := map[string]int{}   // pkg.Type.Field keys of typed literals
+	named := map[string]int{} // field names set by elided literals or assignments
 	for _, f := range files {
 		pkg := pkgOf(f)
+		path := fset.Position(f.Pos()).Filename
+		where := inCode
+		if strings.HasSuffix(path, "_test.go") {
+			where = inTest
+		}
+		root := filepath.Dir(path) == "."
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
@@ -147,9 +165,10 @@ func TestNoUnsetConfigFields(t *testing.T) {
 					return true
 				}
 				for _, decl := range st.Fields.List {
+					_, hook := decl.Type.(*ast.FuncType)
 					for _, id := range decl.Names {
 						if id.IsExported() {
-							fields = append(fields, field{pkg + "." + n.Name.Name, id.Name, id.Pos()})
+							fields = append(fields, field{pkg + "." + n.Name.Name, id.Name, id.Pos(), hook || root})
 						}
 					}
 				}
@@ -173,16 +192,16 @@ func TestNoUnsetConfigFields(t *testing.T) {
 					}
 					if key, ok := kv.Key.(*ast.Ident); ok {
 						if n.Type == nil {
-							named[key.Name] = true
+							named[key.Name] |= where
 						} else if typ != "" {
-							set[typ+"."+key.Name] = true
+							set[typ+"."+key.Name] |= where
 						}
 					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						named[sel.Sel.Name] = true
+						named[sel.Sel.Name] |= where
 					}
 				}
 			}
@@ -190,8 +209,11 @@ func TestNoUnsetConfigFields(t *testing.T) {
 		})
 	}
 	for _, fl := range fields {
-		if !set[fl.typ+"."+fl.name] && !named[fl.name] {
+		switch where := set[fl.typ+"."+fl.name] | named[fl.name]; {
+		case where == 0:
 			t.Errorf("%s: %s.%s is set nowhere; make it a constant", fset.Position(fl.pos), fl.typ, fl.name)
+		case where&inCode == 0 && !fl.testSet:
+			t.Errorf("%s: %s.%s is set only by tests; make it a constant", fset.Position(fl.pos), fl.typ, fl.name)
 		}
 	}
 }

@@ -195,33 +195,26 @@ func TestProxyServeStaleOnOriginOutage(t *testing.T) {
 	}
 }
 
-// TestProxyDeadlineSheds504 pins shed-don't-hang: when the fetch deadline
-// would pass during retry backoff, the client gets 504 Gateway Timeout now
-// instead of waiting out the timers.
-func TestProxyDeadlineSheds504(t *testing.T) {
+// TestProxyGivesUp502 pins the give-up path: with an origin that always
+// fails and no stale copy to fall back on, the proxy spends its retry
+// budget and then answers 502 Bad Gateway, counting the request aborted.
+func TestProxyGivesUp502(t *testing.T) {
 	b := newFlakyBed(func(c *ProxyConfig) {
-		c.Retries = 5
-		c.RetryBackoff = 2 * time.Millisecond
-		c.Deadline = 2 * time.Millisecond
+		c.Retries = 2
 	})
-	b.fail = 1 << 30
+	b.fail = 1 << 30 // every origin connection fails
 	var raw []byte
-	var elapsed time.Duration
 	b.eng.Go("client", func(p *sim.Proc) {
-		start := p.Now()
 		raw = b.get(p, "/d")
-		elapsed = p.Now().Sub(start)
 	})
 	b.eng.Run()
-	if !strings.HasPrefix(string(raw), "HTTP/1.1 504") {
-		t.Fatalf("client got %q, want a 504 status", raw)
+	if !strings.HasPrefix(string(raw), "HTTP/1.1 502") {
+		t.Fatalf("client got %q, want a 502 status", raw)
 	}
-	if b.px.Shed() != 1 {
-		t.Errorf("shed=%d, want 1", b.px.Shed())
+	if got := b.px.Retries(); got != 2 {
+		t.Errorf("retries=%d, want 2", got)
 	}
-	// Shedding means answering promptly: well before the 5 backoffs
-	// (>20ms) the retry schedule would otherwise wait out.
-	if elapsed > 5*time.Millisecond {
-		t.Errorf("504 took %v — the proxy hung through its backoff schedule", elapsed)
+	if reqs, _, _, _, aborted := b.px.Stats(); reqs != 1 || aborted != 1 {
+		t.Errorf("stats report %d requests, %d aborted; want 1 and 1", reqs, aborted)
 	}
 }

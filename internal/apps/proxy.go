@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -82,9 +81,10 @@ type ProxyConfig struct {
 	TTL time.Duration
 
 	// Retries is how many extra origin-fetch attempts a failed miss gets
-	// before the proxy gives up (0 = fail on the first error). Attempts are
-	// spaced by RetryBackoff, doubled each round and jittered so a burst of
-	// concurrent misses does not re-dial the origin in lockstep.
+	// before the proxy gives up and answers 502 (0 = fail on the first
+	// error). Attempts are spaced by RetryBackoff, doubled each round and
+	// jittered so a burst of concurrent misses does not re-dial the origin
+	// in lockstep.
 	Retries int
 	// RetryBackoff is the base delay before the first retry (default 1ms
 	// when Retries > 0). The wait runs on the engine's shared timer wheel.
@@ -94,13 +94,6 @@ type ProxyConfig struct {
 	// is served (and counted in StaleServed) rather than answering 502 —
 	// the stale copy outlives the origin outage.
 	ServeStale bool
-	// Deadline bounds the whole fetch-and-retry sequence for one miss.
-	// When it passes, the proxy stops retrying and sheds the request with
-	// 504 Gateway Timeout (counted in Shed) instead of holding the client
-	// while backoff timers run out. It is checked between attempts — a
-	// single in-flight fetch is bounded by the transport, not preempted.
-	// 0 means retries alone bound the wait.
-	Deadline time.Duration
 
 	// Obs, when set, opens a span per proxied request: parse, cache
 	// lookup, origin fetch (dispatch), retry backoff, and client send are
@@ -147,7 +140,6 @@ type Proxy struct {
 	expired     int64
 	retries     int64
 	staleServed int64
-	shed        int64
 
 	// rng drives retry jitter: a deterministic splitmix64 stream, so runs
 	// replay exactly (the simulation has no wall clock to perturb them).
@@ -170,8 +162,8 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 func (px *Proxy) Process() *kernel.Process { return px.proc }
 
 // Stats reports requests relayed, cache hits/misses, bytes sent to
-// clients, and responses not fully delivered (a client write error, a
-// failed origin fetch answered 502, or a deadline shed answered 504).
+// clients, and responses not fully delivered (a client write error, or a
+// failed origin fetch answered 502).
 // Every request is exactly one hit or one miss — a stale-served request
 // counts as a miss that degraded — so hits+misses always equals requests.
 func (px *Proxy) Stats() (requests, hits, misses, bytesOut, aborted int64) {
@@ -197,10 +189,6 @@ func (px *Proxy) Retries() int64 { return px.retries }
 // StaleServed reports requests answered from a TTL-expired entry because
 // the origin could not be reached (ServeStale mode).
 func (px *Proxy) StaleServed() int64 { return px.staleServed }
-
-// Shed reports requests answered 504 because the fetch deadline passed
-// before the origin recovered.
-func (px *Proxy) Shed() int64 { return px.shed }
 
 func (px *Proxy) acceptLoop(p *sim.Proc) {
 	for {
@@ -297,14 +285,7 @@ func (px *Proxy) handleConn(p *sim.Proc, cfd int) {
 			default:
 				px.requests++
 				px.aborted++
-				status := []byte("HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
-				if errors.Is(ferr, kernel.ErrTimedOut) {
-					// The fetch deadline passed: shed with 504 instead of
-					// holding the client while backoff timers run out.
-					px.shed++
-					status = []byte("HTTP/1.1 504 Gateway Timeout\r\nContent-Length: 0\r\n\r\n")
-				}
-				px.m.WritePOSIX(p, px.proc, cfd, status)
+				px.m.WritePOSIX(p, px.proc, cfd, []byte("HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n"))
 				sp.Abandon()
 				p.SetAttrib(nil)
 				px.m.Close(p, px.proc, cfd)
@@ -379,12 +360,8 @@ func (px *Proxy) backoff(attempt int) time.Duration {
 
 // fetchRetry runs fetch under the recovery policy: up to cfg.Retries extra
 // attempts spaced by jittered exponential backoff on the engine's shared
-// timer wheel, the whole sequence bounded by cfg.Deadline. A deadline that
-// would pass during the next backoff sheds immediately with an error
-// matching kernel.ErrTimedOut — the client gets its 504 now, not after the
-// timers run out.
+// timer wheel. It returns the last attempt's error once they run out.
 func (px *Proxy) fetchRetry(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry, error) {
-	start := p.Now()
 	for attempt := 0; ; attempt++ {
 		e, err := px.fetch(p, path, sp)
 		if err == nil {
@@ -394,9 +371,6 @@ func (px *Proxy) fetchRetry(p *sim.Proc, path string, sp *obs.Span) (*proxyEntry
 			return nil, err
 		}
 		d := px.backoff(attempt)
-		if px.cfg.Deadline > 0 && p.Now().Sub(start)+d >= px.cfg.Deadline {
-			return nil, fmt.Errorf("proxy: fetch %s after %d attempts: %w", path, attempt+1, kernel.ErrTimedOut)
-		}
 		px.retries++
 		if d > 0 {
 			// The backoff wait is its own phase: recovery idle time, not

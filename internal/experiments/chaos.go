@@ -201,7 +201,6 @@ func chaosLabel(cp ChaosParams) string {
 type StaleChaosResult struct {
 	Requests    int64
 	StaleServed int64
-	Shed        int64
 	Aborted     int64
 }
 
@@ -250,7 +249,6 @@ func RunStaleChaos() StaleChaosResult {
 	var res StaleChaosResult
 	res.Requests, _, _, _, res.Aborted = px.Stats()
 	res.StaleServed = px.StaleServed()
-	res.Shed = px.Shed()
 	b.eng.Close()
 	return res
 }
@@ -317,10 +315,10 @@ func FigChaos(opt Options) *Table {
 	}
 	sres := RunStaleChaos()
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("origin-outage leg (ServeStale proxy): %d requests, %d stale-served, %d shed, %d failed",
-			sres.Requests, sres.StaleServed, sres.Shed, sres.Aborted),
+		fmt.Sprintf("origin-outage leg (ServeStale proxy): %d requests, %d stale-served, %d failed",
+			sres.Requests, sres.StaleServed, sres.Aborted),
 		"sock-local ref fcgi, 2 workers × depth 16, 16KB docs, 400µs app wait, 40ms client think",
-		"loss and corruption are injected per data segment on the loopback wire;",
+		"loss is injected per data segment on the loopback wire;",
 		"go-back-N retransmission re-sends stored refs (no copy re-charge)",
 		"kills close a worker channel every 20ms; supervision respawns capacity,",
 		"and with replay on, in-flight idempotent requests re-dispatch instead of failing")

@@ -133,7 +133,7 @@ func RunQoS(fp QoSParams) QoSResult {
 	var vicN, aggN loopCounts
 	victim := fcgiLoop{
 		b: b, pool: pool, kind: "qos", think: qosThink, shed: qosThink, observe: true, n: &vicN,
-		req: fcgi.Request{Params: params, Idempotent: true},
+		req: fcgi.Request{Params: params},
 	}
 	for i := 0; i < fp.Tenants; i++ {
 		l := victim
@@ -157,7 +157,7 @@ func RunQoS(fp QoSParams) QoSResult {
 			l := fcgiLoop{
 				b: b, pool: pool, kind: "qos-agg", n: &aggN,
 				shed: 2*sim.Millisecond + sim.Duration(i)*67*sim.Microsecond,
-				req:  fcgi.Request{Params: params, Tenant: aggTenant, Idempotent: true},
+				req:  fcgi.Request{Params: params, Tenant: aggTenant},
 			}
 			b.eng.Go(fmt.Sprintf("agg%d", i), l.run)
 		}

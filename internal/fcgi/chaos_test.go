@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"iolite/internal/core"
-	"iolite/internal/kernel"
 	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
@@ -29,80 +28,6 @@ func assertPoolNoAggLeaks(t *testing.T, b *bed, wp *WorkerPool) {
 	for _, w := range wp.Workers() {
 		assertNoAggLeaks(t, fmt.Sprintf("worker%d.g%d", w.ID, w.Gen), w.Proc.Pool)
 	}
-}
-
-// TestMuxDeadlineShedsSlotWait pins shed-don't-hang before dispatch: a
-// request whose deadline passes while it waits for a mux slot returns
-// kernel.ErrTimedOut (and ErrNotSent is NOT matched — nothing to re-route;
-// the deadline is gone either way), while the slot-holding request is
-// untouched.
-func TestMuxDeadlineShedsSlotWait(t *testing.T) {
-	b := newBed()
-	pool := slowPool(b, nil, 1, 1, 2*time.Millisecond, false, nil)
-	var errA, errB error
-	b.eng.Go("A", func(p *sim.Proc) {
-		_, errA = pool.Do(p, Request{Params: []byte("/a")})
-	})
-	b.eng.Go("B", func(p *sim.Proc) {
-		p.Sleep(10 * time.Microsecond) // A holds the only slot
-		_, errB = pool.Do(p, Request{Params: []byte("/b"), Deadline: 200 * time.Microsecond})
-	})
-	b.eng.Run()
-	if errA != nil {
-		t.Fatalf("slot holder failed: %v", errA)
-	}
-	if !errors.Is(errB, kernel.ErrTimedOut) {
-		t.Fatalf("slot waiter returned %v, want kernel.ErrTimedOut", errB)
-	}
-	mx := pool.Workers()[0].Mux()
-	if mx.Timeouts() != 1 {
-		t.Errorf("mux recorded %d timeouts, want 1", mx.Timeouts())
-	}
-	if mx.Inflight() != 0 {
-		t.Errorf("%d requests still in flight after drain", mx.Inflight())
-	}
-}
-
-// TestMuxDeadlineAbandonsInFlight pins the tombstone discipline: a request
-// abandoned mid-flight keeps its id dead until the worker's late END
-// retires it, so a later request cannot be misdelivered the stale
-// response; the depth slot frees only when the worker really finishes.
-func TestMuxDeadlineAbandonsInFlight(t *testing.T) {
-	b := newBed()
-	pool := NewWorkerPool(PoolConfig{
-		Machine: b.m, Server: b.srv, Workers: 1, Depth: 2, Name: "dl",
-		Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
-			p.Sleep(2 * time.Millisecond)
-			req.ReplyBytes(p, append([]byte("echo:"), req.Params...), 0)
-		},
-	})
-	var errB error
-	var gotC []byte
-	b.eng.Go("B", func(p *sim.Proc) {
-		_, errB = pool.Do(p, Request{Params: []byte("/b"), Deadline: 500 * time.Microsecond})
-	})
-	b.eng.Go("C", func(p *sim.Proc) {
-		p.Sleep(5 * time.Millisecond) // after B's worker finished and its END retired the id
-		resp, err := pool.Do(p, Request{Params: []byte("/c")})
-		if err != nil {
-			t.Errorf("request C failed: %v", err)
-			return
-		}
-		gotC = append([]byte(nil), resp.Payload()...)
-		resp.Release()
-	})
-	b.eng.Run()
-	if !errors.Is(errB, kernel.ErrTimedOut) {
-		t.Fatalf("abandoned request returned %v, want kernel.ErrTimedOut", errB)
-	}
-	if string(gotC) != "echo:/c" {
-		t.Fatalf("request C got %q — a stale response was misdelivered", gotC)
-	}
-	mx := pool.Workers()[0].Mux()
-	if mx.Inflight() != 0 {
-		t.Errorf("%d ids still held after the late END; tombstone never retired", mx.Inflight())
-	}
-	assertPoolNoAggLeaks(t, b, pool)
 }
 
 // TestOnFailAfterBreakFiresImmediately pins the registration race fix: a
@@ -164,9 +89,8 @@ func TestWorkerDeathErrorTaxonomy(t *testing.T) {
 
 // TestPoolReplaysIdempotentOnWorkerDeath pins the replay policy: with
 // Respawn+Replay, killing a worker mid-load loses no idempotent request
-// (they re-dispatch, stdin re-cloned from the master reference) while
-// non-idempotent in-flight requests still fail with ErrWorkerDied. No
-// aggregate references leak on any path.
+// (they re-dispatch) while non-idempotent in-flight requests still fail
+// with ErrWorkerDied. No aggregate references leak on any path.
 func TestPoolReplaysIdempotentOnWorkerDeath(t *testing.T) {
 	b := newBed()
 	served := map[string]int{}
@@ -176,10 +100,6 @@ func TestPoolReplaysIdempotentOnWorkerDeath(t *testing.T) {
 		Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 			p.Sleep(300 * time.Microsecond)
 			body := append([]byte("done:"), req.Params...)
-			if req.StdinAgg != nil {
-				body = append(body, req.StdinAgg.Materialize()...)
-				req.StdinAgg.Release()
-			}
 			served[string(req.Params)]++
 			req.ReplyBytes(p, body, 0)
 		},
@@ -189,10 +109,8 @@ func TestPoolReplaysIdempotentOnWorkerDeath(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		b.eng.Go(fmt.Sprintf("idem%d", i), func(p *sim.Proc) {
-			stdin := core.PackBytes(p, b.srv.Pool, doc(600))
 			resp, err := pool.Do(p, Request{
 				Params:     []byte(fmt.Sprintf("/i%d", i)),
-				StdinAgg:   stdin,
 				Idempotent: true,
 			})
 			if err != nil {
@@ -247,9 +165,6 @@ func TestRingModePoolChaos(t *testing.T) {
 				Respawn: true, Replay: true, Name: "rchaos",
 				Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 					p.Sleep(400 * time.Microsecond)
-					if req.StdinAgg != nil {
-						req.StdinAgg.Release()
-					}
 					out := core.PackBytes(p, w.Proc.Pool, doc(2000))
 					if err := req.WriteStdout(p, out); err != nil {
 						out.Release()
@@ -265,10 +180,8 @@ func TestRingModePoolChaos(t *testing.T) {
 				i := i
 				idem := i%2 == 0
 				b.eng.Go(fmt.Sprintf("req%d", i), func(p *sim.Proc) {
-					stdin := core.PackBytes(p, b.srv.Pool, doc(300))
 					resp, err := pool.Do(p, Request{
 						Params:     []byte(fmt.Sprintf("/r%d", i)),
-						StdinAgg:   stdin,
 						Idempotent: idem,
 					})
 					answered++

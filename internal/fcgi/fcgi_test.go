@@ -33,8 +33,8 @@ func doc(n int) []byte {
 	return d
 }
 
-// echoPool builds a pool whose handler echoes the params back count times
-// followed by any stdin, exercising both payload modes.
+// echoPool builds a pool whose handler echoes the params back,
+// exercising both payload modes.
 func echoPool(b *bed, workers, depth int, ref bool) *WorkerPool {
 	return NewWorkerPool(PoolConfig{
 		Machine: b.m,
@@ -45,11 +45,6 @@ func echoPool(b *bed, workers, depth int, ref bool) *WorkerPool {
 		Name:    "echo",
 		Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 			body := append([]byte(nil), req.Params...)
-			if req.StdinAgg != nil {
-				body = append(body, req.StdinAgg.Materialize()...)
-				req.StdinAgg.Release()
-			}
-			body = append(body, req.Stdin...)
 			if ref {
 				out := core.PackBytes(p, w.Proc.Pool, body)
 				if err := req.WriteStdout(p, out); err != nil {
@@ -125,13 +120,13 @@ func TestPoolServesRequestsBothModes(t *testing.T) {
 			b := newBed()
 			pool := echoPool(b, 2, 4, ref)
 			b.eng.Go("client", func(p *sim.Proc) {
-				resp, err := pool.Do(p, Request{Params: []byte("/hello"), Stdin: []byte("+body")})
+				resp, err := pool.Do(p, Request{Params: []byte("/hello")})
 				if err != nil {
 					t.Errorf("Do: %v", err)
 					return
 				}
-				if got := string(resp.Payload()); got != "/hello+body" {
-					t.Errorf("payload = %q, want %q", got, "/hello+body")
+				if got := string(resp.Payload()); got != "/hello" {
+					t.Errorf("payload = %q, want %q", got, "/hello")
 				}
 				if resp.Status != 6 {
 					t.Errorf("status = %d, want 6", resp.Status)
@@ -146,10 +141,11 @@ func TestPoolServesRequestsBothModes(t *testing.T) {
 	}
 }
 
-// TestServeDuplicateBeginReleasesStaleState: a duplicate BEGIN on a live
-// request id must not leak the half-assembled request's stdin buffer
-// references — Serve drops them and starts the request over.
-func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
+// TestServeDuplicateBeginRestartsRequest: a duplicate BEGIN on a live
+// request id starts the request over. The PARAMS fragment sent before it
+// is discarded, the request is dispatched once with only the PARAMS sent
+// after it, and the discarded fragment's buffer reference is not pinned.
+func TestServeDuplicateBeginRestartsRequest(t *testing.T) {
 	b := newBed()
 	worker := b.m.NewProcess("worker", 1<<20)
 	reqR, reqW := b.m.Pipe2(worker, b.srv, true)
@@ -158,30 +154,26 @@ func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
 	sconn := NewConn(b.m, b.srv, respR, reqW, 0, WireRef, WireRef)
 
 	var served []byte
+	dispatched := 0
 	b.eng.Go("worker", func(p *sim.Proc) {
 		Serve(p, wconn, func(hp *sim.Proc, req *ServerRequest) {
-			served = append([]byte(nil), req.Stdin...)
-			if req.StdinAgg != nil {
-				served = append(served, req.StdinAgg.Materialize()...)
-				req.StdinAgg.Release()
-			}
+			dispatched++
+			served = append([]byte(nil), req.Params...)
 			req.ReplyBytes(hp, served, 0)
 		})
 		wconn.Close(p)
 	})
 	var staleBuf *core.Buffer
 	b.eng.Go("srv", func(p *sim.Proc) {
-		// First attempt: BEGIN + a stdin fragment, then a duplicate BEGIN
+		// First attempt: BEGIN + a PARAMS fragment, then a duplicate BEGIN
 		// restarting the request before the stream ends.
 		hdr := Header{Type: RecBegin, ReqID: 9}
 		sconn.WriteRecord(p, Record{Header: hdr})
-		stale := core.PackBytes(p, b.srv.Pool, []byte("stale-stdin"))
+		stale := core.PackBytes(p, b.srv.Pool, []byte("/stale"))
 		staleBuf = stale.Slices()[0].Buf
-		sconn.WriteRecord(p, Record{Header: Header{Type: RecStdin, ReqID: 9}, Agg: stale})
+		sconn.WriteRecord(p, Record{Header: Header{Type: RecParams, ReqID: 9}, Agg: stale})
 		sconn.WriteRecord(p, Record{Header: hdr}) // duplicate BEGIN
 		sconn.WriteRecord(p, Record{Header: Header{Type: RecParams, Flags: FlagEndStream, ReqID: 9}, Bytes: []byte("/p")})
-		fresh := core.PackBytes(p, b.srv.Pool, []byte("fresh"))
-		sconn.WriteRecord(p, Record{Header: Header{Type: RecStdin, Flags: FlagEndStream, ReqID: 9}, Agg: fresh})
 		// Drain the response records.
 		rec, err := sconn.ReadRecord(p)
 		for err == nil && rec.Type != RecEnd {
@@ -192,13 +184,16 @@ func TestServeDuplicateBeginReleasesStaleState(t *testing.T) {
 	})
 	b.eng.Run()
 
-	if string(served) != "fresh" {
-		t.Errorf("served %q, want only the post-restart stdin %q", served, "fresh")
+	if dispatched != 1 {
+		t.Errorf("request dispatched %d times, want 1", dispatched)
+	}
+	if string(served) != "/p" {
+		t.Errorf("served params %q, want only the post-restart %q", served, "/p")
 	}
 	// The stale fragment's reference was dropped by the worker, not
 	// pinned: the only reference left on its (shared, packed) buffer is
 	// the pool's own open-pack-buffer reference.
 	if refs := staleBuf.Refs(); refs != 1 {
-		t.Errorf("stale stdin buffer holds %d refs, want 1 (leaked by duplicate BEGIN)", refs)
+		t.Errorf("stale params buffer holds %d refs, want 1 (pinned by duplicate BEGIN)", refs)
 	}
 }

@@ -19,14 +19,14 @@ func FuzzDecodeRecord(f *testing.F) {
 		n := h.encode(buf)
 		f.Add(append(buf[:n:n], payload...))
 	}
-	add(Header{Type: RecBegin, Flags: FlagNoStdin | FlagIdempotent, ReqID: 1}, nil)
+	add(Header{Type: RecBegin, ReqID: 1}, nil)
 	add(Header{Type: RecParams, Flags: FlagEndStream, ReqID: 1, Length: 5}, []byte("hello"))
-	add(Header{Type: RecStdin, ReqID: 9, Length: 3}, []byte("abc"))
+	add(Header{Type: RecStdout, ReqID: 9, Length: 3}, []byte("abc"))
 	add(Header{Type: RecStdout, Flags: FlagEndStream, ReqID: 2, Length: 3, Trace: 0xdeadbeef}, []byte("xyz"))
 	add(Header{Type: RecEnd, Flags: FlagEndStream, ReqID: 1, Length: 7}, nil)
 	// Malformed seeds: truncations, bogus flags, bad type, reserved id.
 	f.Add([]byte("\x01\x06\x00"))
-	f.Add([]byte("\x03\x01\x00\x01\x00\x00\x00\xffab"))
+	f.Add([]byte("\x04\x01\x00\x01\x00\x00\x00\xffab"))
 	f.Add([]byte("\x01\x01\x00\x01\x00\x00\x00\x00"))
 	f.Add([]byte("\x09\x00\x00\x01\x00\x00\x00\x00"))
 	f.Add([]byte("\x02\x01\x00\x00\x00\x00\x00\x00"))
@@ -47,7 +47,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("consumed %d bytes of %d", n, len(b))
 		}
 		h := rec.Header
-		if h.Type < RecBegin || h.Type > RecEnd {
+		if !h.Type.valid() {
 			t.Fatalf("accepted bad type %d", h.Type)
 		}
 		if h.ReqID == 0 {
@@ -81,4 +81,25 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("prefix decode: n=%d err=%v, want ErrTruncated", pn, perr)
 		}
 	})
+}
+
+// TestDecodeRejectsUnassignedWire pins the wire values: BEGIN 1, PARAMS 2,
+// STDOUT 4, END 5, FlagEndStream and FlagTraced keep their values, and
+// type 3 and flag bits 1 and 2 are unassigned, so a record carrying them
+// is malformed.
+func TestDecodeRejectsUnassignedWire(t *testing.T) {
+	if RecBegin != 1 || RecParams != 2 || RecStdout != 4 || RecEnd != 5 ||
+		FlagEndStream != 1<<0 || FlagTraced != 1<<3 {
+		t.Fatal("a record type or flag changed its wire value")
+	}
+	for _, b := range []string{
+		"\x03\x01\x00\x01\x00\x00\x00\x00", // type 3
+		"\x01\x02\x00\x01\x00\x00\x00\x00", // BEGIN with flag bit 1
+		"\x01\x04\x00\x01\x00\x00\x00\x00", // BEGIN with flag bit 2
+		"\x02\x03\x00\x01\x00\x00\x00\x00", // PARAMS with flag bit 1
+	} {
+		if _, n, err := DecodeRecord([]byte(b)); !errors.Is(err, ErrProtocol) || n != 0 {
+			t.Errorf("DecodeRecord(%q) = %d, %v; want ErrProtocol", b, n, err)
+		}
+	}
 }

@@ -6,30 +6,19 @@ import (
 	"slices"
 
 	"iolite/internal/core"
-	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
 )
 
-// Request is one multiplexed request: the PARAMS payload (e.g. a path or
-// serialized environment) plus an optional STDIN body in either payload
-// representation.
+// Request is one multiplexed request: its PARAMS payload (e.g. a path or
+// serialized environment), sent as BEGIN plus one PARAMS record.
 type Request struct {
 	Params []byte
-	// Stdin / StdinAgg is the optional request body; at most one is set.
-	Stdin    []byte
-	StdinAgg *core.Agg
-	// Idempotent sets FlagIdempotent on the BEGIN record: the request is
-	// safe to execute more than once, so a replay-enabled pool may
-	// re-dispatch it after a worker death or timeout.
+	// Idempotent marks the request safe to execute more than once, so a
+	// replay-enabled pool re-dispatches it after a worker death (see
+	// PoolConfig.Replay). It stays on the pool side; nothing of it goes on
+	// the wire.
 	Idempotent bool
-	// Deadline bounds the whole request — slot wait, dispatch, and
-	// response wait. When it passes, Do returns an error matching
-	// kernel.ErrTimedOut instead of blocking further; a request already
-	// dispatched is abandoned (its id stays dead until the worker's END
-	// eventually arrives, so a late response cannot be misdelivered to a
-	// recycled id). 0 means no deadline.
-	Deadline sim.Duration
 	// Span, when set, is the request's observability span: the mux enters
 	// its dispatch/service phases, stamps the span's trace id onto the
 	// BEGIN record so it crosses to the worker machine, and carves the
@@ -77,15 +66,11 @@ func (r *Response) Len() int {
 }
 
 // stream is the mux-side state of one in-flight request: inbound records
-// queued by the reader proc, and the requester parked on wait. dead marks
-// a tombstone: the requester timed out and abandoned the id, which stays
-// allocated (and the depth slot held — the worker really is still working
-// on it) until the END record arrives and retires it.
+// queued by the reader proc, and the requester parked on wait.
 type stream struct {
 	recs []Record
 	wait sim.WaitQueue
 	err  error
-	dead bool
 }
 
 // Mux multiplexes up to depth concurrent requests over one Conn. Each
@@ -107,7 +92,6 @@ type Mux struct {
 	onFail   []func(error)
 	requests int64
 	failures int64
-	timeouts int64
 }
 
 // NewMux starts a multiplexer of the given depth over c, spawning its
@@ -150,12 +134,6 @@ func (mx *Mux) Stats() (requests, failures int64) {
 	return mx.requests, mx.failures
 }
 
-// Timeouts reports requests abandoned because their deadline passed.
-func (mx *Mux) Timeouts() int64 { return mx.timeouts }
-
-// Inflight reports how many requests are currently open.
-func (mx *Mux) Inflight() int { return mx.inflight }
-
 func (mx *Mux) allocID() uint16 {
 	if n := len(mx.freeIDs); n > 0 {
 		id := mx.freeIDs[n-1]
@@ -180,34 +158,13 @@ func (mx *Mux) retireID(id uint16, st *stream) {
 	mx.slots.Wake(1)
 }
 
-// Do issues one request and blocks until its END record (or a connection
-// failure, or the request's deadline). Ownership of req.StdinAgg passes to
-// the mux — except on errors matching ErrNotSent, where no record reached
-// the worker and the caller keeps ownership so it can re-route the
-// request. The caller owns the returned response (Release its Body when
-// done).
-//
-// A deadline that passes before dispatch sheds the request with nothing
-// sent (the caller keeps req.StdinAgg). One that passes mid-flight
-// abandons the request: its id turns into a tombstone that the reader
-// retires when the worker's END eventually arrives, so the id cannot be
-// recycled while a late response could still be misdelivered to it, and
-// the depth slot stays held — the worker really is still busy with it.
+// Do issues one request and blocks until its END record or a connection
+// failure. An error matching ErrNotSent means no record reached the
+// worker, so the caller may re-route the request. The caller owns the
+// returned response (Release its Body when done).
 func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 	mx.requests++
-	var expired bool
-	var cur *stream
-	if req.Deadline > 0 {
-		timer := mx.c.m.Eng.Wheel().Schedule(req.Deadline, func() {
-			expired = true
-			mx.slots.Wake(-1)
-			if cur != nil {
-				cur.wait.Wake(-1)
-			}
-		})
-		defer timer.Cancel()
-	}
-	for mx.err == nil && !expired && mx.inflight >= mx.depth {
+	for mx.err == nil && mx.inflight >= mx.depth {
 		mx.slots.Wait(p)
 	}
 	if mx.err != nil {
@@ -217,16 +174,9 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 		mx.failures++
 		return nil, notSent(mx.err)
 	}
-	if expired {
-		// Shed, don't hang: nothing was sent, the caller keeps its stdin.
-		mx.failures++
-		mx.timeouts++
-		return nil, fmt.Errorf("fcgi: %w waiting for a mux slot", kernel.ErrTimedOut)
-	}
 	id := mx.allocID()
 	st := &stream{}
 	mx.streams[id] = st
-	cur = st
 	mx.inflight++
 
 	var stallBase sim.Duration
@@ -234,37 +184,18 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 		stallBase = mx.c.StallTime()
 		req.Span.Enter(p.Now(), obs.PhaseDispatch)
 	}
-	flags := uint8(0)
-	noStdin := req.Stdin == nil && req.StdinAgg == nil
-	if noStdin {
-		flags = FlagNoStdin
-	}
-	if req.Idempotent {
-		flags |= FlagIdempotent
-	}
-	// A write failure anywhere below means the request never executed:
-	// the worker dispatches a request only once its PARAMS (and STDIN)
-	// streams are complete, so a partially delivered request is inert.
-	// Report it as not-sent — WriteRecord leaves ownership of the stdin
-	// aggregate with the caller on error, matching ErrNotSent's contract.
-	if err := mx.c.WriteRecord(p, Record{Header: Header{Type: RecBegin, Flags: flags, ReqID: id, Trace: req.Span.ID()}}); err != nil {
-		mx.failures++
-		mx.retireID(id, st)
-		return nil, notSent(err)
-	}
-	if err := mx.c.WriteRecord(p, Record{Header: Header{Type: RecParams, Flags: FlagEndStream, ReqID: id}, Bytes: req.Params}); err != nil {
-		mx.failures++
-		mx.retireID(id, st)
-		return nil, notSent(err)
-	}
-	if !noStdin {
-		rec := Record{Header: Header{Type: RecStdin, Flags: FlagEndStream, ReqID: id}, Agg: req.StdinAgg, Bytes: req.Stdin}
+	// A write failure on either record means the request never executed:
+	// the worker dispatches a request only once its PARAMS stream is
+	// complete, so a partially delivered request is inert.
+	for _, rec := range [...]Record{
+		{Header: Header{Type: RecBegin, ReqID: id, Trace: req.Span.ID()}},
+		{Header: Header{Type: RecParams, Flags: FlagEndStream, ReqID: id}, Bytes: req.Params},
+	} {
 		if err := mx.c.WriteRecord(p, rec); err != nil {
 			mx.failures++
 			mx.retireID(id, st)
 			return nil, notSent(err)
 		}
-		req.StdinAgg = nil // ownership passed to WriteRecord
 	}
 	if req.Span != nil {
 		req.Span.Enter(p.Now(), obs.PhaseService)
@@ -274,17 +205,6 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 	var body *core.Agg
 	for {
 		for len(st.recs) == 0 && st.err == nil {
-			if expired {
-				// Abandon mid-flight: tombstone the id. The worker keeps
-				// executing; the reader retires the id on its END.
-				if body != nil {
-					body.Release()
-				}
-				st.dead = true
-				mx.failures++
-				mx.timeouts++
-				return nil, fmt.Errorf("fcgi: request %d abandoned: %w", id, kernel.ErrTimedOut)
-			}
 			st.wait.Wait(p)
 		}
 		if st.err != nil {
@@ -346,16 +266,6 @@ func (mx *Mux) readLoop(p *sim.Proc) {
 		st := mx.streams[rec.ReqID]
 		if st == nil {
 			rec.Release() // request already gone (or never existed)
-			continue
-		}
-		if st.dead {
-			// Tombstoned id: the requester timed out and left. Drop the
-			// late response's references; its END retires the id at last.
-			end := rec.Type == RecEnd
-			rec.Release()
-			if end {
-				mx.retireID(rec.ReqID, st)
-			}
 			continue
 		}
 		st.recs = append(st.recs, rec)

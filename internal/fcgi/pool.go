@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"iolite/internal/core"
 	"iolite/internal/kernel"
 	"iolite/internal/obs"
 	"iolite/internal/sim"
@@ -47,13 +46,10 @@ type PoolConfig struct {
 	// applies — supervision restores capacity.
 	Respawn bool
 	// Replay re-dispatches an in-flight request to another live worker
-	// after its worker died (ErrWorkerDied) or its deadline passed
-	// (kernel.ErrTimedOut) — but only requests marked Idempotent: a dead
-	// worker may have partially executed the work, so anything else still
-	// fails. Each attempt re-sends the stdin body from a retained master
-	// reference; successful deliveries keep the exactly-one-boundary-copy
-	// economy, failed attempts' partial transfer work is the price of
-	// recovery.
+	// after its worker died (ErrWorkerDied) — but only requests marked
+	// Idempotent: a dead worker may have partially executed the work, so
+	// anything else still fails. Failed attempts' partial transfer work is
+	// the price of recovery.
 	Replay bool
 	// OnRetire, when set with Respawn, runs for each worker the pool
 	// retires (its channel broke and a replacement took its slot). It is
@@ -81,14 +77,6 @@ type PoolConfig struct {
 	// field access away.
 	Handler func(p *sim.Proc, w *Worker, req *ServerRequest)
 }
-
-// maxReplays caps how many times one request may be re-dispatched after
-// timing out in flight before the error is surfaced to the caller. Only
-// timeouts count toward the cap: a request structurally slower than its
-// deadline would otherwise replay forever, while a worker-death replay
-// needs an actual worker death each time — supervision paces those, and
-// surviving sustained kills is exactly what the replay policy is for.
-const maxReplays = 3
 
 // Worker is one persistent worker process: its own protection domain and
 // allocation pool (the per-worker ACL isolation of §3.10 — a worker's
@@ -357,21 +345,16 @@ func (wp *WorkerPool) pick(tenant string) *Worker {
 // live worker instead of failing it — the routing decision is re-checked
 // against the pool's current workers, which is also how requests reach a
 // supervision-respawned replacement. With Replay enabled, an Idempotent
-// request that fails in flight (ErrWorkerDied, kernel.ErrTimedOut) is
-// re-dispatched rather than failed: the pool keeps a master reference to
-// the stdin body and sends each attempt a fresh clone, so a consumed
-// attempt costs the master nothing.
+// request whose worker dies with it in flight (ErrWorkerDied) is
+// re-dispatched rather than failed. Worker-death replays are not capped:
+// each needs an actual worker death, supervision paces those, and
+// surviving sustained kills is what the replay policy is for.
 func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 	wp.requests++
-	// QoS admission runs first: a shed request never touches routing,
-	// mux slots, or the master-clone machinery. The pool's reference to
-	// the stdin body is released on a shed — the caller's own reference
-	// discipline is unchanged (same as every pre-dispatch failure).
+	// QoS admission runs first: a shed request never touches routing or
+	// mux slots.
 	qosRelease, err := wp.admitQoS(p, &req)
 	if err != nil {
-		if req.StdinAgg != nil {
-			req.StdinAgg.Release()
-		}
 		return nil, err
 	}
 	if qosRelease != nil {
@@ -381,31 +364,13 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 		req.Span.SetTenant(req.Tenant)
 	}
 	replayable := wp.cfg.Replay && req.Idempotent
-	replayed := 0
-	// With replay in force, the pool retains the stdin body as a master
-	// reference and hands each attempt a fresh clone: a failed attempt's
-	// consumed clone costs the master nothing.
-	var master *core.Agg
-	if replayable && req.StdinAgg != nil {
-		master = req.StdinAgg
-		req.StdinAgg = nil
-	}
 	for {
 		w := wp.pick(req.Tenant)
 		if w.mux.Err() != nil {
 			// pick only returns a broken worker when every worker is
 			// broken: fail fast.
 			wp.failures++
-			if req.StdinAgg != nil {
-				req.StdinAgg.Release()
-			}
-			if master != nil {
-				master.Release()
-			}
 			return nil, w.mux.Err()
-		}
-		if master != nil {
-			req.StdinAgg = master.Clone()
 		}
 		w.inflight++
 		w.addTenant(req.Tenant, 1)
@@ -413,35 +378,19 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 		w.addTenant(req.Tenant, -1)
 		w.inflight--
 		if err == nil {
-			if master != nil {
-				master.Release()
-			}
 			return resp, nil
 		}
 		if errors.Is(err, ErrNotSent) {
 			// The worker died before any record of this request reached
-			// it (req.StdinAgg is still ours on this path): re-route.
-			if master != nil {
-				req.StdinAgg.Release() // the next attempt re-clones the master
-				req.StdinAgg = nil
-			}
+			// it: re-route.
 			wp.reroutes++
 			continue
 		}
-		// In-flight failure: the attempt's stdin was consumed. Worker
-		// deaths replay without a cap; timeouts are capped (see
-		// maxReplays).
-		req.StdinAgg = nil
-		if replayable && (errors.Is(err, ErrWorkerDied) ||
-			(errors.Is(err, kernel.ErrTimedOut) && replayed < maxReplays)) {
-			replayed++
+		if replayable && errors.Is(err, ErrWorkerDied) {
 			wp.replays++
 			continue
 		}
 		wp.failures++
-		if master != nil {
-			master.Release()
-		}
 		return resp, err
 	}
 }
@@ -476,8 +425,8 @@ func (wp *WorkerPool) Reroutes() int64 { return wp.reroutes }
 // Respawns reports workers replaced by supervision.
 func (wp *WorkerPool) Respawns() int64 { return wp.respawns }
 
-// Replays reports idempotent requests re-dispatched after an in-flight
-// failure (worker death or deadline expiry).
+// Replays reports idempotent requests re-dispatched after their worker
+// died with them in flight.
 func (wp *WorkerPool) Replays() int64 { return wp.replays }
 
 // Records reports total records moved over all current connections (both

@@ -16,10 +16,8 @@ import (
 // tenant's own retry loop, not in pool state the other tenants must queue
 // behind.
 
-// QoS admission errors. Both mean "this tenant, right now" — the request
-// never dispatched, the caller retains ownership of req.StdinAgg (the
-// pool releases its reference before returning, symmetric with the other
-// pre-dispatch failure paths).
+// QoS admission errors. Both mean "this tenant, right now": the request
+// never reached a worker, so the tenant may retry it after backing off.
 var (
 	// ErrThrottled: the tenant outran its request-rate allowance.
 	ErrThrottled = errors.New("fcgi: tenant over request-rate allowance")

@@ -25,10 +25,6 @@ func qosPool(b *bed, workers, depth int, work time.Duration, q *QoSConfig) *Work
 		Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 			p.Sleep(work)
 			body := append([]byte(nil), req.Params...)
-			if req.StdinAgg != nil {
-				body = append(body, req.StdinAgg.Materialize()...)
-				req.StdinAgg.Release()
-			}
 			out := core.PackBytes(p, w.Proc.Pool, body)
 			if err := req.WriteStdout(p, out); err != nil {
 				out.Release()
@@ -134,10 +130,10 @@ func TestQoSRateThrottleTypedError(t *testing.T) {
 	}
 }
 
-// TestQoSShedLeaksNoPages is the leak satellite: a flood of
-// stdin-carrying requests against a slow, share-bounded pool sheds most
-// of the load, and every shed must release the pool's reference to its
-// stdin aggregate — zero leaked pages on the server and in every worker.
+// TestQoSShedLeaksNoPages is the leak satellite: a flood of requests
+// against a slow, share-bounded pool sheds most of the load, and neither
+// a shed nor a completed request may leak a buffer reference — zero
+// leaked pages on the server and in every worker.
 func TestQoSShedLeaksNoPages(t *testing.T) {
 	b := newBed()
 	pool := qosPool(b, 2, 4, 500*time.Microsecond, &QoSConfig{MaxShare: 1})
@@ -148,12 +144,7 @@ func TestQoSShedLeaksNoPages(t *testing.T) {
 		i := i
 		b.eng.Go(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i) * 5 * sim.Microsecond)
-			body := core.PackBytes(p, b.srv.Pool, doc(4<<10))
-			resp, err := pool.Do(p, Request{
-				Params:   []byte("up"),
-				StdinAgg: body,
-				Tenant:   "flood",
-			})
+			resp, err := pool.Do(p, Request{Params: []byte("up"), Tenant: "flood"})
 			switch {
 			case err == nil:
 				completed++

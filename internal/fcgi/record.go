@@ -4,8 +4,10 @@
 // CGI worker protocol reduces to reference-passing over a pipe pair — the
 // remaining cost is framing, not copying. This package supplies the
 // framing: many concurrent requests share ONE pipe pair per worker, with
-// BEGIN/PARAMS/STDIN/STDOUT/END records interleaved on the stream and
-// demultiplexed by request id on both ends.
+// BEGIN/PARAMS/STDOUT/END records interleaved on the stream and
+// demultiplexed by request id on both ends. A request is a path or
+// serialized environment and carries no body, as in the paper's CGI
+// experiments; the response streams a document back.
 //
 // Records carry their payload in one of two modes, chosen per direction
 // by the transport that wires the channel (a Conn's WireMode):
@@ -35,17 +37,16 @@ import (
 // RecType names a record's role in the per-request streams.
 type RecType uint8
 
-// Record types. A request is BEGIN, then a PARAMS stream, then (unless
-// BEGIN carries FlagNoStdin) a STDIN stream; the response is a STDOUT
-// stream closed by one END record. Streams are terminated by the
+// Record types. A request is BEGIN, then a PARAMS stream; the response is
+// a STDOUT stream closed by one END record. Streams are terminated by the
 // FlagEndStream bit on their last record rather than by empty marker
-// records, halving the record count of the common small request.
+// records, halving the record count of the common small request. Type 3
+// is unassigned and decodes as ErrProtocol.
 const (
-	RecBegin RecType = 1 + iota
-	RecParams
-	RecStdin
-	RecStdout
-	RecEnd
+	RecBegin  RecType = 1
+	RecParams RecType = 2
+	RecStdout RecType = 4
+	RecEnd    RecType = 5
 )
 
 func (t RecType) String() string {
@@ -54,8 +55,6 @@ func (t RecType) String() string {
 		return "BEGIN"
 	case RecParams:
 		return "PARAMS"
-	case RecStdin:
-		return "STDIN"
 	case RecStdout:
 		return "STDOUT"
 	case RecEnd:
@@ -64,19 +63,19 @@ func (t RecType) String() string {
 	return "unknown"
 }
 
-// Record flags.
+// valid reports whether t is an assigned record type.
+func (t RecType) valid() bool {
+	switch t {
+	case RecBegin, RecParams, RecStdout, RecEnd:
+		return true
+	}
+	return false
+}
+
+// Record flags. Bits 1 and 2 are unassigned and decode as ErrProtocol.
 const (
-	// FlagEndStream marks the last record of its PARAMS/STDIN/STDOUT
-	// stream.
+	// FlagEndStream marks the last record of its PARAMS/STDOUT stream.
 	FlagEndStream uint8 = 1 << 0
-	// FlagNoStdin on a BEGIN record announces that no STDIN stream
-	// follows; the request is complete when its PARAMS stream ends.
-	FlagNoStdin uint8 = 1 << 1
-	// FlagIdempotent on a BEGIN record marks the request safe to execute
-	// more than once: a pool with replay enabled may re-dispatch it to
-	// another worker after a worker death or deadline expiry. Requests
-	// without the bit fail instead (see ErrWorkerDied).
-	FlagIdempotent uint8 = 1 << 2
 	// FlagTraced marks a record whose header is followed by TraceLen
 	// bytes of trace id — how a request's observability span propagates
 	// across machines. Untraced records are wire-identical to before the
@@ -142,7 +141,7 @@ func parseHeader(b []byte) (Header, error) {
 		ReqID:  binary.BigEndian.Uint16(b[2:]),
 		Length: binary.BigEndian.Uint32(b[4:]),
 	}
-	if h.Type < RecBegin || h.Type > RecEnd || h.ReqID == 0 {
+	if !h.Type.valid() || h.ReqID == 0 {
 		return h, ErrProtocol
 	}
 	return h, nil
@@ -156,14 +155,11 @@ func (h Header) traced() bool { return h.Flags&FlagTraced != 0 }
 // a malformed record: no writer in this package emits it, so a reader
 // seeing it is looking at a corrupt or hostile stream.
 func allowedFlags(t RecType) uint8 {
-	switch t {
-	case RecBegin:
-		return FlagNoStdin | FlagIdempotent
-	case RecParams, RecStdin, RecStdout, RecEnd:
-		// END closes the STDOUT stream, so it carries FlagEndStream too.
-		return FlagEndStream
+	if t == RecBegin {
+		return 0
 	}
-	return 0
+	// END closes the STDOUT stream, so it carries FlagEndStream too.
+	return FlagEndStream
 }
 
 // DecodeHeader decodes a record header (fixed part plus trace extension,
@@ -241,8 +237,7 @@ var (
 	// and dispatch, or while the request waited for a mux slot. The
 	// request never executed (not even partially: a worker only
 	// dispatches complete requests), so the pool may safely re-route it
-	// to another worker. On errors matching ErrNotSent the caller
-	// retains ownership of req.StdinAgg.
+	// to another worker.
 	ErrNotSent = errors.New("fcgi: request not sent")
 	// ErrWorkerDied wraps the failure of a request that was in flight on a
 	// worker whose channel broke: the worker may have partially (or even

@@ -192,9 +192,9 @@ func buildTransport(b *bed, name string, ref bool) Transport {
 	panic("unknown transport " + name)
 }
 
-// TestPoolServesOverEveryTransport runs the echo workload (params +
-// stdin body, both payload modes) over each transport: the transport
-// changes the cost model, never the bytes.
+// TestPoolServesOverEveryTransport runs the echo workload (params echoed
+// back, both payload modes) over each transport: the transport changes
+// the cost model, never the bytes.
 func TestPoolServesOverEveryTransport(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		for _, name := range []string{"pipe", "sock-local", "sock-remote"} {
@@ -206,7 +206,6 @@ func TestPoolServesOverEveryTransport(t *testing.T) {
 					Ref: ref, Transport: tr, Name: "echo",
 					Handler: func(p *sim.Proc, w *Worker, req *ServerRequest) {
 						body := append([]byte(nil), req.Params...)
-						body = append(body, req.Stdin...)
 						if ref {
 							out := core.PackBytes(p, w.Proc.Pool, body)
 							if err := req.WriteStdout(p, out); err != nil {
@@ -223,12 +222,12 @@ func TestPoolServesOverEveryTransport(t *testing.T) {
 				for i := 0; i < 6; i++ {
 					i := i
 					b.eng.Go(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
-						resp, err := pool.Do(p, Request{Params: []byte("/hello"), Stdin: []byte("+body")})
+						resp, err := pool.Do(p, Request{Params: []byte("/hello")})
 						if err != nil {
 							t.Errorf("Do %d over %s: %v", i, name, err)
 							return
 						}
-						if got := string(resp.Payload()); got != "/hello+body" {
+						if got := string(resp.Payload()); got != "/hello" {
 							t.Errorf("payload %d = %q over %s", i, got, name)
 						}
 						if resp.Status != 6 {

@@ -14,24 +14,17 @@ import (
 // monopolizing the FIFO.
 const MaxPayload = 32 << 10
 
-// ServerRequest is one demultiplexed request as the worker sees it:
-// assembled params and stdin, plus the write side of the response
-// protocol. Handlers stream the response with WriteStdout /
-// WriteStdoutBytes and finish with End; every writer goes through the
-// connection's record lock, so concurrent handlers interleave cleanly on
-// the one response pipe.
+// ServerRequest is one demultiplexed request as the worker sees it: its
+// assembled params, plus the write side of the response protocol.
+// Handlers stream the response with WriteStdout / WriteStdoutBytes and
+// finish with End; every writer goes through the connection's record
+// lock, so concurrent handlers interleave cleanly on the one response
+// pipe.
 type ServerRequest struct {
 	c  *Conn
 	ID uint16
 
 	Params []byte
-	// Stdin / StdinAgg is the request body, in the request pipe's payload
-	// representation. The handler owns StdinAgg.
-	Stdin    []byte
-	StdinAgg *core.Agg
-	// Idempotent mirrors FlagIdempotent from the BEGIN record: the client
-	// declared this request safe to execute more than once.
-	Idempotent bool
 	// TraceID is the client request's trace id, carried across machines
 	// by the BEGIN record's trace extension (0 when untraced). The pool
 	// uses it to land the worker's service time in the client's span.
@@ -95,31 +88,20 @@ func (r *ServerRequest) ReplyBytes(p *sim.Proc, b []byte, status uint32) error {
 // process; it must call End (or fail trying) before returning.
 type Handler func(p *sim.Proc, req *ServerRequest)
 
-// pendingReq assembles one request's inbound streams before dispatch.
+// pendingReq assembles one request's PARAMS stream before dispatch.
 type pendingReq struct {
-	flags     uint8
-	trace     uint32
-	params    []byte
-	stdin     []byte
-	stdinAgg  *core.Agg
-	gotParams bool
+	trace  uint32
+	params []byte
 }
 
 // Serve runs a worker's demultiplexing loop over conn c: BEGIN opens a
-// request, PARAMS/STDIN records accumulate until their streams end, and
-// each complete request is dispatched to handler on a fresh proc. Serve
+// request, PARAMS records accumulate until their stream ends, and each
+// complete request is dispatched to handler on a fresh proc. Serve
 // returns when the server closes the request pipe (EOF) or the stream
 // corrupts; response-side write errors are the handlers' to observe and
 // are counted on the conn.
 func Serve(p *sim.Proc, c *Conn, handler Handler) {
 	reqs := make(map[uint16]*pendingReq)
-	defer func() {
-		for _, pd := range reqs {
-			if pd.stdinAgg != nil {
-				pd.stdinAgg.Release()
-			}
-		}
-	}()
 	for {
 		rec, err := c.ReadRecord(p)
 		if err != nil {
@@ -128,12 +110,9 @@ func Serve(p *sim.Proc, c *Conn, handler Handler) {
 		pd := reqs[rec.ReqID]
 		switch rec.Type {
 		case RecBegin:
-			if pd != nil && pd.stdinAgg != nil {
-				// Duplicate BEGIN on a live id: drop the half-assembled
-				// request's references before starting over.
-				pd.stdinAgg.Release()
-			}
-			reqs[rec.ReqID] = &pendingReq{flags: rec.Flags, trace: rec.Trace}
+			// A duplicate BEGIN on a live id starts the request over,
+			// discarding the PARAMS it had assembled.
+			reqs[rec.ReqID] = &pendingReq{trace: rec.Trace}
 			rec.Release()
 		case RecParams:
 			if pd == nil {
@@ -143,28 +122,6 @@ func Serve(p *sim.Proc, c *Conn, handler Handler) {
 			pd.params = append(pd.params, rec.payloadBytes()...)
 			rec.Release()
 			if rec.Flags&FlagEndStream != 0 {
-				pd.gotParams = true
-				if pd.flags&FlagNoStdin != 0 {
-					dispatch(c, rec.ReqID, pd, handler)
-					delete(reqs, rec.ReqID)
-				}
-			}
-		case RecStdin:
-			if pd == nil {
-				rec.Release()
-				continue
-			}
-			if rec.Agg != nil {
-				if pd.stdinAgg == nil {
-					pd.stdinAgg = rec.Agg
-				} else {
-					pd.stdinAgg.Concat(rec.Agg)
-					rec.Agg.Release()
-				}
-			} else {
-				pd.stdin = append(pd.stdin, rec.Bytes...)
-			}
-			if rec.Flags&FlagEndStream != 0 && pd.gotParams {
 				dispatch(c, rec.ReqID, pd, handler)
 				delete(reqs, rec.ReqID)
 			}
@@ -176,11 +133,7 @@ func Serve(p *sim.Proc, c *Conn, handler Handler) {
 
 // dispatch runs the handler for a complete request on its own proc.
 func dispatch(c *Conn, id uint16, pd *pendingReq, handler Handler) {
-	req := &ServerRequest{
-		c: c, ID: id, Params: pd.params, Stdin: pd.stdin, StdinAgg: pd.stdinAgg,
-		Idempotent: pd.flags&FlagIdempotent != 0,
-		TraceID:    pd.trace,
-	}
+	req := &ServerRequest{c: c, ID: id, Params: pd.params, TraceID: pd.trace}
 	c.m.Eng.Go(fmt.Sprintf("fcgi.c%d.req%d", c.id, id), func(hp *sim.Proc) {
 		handler(hp, req)
 	})

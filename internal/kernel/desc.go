@@ -35,10 +35,6 @@ var (
 	// ErrAgain reports that an Accept on a non-blocking listener found no
 	// pending connection (EAGAIN). Retry when readiness says so.
 	ErrAgain = errors.New("kernel: operation would block")
-	// ErrTimedOut reports an operation abandoned because its deadline
-	// passed (ETIMEDOUT). Recovery code branches on errors.Is: a timed-out
-	// request may be replayed if idempotent, shed otherwise.
-	ErrTimedOut = errors.New("kernel: operation timed out")
 )
 
 // MaxIO is a read length that exceeds any queued data: IOL_read with

@@ -33,7 +33,7 @@ const (
 	PhaseCacheLookup
 	// PhaseSend: writing the response (copy, ref, or splice path).
 	PhaseSend
-	// PhaseDispatch: writing fcgi records (BEGIN/PARAMS/STDIN) or the
+	// PhaseDispatch: writing fcgi records (BEGIN/PARAMS) or the
 	// proxy's origin fetch toward a backend.
 	PhaseDispatch
 	// PhaseService: awaiting the worker's (or origin's) response.
