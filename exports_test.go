@@ -22,27 +22,38 @@ var stdlibMethods = map[string]bool{
 // nowhere in the repository but at its own declaration, tests and the
 // benchmark module included. Such an identifier is dead code: nothing
 // calls it, and nothing outside the repository can, since every package
-// but the root is internal. The scan is by name, so a method counts as
-// used when any identifier of the same name appears elsewhere. Enum
-// members are exempt (a complete enum is clearer than a gapped one), as
-// are the test entry points go test runs.
+// but the root is internal. The scan is by name. A method counts as used
+// only where a call names it (x.Name(...)), so a field or function of the
+// same name elsewhere does not keep it alive; a method that is only ever
+// passed as a value fails too. Enum members are exempt (a complete enum
+// is clearer than a gapped one), as are the test entry points go test
+// runs.
 func TestNoUnreferencedExports(t *testing.T) {
 	fset, files := parseTree(t)
 
 	uses := map[string]int{}
+	calls := map[string]int{} // names called as x.Name(...)
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.Ident:
+				uses[n.Name]++
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					calls[sel.Sel.Name]++
+				}
 			}
 			return true
 		})
 	}
 
 	var dead []string
+	report := func(id *ast.Ident) {
+		dead = append(dead, fset.Position(id.Pos()).String()+": "+id.Name)
+	}
 	check := func(id *ast.Ident) {
 		if id.IsExported() && uses[id.Name] <= 1 {
-			dead = append(dead, fset.Position(id.Pos()).String()+": "+id.Name)
+			report(id)
 		}
 	}
 	for _, f := range files {
@@ -50,13 +61,15 @@ func TestNoUnreferencedExports(t *testing.T) {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Recv != nil && stdlibMethods[d.Name.Name] {
-					continue
+				switch {
+				case d.Recv != nil && stdlibMethods[d.Name.Name]:
+				case d.Recv != nil:
+					if d.Name.IsExported() && calls[d.Name.Name] == 0 {
+						report(d.Name)
+					}
+				case !test || !isTestEntry(d.Name.Name):
+					check(d.Name)
 				}
-				if test && d.Recv == nil && isTestEntry(d.Name.Name) {
-					continue
-				}
-				check(d.Name)
 			case *ast.GenDecl:
 				if d.Tok == token.CONST && isEnum(d) {
 					continue
@@ -75,7 +88,7 @@ func TestNoUnreferencedExports(t *testing.T) {
 		}
 	}
 	for _, d := range dead {
-		t.Errorf("%s is exported but referenced nowhere; delete it", d)
+		t.Errorf("%s is exported but referenced (a method: called) nowhere; delete it", d)
 	}
 }
 

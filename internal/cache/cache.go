@@ -101,9 +101,6 @@ func New(eng *sim.Engine, costs *sim.CostModel, policy Policy) *Cache {
 	}
 }
 
-// Policy returns the active replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Len reports the number of entries.
 func (c *Cache) Len() int { return len(c.entries) }
 

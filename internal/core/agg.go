@@ -16,10 +16,14 @@ import (
 // An aggregate owns one buffer reference per slice it holds. Destroying the
 // aggregate (Release) drops those references, which is what eventually
 // recycles buffers.
+//
+// The first slice lives inline, so a one-slice aggregate (an MSS piece, a
+// packed object) is one allocation.
 type Agg struct {
 	slices []Slice
 	n      int
 	dead   bool
+	first  [1]Slice
 }
 
 // NewAgg returns an empty aggregate.
@@ -36,7 +40,9 @@ func FromSlice(s Slice) *Agg {
 // FromOwnedSlice wraps a slice whose reference the caller already holds and
 // transfers that reference to the aggregate (no Retain).
 func FromOwnedSlice(s Slice) *Agg {
-	return &Agg{slices: []Slice{s}, n: s.Len}
+	a := NewAgg()
+	a.push(s)
+	return a
 }
 
 // Len returns the total data length.
@@ -64,6 +70,15 @@ func (a *Agg) Append(s Slice) {
 		return
 	}
 	s.Buf.Retain()
+	a.push(s)
+}
+
+// push appends s, whose reference the aggregate now owns. An aggregate
+// with no backing array starts on its inline one.
+func (a *Agg) push(s Slice) {
+	if cap(a.slices) == 0 {
+		a.slices = a.first[:0]
+	}
 	a.slices = append(a.slices, s)
 	a.n += s.Len
 }
@@ -77,10 +92,9 @@ func (a *Agg) Prepend(s Slice) {
 		return
 	}
 	s.Buf.Retain()
-	a.slices = append(a.slices, Slice{})
+	a.push(s)
 	copy(a.slices[1:], a.slices)
 	a.slices[0] = s
-	a.n += s.Len
 }
 
 // Concat appends a copy of b's contents (by reference) to a. b is unchanged.
@@ -192,6 +206,7 @@ func (a *Agg) Release() {
 		s.Buf.Release()
 	}
 	a.slices = nil
+	a.first = [1]Slice{}
 	a.n = 0
 	a.dead = true
 }
@@ -254,8 +269,7 @@ func PackBytes(p *sim.Proc, pool *Pool, data []byte) *Agg {
 		if p != nil {
 			p.Sleep(pool.vm.Costs().Copy(end - off))
 		}
-		a.slices = append(a.slices, Slice{Buf: b, Off: 0, Len: end - off})
-		a.n += end - off
+		a.push(Slice{Buf: b, Off: 0, Len: end - off})
 	}
 	return a
 }

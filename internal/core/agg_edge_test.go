@@ -145,3 +145,103 @@ func TestPrependMatchesSemantics(t *testing.T) {
 		}
 	})
 }
+
+// TestOneSliceAggAllocatesOnce pins that a one-slice aggregate keeps its
+// slice inline: wrapping an owned slice, and a Range or Clone that lands
+// in one slice (an MSS piece of a send), each cost exactly one
+// allocation, the aggregate itself.
+func TestOneSliceAggAllocatesOnce(t *testing.T) {
+	h := newHarness()
+	h.run(t, func(p *sim.Proc) {
+		b := h.pool.Alloc(p, 4096)
+		fill(b, pattern(4096, 5))
+		s := Slice{Buf: b, Off: 0, Len: 4096}
+		one := FromSlice(s)
+		two, _ := multiSlice(h, p, 2, 4096)
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"FromOwnedSlice", func() { b.Retain(); FromOwnedSlice(s).Release() }},
+			{"Range", func() { one.Range(100, 1460).Release() }},
+			{"Range of a two-slice aggregate", func() { two.Range(4096+100, 1460).Release() }},
+			{"Clone", func() { one.Clone().Release() }},
+		} {
+			if n := testing.AllocsPerRun(100, c.op); n != 1 {
+				t.Errorf("%s allocated %.1f times, want 1", c.name, n)
+			}
+		}
+		one.Release()
+		two.Release()
+		b.Release()
+	})
+}
+
+// TestInlineSliceNotShared pins that no aggregate writes through another's
+// inline slot: growing or trimming a clone, prepending onto a one-slice
+// aggregate, and refilling one emptied by DropFront each leave the
+// aggregates they came from intact.
+func TestInlineSliceNotShared(t *testing.T) {
+	h := newHarness()
+	h.run(t, func(p *sim.Proc) {
+		d1, d2 := pattern(1024, 1), pattern(512, 2)
+		b1, b2 := h.pool.Alloc(p, len(d1)), h.pool.Alloc(p, len(d2))
+		fill(b1, d1)
+		fill(b2, d2)
+		s1, s2 := Slice{Buf: b1, Len: len(d1)}, Slice{Buf: b2, Len: len(d2)}
+		intact := func(what string, a *Agg, want []byte) {
+			t.Helper()
+			if !bytes.Equal(a.Materialize(), want) {
+				t.Errorf("%s: content changed", what)
+			}
+		}
+
+		a := FromSlice(s1)
+		c := a.Clone()
+		c.DropFront(10)
+		c.Append(s2)
+		intact("clone grown and trimmed", c, append(append([]byte(nil), d1[10:]...), d2...))
+		intact("original of the clone", a, d1)
+		c.Release()
+
+		r := a.Range(0, a.Len())
+		a.Prepend(s2)
+		intact("prepended", a, append(append([]byte(nil), d2...), d1...))
+		intact("range taken before the prepend", r, d1)
+		r.Release()
+		a.Release()
+
+		a = FromSlice(s1)
+		keep := a.Clone()
+		a.DropFront(a.Len())
+		a.Append(s2)
+		intact("refilled after DropFront to empty", a, d2)
+		intact("clone taken before the DropFront", keep, d1)
+		keep.Release()
+		a.Release()
+
+		if b1.Refs() != 1 || b2.Refs() != 1 {
+			t.Fatalf("refs = %d, %d after every aggregate released, want 1, 1", b1.Refs(), b2.Refs())
+		}
+		b1.Release()
+		b2.Release()
+	})
+}
+
+// TestReleaseClearsInlineSlot pins that a released aggregate keeps no
+// buffer reachable through its inline slot, whether the slot still held
+// the only slice or a stale copy left behind when the list grew.
+func TestReleaseClearsInlineSlot(t *testing.T) {
+	h := newHarness()
+	h.run(t, func(p *sim.Proc) {
+		one := FromSlice(Slice{Buf: h.pool.Alloc(p, 64), Len: 64})
+		one.Slices()[0].Buf.Release()
+		many, _ := multiSlice(h, p, 3, 64)
+		for _, a := range []*Agg{one, many} {
+			a.Release()
+			if a.first[0].Buf != nil {
+				t.Fatal("released aggregate still points at a buffer")
+			}
+		}
+	})
+}

@@ -67,9 +67,6 @@ func NewPool(vm *mem.VM, owner *mem.Domain, name string) *Pool {
 // Name returns the pool's diagnostic name.
 func (pl *Pool) Name() string { return pl.name }
 
-// VM returns the memory manager.
-func (pl *Pool) VM() *mem.VM { return pl.vm }
-
 // Alloc returns a writable buffer of at least n bytes (rounded up to whole
 // pages) with one reference held by the caller. The fast path reuses a
 // recycled buffer (generation bumped, write permission re-granted); the cold

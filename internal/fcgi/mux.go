@@ -108,9 +108,6 @@ func NewMux(c *Conn, depth int) *Mux {
 // Conn returns the underlying connection (stats, tests).
 func (mx *Mux) Conn() *Conn { return mx.c }
 
-// Depth returns the mux's in-flight cap.
-func (mx *Mux) Depth() int { return mx.depth }
-
 // Err returns the terminal connection error, if the mux has failed.
 func (mx *Mux) Err() error { return mx.err }
 

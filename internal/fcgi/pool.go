@@ -360,9 +360,6 @@ func (wp *WorkerPool) Do(p *sim.Proc, req Request) (*Response, error) {
 	if qosRelease != nil {
 		defer qosRelease()
 	}
-	if req.Tenant != "" {
-		req.Span.SetTenant(req.Tenant)
-	}
 	replayable := wp.cfg.Replay && req.Idempotent
 	for {
 		w := wp.pick(req.Tenant)

@@ -109,9 +109,6 @@ func NewVM(eng *sim.Engine, costs *sim.CostModel, totalBytes int64) *VM {
 	}
 }
 
-// Engine returns the simulation engine.
-func (vm *VM) Engine() *sim.Engine { return vm.eng }
-
 // Costs returns the machine cost model.
 func (vm *VM) Costs() *sim.CostModel { return vm.costs }
 

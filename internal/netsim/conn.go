@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"iolite/internal/core"
 	"iolite/internal/mem"
@@ -107,11 +108,13 @@ type segPiece struct {
 // super-segment's prefix up to a hole, and the resulting partial ack
 // releases whole chunks only. A chunk holds one agg reference per ref
 // piece and the done callbacks of send items whose last byte it carries.
+// Its pieces and dones arrays belong to the ack record and are reused
+// when the record is, so a retransmission resends a snapshot of the chunk
+// headers, never the record's array itself.
 type segChunk struct {
 	seq    int64 // first payload byte's sequence number
 	n      int
 	pieces []segPiece
-	aggs   []*core.Agg // reference-mode piece payloads, released on ack
 	dones  []func()
 }
 
@@ -122,17 +125,37 @@ type segChunk struct {
 // (each chunk's single reference per ref piece lives until the ack
 // releases it). Partial acks trim acknowledged chunks off the front, so
 // go-back-N resends only the stored pieces that cover the hole — never a
-// whole super-segment whose prefix already arrived.
+// whole super-segment whose prefix already arrived. Once fully acked the
+// record goes back to its sending host, which reuses it, with its chunk,
+// piece and done arrays, for a later segment.
 type ackRecord struct {
 	seq    int64 // first unacknowledged payload byte's sequence number
 	n      int   // unacknowledged payload bytes (sum of chunk lengths)
 	chunks []segChunk
+	acked  int      // chunks[acked:] are the unacknowledged ones
 	sent   sim.Time // first transmission, for RTT sampling
 	retx   bool     // retransmitted at least once (Karn: no RTT sample)
 }
 
 // end returns the sequence number just past this segment.
 func (r *ackRecord) end() int64 { return r.seq + int64(r.n) }
+
+// unacked returns the chunks not yet acknowledged.
+func (r *ackRecord) unacked() []segChunk { return r.chunks[r.acked:] }
+
+// addChunk extends the record by one empty chunk at seq, reusing the
+// arrays a recycled record left in that slot.
+func (r *ackRecord) addChunk(seq int64) *segChunk {
+	if len(r.chunks) < cap(r.chunks) {
+		r.chunks = r.chunks[:len(r.chunks)+1]
+	} else {
+		r.chunks = append(r.chunks, segChunk{})
+	}
+	ck := &r.chunks[len(r.chunks)-1]
+	ck.seq, ck.n = seq, 0
+	ck.pieces, ck.dones = ck.pieces[:0], ck.dones[:0]
+	return ck
+}
 
 // trimAcked releases the record's chunks wholly below ackNo — their agg
 // references, done callbacks (in admission order), and window bytes —
@@ -141,26 +164,51 @@ func (r *ackRecord) end() int64 { return r.seq + int64(r.n) }
 // receiver accepts whole chunks); anything else is a protocol bug.
 func (r *ackRecord) trimAcked(ackNo int64) int {
 	freed := 0
-	for len(r.chunks) > 0 {
-		ck := &r.chunks[0]
+	for _, ck := range r.unacked() {
 		if ck.seq+int64(ck.n) > ackNo {
 			break
 		}
-		for _, a := range ck.aggs {
-			a.Release()
+		for _, pc := range ck.pieces {
+			if pc.agg != nil {
+				pc.agg.Release()
+			}
 		}
 		for _, done := range ck.dones {
 			done()
 		}
+		clear(ck.pieces)
+		clear(ck.dones)
 		freed += ck.n
 		r.seq = ck.seq + int64(ck.n)
 		r.n -= ck.n
-		r.chunks = r.chunks[1:]
+		r.acked++
 	}
-	if r.seq < ackNo && len(r.chunks) > 0 {
-		panic(fmt.Sprintf("netsim: ack %d splits chunk at %d", ackNo, r.chunks[0].seq))
+	if rest := r.unacked(); r.seq < ackNo && len(rest) > 0 {
+		panic(fmt.Sprintf("netsim: ack %d splits chunk at %d", ackNo, rest[0].seq))
 	}
 	return freed
+}
+
+// newRecord returns an empty ack record starting at seq, reusing one
+// this host has recycled when it can.
+func (h *Host) newRecord(seq int64) *ackRecord {
+	var r *ackRecord
+	if n := len(h.records); n > 0 {
+		r = h.records[n-1]
+		h.records = h.records[:n-1]
+	} else {
+		r = new(ackRecord)
+	}
+	r.seq = seq
+	return r
+}
+
+// recycle takes back a fully acknowledged record. Nothing may keep a
+// pointer to it: a queued retransmission holds its own chunk headers.
+func (h *Host) recycle(r *ackRecord) {
+	r.chunks, r.acked = r.chunks[:0], 0
+	r.n, r.sent, r.retx = 0, 0, false
+	h.records = append(h.records, r)
 }
 
 // Retransmission timing. RTO adapts to measured RTT (Jacobson) between
@@ -189,12 +237,12 @@ type Endpoint struct {
 	tss     int
 
 	// Sender state.
-	sndQ      []*sendItem
+	sndQ      fifo[sendItem]
 	sndBytes  int // admitted (queued-unsent + in-flight) bytes, ≤ tss
 	queued    int // admitted-but-unsegmented bytes (the tail of sndBytes)
 	corked    bool
 	flush     bool // Drain's push: emit the held tail even while corked
-	ackFIFO   []*ackRecord
+	ackFIFO   fifo[*ackRecord]
 	sndWait   sim.WaitQueue
 	pump      *sim.Proc
 	pumpIdle  bool
@@ -234,7 +282,7 @@ type Endpoint struct {
 	// marks a local receive shutdown — queued and future deliveries are
 	// discarded (but still acknowledged, so the peer's sender can drain)
 	// without taking buffer references.
-	rcvQ      []Delivery
+	rcvQ      fifo[Delivery]
 	rcvWait   sim.WaitQueue
 	rcvClosed bool
 	rcvNxt    int64
@@ -270,9 +318,6 @@ func newConn(clientHost, serverHost *Host, link *Link, opts ConnOpts) *Conn {
 	c.server.startPump()
 	return c
 }
-
-// Host returns the endpoint's host.
-func (e *Endpoint) Host() *Host { return e.host }
 
 // RefMode reports whether this endpoint sends by reference.
 func (e *Endpoint) RefMode() bool { return e.refMode }
@@ -342,11 +387,11 @@ func (e *Endpoint) Send(p *sim.Proc, pl Payload, done func()) {
 		if !e.refMode {
 			e.reserveSock()
 		}
-		item := &sendItem{pl: piece, done: cb}
+		item := sendItem{pl: piece, done: cb}
 		if e.host.costs.OnCharge != nil {
 			item.bind = p.Attrib()
 		}
-		e.sndQ = append(e.sndQ, item)
+		e.sndQ.push(item)
 		e.wakePump()
 		off += take
 	}
@@ -395,8 +440,8 @@ func (e *Endpoint) startPump() {
 func (e *Endpoint) runPump(p *sim.Proc) {
 	costs := e.host.costs
 	for {
-		if len(e.sndQ) == 0 {
-			if e.closing && !e.finSent && len(e.ackFIFO) == 0 {
+		if e.sndQ.len() == 0 {
+			if e.closing && !e.finSent && e.ackFIFO.len() == 0 {
 				e.finSent = true
 				e.transmitFIN(p)
 				return
@@ -430,7 +475,7 @@ func (e *Endpoint) holdTail() bool {
 	if e.queued >= MSS || e.closing || e.flush {
 		return false
 	}
-	if len(e.ackFIFO) > 0 {
+	if e.ackFIFO.len() > 0 {
 		return true
 	}
 	return e.corked && e.sndBytes < e.tss
@@ -446,13 +491,13 @@ func (e *Endpoint) holdTail() bool {
 // faults and acks inside the super-segment resolve per MSS. Items whose
 // last byte is admitted attach their done callbacks to their chunk.
 func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
-	rec := &ackRecord{seq: e.sndNxt}
+	rec := e.host.newRecord(e.sndNxt)
 	// Attribute the segment's wire and checksum work to the request that
 	// queued its head item: the pump proc temporarily wears the sender's
 	// binding so the charge hook resolves it. Free when no hook is set.
 	var bind interface{}
-	if costs.OnCharge != nil && len(e.sndQ) > 0 {
-		bind = e.sndQ[0].bind
+	if costs.OnCharge != nil && e.sndQ.len() > 0 {
+		bind = e.sndQ.front().bind
 		p.SetAttrib(bind)
 		defer p.SetAttrib(nil)
 	}
@@ -461,24 +506,22 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 		maxChunks = e.host.superSeg / MSS
 	}
 	cpu := costs.MbufAlloc + costs.Packet
-	for len(rec.chunks) < maxChunks && len(e.sndQ) > 0 {
+	for len(rec.chunks) < maxChunks && e.sndQ.len() > 0 {
 		if len(rec.chunks) > 0 && e.queued-rec.n < MSS && !e.closing && !e.flush {
 			// Nagle inside the super-segment: a sub-MSS tail chunk waits
 			// for more data or the draining acks, exactly as it would
 			// have as a standalone segment.
 			break
 		}
-		ck := segChunk{seq: rec.seq + int64(rec.n)}
-		for ck.n < MSS && len(e.sndQ) > 0 {
-			item := e.sndQ[0]
+		ck := rec.addChunk(rec.seq + int64(rec.n))
+		for ck.n < MSS && e.sndQ.len() > 0 {
+			item := e.sndQ.front()
 			take := item.pl.Len() - item.off
 			if room := MSS - ck.n; take > room {
 				take = room
 			}
 			if item.pl.Agg != nil {
-				pa := item.pl.Agg.Range(item.off, take)
-				ck.pieces = append(ck.pieces, segPiece{agg: pa})
-				ck.aggs = append(ck.aggs, pa)
+				ck.pieces = append(ck.pieces, segPiece{agg: item.pl.Agg.Range(item.off, take)})
 				if e.host.ck == nil {
 					cpu += costs.Cksum(take)
 				}
@@ -495,11 +538,10 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 				if item.pl.Agg != nil {
 					item.pl.Agg.Release() // segment pieces hold their own references
 				}
-				e.sndQ = e.sndQ[1:]
+				e.sndQ.pop()
 			}
 		}
 		rec.n += ck.n
-		rec.chunks = append(rec.chunks, ck)
 	}
 	if len(rec.chunks) > 1 {
 		cpu += sim.Duration(len(rec.chunks)-1) * costs.SegChunk
@@ -522,7 +564,7 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 	}
 	rec.sent = e.host.eng.Now()
 	e.sndNxt += int64(rec.n)
-	e.ackFIFO = append(e.ackFIFO, rec)
+	e.ackFIFO.push(rec)
 	costs.EmitWire(int64(rec.n), bind)
 	e.piggybackAck()
 	e.transmitData(p, rec)
@@ -533,13 +575,13 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 	e.host.bytesOut += int64(rec.n)
 }
 
-// wireTime is the record's total serialization time: each MSS chunk goes
+// wireTime is a segment's total serialization time: each MSS chunk goes
 // on the wire as its own packet (the NIC segments a super-segment back
 // into MSS frames), so per-chunk header and framing overhead is paid in
 // wire time even when the CPU charged the protocol path only once.
-func (e *Endpoint) wireTime(rec *ackRecord) sim.Duration {
+func (e *Endpoint) wireTime(chunks []segChunk) sim.Duration {
 	var d sim.Duration
-	for _, ck := range rec.chunks {
+	for _, ck := range chunks {
 		d += e.link.txTime(ck.n + HeaderLen)
 	}
 	return d
@@ -551,8 +593,8 @@ func (e *Endpoint) wireTime(rec *ackRecord) sim.Duration {
 // corrupts it (it arrives flagged so the receiver's checksum verification
 // rejects it).
 func (e *Endpoint) transmitData(p *sim.Proc, rec *ackRecord) {
-	e.link.wire[e.dir].Use(p, e.wireTime(rec))
-	e.scheduleDelivery(rec)
+	e.link.wire[e.dir].Use(p, e.wireTime(rec.chunks))
+	e.scheduleDelivery(rec.chunks)
 }
 
 // deliveredChunk is one MSS-granular wire chunk of an arriving (possibly
@@ -569,32 +611,31 @@ type deliveredChunk struct {
 // scheduleDelivery judges each chunk's fate at the transmit instant and
 // schedules the survivors' arrival after the propagation delay — one
 // receive event per (super-)segment, however many chunks it carries.
-func (e *Endpoint) scheduleDelivery(rec *ackRecord) {
+func (e *Endpoint) scheduleDelivery(chunks []segChunk) {
 	now := e.host.eng.Now()
-	var arrive []deliveredChunk
-	for _, ck := range rec.chunks {
+	a := e.link.newArrival()
+	for _, ck := range chunks {
 		switch e.judgeSegment(now) {
 		case segDrop:
 		case segCorrupt:
-			arrive = append(arrive, deliveredChunk{seq: ck.seq, n: ck.n, pieces: ck.pieces, corrupt: true})
+			a.chunks = append(a.chunks, deliveredChunk{seq: ck.seq, n: ck.n, pieces: ck.pieces, corrupt: true})
 		default:
-			arrive = append(arrive, deliveredChunk{seq: ck.seq, n: ck.n, pieces: ck.pieces})
+			a.chunks = append(a.chunks, deliveredChunk{seq: ck.seq, n: ck.n, pieces: ck.pieces})
 		}
 	}
-	if len(arrive) == 0 {
+	if len(a.chunks) == 0 {
+		e.link.freeArrival(a)
 		return
 	}
-	peer := e.peer
-	e.host.eng.After(e.link.delay, func() {
-		peer.deliver(arrive)
-	})
+	a.to = e.peer
+	e.host.eng.Arm(&a.tm, now.Add(e.link.delay), a.step)
 }
 
 // armRTO (re)starts the retransmission timer when in-flight segments exist
 // on a faulty wire. Reliable wires never arm it: delivery is guaranteed by
 // construction, so the fault-free fast path stays timer-free.
 func (e *Endpoint) armRTO() {
-	if !e.faulty() || len(e.ackFIFO) == 0 {
+	if !e.faulty() || e.ackFIFO.len() == 0 {
 		return
 	}
 	if e.rtoTimer != nil && e.rtoTimer.Pending() {
@@ -609,7 +650,7 @@ func (e *Endpoint) armRTO() {
 // onRTO fires when the oldest in-flight segment's ack is overdue: go-back-N
 // retransmits the whole window, doubles the timeout, and re-arms.
 func (e *Endpoint) onRTO() {
-	if len(e.ackFIFO) == 0 {
+	if e.ackFIFO.len() == 0 {
 		return
 	}
 	e.rto *= 2
@@ -635,10 +676,11 @@ func (e *Endpoint) retransmit() {
 	}
 	costs := e.host.costs
 	link := e.link
-	for _, rec := range e.ackFIFO {
+	for _, rec := range e.ackFIFO.items() {
 		rec.retx = true
+		chunks := rec.unacked()
 		cpu := costs.MbufAlloc + costs.Packet
-		for _, ck := range rec.chunks {
+		for _, ck := range chunks {
 			for _, pc := range ck.pieces {
 				switch {
 				case pc.agg == nil:
@@ -650,26 +692,28 @@ func (e *Endpoint) retransmit() {
 				}
 			}
 		}
-		if len(rec.chunks) > 1 {
-			cpu += sim.Duration(len(rec.chunks)-1) * costs.SegChunk
+		if len(chunks) > 1 {
+			cpu += sim.Duration(len(chunks)-1) * costs.SegChunk
 		}
 		// Resend what is unacknowledged at expiry: a partial ack that
 		// already trimmed the record leaves only the chunks covering the
-		// hole, so no whole-super-segment re-charge. The snapshot keeps
-		// the resend consistent with the cpu charge computed above even
-		// if another ack trims the live record while the charge queues
-		// (an ack racing a queued retransmit was resent whole before
-		// offload existed, and still is).
-		snap := &ackRecord{seq: rec.seq, n: rec.n, chunks: rec.chunks}
+		// hole, so no whole-super-segment re-charge. The snapshot of the
+		// chunk headers keeps the resend consistent with the cpu charge
+		// computed above even if another ack trims the live record, or
+		// acks it whole and recycles it, while the charge queues (an ack
+		// racing a queued retransmit was resent whole before offload
+		// existed, and still is). Such a resend arrives below the
+		// receiver's rcvNxt, so its pieces are never read.
+		snap, n := slices.Clone(chunks), rec.n
 		e.host.charge(cpu, func() {
 			link.wire[e.dir].UseAsync(e.wireTime(snap), func() {
 				e.scheduleDelivery(snap)
 			})
 			e.host.pktsOut++
-			e.host.segsOut += int64(len(snap.chunks))
-			e.host.bytesOut += int64(snap.n)
+			e.host.segsOut += int64(len(snap))
+			e.host.bytesOut += int64(n)
 			e.host.retransSegs++
-			e.host.retransBytes += int64(snap.n)
+			e.host.retransBytes += int64(n)
 		})
 	}
 }
@@ -691,23 +735,59 @@ func (e *Endpoint) transmitFIN(p *sim.Proc) {
 	})
 }
 
-// deliver runs when a data (super-)segment arrives at the receiving host:
-// interrupt and early-demultiplexing work, checksum verification, reader
-// wake-up, and the cumulative acknowledgment back to the sender — all
-// charged once per arrival event however many MSS chunks it carries (the
-// GRO half of segment offload; without offload each event is one chunk,
-// exactly the pre-offload receive path). The Agg/Data distinction each
-// piece's sender chose survives coalescing.
-//
-// Go-back-N discipline, per chunk: only the next expected chunk
-// (seq == rcvNxt) is accepted, so a hole inside a super-segment accepts
-// the prefix and discards the rest. A corrupted chunk is discarded
-// unacknowledged AFTER the checksum pass that caught it was paid. An
-// out-of-order chunk (a predecessor was lost) or a duplicate (spurious
-// retransmission) is discarded and the current cumulative ack repeated
-// immediately — never delayed — which the sender counts toward fast
-// retransmit.
-func (e *Endpoint) deliver(chunks []deliveredChunk) {
+// arrival carries one data (super-)segment to its receiver on one
+// embedded timer, in three stages: the propagation delay, the receiver's
+// interrupt-level CPU charge (rxCost), then deliver. step is bound once,
+// when the arrival is first allocated. After the last stage the arrival
+// returns to its link's free list, so nothing may keep a pointer to it.
+type arrival struct {
+	tm      sim.Timer
+	step    func()
+	link    *Link
+	charged bool // the CPU charge is queued; deliver is next
+	to      *Endpoint
+	chunks  []deliveredChunk
+}
+
+// run is the arrival's timer callback: first it queues the receive
+// charge, then it delivers.
+func (a *arrival) run() {
+	e := a.to
+	if !a.charged {
+		a.charged = true
+		e.host.eng.Arm(&a.tm, e.host.chargeDone(e.rxCost(a.chunks)), a.step)
+		return
+	}
+	e.deliver(a.chunks)
+	a.link.freeArrival(a)
+}
+
+// newArrival returns an empty arrival, reusing a free one when it can.
+func (l *Link) newArrival() *arrival {
+	if n := len(l.arrivals); n > 0 {
+		a := l.arrivals[n-1]
+		l.arrivals = l.arrivals[:n-1]
+		return a
+	}
+	a := &arrival{link: l}
+	a.step = a.run
+	return a
+}
+
+// freeArrival takes back an arrival whose last stage has run, or that
+// was never armed.
+func (l *Link) freeArrival(a *arrival) {
+	a.charged, a.to = false, nil
+	a.chunks = a.chunks[:0]
+	l.arrivals = append(l.arrivals, a)
+}
+
+// rxCost is the receive work one arrival event charges: interrupt and
+// early-demultiplexing work and checksum verification, once per event
+// however many MSS chunks it carries (the GRO half of segment offload;
+// without offload each event is one chunk, exactly the pre-offload
+// receive path).
+func (e *Endpoint) rxCost(chunks []deliveredChunk) sim.Duration {
 	costs := e.host.costs
 	total := 0
 	for _, ck := range chunks {
@@ -717,41 +797,57 @@ func (e *Endpoint) deliver(chunks []deliveredChunk) {
 	if len(chunks) > 1 {
 		cpu += sim.Duration(len(chunks)-1) * costs.SegChunk
 	}
-	e.host.charge(cpu, func() {
-		e.host.pktsIn++
-		e.host.bytesIn += int64(total)
-		advanced, dup := false, false
-		for _, ck := range chunks {
-			switch {
-			case ck.corrupt:
-				e.host.corruptIn++
-			case ck.seq != e.rcvNxt:
-				dup = true // hole or duplicate; repeat the cumulative ack
-			default:
-				e.rcvNxt += int64(ck.n)
-				advanced = true
-				if !e.rcvShut {
-					e.queueDeliveries(ck.pieces)
-				}
-			}
-		}
-		if advanced && !e.rcvShut {
-			e.rcvWait.Wake(-1)
-			if e.rcvNotify != nil {
-				e.rcvNotify()
-			}
-		}
+	return cpu
+}
+
+// deliver runs once the receiving host's CPU has done a data
+// (super-)segment's rxCost: it queues the accepted pieces, wakes readers,
+// and returns the cumulative acknowledgment to the sender. The Agg/Data
+// distinction each piece's sender chose survives coalescing.
+//
+// Go-back-N discipline, per chunk: only the next expected chunk
+// (seq == rcvNxt) is accepted, so a hole inside a super-segment accepts
+// the prefix and discards the rest. A corrupted chunk is discarded
+// unacknowledged AFTER the checksum pass that caught it was paid. An
+// out-of-order chunk (a predecessor was lost) or a duplicate (spurious
+// retransmission) is discarded and the current cumulative ack repeated
+// immediately — never delayed — which the sender counts toward fast
+// retransmit. A duplicate's pieces are never read: its sender may have
+// recycled them already.
+func (e *Endpoint) deliver(chunks []deliveredChunk) {
+	e.host.pktsIn++
+	advanced, dup := false, false
+	for _, ck := range chunks {
+		e.host.bytesIn += int64(ck.n)
 		switch {
-		case dup:
-			e.flushAck()
-		case advanced:
-			if e.host.offload {
-				e.scheduleAck()
-			} else {
-				e.sendAck(e.rcvNxt)
+		case ck.corrupt:
+			e.host.corruptIn++
+		case ck.seq != e.rcvNxt:
+			dup = true // hole or duplicate; repeat the cumulative ack
+		default:
+			e.rcvNxt += int64(ck.n)
+			advanced = true
+			if !e.rcvShut {
+				e.queueDeliveries(ck.pieces)
 			}
 		}
-	})
+	}
+	if advanced && !e.rcvShut {
+		e.rcvWait.Wake(-1)
+		if e.rcvNotify != nil {
+			e.rcvNotify()
+		}
+	}
+	switch {
+	case dup:
+		e.flushAck()
+	case advanced:
+		if e.host.offload {
+			e.scheduleAck()
+		} else {
+			e.sendAck(e.rcvNxt)
+		}
+	}
 }
 
 // queueDeliveries appends one accepted chunk's pieces to the receive
@@ -762,8 +858,8 @@ func (e *Endpoint) deliver(chunks []deliveredChunk) {
 // reader cannot accrete one unbounded delivery.
 func (e *Endpoint) queueDeliveries(pieces []segPiece) {
 	for _, pc := range pieces {
-		if e.host.offload && len(e.rcvQ) > 0 {
-			tail := &e.rcvQ[len(e.rcvQ)-1]
+		if e.host.offload && e.rcvQ.len() > 0 {
+			tail := e.rcvQ.back()
 			if tail.Len() < e.host.superSeg {
 				if pc.agg != nil && tail.Agg != nil {
 					tail.Agg.Concat(pc.agg) // tail is rcvQ's own clone; safe to grow
@@ -783,8 +879,58 @@ func (e *Endpoint) queueDeliveries(pieces []segPiece) {
 			// later Recv copies them out to the application.
 			d.Data = append([]byte(nil), pc.data...)
 		}
-		e.rcvQ = append(e.rcvQ, d)
+		e.rcvQ.push(d)
 	}
+}
+
+// ackEvent carries one cumulative ack back to the data sender on one
+// embedded timer, in three stages: the ack's wire time plus the
+// propagation delay, the sender's CPU charge, then acked. A piggybacked
+// ack rode a data segment, so it skips the charge. step is bound once,
+// when the event is first allocated. After the last stage the event
+// returns to its link's free list, so nothing may keep a pointer to it.
+type ackEvent struct {
+	tm      sim.Timer
+	step    func()
+	link    *Link
+	charged bool // the sender's CPU charge is queued, or none is due
+	to      *Endpoint
+	ackNo   int64
+}
+
+// run is the ack's timer callback: first it queues the sender's charge,
+// unless the ack was piggybacked, then it hands the ack to acked.
+func (a *ackEvent) run() {
+	to := a.to
+	if !a.charged {
+		a.charged = true
+		to.host.eng.Arm(&a.tm, to.host.chargeDone(to.host.costs.Packet/2), a.step)
+		return
+	}
+	ackNo := a.ackNo
+	a.link.freeAck(a)
+	to.acked(ackNo)
+}
+
+// ackTo arms an ack of ackNo that reaches the data sender to at instant
+// at. A piggybacked ack costs the sender no ack processing.
+func (l *Link) ackTo(to *Endpoint, ackNo int64, at sim.Time, piggybacked bool) {
+	var a *ackEvent
+	if n := len(l.acks); n > 0 {
+		a = l.acks[n-1]
+		l.acks = l.acks[:n-1]
+	} else {
+		a = &ackEvent{link: l}
+		a.step = a.run
+	}
+	a.to, a.ackNo, a.charged = to, ackNo, piggybacked
+	l.eng.Arm(&a.tm, at, a.step)
+}
+
+// freeAck takes back an ack event whose last stage is running.
+func (l *Link) freeAck(a *ackEvent) {
+	a.to = nil
+	l.acks = append(l.acks, a)
 }
 
 // sendAck returns a cumulative acknowledgment (every byte below ackNo has
@@ -794,12 +940,7 @@ func (e *Endpoint) sendAck(ackNo int64) {
 	e.host.acksOut++
 	link := e.link
 	done := link.wire[e.dir].UseAsync(link.txTime(AckLen), nil)
-	sender := e.peer
-	e.host.eng.At(done.Add(link.delay), func() {
-		sender.host.charge(sender.host.costs.Packet/2, func() {
-			sender.acked(ackNo)
-		})
-	})
+	link.ackTo(e.peer, ackNo, done.Add(link.delay), false)
 }
 
 // scheduleAck notes one in-order receive event under the delayed-ack
@@ -851,11 +992,7 @@ func (e *Endpoint) piggybackAck() {
 		e.ackTimer.Cancel()
 		e.ackTimer = nil
 	}
-	ackNo := e.rcvNxt
-	sender := e.peer
-	e.host.eng.After(e.link.delay, func() {
-		sender.acked(ackNo)
-	})
+	e.link.ackTo(e.peer, e.rcvNxt, e.host.eng.Now().Add(e.link.delay), true)
 }
 
 // acked processes a cumulative acknowledgment: every segment wholly below
@@ -867,14 +1004,14 @@ func (e *Endpoint) acked(ackNo int64) {
 	if ackNo <= e.sndUna {
 		// No progress. Three duplicate acks in a row signal a lost head
 		// segment while later ones still arrive.
-		if ackNo == e.sndUna && len(e.ackFIFO) > 0 {
+		if ackNo == e.sndUna && e.ackFIFO.len() > 0 {
 			e.dupAcks++
 			// Early retransmit (à la RFC 5827): a hole near the window's
 			// tail can't gather three duplicate acks — there aren't three
 			// segments behind it — so the threshold shrinks with the
 			// outstanding count rather than waiting out the RTO.
 			thresh := 3
-			if n := len(e.ackFIFO); n < 4 {
+			if n := e.ackFIFO.len(); n < 4 {
 				thresh = n - 1
 				if thresh < 1 {
 					thresh = 1
@@ -896,14 +1033,18 @@ func (e *Endpoint) acked(ackNo int64) {
 		e.inStall = false
 	}
 	var freed int
-	for len(e.ackFIFO) > 0 && e.ackFIFO[0].seq < ackNo {
-		rec := e.ackFIFO[0]
+	for e.ackFIFO.len() > 0 {
+		rec := *e.ackFIFO.front()
+		if rec.seq >= ackNo {
+			break
+		}
 		if rec.end() <= ackNo {
-			e.ackFIFO = e.ackFIFO[1:]
+			e.ackFIFO.pop()
 			if !rec.retx && e.faulty() {
 				e.sampleRTT(e.host.eng.Now().Sub(rec.sent))
 			}
 			freed += rec.trimAcked(rec.end())
+			e.host.recycle(rec)
 			continue
 		}
 		// Partial ack inside a super-segment: the receiver accepted a
@@ -937,7 +1078,7 @@ func (e *Endpoint) acked(ackNo int64) {
 	// A draining ack FIFO can end an auto-cork hold (the queue's sub-MSS
 	// tail flushes once nothing is in flight), and the last ack of a
 	// closing endpoint releases the FIN.
-	if len(e.sndQ) > 0 || (e.closing && len(e.ackFIFO) == 0) {
+	if e.sndQ.len() > 0 || (e.closing && e.ackFIFO.len() == 0) {
 		e.wakePump()
 	}
 }
@@ -983,15 +1124,13 @@ func (e *Endpoint) sampleRTT(rtt sim.Duration) {
 // half-close arrives. ok is false at end of stream and after a local
 // receive shutdown.
 func (e *Endpoint) Recv(p *sim.Proc) (Delivery, bool) {
-	for len(e.rcvQ) == 0 {
+	for e.rcvQ.len() == 0 {
 		if e.rcvClosed || e.rcvShut {
 			return Delivery{}, false
 		}
 		e.rcvWait.Wait(p)
 	}
-	d := e.rcvQ[0]
-	e.rcvQ = e.rcvQ[1:]
-	return d, true
+	return e.rcvQ.pop(), true
 }
 
 // ShutdownRecv abandons the endpoint's receive direction: queued deliveries
@@ -1005,10 +1144,10 @@ func (e *Endpoint) ShutdownRecv() {
 		return
 	}
 	e.rcvShut = true
-	for _, d := range e.rcvQ {
+	for _, d := range e.rcvQ.items() {
 		d.Release()
 	}
-	e.rcvQ = nil
+	e.rcvQ = fifo[Delivery]{}
 	e.rcvWait.Wake(-1)
 	if e.rcvNotify != nil {
 		e.rcvNotify()
@@ -1028,7 +1167,7 @@ func (e *Endpoint) Close(p *sim.Proc) {
 
 // RecvReady reports whether Recv right now would return without parking:
 // a delivery is queued or the peer's FIN has arrived.
-func (e *Endpoint) RecvReady() bool { return len(e.rcvQ) > 0 || e.rcvClosed }
+func (e *Endpoint) RecvReady() bool { return e.rcvQ.len() > 0 || e.rcvClosed }
 
 // SetRecvNotify registers fn to fire whenever the receive side becomes
 // ready (a delivery lands or the peer half-closes).
@@ -1063,4 +1202,41 @@ func (e *Endpoint) Drain(p *sim.Proc) {
 	for e.sndBytes > 0 {
 		e.sndWait.Wait(p)
 	}
+}
+
+// fifo is a first-in first-out queue that reuses its backing array: a pop
+// advances head instead of reslicing, and a push that would grow the
+// array first slides the items back to its start once half of it is
+// popped, so a steady stream runs in one array.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// items returns the queued items, oldest first.
+func (f *fifo[T]) items() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) front() *T { return &f.buf[f.head] }
+
+func (f *fifo[T]) back() *T { return &f.buf[len(f.buf)-1] }
+
+func (f *fifo[T]) push(x T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, x)
+}
+
+func (f *fifo[T]) pop() T {
+	x := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	if f.head++; f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return x
 }

@@ -81,6 +81,10 @@ type Host struct {
 	retransSegs, retransBytes int64
 	fastRetrans               int64
 	corruptIn                 int64
+
+	// records holds the fully acknowledged ack records this host's
+	// endpoints reuse for their next segments.
+	records []*ackRecord
 }
 
 // NewHost creates a host. charged selects whether the host has a measured
@@ -95,12 +99,6 @@ func NewHost(eng *sim.Engine, costs *sim.CostModel, name string, charged bool, v
 
 // CPU returns the host's CPU resource (nil for uncharged hosts).
 func (h *Host) CPU() *sim.Resource { return h.cpu }
-
-// VM returns the host's memory manager (nil if untracked).
-func (h *Host) VM() *mem.VM { return h.vm }
-
-// CkCache returns the host's checksum cache (nil if disabled).
-func (h *Host) CkCache() *cksum.Cache { return h.ck }
 
 // Use charges d of CPU time to proc p, queueing behind other work on this
 // host. Free-CPU hosts advance p by d without contention so that client
@@ -119,11 +117,16 @@ func (h *Host) Use(p *sim.Proc, d sim.Duration) {
 // (interrupt-level receive processing), then runs fn when the CPU gets to
 // it.
 func (h *Host) charge(d sim.Duration, fn func()) {
+	h.eng.At(h.chargeDone(d), fn)
+}
+
+// chargeDone accounts d of such work and returns the instant the CPU
+// gets to it, for a caller that arms its own timer there.
+func (h *Host) chargeDone(d sim.Duration) sim.Time {
 	if h.cpu != nil {
-		h.cpu.UseAsync(d, fn)
-		return
+		return h.cpu.UseAsync(d, nil)
 	}
-	h.eng.After(d, fn)
+	return h.eng.Now().Add(max(d, 0))
 }
 
 // SetOffload enables (or disables) LSO/GRO segment offload for this
@@ -214,6 +217,11 @@ type Link struct {
 	// faults, when non-nil, injects faults into data segments in both
 	// directions (see fault.go).
 	faults *FaultPlan
+
+	// arrivals and acks are the free wire events that data segments and
+	// acks crossing this link reuse.
+	arrivals []*arrival
+	acks     []*ackEvent
 }
 
 // NewLink connects a and b with the given bit rate and one-way delay.

@@ -18,9 +18,6 @@ func NewListener(h *Host) *Listener {
 	return &Listener{host: h}
 }
 
-// Host returns the listening host.
-func (l *Listener) Host() *Host { return l.host }
-
 // Accept blocks until a connection arrives and returns it (nil after
 // Close).
 func (l *Listener) Accept(p *sim.Proc) *Conn {

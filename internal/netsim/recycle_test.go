@@ -1,0 +1,209 @@
+package netsim
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"iolite/internal/cksum"
+	"iolite/internal/core"
+	"iolite/internal/mem"
+	"iolite/internal/sim"
+)
+
+// TestSteadyStateSegmentAllocs pins the host allocations one segment
+// costs on a warmed, fault-free connection. Ack records, wire events and
+// the send, ack and receive queues are all reused, so what is left is the
+// payload: in ref mode one Range at emit and one Clone at receive per
+// piece, in copy mode the receive-buffer copy per piece, at about two
+// pieces per segment.
+func TestSteadyStateSegmentAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ref   bool
+		limit float64
+	}{
+		{"ref", true, 6},
+		{"copy", false, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const piece, warm, measured = 16 << 10, 16, 64
+			r := newRig(tc.ref, nil, 100*time.Microsecond)
+			data := pattern(piece)
+			var mallocs uint64
+			var segs int64
+			r.eng.Go("client", func(p *sim.Proc) {
+				ep := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: tc.ref}).ClientEnd()
+				for got := 0; got < (warm+measured)*piece; {
+					d, ok := ep.Recv(p)
+					if !ok {
+						t.Error("stream ended early")
+						return
+					}
+					got += d.Len()
+					d.Release()
+				}
+			})
+			r.eng.Go("server", func(p *sim.Proc) {
+				ep := r.lst.Accept(p).ServerEnd()
+				var src *core.Agg
+				if tc.ref {
+					src = core.PackBytes(p, r.pool, data)
+				}
+				send := func(n int) {
+					for i := 0; i < n; i++ {
+						if tc.ref {
+							ep.Send(p, Payload{Agg: src.Clone()}, nil)
+						} else {
+							ep.Send(p, Payload{Data: data}, nil)
+						}
+					}
+					ep.Drain(p)
+				}
+				send(warm)
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				s0 := r.server.SegsOut()
+				send(measured)
+				runtime.ReadMemStats(&m1)
+				mallocs, segs = m1.Mallocs-m0.Mallocs, r.server.SegsOut()-s0
+				if src != nil {
+					src.Release()
+				}
+				ep.Close(p)
+			})
+			r.eng.Run()
+			if segs == 0 {
+				t.Fatal("no segments sent")
+			}
+			per := float64(mallocs) / float64(segs)
+			t.Logf("%d allocations over %d segments: %.2f per segment", mallocs, segs, per)
+			if per > tc.limit {
+				t.Fatalf("%.2f allocations per steady-state segment, want at most %.0f", per, tc.limit)
+			}
+		})
+	}
+}
+
+// spuriousRun sends 512 KB by reference in 16 KB pieces over a 300 µs
+// link whose empty fault plan arms RTOs. The 200 µs minimum RTO fires
+// before the first ack can return, so the early retransmissions are
+// spurious: originals are acked and their records recycled while their
+// resends still queue for the CPU and the wire.
+func spuriousRun() (got []byte, r *rig) {
+	r = newRig(true, cksum.NewCache(0), 300*time.Microsecond)
+	r.link.SetFaultPlan(&FaultPlan{})
+	want := pattern(512 << 10)
+	r.eng.Go("client", func(p *sim.Proc) {
+		conn := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: true})
+		got = collect(p, conn.ClientEnd(), len(want))
+	})
+	r.eng.Go("server", func(p *sim.Proc) {
+		ep := r.lst.Accept(p).ServerEnd()
+		for off := 0; off < len(want); off += 16 << 10 {
+			ep.Send(p, Payload{Agg: core.PackBytes(p, r.pool, want[off:off+16<<10])}, nil)
+		}
+		ep.Drain(p)
+		ep.Close(p)
+	})
+	r.eng.Run()
+	return got, r
+}
+
+// TestSpuriousRetransmitAfterRecycle pins that recycling an acked record
+// cannot change what a queued resend of it carries: the resend keeps its
+// own chunk headers. The bytes must arrive intact with no pages leaked,
+// and the run must keep the recovery counts and finish instant it had
+// before records were recycled. A resend that shared the record's chunk
+// array would still deliver intact bytes, since a late duplicate's pieces
+// are never read, but would put different chunks on the wire: only the
+// pinned counts catch it.
+func TestSpuriousRetransmitAfterRecycle(t *testing.T) {
+	got, r := spuriousRun()
+	if !bytes.Equal(got, pattern(512<<10)) {
+		t.Fatalf("got %d corrupt or missing bytes of %d", len(got), 512<<10)
+	}
+	if live := r.pool.LivePages(); live > mem.PagesPerChunk {
+		t.Fatalf("leaked %d live pages", live)
+	}
+	segs, _ := r.server.RetransStats()
+	if segs != 17 || r.server.FastRetransmits() != 3 {
+		t.Fatalf("retransmitted %d segments in %d fast retransmits, want 17 in 3", segs, r.server.FastRetransmits())
+	}
+	if want := sim.Time(56550 * time.Microsecond); r.eng.Now() != want {
+		t.Fatalf("run finished at %v, want %v", r.eng.Now(), want)
+	}
+}
+
+// TestConcurrentTransfers runs two rigs on two goroutines at once: each
+// must match a lone run exactly, so the recycled records and wire events
+// live on a host or a link, never in package state two engines share.
+func TestConcurrentTransfers(t *testing.T) {
+	transcript := func() string {
+		got, r := spuriousRun()
+		segs, rbytes := r.server.RetransStats()
+		pkts, _, out, _ := r.server.Stats()
+		return fmt.Sprint(bytes.Equal(got, pattern(512<<10)), segs, rbytes, pkts, out,
+			r.server.AcksOut(), r.client.AcksOut(), r.eng.Now())
+	}
+	want := transcript()
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = transcript()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("concurrent run %d: %s, want %s as alone", i, g, want)
+		}
+	}
+}
+
+// TestFifoOrderAndArrayReuse pins the queue under the send, ack and
+// receive paths: random pushes and pops keep FIFO order against a slice
+// model, and a steady stream at any occupancy runs in one small array,
+// allocating nothing.
+func TestFifoOrderAndArrayReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var f fifo[int]
+	var model []int
+	for i := 0; i < 20000; i++ {
+		if len(model) == 0 || rng.Intn(100) < 52 {
+			f.push(i)
+			model = append(model, i)
+		} else if got := f.pop(); got != model[0] {
+			t.Fatalf("op %d: popped %d, want %d", i, got, model[0])
+		} else {
+			model = model[1:]
+		}
+		if f.len() != len(model) || !slices.Equal(f.items(), model) {
+			t.Fatalf("op %d: queue %v, want %v", i, f.items(), model)
+		}
+	}
+	for _, depth := range []int{0, 1, 5, 40} {
+		var q fifo[int]
+		for i := 0; i < depth; i++ {
+			q.push(i)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 100; i++ {
+				q.push(i)
+				q.pop()
+			}
+		})
+		if allocs != 0 || cap(q.buf) > 4*(depth+1) {
+			t.Errorf("depth %d: %.1f allocations per 100 push-pops, %d slots, want 0 and at most %d",
+				depth, allocs, cap(q.buf), 4*(depth+1))
+		}
+	}
+}

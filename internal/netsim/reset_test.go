@@ -9,7 +9,7 @@ import (
 )
 
 // hostNonCounters are the Host fields ResetMeters must NOT touch:
-// identity, wiring, and configuration. Every other field is required to
+// identity, wiring, configuration, and the recycled ack records. Every other field is required to
 // be an int64 counter that ResetMeters zeroes — so adding a counter to
 // Host without adding it to ResetMeters (the bug class this test
 // hunts: a stale warmup value silently inflating every measured window)
@@ -25,6 +25,7 @@ var hostNonCounters = map[string]bool{
 	"offload":  true,
 	"superSeg": true,
 	"faults":   true,
+	"records":  true,
 }
 
 // TestResetNetStatsCoversEveryCounter poisons every counter field of a

@@ -104,10 +104,6 @@ type Span struct {
 	segs    []segment
 	remotes []RemoteMark
 	done    bool
-
-	// tenant tags the span with the principal it serves (multi-tenant
-	// QoS attribution); empty when unattributed.
-	tenant string
 }
 
 // ID returns the span's trace id (0 for a nil span), the value that

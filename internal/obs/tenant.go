@@ -59,20 +59,3 @@ func (t *Tenants) ResetMeters() {
 		*s = TenantStats{}
 	}
 }
-
-// SetTenant tags the span with the tenant it serves (nil-safe, like every
-// Span method): charge attribution and trace export carry the tag.
-func (s *Span) SetTenant(tenant string) {
-	if s == nil {
-		return
-	}
-	s.tenant = tenant
-}
-
-// Tenant returns the span's tenant tag, "" if unattributed or nil.
-func (s *Span) Tenant() string {
-	if s == nil {
-		return ""
-	}
-	return s.tenant
-}

@@ -34,7 +34,8 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Timer is one scheduled callback: the engine's only event type. Timers
 // at equal instants fire in schedule order (seq breaks ties) so runs are
-// deterministic. A nil fn means the timer has fired or been canceled.
+// deterministic. A nil fn means the timer has fired or been canceled; a
+// zero seq means it is not queued, so Arm may schedule it again.
 type Timer struct {
 	at  Time
 	seq uint64
@@ -142,6 +143,17 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	return tm
 }
 
+// Arm schedules a caller-owned timer exactly as At would schedule a new
+// one, taking the next seq, so a recycled event fires in the same order
+// as a fresh one. Arm only a new timer or one that has fired: a timer
+// still queued, pending or canceled, panics.
+func (e *Engine) Arm(tm *Timer, t Time, fn func()) {
+	if tm.seq != 0 {
+		panic(fmt.Sprintf("sim: Arm of a timer still queued for %v", tm.at))
+	}
+	e.schedule(tm, t, fn)
+}
+
 // schedule arms tm to run fn at instant t, taking the next seq.
 func (e *Engine) schedule(tm *Timer, t Time, fn func()) {
 	if t < e.now {
@@ -169,6 +181,7 @@ func (e *Engine) Step() bool {
 	}
 	tm := e.events.pop()
 	e.now = tm.at
+	tm.seq = 0 // dequeued: Arm may reuse it, even from its own callback
 	if fn := tm.fn; fn != nil {
 		tm.fn = nil // a callback that re-arms sees its own timer as fired
 		fn()
@@ -225,7 +238,7 @@ func (e *Engine) Close() {
 
 func (e *Engine) dropTimers() {
 	for _, tm := range e.events {
-		tm.fn = nil
+		tm.fn, tm.seq = nil, 0
 	}
 	e.events = nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -65,6 +67,104 @@ func TestEngineTimerCancel(t *testing.T) {
 	}
 	if e.Now() != Time(2*time.Millisecond) {
 		t.Fatalf("Now = %v, want 2ms (a canceled timer still moves the clock)", e.Now())
+	}
+}
+
+// TestEngineArmReuseAllocatesNothing pins that a caller-owned timer
+// re-armed from its own callback costs the engine no allocation.
+func TestEngineArmReuseAllocatesNothing(t *testing.T) {
+	e := New()
+	var tm Timer
+	n := 0
+	var fire func()
+	fire = func() {
+		if n++; n%10 != 0 {
+			e.Arm(&tm, e.Now().Add(time.Microsecond), fire)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Arm(&tm, e.Now(), fire)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("re-arming a timer from its callback allocated %.1f times per run, want 0", allocs)
+	}
+	if n != 1010 {
+		t.Fatalf("callback ran %d times, want 1010", n)
+	}
+}
+
+// TestEngineArmPanicsOnQueuedTimer pins that Arm refuses a timer the
+// queue still holds: pending, or canceled but not yet popped.
+func TestEngineArmPanicsOnQueuedTimer(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Arm of a %s timer did not panic", what)
+			}
+		}()
+		f()
+	}
+	e := New()
+	var tm Timer
+	e.Arm(&tm, Time(time.Millisecond), func() {})
+	mustPanic("pending", func() { e.Arm(&tm, Time(2*time.Millisecond), func() {}) })
+	tm.Cancel()
+	mustPanic("canceled but queued", func() { e.Arm(&tm, Time(2*time.Millisecond), func() {}) })
+	e.Run()
+	fired := false
+	e.Arm(&tm, e.Now(), func() { fired = true }) // popped: free to reuse
+	e.Run()
+	if !fired {
+		t.Fatal("a timer re-armed after its canceled entry popped never fired")
+	}
+}
+
+// TestEngineArmOrder pins Arm against At's order: caller-owned and
+// engine-allocated timers, interleaved at random and many at one
+// instant, fire in (instant, call order), as TestEngineHeapOrder's
+// stable-sort oracle says. A timer that re-arms itself at its own
+// instant takes its seq at that call, behind every timer already queued.
+func TestEngineArmOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	e := New()
+	type ev struct {
+		at  Time
+		idx int
+	}
+	var want, got []ev
+	owned := make([]Timer, 2000)
+	for i := range owned {
+		at := Time(rng.Intn(300))
+		if i%3 == 0 {
+			at = 150 // a crowded instant
+		}
+		fn := func() { got = append(got, ev{e.Now(), i}) }
+		var tm *Timer
+		if rng.Intn(2) == 0 {
+			tm = &owned[i]
+			e.Arm(tm, at, fn)
+		} else {
+			tm = e.At(at, fn)
+		}
+		if rng.Intn(4) == 0 {
+			tm.Cancel()
+			continue
+		}
+		want = append(want, ev{at, i})
+	}
+	slices.SortStableFunc(want, func(a, b ev) int { return int(a.at - b.at) })
+	var again Timer
+	e.Arm(&again, 150, func() {
+		got = append(got, ev{e.Now(), -1})
+		e.Arm(&again, e.Now(), func() { got = append(got, ev{e.Now(), -2}) })
+	})
+	last := slices.IndexFunc(want, func(x ev) bool { return x.at > 150 })
+	want = slices.Insert(want, last, ev{150, -1}, ev{150, -2})
+	e.Run()
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %d timers out of (instant, call) order", len(got))
 	}
 }
 
