@@ -252,14 +252,17 @@ type Endpoint struct {
 
 	// Go-back-N recovery state (active only on faulty wires): sndUna is the
 	// lowest unacknowledged sequence number, sndNxt the next to assign.
-	// rtoTimer is the pending retransmission timer on the engine's wheel;
-	// rto its current (backed-off) value; srtt/rttvar the Jacobson
+	// rtoTimer is the retransmission timer on the engine's wheel, re-keyed
+	// in place as acks make progress and canceled when nothing is in
+	// flight; rtoStep is e.onRTO, bound when the timer is first armed.
+	// rto is its current (backed-off) value; srtt/rttvar the Jacobson
 	// estimator. dupAcks counts consecutive duplicate cumulative acks for
 	// fast retransmit.
 	sndUna, sndNxt int64
 	rto            sim.Duration
 	srtt, rttvar   sim.Duration
-	rtoTimer       *sim.Timer
+	rtoTimer       sim.Timer
+	rtoStep        func()
 	dupAcks        int
 	// Stall accounting: a loss-recovery episode opens at the first
 	// retransmission (timeout or fast retransmit) and closes when a
@@ -294,9 +297,11 @@ type Endpoint struct {
 	// bounds the wait for the rest. An out-of-order arrival flushes
 	// immediately — the dup-ack fast-retransmit signal never waits out
 	// the delay — and an outgoing data segment piggybacks any pending
-	// ack for free.
+	// ack for free. ackTimer is re-keyed like rtoTimer; ackStep is
+	// e.onAckDelay, bound when it is first armed.
 	ackEvents int
-	ackTimer  *sim.Timer
+	ackTimer  sim.Timer
+	ackStep   func()
 
 	// rcvNotify fires (if set) when the receive side becomes ready
 	// (delivery or FIN). Readiness descriptors hang their poll wakeups
@@ -631,20 +636,22 @@ func (e *Endpoint) scheduleDelivery(chunks []segChunk) {
 	e.host.eng.Arm(&a.tm, now.Add(e.link.delay), a.step)
 }
 
-// armRTO (re)starts the retransmission timer when in-flight segments exist
-// on a faulty wire. Reliable wires never arm it: delivery is guaranteed by
-// construction, so the fault-free fast path stays timer-free.
+// armRTO starts the retransmission timer, a full RTO from now, when
+// in-flight segments exist on a faulty wire and it is not running. It
+// re-keys the endpoint's one timer in place, so arming allocates nothing.
+// Reliable wires never arm it: delivery is guaranteed by construction, so
+// the fault-free fast path stays timer-free.
 func (e *Endpoint) armRTO() {
-	if !e.faulty() || e.ackFIFO.len() == 0 {
-		return
-	}
-	if e.rtoTimer != nil && e.rtoTimer.Pending() {
+	if !e.faulty() || e.ackFIFO.len() == 0 || e.rtoTimer.Pending() {
 		return
 	}
 	if e.rto == 0 {
 		e.rto = minRTO
 	}
-	e.rtoTimer = e.host.eng.Wheel().Schedule(e.rto, e.onRTO)
+	if e.rtoStep == nil {
+		e.rtoStep = e.onRTO
+	}
+	e.host.eng.Wheel().Reset(&e.rtoTimer, e.rto, e.rtoStep)
 }
 
 // onRTO fires when the oldest in-flight segment's ack is overdue: go-back-N
@@ -659,7 +666,7 @@ func (e *Endpoint) onRTO() {
 	}
 	e.recoverUntil = e.sndNxt
 	e.retransmit()
-	e.rtoTimer = e.host.eng.Wheel().Schedule(e.rto, e.onRTO)
+	e.host.eng.Wheel().Reset(&e.rtoTimer, e.rto, e.rtoStep)
 }
 
 // retransmit re-sends every in-flight segment (go-back-N) from engine
@@ -954,8 +961,11 @@ func (e *Endpoint) scheduleAck() {
 		e.flushAck()
 		return
 	}
-	if e.ackTimer == nil || !e.ackTimer.Pending() {
-		e.ackTimer = e.host.eng.Wheel().Schedule(DefaultAckDelay, e.onAckDelay)
+	if !e.ackTimer.Pending() {
+		if e.ackStep == nil {
+			e.ackStep = e.onAckDelay
+		}
+		e.host.eng.Wheel().Reset(&e.ackTimer, DefaultAckDelay, e.ackStep)
 	}
 }
 
@@ -970,10 +980,7 @@ func (e *Endpoint) onAckDelay() {
 // With delayed acks off this is exactly sendAck.
 func (e *Endpoint) flushAck() {
 	e.ackEvents = 0
-	if e.ackTimer != nil {
-		e.ackTimer.Cancel()
-		e.ackTimer = nil
-	}
+	e.ackTimer.Cancel()
 	e.sendAck(e.rcvNxt)
 }
 
@@ -988,10 +995,7 @@ func (e *Endpoint) piggybackAck() {
 		return
 	}
 	e.ackEvents = 0
-	if e.ackTimer != nil {
-		e.ackTimer.Cancel()
-		e.ackTimer = nil
-	}
+	e.ackTimer.Cancel()
 	e.link.ackTo(e.peer, e.rcvNxt, e.host.eng.Now().Add(e.link.delay), true)
 }
 
@@ -1083,13 +1087,10 @@ func (e *Endpoint) acked(ackNo int64) {
 	}
 }
 
-// restartRTO arms a fresh retransmission timer for the current window (or
-// cancels it when nothing is in flight).
+// restartRTO re-keys the retransmission timer to a full RTO from now for
+// the current window (or cancels it when nothing is in flight).
 func (e *Endpoint) restartRTO() {
-	if e.rtoTimer != nil {
-		e.rtoTimer.Cancel()
-		e.rtoTimer = nil
-	}
+	e.rtoTimer.Cancel()
 	e.armRTO()
 }
 

@@ -17,23 +17,36 @@ import (
 )
 
 // TestSteadyStateSegmentAllocs pins the host allocations one segment
-// costs on a warmed, fault-free connection. Ack records, wire events and
-// the send, ack and receive queues are all reused, so what is left is the
-// payload: in ref mode one Range at emit and one Clone at receive per
-// piece, in copy mode the receive-buffer copy per piece, at about two
-// pieces per segment.
+// costs on a warmed connection that loses nothing. Ack records, wire
+// events, the send, ack and receive queues, and the retransmission and
+// delayed-ack timers are all reused, so what is left is the payload: in
+// ref mode one Range at emit and one Clone at receive per piece, in copy
+// mode the receive-buffer copy per piece, at about two pieces per
+// segment. With offload, GRO merges most pieces into the receive queue's
+// tail and the receiver acks through the delayed-ack timer. The faulty
+// case attaches an empty FaultPlan, which re-keys the RTO on every ack.
 func TestSteadyStateSegmentAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		ref   bool
-		limit float64
+		name    string
+		ref     bool
+		offload bool
+		faulty  bool
+		delay   time.Duration
+		limit   float64
 	}{
-		{"ref", true, 6},
-		{"copy", false, 3},
+		{"ref", true, false, false, 100 * time.Microsecond, 6},
+		{"copy", false, false, false, 100 * time.Microsecond, 3},
+		{"offload", true, true, false, 100 * time.Microsecond, 2},
+		{"faulty", true, false, true, 5 * time.Microsecond, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const piece, warm, measured = 16 << 10, 16, 64
-			r := newRig(tc.ref, nil, 100*time.Microsecond)
+			r := newRig(tc.ref, nil, tc.delay)
+			r.server.SetOffload(tc.offload)
+			r.client.SetOffload(tc.offload)
+			if tc.faulty {
+				r.link.SetFaultPlan(&FaultPlan{})
+			}
 			data := pattern(piece)
 			var mallocs uint64
 			var segs int64
@@ -80,6 +93,9 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 			r.eng.Run()
 			if segs == 0 {
 				t.Fatal("no segments sent")
+			}
+			if rs, _ := r.server.RetransStats(); rs != 0 {
+				t.Fatalf("%d segments retransmitted on a wire that loses nothing", rs)
 			}
 			per := float64(mallocs) / float64(segs)
 			t.Logf("%d allocations over %d segments: %.2f per segment", mallocs, segs, per)

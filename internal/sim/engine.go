@@ -35,16 +35,19 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Timer is one scheduled callback: the engine's only event type. Timers
 // at equal instants fire in schedule order (seq breaks ties) so runs are
 // deterministic. A nil fn means the timer has fired or been canceled; a
-// zero seq means it is not queued, so Arm may schedule it again.
+// zero seq means it is not queued, so Arm may schedule it again. idx is
+// the timer's place in the engine's heap while it is queued, so Reset can
+// move it there.
 type Timer struct {
 	at  Time
 	seq uint64
 	fn  func()
+	idx int
 }
 
 // Cancel stops the timer and reports whether it was still pending (false
 // means it already fired or was canceled). Cancel is O(1): the entry stays
-// queued and is skipped when it comes due.
+// queued and is skipped when it comes due, unless Reset moves it first.
 func (t *Timer) Cancel() bool {
 	if t.fn == nil {
 		return false
@@ -61,22 +64,13 @@ func (t *Timer) before(u *Timer) bool {
 	return t.at < u.at || t.at == u.at && t.seq < u.seq
 }
 
-// timerHeap is a binary min-heap of timers in before order.
+// timerHeap is a binary min-heap of timers in before order. Every move
+// records the timer's new index in it.
 type timerHeap []*Timer
 
 func (h *timerHeap) push(t *Timer) {
-	q := append(*h, t)
-	i := len(q) - 1
-	for i > 0 {
-		up := (i - 1) / 2
-		if !t.before(q[up]) {
-			break
-		}
-		q[i] = q[up]
-		i = up
-	}
-	q[i] = t
-	*h = q
+	*h = append(*h, t)
+	h.up(len(*h)-1, t)
 }
 
 func (h *timerHeap) pop() *Timer {
@@ -85,26 +79,59 @@ func (h *timerHeap) pop() *Timer {
 	last := q[n]
 	q[n] = nil
 	q = q[:n]
-	i := 0
+	if n > 0 {
+		q.down(0, last)
+	}
+	*h = q
+	return top
+}
+
+// fix restores heap order around the timer at i after its key changed.
+func (h timerHeap) fix(i int) {
+	t := h[i]
+	if h.up(i, t) == i {
+		h.down(i, t)
+	}
+}
+
+// up places t on the path from slot i toward the root, below the first
+// ancestor that is before it, and returns its new index.
+func (h timerHeap) up(i int, t *Timer) int {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].idx = i
+		i = p
+	}
+	h[i] = t
+	t.idx = i
+	return i
+}
+
+// down places t on the path from slot i toward the leaves, above the
+// first pair of children that are not before it.
+func (h timerHeap) down(i int, t *Timer) {
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+1 < n && q[c+1].before(q[c]) {
+		if c+1 < n && h[c+1].before(h[c]) {
 			c++
 		}
-		if !q[c].before(last) {
+		if !h[c].before(t) {
 			break
 		}
-		q[i] = q[c]
+		h[i] = h[c]
+		h[i].idx = i
 		i = c
 	}
-	if n > 0 {
-		q[i] = last
-	}
-	*h = q
-	return top
+	h[i] = t
+	t.idx = i
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -152,6 +179,25 @@ func (e *Engine) Arm(tm *Timer, t Time, fn func()) {
 		panic(fmt.Sprintf("sim: Arm of a timer still queued for %v", tm.at))
 	}
 	e.schedule(tm, t, fn)
+}
+
+// Reset schedules tm to run fn at instant t, taking the next seq, so it
+// fires in the order a fresh timer scheduled at this call would. A timer
+// that is not queued (new, fired, or dropped by Close) is armed as Arm
+// arms it. A timer still queued, pending or canceled, moves in place to
+// its new instant instead: re-keying a timeout that progress pushed back
+// allocates nothing and leaves no canceled entry behind to pop.
+func (e *Engine) Reset(tm *Timer, t Time, fn func()) {
+	if tm.seq == 0 {
+		e.schedule(tm, t, fn)
+		return
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: timer reset to %v before now %v", t, e.now))
+	}
+	e.seq++
+	tm.at, tm.seq, tm.fn = t, e.seq, fn
+	e.events.fix(tm.idx)
 }
 
 // schedule arms tm to run fn at instant t, taking the next seq.

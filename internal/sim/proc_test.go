@@ -239,29 +239,140 @@ func TestEngineCloseEndsParkedProcs(t *testing.T) {
 	}
 }
 
-// TestEngineHeapOrder pins the timer heap against a sort: random instants,
-// some canceled, fire in (instant, schedule order).
+// TestEngineHeapOrder pins the timer heap against a sort: timers from At
+// and Arm at random instants, some canceled, some re-keyed by Reset
+// earlier or later while pending, canceled but queued, or fired, fire in
+// (instant, schedule order). A Reset is a schedule call: the timer's old
+// entry vanishes and it fires once, at its new instant, in the order of
+// that call.
 func TestEngineHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := New()
 	type ev struct {
-		at  Time
-		idx int
+		at    Time
+		order int // the schedule call that armed it
 	}
-	var want, got []ev
-	for i := 0; i < 2000; i++ {
-		at := Time(rng.Intn(300))
-		tm := e.At(at, func() { got = append(got, ev{e.Now(), i}) })
-		if rng.Intn(4) == 0 {
-			tm.Cancel()
-			continue
+	var got, want []ev
+	owned := make([]Timer, 1000)
+	timers := make([]*Timer, 0, 2000)
+	armed := map[*Timer]ev{} // queued and pending, as the oracle sees it
+	order := 0
+	arm := func(tm *Timer, at Time, how int) {
+		order++
+		o := order
+		fn := func() { got = append(got, ev{e.Now(), o}) }
+		switch how {
+		case 0:
+			tm = e.At(at, fn)
+			timers = append(timers, tm)
+		case 1:
+			e.Arm(tm, at, fn)
+			timers = append(timers, tm)
+		default:
+			e.Reset(tm, at, fn)
 		}
-		want = append(want, ev{at, i})
+		armed[tm] = ev{at, o}
 	}
-	slices.SortStableFunc(want, func(a, b ev) int { return int(a.at - b.at) })
-	e.Run()
+	// moves counts Resets by the timer's state (pending, canceled but
+	// queued, or fired) and direction (earlier or later than its old
+	// instant).
+	moves := map[string]int{}
+	ops := func(n int, from Time) {
+		for i := 0; i < n; i++ {
+			at := from + Time(rng.Intn(300))
+			if i%5 == 0 {
+				at = from + 150 // a crowded instant
+			}
+			switch k := rng.Intn(10); {
+			case k < 3 || len(timers) == 0:
+				arm(nil, at, 0)
+			case k < 5 && len(timers) < len(owned):
+				arm(&owned[len(timers)], at, 1)
+			case k < 7:
+				tm := timers[rng.Intn(len(timers))]
+				if tm.Cancel() {
+					delete(armed, tm)
+				}
+			default:
+				tm := timers[rng.Intn(len(timers))]
+				state := "fired"
+				if _, ok := armed[tm]; ok {
+					state = "pending"
+				} else if tm.seq != 0 {
+					state = "canceled"
+				}
+				dir := "later"
+				if at < tm.at {
+					dir = "earlier"
+				}
+				moves[state+" "+dir]++
+				arm(tm, at, 2)
+			}
+		}
+	}
+	// fire runs the engine to instant until, and adds what the oracle says
+	// fires by then to want.
+	fire := func(until Time) {
+		var due []ev
+		for tm, x := range armed {
+			if x.at <= until {
+				due = append(due, x)
+				delete(armed, tm)
+			}
+		}
+		slices.SortFunc(due, func(a, b ev) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			return a.order - b.order
+		})
+		want = append(want, due...)
+		e.RunUntil(until)
+	}
+	ops(2000, 0)
+	fire(150)
+	ops(2000, 150)
+	fire(1000)
 	if !slices.Equal(got, want) {
-		t.Fatalf("fired %d timers out of (instant, seq) order", len(got))
+		t.Fatalf("fired %d timers out of (instant, schedule order); want %d", len(got), len(want))
+	}
+	// A fired timer's old instant is in the past, so it only moves later.
+	for _, m := range []string{"pending earlier", "pending later", "canceled earlier", "canceled later", "fired later"} {
+		if moves[m] == 0 {
+			t.Errorf("no Reset moved a timer %s", m)
+		}
+	}
+}
+
+// TestEngineResetAllocatesNothing pins that re-keying a queued timer,
+// pending or canceled, moves it in place without allocating, and that it
+// then fires once, at its last instant.
+func TestEngineResetAllocatesNothing(t *testing.T) {
+	e := New()
+	var tm Timer
+	var others [16]Timer
+	fired, last := 0, Time(0)
+	fn := func() { fired, last = fired+1, e.Now() }
+	nop := func() {}
+	allocs := testing.AllocsPerRun(100, func() {
+		now := e.Now()
+		for i := range others {
+			e.Arm(&others[i], now.Add(Duration(i+1)), nop)
+		}
+		for d := 1; d <= 20; d++ {
+			e.Reset(&tm, now.Add(Duration(d%7*3)), fn) // earlier and later among the others
+			if d%5 == 0 {
+				tm.Cancel()
+			}
+		}
+		e.Reset(&tm, now.Add(40), fn)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("re-keying a queued timer allocated %.1f times per run, want 0", allocs)
+	}
+	if fired != 101 || last != 101*40 {
+		t.Fatalf("timer fired %d times, last at %v; want 101, at %v", fired, last, Time(101*40))
 	}
 }
 

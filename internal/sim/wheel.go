@@ -46,6 +46,14 @@ func (w Wheel) ScheduleAt(at Time, fn func()) *Timer {
 	return w.eng.At(w.due(at), fn)
 }
 
+// Reset re-keys tm to fire fn d from now, rounded up to a tick boundary
+// like Schedule; see Engine.Reset. A timeout pushed back on every bit of
+// progress (an RTO, a delayed ack) is one caller-owned timer moved in
+// place, allocating nothing.
+func (w Wheel) Reset(tm *Timer, d Duration, fn func()) {
+	w.eng.Reset(tm, w.due(w.eng.now.Add(d)), fn)
+}
+
 // Sleep parks p for d, rounded up to a tick boundary like a timer — the
 // backoff primitive.
 func (w Wheel) Sleep(p *Proc, d Duration) {
