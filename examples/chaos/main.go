@@ -4,10 +4,11 @@
 //
 //   - clean: the fault-free baseline every other leg is judged against.
 //
-//   - loss: the loopback wire drops 1% of data segments. Go-back-N
-//     retransmission (wheel-driven RTO, fast retransmit behind a
-//     NewReno-style recovery point) re-sends the stored references —
-//     recovery pays wire and checksum-lookup work, never a payload copy.
+//   - loss: the loopback wire drops 1% of data segments. The receiver
+//     holds out-of-order chunks until the hole fills, and selective
+//     retransmission (wheel-driven RTO, fast retransmit, NewReno partial
+//     acks) re-sends only the lost chunk's stored references — recovery
+//     pays wire and checksum-lookup work, never a payload copy.
 //
 //   - kills: a worker's channel is torn down every 20 ms, mid-flight.
 //     Supervision respawns capacity, but without replay the in-flight

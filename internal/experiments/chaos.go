@@ -17,7 +17,7 @@ import (
 
 // The chaos experiment: the zero-copy claims under failure. A depth-D
 // sock-local ref fcgi tier runs its closed loop while the loopback wire
-// drops data segments (netsim.FaultPlan + go-back-N recovery)
+// drops data segments (netsim.FaultPlan + selective recovery)
 // and a killer process periodically tears a worker's channel down
 // mid-flight (supervision respawns capacity; the Replay policy decides
 // whether in-flight idempotent requests survive). The meters answer the
@@ -319,7 +319,7 @@ func FigChaos(opt Options) *Table {
 			sres.Requests, sres.StaleServed, sres.Aborted),
 		"sock-local ref fcgi, 2 workers × depth 16, 16KB docs, 400µs app wait, 40ms client think",
 		"loss is injected per data segment on the loopback wire;",
-		"go-back-N retransmission re-sends stored refs (no copy re-charge)",
+		"selective retransmission re-sends the lost chunk's stored refs (no copy re-charge)",
 		"kills close a worker channel every 20ms; supervision respawns capacity,",
 		"and with replay on, in-flight idempotent requests re-dispatch instead of failing")
 	return t

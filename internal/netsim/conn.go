@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -124,10 +125,10 @@ type segChunk struct {
 // (the copy was paid at admission) and no extra agg reference is taken
 // (each chunk's single reference per ref piece lives until the ack
 // releases it). Partial acks trim acknowledged chunks off the front, so
-// go-back-N resends only the stored pieces that cover the hole — never a
-// whole super-segment whose prefix already arrived. Once fully acked the
-// record goes back to its sending host, which reuses it, with its chunk,
-// piece and done arrays, for a later segment.
+// the window's first unacked chunk — the one a retransmission resends —
+// is always the front record's first chunk. Once fully acked the record
+// goes back to its sending host, which reuses it, with its chunk, piece
+// and done arrays, for a later segment.
 type ackRecord struct {
 	seq    int64 // first unacknowledged payload byte's sequence number
 	n      int   // unacknowledged payload bytes (sum of chunk lengths)
@@ -216,13 +217,15 @@ func (h *Host) recycle(r *ackRecord) {
 // an ack makes progress again. Timers exist only on endpoints a FaultPlan
 // can touch — a reliable wire runs timer-free.
 // minRTO is a floor against spurious timeouts, not a WAN kernel's 200 ms:
-// the simulated links are microsecond-RTT datacenter wires and acks are
-// never delayed, so the floor only needs to ride out ack latency inflated
-// by CPU queueing. A spurious fire is also cheap here — the recovery
-// point gates it to one window resend.
+// the simulated links are microsecond-RTT datacenter wires, so the floor
+// only needs to ride out ack latency inflated by CPU queueing. Before the
+// first RTT sample the RTO is initRTO, a conservative guess (RFC 6298's
+// 1 s, scaled to these wires), so a first ack that queues behind a full
+// window on a slow link is not mistaken for a loss.
 const (
-	minRTO = 200 * sim.Microsecond
-	maxRTO = 1000 * sim.Millisecond
+	minRTO  = 200 * sim.Microsecond
+	initRTO = 1 * sim.Millisecond
+	maxRTO  = 1000 * sim.Millisecond
 )
 
 // Endpoint is one direction's sender plus the opposite direction's
@@ -250,7 +253,7 @@ type Endpoint struct {
 	finSent   bool
 	sockPages int // TagSockBuf pages currently reserved (copy mode)
 
-	// Go-back-N recovery state (active only on faulty wires): sndUna is the
+	// Selective recovery state (active only on faulty wires): sndUna is the
 	// lowest unacknowledged sequence number, sndNxt the next to assign.
 	// rtoTimer is the retransmission timer on the engine's wheel, re-keyed
 	// in place as acks make progress and canceled when nothing is in
@@ -272,20 +275,23 @@ type Endpoint struct {
 	stallAccum sim.Duration
 	stallStart sim.Time
 	inStall    bool
-	// recoverUntil is the recovery point: every retransmission records
-	// sndNxt here, and duplicate acks cannot trigger another fast
-	// retransmit until the cumulative ack passes it. One loss event costs
-	// one window resend — without the gate, each segment arriving behind
-	// the hole re-acks, re-arms the 3-dup-ack trigger, and the window is
-	// resent once per few arrivals (a retransmission storm).
+	// recoverUntil is the recovery point (NewReno's "recover", RFC 6582):
+	// a fast retransmit or a timeout records sndNxt here. Until the
+	// cumulative ack passes it, duplicate acks cannot trigger another fast
+	// retransmit, and a partial ack — progress that stops short of it —
+	// says the chunk at the new sndUna was lost too, so it is resent at
+	// once. Each lost chunk costs one resend.
 	recoverUntil int64
 
-	// Receiver state. rcvNxt is the next expected sequence number:
-	// out-of-order segments are discarded and re-acked (go-back-N). rcvShut
-	// marks a local receive shutdown — queued and future deliveries are
-	// discarded (but still acknowledged, so the peer's sender can drain)
-	// without taking buffer references.
+	// Receiver state. rcvNxt is the next expected sequence number. reasm
+	// is the reassembly queue: the out-of-order chunks above rcvNxt, in
+	// sequence order, held until the hole before them fills. It is bounded
+	// by the window, since the sender never has more than tss bytes past
+	// its sndUna in flight. rcvShut marks a local receive shutdown —
+	// queued and future deliveries are discarded (but still acknowledged,
+	// so the peer's sender can drain) without taking buffer references.
 	rcvQ      fifo[Delivery]
+	reasm     []reasmChunk
 	rcvWait   sim.WaitQueue
 	rcvClosed bool
 	rcvNxt    int64
@@ -646,7 +652,7 @@ func (e *Endpoint) armRTO() {
 		return
 	}
 	if e.rto == 0 {
-		e.rto = minRTO
+		e.rto = initRTO
 	}
 	if e.rtoStep == nil {
 		e.rtoStep = e.onRTO
@@ -654,8 +660,10 @@ func (e *Endpoint) armRTO() {
 	e.host.eng.Wheel().Reset(&e.rtoTimer, e.rto, e.rtoStep)
 }
 
-// onRTO fires when the oldest in-flight segment's ack is overdue: go-back-N
-// retransmits the whole window, doubles the timeout, and re-arms.
+// onRTO fires when the oldest in-flight segment's ack is overdue: it
+// resends the window's first unacked chunk, doubles the timeout, and
+// re-arms. Partial acks then resend any further holes up to the recovery
+// point, one per ack, as after a fast retransmit.
 func (e *Endpoint) onRTO() {
 	if e.ackFIFO.len() == 0 {
 		return
@@ -669,60 +677,48 @@ func (e *Endpoint) onRTO() {
 	e.host.eng.Wheel().Reset(&e.rtoTimer, e.rto, e.rtoStep)
 }
 
-// retransmit re-sends every in-flight segment (go-back-N) from engine
-// context. The stored pieces go back on the wire as-is: the payload copy
-// (copy mode) was charged at admission and is NOT re-charged; ref pieces
-// re-checksum through the warm checksum cache (one lookup per piece) or pay
-// a full pass when no cache exists, exactly like the first transmission's
-// cold/warm split. No new agg references are taken — the ack record's are
-// re-used.
+// retransmit re-sends the window's first unacknowledged chunk — the one
+// the duplicate acks, the partial ack or the timeout says is lost — from
+// engine context. Its stored pieces go back on the wire as-is: the payload
+// copy (copy mode) was charged at admission and is NOT re-charged; ref
+// pieces re-checksum through the warm checksum cache (one lookup per
+// piece) or pay a full pass when no cache exists, exactly like the first
+// transmission's cold/warm split. No new agg references are taken — the
+// ack record's are re-used. The resend carries a copy of the chunk
+// header, so an ack that trims or recycles the record while the charge
+// queues cannot change it; such a resend arrives below the receiver's
+// rcvNxt, and its pieces are never read.
 func (e *Endpoint) retransmit() {
 	if !e.inStall {
 		e.inStall = true
 		e.stallStart = e.host.eng.Now()
 	}
 	costs := e.host.costs
-	link := e.link
-	for _, rec := range e.ackFIFO.items() {
-		rec.retx = true
-		chunks := rec.unacked()
-		cpu := costs.MbufAlloc + costs.Packet
-		for _, ck := range chunks {
-			for _, pc := range ck.pieces {
-				switch {
-				case pc.agg == nil:
-					cpu += costs.Cksum(len(pc.data))
-				case e.host.ck != nil:
-					cpu += costs.CksumLookup // cached since the first transmission
-				default:
-					cpu += costs.Cksum(pc.agg.Len())
-				}
-			}
+	rec := *e.ackFIFO.front()
+	rec.retx = true
+	snap := []segChunk{rec.unacked()[0]}
+	cpu := costs.MbufAlloc + costs.Packet
+	for _, pc := range snap[0].pieces {
+		switch {
+		case pc.agg == nil:
+			cpu += costs.Cksum(len(pc.data))
+		case e.host.ck != nil:
+			cpu += costs.CksumLookup // cached since the first transmission
+		default:
+			cpu += costs.Cksum(pc.agg.Len())
 		}
-		if len(chunks) > 1 {
-			cpu += sim.Duration(len(chunks)-1) * costs.SegChunk
-		}
-		// Resend what is unacknowledged at expiry: a partial ack that
-		// already trimmed the record leaves only the chunks covering the
-		// hole, so no whole-super-segment re-charge. The snapshot of the
-		// chunk headers keeps the resend consistent with the cpu charge
-		// computed above even if another ack trims the live record, or
-		// acks it whole and recycles it, while the charge queues (an ack
-		// racing a queued retransmit was resent whole before offload
-		// existed, and still is). Such a resend arrives below the
-		// receiver's rcvNxt, so its pieces are never read.
-		snap, n := slices.Clone(chunks), rec.n
-		e.host.charge(cpu, func() {
-			link.wire[e.dir].UseAsync(e.wireTime(snap), func() {
-				e.scheduleDelivery(snap)
-			})
-			e.host.pktsOut++
-			e.host.segsOut += int64(len(snap))
-			e.host.bytesOut += int64(n)
-			e.host.retransSegs++
-			e.host.retransBytes += int64(n)
-		})
 	}
+	n := snap[0].n
+	e.host.charge(cpu, func() {
+		e.link.wire[e.dir].UseAsync(e.wireTime(snap), func() {
+			e.scheduleDelivery(snap)
+		})
+		e.host.pktsOut++
+		e.host.segsOut++
+		e.host.bytesOut += int64(n)
+		e.host.retransSegs++
+		e.host.retransBytes += int64(n)
+	})
 }
 
 // transmitFIN sends the half-close marker.
@@ -812,30 +808,42 @@ func (e *Endpoint) rxCost(chunks []deliveredChunk) sim.Duration {
 // and returns the cumulative acknowledgment to the sender. The Agg/Data
 // distinction each piece's sender chose survives coalescing.
 //
-// Go-back-N discipline, per chunk: only the next expected chunk
-// (seq == rcvNxt) is accepted, so a hole inside a super-segment accepts
-// the prefix and discards the rest. A corrupted chunk is discarded
-// unacknowledged AFTER the checksum pass that caught it was paid. An
-// out-of-order chunk (a predecessor was lost) or a duplicate (spurious
-// retransmission) is discarded and the current cumulative ack repeated
-// immediately — never delayed — which the sender counts toward fast
-// retransmit. A duplicate's pieces are never read: its sender may have
-// recycled them already.
+// Per chunk: the next expected chunk (seq == rcvNxt) is accepted, along
+// with any chunks on the reassembly queue it makes contiguous. A chunk
+// above rcvNxt (a predecessor was lost) goes on the reassembly queue,
+// and the current cumulative ack is repeated immediately — never
+// delayed — which the sender counts toward fast retransmit. A corrupted
+// chunk is discarded unacknowledged AFTER the checksum pass that caught
+// it was paid. A duplicate (below rcvNxt, or already queued: a spurious
+// retransmission) is discarded and re-acked at once with the dsack flag,
+// so the sender does not count it as a sign of loss (D-SACK, RFC 2883). A
+// duplicate's pieces are never read: its sender may have recycled them
+// already. An arrival that fills a hole is acked at once (RFC 5681), so
+// recovery never waits out the ack delay.
 func (e *Endpoint) deliver(chunks []deliveredChunk) {
 	e.host.pktsIn++
-	advanced, dup := false, false
+	advanced, filled, ooo, dup := false, false, false, false
 	for _, ck := range chunks {
 		e.host.bytesIn += int64(ck.n)
 		switch {
 		case ck.corrupt:
 			e.host.corruptIn++
-		case ck.seq != e.rcvNxt:
-			dup = true // hole or duplicate; repeat the cumulative ack
+		case ck.seq < e.rcvNxt:
+			dup = true
+		case ck.seq > e.rcvNxt:
+			if e.stash(ck) {
+				ooo = true
+			} else {
+				dup = true
+			}
 		default:
 			e.rcvNxt += int64(ck.n)
 			advanced = true
 			if !e.rcvShut {
 				e.queueDeliveries(ck.pieces)
+			}
+			if e.unstash() {
+				filled = true
 			}
 		}
 	}
@@ -846,54 +854,127 @@ func (e *Endpoint) deliver(chunks []deliveredChunk) {
 		}
 	}
 	switch {
+	case ooo || filled:
+		e.flushAck(false)
 	case dup:
-		e.flushAck()
+		e.flushAck(true)
 	case advanced:
 		if e.host.offload {
 			e.scheduleAck()
 		} else {
-			e.sendAck(e.rcvNxt)
+			e.sendAck(e.rcvNxt, false)
 		}
 	}
+}
+
+// reasmChunk is one out-of-order chunk on the reassembly queue, with the
+// receiver's own deliveries of its pieces: a Clone of each aggregate, so
+// holding it costs no copy, or a copy of copy-mode bytes, as the receive
+// queue keeps them. After a receive shutdown only its sequence range is
+// kept, so that acknowledgments still cover it once the hole fills.
+type reasmChunk struct {
+	seq  int64
+	n    int
+	dels []Delivery
+}
+
+// stash puts an out-of-order chunk on the reassembly queue and reports
+// whether it was new; a chunk already queued is a duplicate.
+func (e *Endpoint) stash(ck deliveredChunk) bool {
+	i, found := slices.BinarySearchFunc(e.reasm, ck.seq, func(r reasmChunk, seq int64) int {
+		return cmp.Compare(r.seq, seq)
+	})
+	if found {
+		return false
+	}
+	rc := reasmChunk{seq: ck.seq, n: ck.n}
+	if !e.rcvShut {
+		rc.dels = make([]Delivery, len(ck.pieces))
+		for j, pc := range ck.pieces {
+			rc.dels[j] = pc.own()
+		}
+	}
+	e.reasm = slices.Insert(e.reasm, i, rc)
+	return true
+}
+
+// unstash moves the reassembly queue's chunks that rcvNxt has reached onto
+// the receive queue, advancing rcvNxt past them, and reports whether any
+// moved.
+func (e *Endpoint) unstash() bool {
+	k := 0
+	for ; k < len(e.reasm) && e.reasm[k].seq == e.rcvNxt; k++ {
+		rc := &e.reasm[k]
+		e.rcvNxt += int64(rc.n)
+		for _, d := range rc.dels {
+			if tail := e.mergeTail(d.Agg != nil); tail == nil {
+				e.rcvQ.push(d)
+			} else if d.Agg != nil {
+				tail.Agg.Concat(d.Agg)
+				d.Agg.Release()
+			} else {
+				tail.Data = append(tail.Data, d.Data...)
+			}
+		}
+	}
+	if k == 0 {
+		return false
+	}
+	n := copy(e.reasm, e.reasm[k:])
+	clear(e.reasm[n:])
+	e.reasm = e.reasm[:n]
+	return true
 }
 
 // queueDeliveries appends one accepted chunk's pieces to the receive
 // queue. With offload on, contiguous in-order arrivals of the same
 // representation coalesce into the queue's tail delivery (the GRO merge):
 // the reader drains a whole super-segment — or several — in one Recv
-// instead of one per MSS. Merging is bounded at SuperSeg so an idle
-// reader cannot accrete one unbounded delivery.
+// instead of one per MSS.
 func (e *Endpoint) queueDeliveries(pieces []segPiece) {
 	for _, pc := range pieces {
-		if e.host.offload && e.rcvQ.len() > 0 {
-			tail := e.rcvQ.back()
-			if tail.Len() < e.host.superSeg {
-				if pc.agg != nil && tail.Agg != nil {
-					tail.Agg.Concat(pc.agg) // tail is rcvQ's own clone; safe to grow
-					continue
-				}
-				if pc.agg == nil && tail.Data != nil {
-					tail.Data = append(tail.Data, pc.data...)
-					continue
-				}
-			}
-		}
-		d := Delivery{}
-		if pc.agg != nil {
-			d.Agg = pc.agg.Clone() // receiver's reference; sender's released on ack
+		if tail := e.mergeTail(pc.agg != nil); tail == nil {
+			e.rcvQ.push(pc.own())
+		} else if pc.agg != nil {
+			tail.Agg.Concat(pc.agg) // tail is rcvQ's own clone; safe to grow
 		} else {
-			// Copy mode: wire bytes land in receive socket buffers; a
-			// later Recv copies them out to the application.
-			d.Data = append([]byte(nil), pc.data...)
+			tail.Data = append(tail.Data, pc.data...)
 		}
-		e.rcvQ.push(d)
 	}
+}
+
+// mergeTail returns the receive queue's tail delivery when, with offload
+// on, an arriving piece of the same representation (ref or copy)
+// coalesces into it, and nil when the piece queues as its own delivery.
+// Merging is bounded at SuperSeg so an idle reader cannot accrete one
+// unbounded delivery.
+func (e *Endpoint) mergeTail(ref bool) *Delivery {
+	if !e.host.offload || e.rcvQ.len() == 0 {
+		return nil
+	}
+	tail := e.rcvQ.back()
+	if tail.Len() >= e.host.superSeg || (tail.Agg != nil) != ref {
+		return nil
+	}
+	return tail
+}
+
+// own returns the receiver's own delivery of a piece: a Clone of a ref
+// piece's aggregate (the sender's reference is released on ack), or, in
+// copy mode, the wire bytes landed in receive socket buffers, which a
+// later Recv copies out to the application.
+func (pc segPiece) own() Delivery {
+	if pc.agg != nil {
+		return Delivery{Agg: pc.agg.Clone()}
+	}
+	return Delivery{Data: append([]byte(nil), pc.data...)}
 }
 
 // ackEvent carries one cumulative ack back to the data sender on one
 // embedded timer, in three stages: the ack's wire time plus the
 // propagation delay, the sender's CPU charge, then acked. A piggybacked
-// ack rode a data segment, so it skips the charge. step is bound once,
+// ack rode a data segment, so it skips the charge. dsack marks an ack
+// that repeats ackNo because a duplicate arrived. step is bound once,
 // when the event is first allocated. After the last stage the event
 // returns to its link's free list, so nothing may keep a pointer to it.
 type ackEvent struct {
@@ -901,6 +982,7 @@ type ackEvent struct {
 	step    func()
 	link    *Link
 	charged bool // the sender's CPU charge is queued, or none is due
+	dsack   bool
 	to      *Endpoint
 	ackNo   int64
 }
@@ -914,14 +996,14 @@ func (a *ackEvent) run() {
 		to.host.eng.Arm(&a.tm, to.host.chargeDone(to.host.costs.Packet/2), a.step)
 		return
 	}
-	ackNo := a.ackNo
+	ackNo, dsack := a.ackNo, a.dsack
 	a.link.freeAck(a)
-	to.acked(ackNo)
+	to.acked(ackNo, dsack)
 }
 
 // ackTo arms an ack of ackNo that reaches the data sender to at instant
 // at. A piggybacked ack costs the sender no ack processing.
-func (l *Link) ackTo(to *Endpoint, ackNo int64, at sim.Time, piggybacked bool) {
+func (l *Link) ackTo(to *Endpoint, ackNo int64, at sim.Time, piggybacked, dsack bool) {
 	var a *ackEvent
 	if n := len(l.acks); n > 0 {
 		a = l.acks[n-1]
@@ -930,7 +1012,7 @@ func (l *Link) ackTo(to *Endpoint, ackNo int64, at sim.Time, piggybacked bool) {
 		a = &ackEvent{link: l}
 		a.step = a.run
 	}
-	a.to, a.ackNo, a.charged = to, ackNo, piggybacked
+	a.to, a.ackNo, a.charged, a.dsack = to, ackNo, piggybacked, dsack
 	l.eng.Arm(&a.tm, at, a.step)
 }
 
@@ -942,12 +1024,12 @@ func (l *Link) freeAck(a *ackEvent) {
 
 // sendAck returns a cumulative acknowledgment (every byte below ackNo has
 // arrived) to the peer — the data sender — as its own ack packet, counted
-// on the host's ack meter.
-func (e *Endpoint) sendAck(ackNo int64) {
+// on the host's ack meter. dsack marks it as reporting a duplicate.
+func (e *Endpoint) sendAck(ackNo int64, dsack bool) {
 	e.host.acksOut++
 	link := e.link
 	done := link.wire[e.dir].UseAsync(link.txTime(AckLen), nil)
-	link.ackTo(e.peer, ackNo, done.Add(link.delay), false)
+	link.ackTo(e.peer, ackNo, done.Add(link.delay), false, dsack)
 }
 
 // scheduleAck notes one in-order receive event under the delayed-ack
@@ -958,7 +1040,7 @@ func (e *Endpoint) sendAck(ackNo int64) {
 func (e *Endpoint) scheduleAck() {
 	e.ackEvents++
 	if e.ackEvents >= DefaultAckEvery {
-		e.flushAck()
+		e.flushAck(false)
 		return
 	}
 	if !e.ackTimer.Pending() {
@@ -972,16 +1054,16 @@ func (e *Endpoint) scheduleAck() {
 // onAckDelay fires when a delayed ack times out on the wheel.
 func (e *Endpoint) onAckDelay() {
 	if e.ackEvents > 0 {
-		e.flushAck()
+		e.flushAck(false)
 	}
 }
 
 // flushAck sends the cumulative ack now and clears delayed-ack state.
 // With delayed acks off this is exactly sendAck.
-func (e *Endpoint) flushAck() {
+func (e *Endpoint) flushAck(dsack bool) {
 	e.ackEvents = 0
 	e.ackTimer.Cancel()
-	e.sendAck(e.rcvNxt)
+	e.sendAck(e.rcvNxt, dsack)
 }
 
 // piggybackAck folds a pending delayed ack into a data segment this
@@ -996,19 +1078,20 @@ func (e *Endpoint) piggybackAck() {
 	}
 	e.ackEvents = 0
 	e.ackTimer.Cancel()
-	e.link.ackTo(e.peer, e.rcvNxt, e.host.eng.Now().Add(e.link.delay), true)
+	e.link.ackTo(e.peer, e.rcvNxt, e.host.eng.Now().Add(e.link.delay), true, false)
 }
 
 // acked processes a cumulative acknowledgment: every segment wholly below
 // ackNo releases its send-buffer space, buffer references, and done
 // callbacks, in admission order. A duplicate ack (no progress) counts
-// toward fast retransmit; the third in a row re-sends the window without
+// toward fast retransmit, unless dsack says it reports a duplicate rather
+// than a hole; the third in a row resends the first unacked chunk without
 // waiting out the RTO.
-func (e *Endpoint) acked(ackNo int64) {
+func (e *Endpoint) acked(ackNo int64, dsack bool) {
 	if ackNo <= e.sndUna {
 		// No progress. Three duplicate acks in a row signal a lost head
 		// segment while later ones still arrive.
-		if ackNo == e.sndUna && e.ackFIFO.len() > 0 {
+		if ackNo == e.sndUna && !dsack && e.ackFIFO.len() > 0 {
 			e.dupAcks++
 			// Early retransmit (à la RFC 5827): a hole near the window's
 			// tail can't gather three duplicate acks — there aren't three
@@ -1053,7 +1136,7 @@ func (e *Endpoint) acked(ackNo int64) {
 		}
 		// Partial ack inside a super-segment: the receiver accepted a
 		// chunk prefix up to a hole. Trim the acknowledged chunks so
-		// retransmission re-sends only the pieces covering the hole (no
+		// retransmission re-sends only the chunk at the hole (no
 		// whole-super-segment re-charge). Karn: no RTT sample until the
 		// record fully acks.
 		freed += rec.trimAcked(ackNo)
@@ -1061,6 +1144,16 @@ func (e *Endpoint) acked(ackNo int64) {
 	}
 	e.sndUna = ackNo
 	e.sndBytes -= freed
+	if e.sndUna < e.recoverUntil {
+		// A partial ack (NewReno, RFC 6582): the window moved but stopped
+		// short of the recovery point. The resend queued on the wire
+		// behind everything sent before it, so once it has filled its
+		// hole, the chunk at the new sndUna was lost too: resend it now.
+		// (After a spurious timeout the ack came from an original, and
+		// this resends chunks still in flight, one per ack, as NewReno
+		// does.)
+		e.retransmit()
+	}
 	// Forward progress ends a loss episode: collapse any exponential
 	// backoff back to the estimator's RTO. Karn's rule keeps retransmitted
 	// windows out of the estimator, so without this reset a conn that
@@ -1135,11 +1228,12 @@ func (e *Endpoint) Recv(p *sim.Proc) (Delivery, bool) {
 }
 
 // ShutdownRecv abandons the endpoint's receive direction: queued deliveries
-// release their buffer references, blocked readers return !ok, and future
-// arrivals are discarded — but still acknowledged, so the peer's sender
-// drains instead of retransmitting into the void. Descriptor close calls
-// this so an abandoned connection cannot leak the aggregates queued (or
-// still in flight) toward it.
+// and the reassembly queue's pieces release their buffer references,
+// blocked readers return !ok, and future arrivals are discarded — but
+// still acknowledged, so the peer's sender drains instead of
+// retransmitting into the void. Descriptor close calls this so an
+// abandoned connection cannot leak the aggregates queued (or still in
+// flight) toward it.
 func (e *Endpoint) ShutdownRecv() {
 	if e.rcvShut {
 		return
@@ -1149,6 +1243,12 @@ func (e *Endpoint) ShutdownRecv() {
 		d.Release()
 	}
 	e.rcvQ = fifo[Delivery]{}
+	for i := range e.reasm {
+		for _, d := range e.reasm[i].dels {
+			d.Release()
+		}
+		e.reasm[i].dels = nil
+	}
 	e.rcvWait.Wake(-1)
 	if e.rcvNotify != nil {
 		e.rcvNotify()

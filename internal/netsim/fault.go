@@ -7,7 +7,7 @@ import "iolite/internal/sim"
 // drop with a probability, arrive with corrupted payloads the receiver's
 // checksum verification catches, or vanish wholesale during transient
 // partition windows. Control segments — SYN, ACK, FIN — are exempt: the
-// plan models a lossy data path, and go-back-N recovery (conn.go) is
+// plan models a lossy data path, and selective recovery (conn.go) is
 // exercised by data loss alone; cumulative acks make individual ack loss
 // invisible anyway.
 //

@@ -37,7 +37,7 @@ func refTransfer(t *testing.T, fp *FaultPlan, want []byte) (got []byte, copied i
 }
 
 // TestDropRetransmitRecovers pins the tentpole invariant: under segment
-// loss, go-back-N retransmission recovers every byte, re-sending dropped
+// loss, selective retransmission recovers every byte, re-sending dropped
 // ref segments costs zero additional copies (identical copied-byte meter to
 // the fault-free run), and no aggregate references leak.
 func TestDropRetransmitRecovers(t *testing.T) {

@@ -132,9 +132,10 @@ func fastOffloadTransfer(t *testing.T, fp *FaultPlan, want []byte, tss, superSeg
 
 // TestOffloadHoleRetransmit drops exactly one MSS chunk inside a
 // super-segment (judge-order DropList) and pins MSS-granular recovery:
-// the receiver accepts the prefix, the partial ack trims it off the
-// record, and the retransmission re-sends only the stored pieces covering
-// the hole — never the whole super-segment.
+// the receiver accepts the prefix and holds the chunks behind the hole on
+// its reassembly queue, the ack of the prefix trims it off the record,
+// and the retransmission re-sends only the lost chunk — never the whole
+// super-segment, nor the chunks that already arrived.
 func TestOffloadHoleRetransmit(t *testing.T) {
 	const chunks = 5
 	want := pattern(chunks * MSS)
@@ -151,10 +152,10 @@ func TestOffloadHoleRetransmit(t *testing.T) {
 	if rbytes == 0 {
 		t.Fatal("no retransmission for the dropped chunk")
 	}
-	// Chunk 1 was accepted and trimmed by the partial ack; the resend
-	// covers chunks 2..5 only.
-	if wantR := int64((chunks - 1) * MSS); rbytes != wantR {
-		t.Fatalf("retransmitted %d bytes, want %d (chunks 2..%d) — whole-super-segment re-send?", rbytes, wantR, chunks)
+	// Chunk 1 was accepted and trimmed by the ack, and chunks 3..5 wait
+	// on the reassembly queue: the resend is chunk 2 alone.
+	if wantR := int64(MSS); rbytes != wantR {
+		t.Fatalf("retransmitted %d bytes, want %d (chunk 2 alone)", rbytes, wantR)
 	}
 	if live := r.pool.LivePages(); live > mem.PagesPerChunk {
 		t.Fatalf("hole recovery leaked %d live pages", live)
@@ -164,9 +165,9 @@ func TestOffloadHoleRetransmit(t *testing.T) {
 // TestOffloadDupAckFastRetransmit pins that the dup-ack signal is never
 // delayed: two small super-segments in flight, a hole in the first. The
 // out-of-order arrival of the second triggers an immediate duplicate ack,
-// and fast retransmit fills the hole in one go-back-N round — the first
-// record resends only its unacked chunks — well before a timer cascade
-// would have (the whole run finishes in well under two RTO periods).
+// and fast retransmit fills the hole by resending the lost chunk alone —
+// everything behind it waits on the receiver's reassembly queue — with
+// no timeout.
 func TestOffloadDupAckFastRetransmit(t *testing.T) {
 	want := pattern(8 * MSS) // two 4-chunk super-segments in flight
 	fp := &FaultPlan{DropList: []int64{2}}
@@ -175,13 +176,8 @@ func TestOffloadDupAckFastRetransmit(t *testing.T) {
 		t.Fatalf("hole not recovered: got %d bytes, want %d", len(got), len(want))
 	}
 	segs, rbytes := r.server.RetransStats()
-	if segs != 2 {
-		t.Fatalf("fast retransmit resent %d records, want 2 (trimmed head + go-back-N tail)", segs)
-	}
-	// Record 1 resends chunks 2..4 (the partial ack trimmed chunk 1),
-	// record 2 resends whole: 3·MSS + 4·MSS.
-	if wantR := int64(7 * MSS); rbytes != wantR {
-		t.Fatalf("retransmitted %d bytes, want %d", rbytes, wantR)
+	if segs != 1 || rbytes != MSS {
+		t.Fatalf("fast retransmit resent %d segments of %d bytes, want 1 of %d (the lost chunk)", segs, rbytes, MSS)
 	}
 	// Exactly one recovery round, and it was dup-ack-driven — the RTO
 	// never had to fire.

@@ -40,57 +40,13 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 		{"faulty", true, false, true, 5 * time.Microsecond, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const piece, warm, measured = 16 << 10, 16, 64
 			r := newRig(tc.ref, nil, tc.delay)
 			r.server.SetOffload(tc.offload)
 			r.client.SetOffload(tc.offload)
 			if tc.faulty {
 				r.link.SetFaultPlan(&FaultPlan{})
 			}
-			data := pattern(piece)
-			var mallocs uint64
-			var segs int64
-			r.eng.Go("client", func(p *sim.Proc) {
-				ep := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: tc.ref}).ClientEnd()
-				for got := 0; got < (warm+measured)*piece; {
-					d, ok := ep.Recv(p)
-					if !ok {
-						t.Error("stream ended early")
-						return
-					}
-					got += d.Len()
-					d.Release()
-				}
-			})
-			r.eng.Go("server", func(p *sim.Proc) {
-				ep := r.lst.Accept(p).ServerEnd()
-				var src *core.Agg
-				if tc.ref {
-					src = core.PackBytes(p, r.pool, data)
-				}
-				send := func(n int) {
-					for i := 0; i < n; i++ {
-						if tc.ref {
-							ep.Send(p, Payload{Agg: src.Clone()}, nil)
-						} else {
-							ep.Send(p, Payload{Data: data}, nil)
-						}
-					}
-					ep.Drain(p)
-				}
-				send(warm)
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				s0 := r.server.SegsOut()
-				send(measured)
-				runtime.ReadMemStats(&m1)
-				mallocs, segs = m1.Mallocs-m0.Mallocs, r.server.SegsOut()-s0
-				if src != nil {
-					src.Release()
-				}
-				ep.Close(p)
-			})
-			r.eng.Run()
+			mallocs, segs := steadyTransfer(t, r, tc.ref)
 			if segs == 0 {
 				t.Fatal("no segments sent")
 			}
@@ -106,13 +62,83 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 	}
 }
 
-// spuriousRun sends 512 KB by reference in 16 KB pieces over a 300 µs
-// link whose empty fault plan arms RTOs. The 200 µs minimum RTO fires
-// before the first ack can return, so the early retransmissions are
-// spurious: originals are acked and their records recycled while their
+// steadyTransfer sends 16 warm-up pieces of 16 KB from r's server to its
+// client, then 64 more, draining after each batch, and reports the host
+// mallocs and the wire segments of the last 64.
+func steadyTransfer(t *testing.T, r *rig, ref bool) (mallocs uint64, segs int64) {
+	const piece, warm, measured = 16 << 10, 16, 64
+	data := pattern(piece)
+	r.eng.Go("client", func(p *sim.Proc) {
+		ep := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: ref}).ClientEnd()
+		for got := 0; got < (warm+measured)*piece; {
+			d, ok := ep.Recv(p)
+			if !ok {
+				t.Error("stream ended early")
+				return
+			}
+			got += d.Len()
+			d.Release()
+		}
+	})
+	r.eng.Go("server", func(p *sim.Proc) {
+		ep := r.lst.Accept(p).ServerEnd()
+		var src *core.Agg
+		if ref {
+			src = core.PackBytes(p, r.pool, data)
+		}
+		send := func(n int) {
+			for i := 0; i < n; i++ {
+				if ref {
+					ep.Send(p, Payload{Agg: src.Clone()}, nil)
+				} else {
+					ep.Send(p, Payload{Data: data}, nil)
+				}
+			}
+			ep.Drain(p)
+		}
+		send(warm)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s0 := r.server.SegsOut()
+		send(measured)
+		runtime.ReadMemStats(&m1)
+		mallocs, segs = m1.Mallocs-m0.Mallocs, r.server.SegsOut()-s0
+		if src != nil {
+			src.Release()
+		}
+		ep.Close(p)
+	})
+	r.eng.Run()
+	return mallocs, segs
+}
+
+// TestEmptyPlanNeverRetransmits pins the lossless faulty wire: on a
+// 100 Mb/s, 100 µs link, an empty FaultPlan arms the RTO but drops
+// nothing, so nothing may be retransmitted. A full 64 KB window queues
+// about 5 ms of wire time, far above minRTO: a first RTO below the first
+// RTT sample, or duplicate acks of a spurious resend counted as signs of
+// loss, once cascaded here into hundreds of resends.
+func TestEmptyPlanNeverRetransmits(t *testing.T) {
+	r := newRig(true, nil, 100*time.Microsecond)
+	r.link.SetFaultPlan(&FaultPlan{})
+	_, segs := steadyTransfer(t, r, true)
+	rs, _ := r.server.RetransStats()
+	if rs != 0 || r.server.FastRetransmits() != 0 || segs != 719 {
+		t.Fatalf("retransmitted %d segments in %d fast retransmits, %d segments for the last 64 sends; want 0, 0 and 719",
+			rs, r.server.FastRetransmits(), segs)
+	}
+}
+
+// spuriousRun sends 512 KB by reference in 16 KB pieces over a 500 µs
+// link with segment offload on both hosts, whose empty fault plan arms
+// RTOs. The first RTT exceeds the 1 ms first RTO, so the early
+// retransmissions are spurious: the originals are acked and their
+// records recycled, and reused for later super-segments, while their
 // resends still queue for the CPU and the wire.
 func spuriousRun() (got []byte, r *rig) {
-	r = newRig(true, cksum.NewCache(0), 300*time.Microsecond)
+	r = newRig(true, cksum.NewCache(0), 500*time.Microsecond)
+	r.server.SetOffload(true)
+	r.client.SetOffload(true)
 	r.link.SetFaultPlan(&FaultPlan{})
 	want := pattern(512 << 10)
 	r.eng.Go("client", func(p *sim.Proc) {
@@ -133,12 +159,12 @@ func spuriousRun() (got []byte, r *rig) {
 
 // TestSpuriousRetransmitAfterRecycle pins that recycling an acked record
 // cannot change what a queued resend of it carries: the resend keeps its
-// own chunk headers. The bytes must arrive intact with no pages leaked,
-// and the run must keep the recovery counts and finish instant it had
-// before records were recycled. A resend that shared the record's chunk
-// array would still deliver intact bytes, since a late duplicate's pieces
-// are never read, but would put different chunks on the wire: only the
-// pinned counts catch it.
+// own chunk header. The bytes must arrive intact with no pages leaked,
+// and the run must keep its recovery counts and finish instant. A resend
+// that shared the record's chunk array would still deliver intact bytes,
+// since a late duplicate's pieces are never read, but would put a later
+// chunk on the wire early: it reads 53.1 ms, and only the pinned instant
+// catches it.
 func TestSpuriousRetransmitAfterRecycle(t *testing.T) {
 	got, r := spuriousRun()
 	if !bytes.Equal(got, pattern(512<<10)) {
@@ -148,10 +174,10 @@ func TestSpuriousRetransmitAfterRecycle(t *testing.T) {
 		t.Fatalf("leaked %d live pages", live)
 	}
 	segs, _ := r.server.RetransStats()
-	if segs != 17 || r.server.FastRetransmits() != 3 {
-		t.Fatalf("retransmitted %d segments in %d fast retransmits, want 17 in 3", segs, r.server.FastRetransmits())
+	if segs != 3 || r.server.FastRetransmits() != 0 {
+		t.Fatalf("retransmitted %d segments in %d fast retransmits, want 3 in 0", segs, r.server.FastRetransmits())
 	}
-	if want := sim.Time(56550 * time.Microsecond); r.eng.Now() != want {
+	if want := sim.Time(53050 * time.Microsecond); r.eng.Now() != want {
 		t.Fatalf("run finished at %v, want %v", r.eng.Now(), want)
 	}
 }

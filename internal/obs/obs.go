@@ -43,7 +43,8 @@ const (
 	// bin separately from the client's Service wait (see Bound).
 	PhaseWorker
 	// PhaseRetransStall: time carved out of other phases where progress
-	// was blocked on loss recovery (retransmit timers, go-back-N).
+	// was blocked on loss recovery (from a retransmission, by timeout or
+	// duplicate acks, to the ack that moves the window again).
 	PhaseRetransStall
 	// PhaseBackoff: deliberate retry backoff sleeps.
 	PhaseBackoff
