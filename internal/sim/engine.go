@@ -37,12 +37,12 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // deterministic. A nil fn means the timer has fired or been canceled; a
 // zero seq means it is not queued, so Arm may schedule it again. idx is
 // the timer's place in the engine's heap while it is queued, so Reset can
-// move it there.
+// move it there; 32 bits keep a Timer at four words.
 type Timer struct {
 	at  Time
 	seq uint64
 	fn  func()
-	idx int
+	idx int32
 }
 
 // Cancel stops the timer and reports whether it was still pending (false
@@ -103,11 +103,11 @@ func (h timerHeap) up(i int, t *Timer) int {
 			break
 		}
 		h[i] = h[p]
-		h[i].idx = i
+		h[i].idx = int32(i)
 		i = p
 	}
 	h[i] = t
-	t.idx = i
+	t.idx = int32(i)
 	return i
 }
 
@@ -127,11 +127,11 @@ func (h timerHeap) down(i int, t *Timer) {
 			break
 		}
 		h[i] = h[c]
-		h[i].idx = i
+		h[i].idx = int32(i)
 		i = c
 	}
 	h[i] = t
-	t.idx = i
+	t.idx = int32(i)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -197,7 +197,7 @@ func (e *Engine) Reset(tm *Timer, t Time, fn func()) {
 	}
 	e.seq++
 	tm.at, tm.seq, tm.fn = t, e.seq, fn
-	e.events.fix(tm.idx)
+	e.events.fix(int(tm.idx))
 }
 
 // schedule arms tm to run fn at instant t, taking the next seq.

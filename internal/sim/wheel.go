@@ -5,8 +5,8 @@ package sim
 // backoff sleeps, and periodic samplers hang off. As on a kernel timer
 // wheel, every due time rounds up to a DefaultTick boundary — an RTO, a
 // deadline, or a backoff delay is a coarse bound, not an instant. A wheel
-// timer is an ordinary engine Timer, so the overwhelmingly common
-// operation, Cancel (the ack arrived, the response landed), is O(1).
+// timer is an ordinary engine Timer, so Cancel (the response landed) is
+// O(1), and Reset (the ack moved the window) re-keys it in O(log n).
 type Wheel struct{ eng *Engine }
 
 // DefaultTick is the wheel's granularity: rounding delays a timer by at
