@@ -708,16 +708,16 @@ func (e *Endpoint) retransmit() {
 			cpu += costs.Cksum(pc.agg.Len())
 		}
 	}
-	n := snap[0].n
 	e.host.charge(cpu, func() {
 		e.link.wire[e.dir].UseAsync(e.wireTime(snap), func() {
 			e.scheduleDelivery(snap)
 		})
+		n := int64(snap[0].n)
 		e.host.pktsOut++
 		e.host.segsOut++
-		e.host.bytesOut += int64(n)
+		e.host.bytesOut += n
 		e.host.retransSegs++
-		e.host.retransBytes += int64(n)
+		e.host.retransBytes += n
 	})
 }
 

@@ -111,8 +111,8 @@ func (h timerHeap) up(i int, t *Timer) int {
 	return i
 }
 
-// down places t on the path from slot i toward the leaves, above the
-// first pair of children that are not before it.
+// down places t on the path from slot i toward the leaves, at the first
+// slot where no child is before it.
 func (h timerHeap) down(i int, t *Timer) {
 	n := len(h)
 	for {
