@@ -1,6 +1,7 @@
 package cksum
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -216,18 +217,187 @@ func TestQuickAggregateMatchesFlat(t *testing.T) {
 	ev.eng.Run()
 }
 
+// liveSums counts the sums c holds on the buffers of aggs: those tagged
+// with the buffer's current generation and c's epoch.
+func liveSums(c *Cache, aggs []*core.Agg) int {
+	n := 0
+	seen := map[*core.Buffer]bool{}
+	for _, a := range aggs {
+		for _, s := range a.Slices() {
+			if seen[s.Buf] {
+				continue
+			}
+			seen[s.Buf] = true
+			for m, _ := s.Buf.Memo().(*memo); m != nil; m = m.next {
+				if m.cache == c && m.gen == s.Buf.Gen() && m.epoch == c.epoch {
+					n += len(m.sums)
+				}
+			}
+		}
+	}
+	return n
+}
+
 func TestCacheBoundedEviction(t *testing.T) {
 	ev := newEnv()
 	cache := NewCache(8)
 	ev.eng.Go("t", func(p *sim.Proc) {
+		var aggs []*core.Agg
 		for i := 0; i < 50; i++ {
 			a := core.PackBytes(p, ev.pool, []byte{byte(i), byte(i + 1), byte(i + 2)})
 			cache.Aggregate(p, ev.c, a)
-			a.Release()
+			aggs = append(aggs, a)
+			if n := liveSums(cache, aggs); n > 8 {
+				t.Fatalf("after %d slices the cache holds %d sums, cap 8", i+1, n)
+			}
 		}
-		if len(cache.entries) > 8 {
-			t.Errorf("cache grew to %d entries, cap 8", len(cache.entries))
+		// 50 misses at cap 8: the sixth epoch holds the last two slices.
+		if n := liveSums(cache, aggs); n != 2 {
+			t.Errorf("cache holds %d sums, want 2", n)
+		}
+		_, misses0, _, _ := cache.Stats()
+		cache.Aggregate(p, ev.c, aggs[49])
+		if _, misses, _, _ := cache.Stats(); misses != misses0 {
+			t.Error("the newest slice missed")
+		}
+		cache.Aggregate(p, ev.c, aggs[0])
+		if _, misses, _, _ := cache.Stats(); misses != misses0+1 {
+			t.Error("the oldest slice hit after its epoch ended")
+		}
+		for _, a := range aggs {
+			a.Release()
 		}
 	})
 	ev.eng.Run()
+}
+
+// mapCache is the checksum cache as a table, the oracle Cache must match:
+// one map keyed by ⟨buffer, generation, offset, length⟩, cleared whole
+// when an insert finds it holding max sums.
+type mapCache struct {
+	entries map[mapKey]PartialSum
+	max     int
+
+	hits, misses, hitBytes, missBytes int64
+}
+
+type mapKey struct {
+	buf      *core.Buffer
+	gen      uint64
+	off, len int
+}
+
+func (c *mapCache) slice(s core.Slice) PartialSum {
+	k := mapKey{buf: s.Buf, gen: s.Buf.Gen(), off: s.Off, len: s.Len}
+	if sum, ok := c.entries[k]; ok {
+		c.hits++
+		c.hitBytes += int64(s.Len)
+		return sum
+	}
+	c.misses++
+	c.missBytes += int64(s.Len)
+	sum := Sum(s.Bytes())
+	if len(c.entries) >= c.max {
+		c.entries = make(map[mapKey]PartialSum)
+	}
+	c.entries[k] = sum
+	return sum
+}
+
+// TestCacheMatchesMapOracle drives two caches that share four buffers
+// with random slices, recycling a buffer now and then (a generation bump),
+// and checks each against its table oracle after every lookup: the same
+// sum and the same hit and miss counts, through many epochs at max 8.
+func TestCacheMatchesMapOracle(t *testing.T) {
+	ev := newEnv()
+	caches := []*Cache{NewCache(8), NewCache(8)}
+	oracles := []*mapCache{{entries: map[mapKey]PartialSum{}, max: 8}, {entries: map[mapKey]PartialSum{}, max: 8}}
+	rng := rand.New(rand.NewSource(3))
+	ev.eng.Go("t", func(p *sim.Proc) {
+		fresh := func() *core.Buffer {
+			b := ev.pool.Alloc(p, 4096)
+			data := make([]byte, 4096)
+			rng.Read(data)
+			b.Write(0, data)
+			b.Seal()
+			return b
+		}
+		bufs := make([]*core.Buffer, 4)
+		for i := range bufs {
+			bufs[i] = fresh()
+		}
+		epochs := 0
+		for step := 0; step < 5000; step++ {
+			if rng.Intn(50) == 0 {
+				i := rng.Intn(len(bufs))
+				gen := bufs[i].Gen()
+				bufs[i].Release()
+				if bufs[i] = fresh(); bufs[i].Gen() == gen {
+					t.Fatal("a recycled buffer kept its generation")
+				}
+			}
+			b := bufs[rng.Intn(len(bufs))]
+			// Few distinct slices, so that lookups hit as often as not.
+			off := 512 * rng.Intn(4)
+			s := core.Slice{Buf: b, Off: off, Len: 1 + 700*rng.Intn(3)}
+			k := rng.Intn(len(caches))
+			epoch := caches[k].epoch
+			got, want := caches[k].slice(nil, ev.c, s), oracles[k].slice(s)
+			if caches[k].epoch != epoch {
+				epochs++
+			}
+			if got != want || got != Sum(s.Bytes()) {
+				t.Fatalf("step %d: cache %d sums %v to %#x, oracle %#x", step, k, s, got, want)
+			}
+			h, m, hb, mb := caches[k].Stats()
+			o := oracles[k]
+			if h != o.hits || m != o.misses || hb != o.hitBytes || mb != o.missBytes {
+				t.Fatalf("step %d: cache %d stats %d/%d/%d/%d, oracle %d/%d/%d/%d",
+					step, k, h, m, hb, mb, o.hits, o.misses, o.hitBytes, o.missBytes)
+			}
+		}
+		if epochs < 20 {
+			t.Errorf("only %d epochs turned over", epochs)
+		}
+		for _, o := range oracles {
+			if o.hits == 0 || o.misses == 0 {
+				t.Errorf("oracle hits %d misses %d: the walk tests nothing", o.hits, o.misses)
+			}
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+	})
+	ev.eng.Run()
+}
+
+// pairwiseSum is the RFC 1071 loop Sum must reproduce: 16-bit big-endian
+// words, an odd tail byte padded with zero, end-around carry.
+func pairwiseSum(data []byte) PartialSum {
+	var acc uint64
+	i := 0
+	for ; i+1 < len(data); i += 2 {
+		acc += uint64(data[i])<<8 | uint64(data[i+1])
+	}
+	if i < len(data) {
+		acc += uint64(data[i]) << 8
+	}
+	return fold(acc)
+}
+
+// FuzzSum: the word-at-a-time Sum equals the pairwise RFC 1071 sum on any
+// input, including the all-zero (sum 0) and all-0xff (sum 0xffff) edges
+// where a wrong fold would differ.
+func FuzzSum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xab})
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7, 0x80})
+	f.Add(bytes.Repeat([]byte{0}, 17))
+	f.Add(bytes.Repeat([]byte{0xff}, 16))
+	f.Add(bytes.Repeat([]byte{0xff}, 1501))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := Sum(data), pairwiseSum(data); got != want {
+			t.Fatalf("Sum(% x) = %#x, pairwise %#x", data, got, want)
+		}
+	})
 }

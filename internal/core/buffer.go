@@ -21,7 +21,6 @@ import (
 // simulated kernel panics on any later mutation attempt, turning
 // immutability violations into test failures.
 type Buffer struct {
-	id         uint64
 	pool       *Pool
 	chunk      *mem.Chunk
 	ownsChunks int // >0 when the buffer owns whole chunks (chunk-multiple sizes)
@@ -33,15 +32,23 @@ type Buffer struct {
 	packMode bool // buffer is filled via Pool.Pack, never via Write
 	packed   int  // high-water mark for pack-mode buffers (sub-page object packing, §3.3)
 	free     bool
+
+	// memo is an opaque slot for a subsystem that memoizes facts about
+	// the buffer's contents (the checksum cache, §3.9). Only that
+	// subsystem reads it; it must tag what it keeps with the generation,
+	// since the slot survives recycling.
+	memo any
 }
 
-// ID returns the buffer's systemwide-unique identity. Together with Gen it
-// uniquely identifies buffer *contents* (§3.9), which is what the checksum
-// cache keys on.
-func (b *Buffer) ID() uint64 { return b.id }
-
-// Gen returns the buffer's current generation number.
+// Gen returns the buffer's current generation number. The buffer (its
+// address) plus its generation uniquely identify its contents (§3.9).
 func (b *Buffer) Gen() uint64 { return b.gen }
+
+// Memo returns the buffer's memo slot (nil until SetMemo).
+func (b *Buffer) Memo() any { return b.memo }
+
+// SetMemo replaces the buffer's memo slot.
+func (b *Buffer) SetMemo(m any) { b.memo = m }
 
 // Cap returns the buffer's capacity in bytes (whole pages).
 func (b *Buffer) Cap() int { return len(b.data) }
@@ -66,7 +73,7 @@ func (b *Buffer) Write(off int, src []byte) {
 		panic("core: write to freed buffer")
 	}
 	if b.sealed {
-		panic(fmt.Sprintf("core: write to sealed (immutable) buffer %d", b.id))
+		panic(fmt.Sprintf("core: write to sealed (immutable) buffer %v", b))
 	}
 	if b.packMode {
 		panic("core: direct write to a pack-mode buffer")
@@ -93,7 +100,7 @@ func (b *Buffer) Bytes(off, n int) []byte {
 		panic("core: read of freed buffer")
 	}
 	if !b.sealed && off+n > b.packed {
-		panic(fmt.Sprintf("core: read of unsealed range [%d,%d) in buffer %d", off, off+n, b.id))
+		panic(fmt.Sprintf("core: read of unsealed range [%d,%d) in buffer %v", off, off+n, b))
 	}
 	if off < 0 || n < 0 || off+n > len(b.data) {
 		panic(fmt.Sprintf("core: read [%d,%d) outside buffer of %d bytes", off, off+n, len(b.data)))
@@ -119,7 +126,7 @@ func (b *Buffer) Release() {
 		panic("core: release of freed buffer")
 	}
 	if b.refs <= 0 {
-		panic(fmt.Sprintf("core: refcount underflow on buffer %d", b.id))
+		panic(fmt.Sprintf("core: refcount underflow on buffer %v", b))
 	}
 	b.refs--
 	if b.refs == 0 {
@@ -129,6 +136,11 @@ func (b *Buffer) Release() {
 
 // Refs reports the current reference count.
 func (b *Buffer) Refs() int { return b.refs }
+
+// String names the buffer by its pool and generation.
+func (b *Buffer) String() string {
+	return fmt.Sprintf("buffer(pool=%s gen=%d)", b.pool.name, b.gen)
+}
 
 // Slice is a ⟨buffer, offset, length⟩ tuple referring to a contiguous byte
 // range of one immutable buffer (§3.3). Slices within the same buffer may
@@ -152,5 +164,5 @@ func (s Slice) Sub(off, n int) Slice {
 }
 
 func (s Slice) String() string {
-	return fmt.Sprintf("slice(buf=%d gen=%d [%d,%d))", s.Buf.id, s.Buf.gen, s.Off, s.Off+s.Len)
+	return fmt.Sprintf("slice(pool=%s gen=%d [%d,%d))", s.Buf.pool.name, s.Buf.gen, s.Off, s.Off+s.Len)
 }

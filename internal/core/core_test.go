@@ -51,37 +51,30 @@ func pattern(n int, seed byte) []byte {
 
 // TestParallelSimulationsAllocate runs two independent simulations in
 // parallel goroutines, as a test binary or benchmark program may: buffer
-// allocation must be race-free (go test -race) and keep ids unique.
+// allocation must share no state between them (go test -race).
 func TestParallelSimulationsAllocate(t *testing.T) {
 	const sims, bufs = 2, 200
-	ids := make([][]uint64, sims)
+	cold := make([]int64, sims)
 	var wg sync.WaitGroup
-	for i := range ids {
+	for i := range cold {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			h := newHarness()
 			h.eng.Go("alloc", func(p *sim.Proc) {
 				for range bufs {
-					b := h.pool.Alloc(p, 100) // fresh: nothing is recycled
-					ids[i] = append(ids[i], b.ID())
+					h.pool.Alloc(p, 100) // fresh: nothing is recycled
 				}
 			})
 			h.eng.Run()
+			_, _, cold[i] = h.pool.Stats()
 		}()
 	}
 	wg.Wait()
-	seen := map[uint64]bool{}
-	for _, got := range ids {
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("buffer id %d handed out twice", id)
-			}
-			seen[id] = true
+	for i, n := range cold {
+		if n != bufs {
+			t.Fatalf("simulation %d made %d cold allocations, want %d", i, n, bufs)
 		}
-	}
-	if len(seen) != sims*bufs {
-		t.Fatalf("%d buffer ids, want %d", len(seen), sims*bufs)
 	}
 }
 

@@ -2,16 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"iolite/internal/mem"
 	"iolite/internal/sim"
 )
-
-// nextBufferID numbers buffers process-wide. It is atomic because
-// independent simulations (each single-threaded) may run in parallel
-// goroutines of one process; ids only need to be unique.
-var nextBufferID atomic.Uint64
 
 // Pool is an IO-Lite allocation pool: a set of cached buffers with a common
 // access-control list (§3.3). The choice of pool determines which protection
@@ -142,7 +136,6 @@ func (pl *Pool) allocCold(pages int) (*Buffer, sim.Duration) {
 	}
 	cost += pl.vm.Costs().BufAllocCold
 	b := &Buffer{
-		id:         nextBufferID.Add(1),
 		pool:       pl,
 		chunk:      chunk,
 		ownsChunks: ownsChunks,

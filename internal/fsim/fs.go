@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"iolite/internal/mem"
@@ -19,7 +20,8 @@ type File struct {
 	Name string
 	size int64
 
-	// overlay holds written extents, keyed by page index.
+	// overlay holds written extents, keyed by page index; nil until the
+	// first write.
 	overlay map[int64][]byte
 }
 
@@ -71,7 +73,7 @@ func (fs *FS) Disk() *Disk { return fs.disk }
 // existing name truncates it back to synthetic content.
 func (fs *FS) Create(name string, size int64) *File {
 	fs.nextID++
-	f := &File{ID: fs.nextID, Name: name, size: size, overlay: make(map[int64][]byte)}
+	f := &File{ID: fs.nextID, Name: name, size: size}
 	fs.files[name] = f
 	fs.byID[f.ID] = f
 	return f
@@ -108,24 +110,37 @@ func (fs *FS) ByID(id FileID) *File { return fs.byID[id] }
 // NumFiles reports how many files exist.
 func (fs *FS) NumFiles() int { return len(fs.files) }
 
-// synthByte returns the deterministic synthetic content byte of file id at
-// absolute offset off. Cheap and stateless so whole pages fill fast.
-func synthByte(id FileID, off int64) byte {
-	x := uint64(off>>3) ^ uint64(id)*0x9e3779b97f4a7c15
+// synthWord returns the deterministic synthetic content of file id's
+// 8-byte word w, the bytes at offsets [8w, 8w+8) in little-endian order.
+// One multiplicative hash yields the whole word, so filling a page costs
+// one hash per 8 bytes. Every byte has its low bit set, so content is
+// never zero, which catches zeroed-buffer bugs.
+func synthWord(id FileID, w int64) uint64 {
+	x := uint64(w) ^ uint64(id)*0x9e3779b97f4a7c15
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
-	return byte(x>>uint((off&7)*8)) | 1 // never zero, catches zeroed-buffer bugs
+	return x | 0x0101010101010101
 }
 
-// fillPage writes the content of file page pg into dst.
-func (f *File) fillPage(pg int64, dst []byte) {
-	if ov, ok := f.overlay[pg]; ok {
-		copy(dst, ov)
-		return
+// synthFill writes file id's synthetic content at [off, off+len(dst))
+// into dst: the partial words at either end byte by byte, the rest one
+// word per hash.
+func synthFill(id FileID, off int64, dst []byte) {
+	i := 0
+	if r := off & 7; r != 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], synthWord(id, off>>3))
+		i = copy(dst, w[r:])
 	}
-	base := pg * mem.PageSize
-	for i := range dst {
-		dst[i] = synthByte(f.ID, base+int64(i))
+	w := (off + int64(i)) >> 3
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], synthWord(id, w))
+		w++
+	}
+	if i < len(dst) {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], synthWord(id, w))
+		copy(dst[i:], tail[:])
 	}
 }
 
@@ -140,17 +155,21 @@ func (fs *FS) ReadRange(p *sim.Proc, f *File, off int64, dst []byte) {
 	if p != nil {
 		fs.disk.Read(p, int(n))
 	}
+	if len(f.overlay) == 0 {
+		synthFill(f.ID, off, dst)
+		return
+	}
 	// Fill page by page so overlays land exactly.
 	for filled := int64(0); filled < n; {
 		pg := (off + filled) / mem.PageSize
 		pgOff := (off + filled) % mem.PageSize
-		take := mem.PageSize - pgOff
-		if take > n-filled {
-			take = n - filled
+		take := min(mem.PageSize-pgOff, n-filled)
+		part := dst[filled : filled+take]
+		if ov, ok := f.overlay[pg]; ok {
+			copy(part, ov[pgOff:])
+		} else {
+			synthFill(f.ID, off+filled, part)
 		}
-		var page [mem.PageSize]byte
-		f.fillPage(pg, page[:])
-		copy(dst[filled:filled+take], page[pgOff:pgOff+take])
 		filled += take
 	}
 }
@@ -183,11 +202,11 @@ func (fs *FS) WriteRange(f *File, off int64, src []byte) {
 		}
 		ov, ok := f.overlay[pg]
 		if !ok {
-			ov = make([]byte, mem.PageSize)
-			base := pg * mem.PageSize
-			for i := range ov {
-				ov[i] = synthByte(f.ID, base+int64(i))
+			if f.overlay == nil {
+				f.overlay = make(map[int64][]byte)
 			}
+			ov = make([]byte, mem.PageSize)
+			synthFill(f.ID, pg*mem.PageSize, ov)
 			f.overlay[pg] = ov
 		}
 		copy(ov[pgOff:pgOff+take], src[written:written+take])

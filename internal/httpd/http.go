@@ -8,9 +8,16 @@
 package httpd
 
 import (
-	"fmt"
+	"bytes"
+	"math"
 	"strconv"
-	"strings"
+)
+
+var (
+	headerEnd     = []byte("\r\n\r\n")
+	getMethod     = []byte("GET ")
+	keepAlive     = []byte("keep-alive")
+	contentLength = []byte("Content-Length: ")
 )
 
 // FormatRequest renders a minimal HTTP request.
@@ -19,56 +26,65 @@ func FormatRequest(path string, keepalive bool) []byte {
 	if keepalive {
 		conn = "keep-alive"
 	}
-	return []byte(fmt.Sprintf("GET %s HTTP/1.1\r\nHost: server\r\nConnection: %s\r\n\r\n", path, conn))
+	const head, mid = "GET ", " HTTP/1.1\r\nHost: server\r\nConnection: "
+	b := make([]byte, 0, len(head)+len(path)+len(mid)+len(conn)+len(headerEnd))
+	b = append(b, head...)
+	b = append(b, path...)
+	b = append(b, mid...)
+	b = append(b, conn...)
+	return append(b, headerEnd...)
 }
 
 // ParseRequest extracts the path and keep-alive flag from a complete
 // request. ok is false if req is not yet complete (no blank line).
 func ParseRequest(req []byte) (path string, keepalive, ok bool) {
-	s := string(req)
-	if !strings.Contains(s, "\r\n\r\n") {
+	if !bytes.Contains(req, headerEnd) || !bytes.HasPrefix(req, getMethod) {
 		return "", false, false
 	}
-	if !strings.HasPrefix(s, "GET ") {
-		return "", false, false
-	}
-	rest := s[4:]
-	sp := strings.IndexByte(rest, ' ')
+	rest := req[len(getMethod):]
+	sp := bytes.IndexByte(rest, ' ')
 	if sp < 0 {
 		return "", false, false
 	}
-	path = rest[:sp]
-	keepalive = strings.Contains(s, "keep-alive")
-	return path, keepalive, true
+	return string(rest[:sp]), bytes.Contains(req, keepAlive), true
 }
 
 // FormatResponseHeader renders the response header for a body of n bytes.
 func FormatResponseHeader(server string, n int64) []byte {
-	return []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: %s\r\nContent-Length: %d\r\n\r\n", server, n))
+	const head, mid = "HTTP/1.1 200 OK\r\nServer: ", "\r\nContent-Length: "
+	const maxDigits = 20 // -9223372036854775808
+	b := make([]byte, 0, len(head)+len(server)+len(mid)+maxDigits+len(headerEnd))
+	b = append(b, head...)
+	b = append(b, server...)
+	b = append(b, mid...)
+	b = strconv.AppendInt(b, n, 10)
+	return append(b, headerEnd...)
 }
 
 // ParseResponseHeader finds the header/body split and the content length.
-// ok is false until the full header has arrived.
+// ok is false until the full header has arrived, and for a header without
+// a Content-Length of decimal digits.
 func ParseResponseHeader(data []byte) (bodyStart int, contentLen int64, ok bool) {
-	s := string(data)
-	end := strings.Index(s, "\r\n\r\n")
+	end := bytes.Index(data, headerEnd)
 	if end < 0 {
 		return 0, 0, false
 	}
-	bodyStart = end + 4
-	const key = "Content-Length: "
-	i := strings.Index(s, key)
+	bodyStart = end + len(headerEnd)
+	i := bytes.Index(data, contentLength)
 	if i < 0 || i > end {
 		return 0, 0, false
 	}
-	rest := s[i+len(key):]
-	j := strings.IndexByte(rest, '\r')
-	if j < 0 {
+	rest := data[i+len(contentLength):]
+	j := bytes.IndexByte(rest, '\r')
+	if j <= 0 {
 		return 0, 0, false
 	}
-	n, err := strconv.ParseInt(rest[:j], 10, 64)
-	if err != nil {
-		return 0, 0, false
+	for _, c := range rest[:j] {
+		d := int64(c - '0')
+		if c < '0' || c > '9' || contentLen > (math.MaxInt64-d)/10 {
+			return 0, 0, false
+		}
+		contentLen = contentLen*10 + d
 	}
-	return bodyStart, n, true
+	return bodyStart, contentLen, true
 }

@@ -89,14 +89,23 @@ type openFD struct {
 // (the lowest free slot). It is the extension point for custom descriptor
 // kinds.
 func (pr *Process) Install(d Desc) int {
-	e := &openFD{d: d, refs: 1}
-	for i, slot := range pr.fds {
-		if slot == nil {
+	return pr.place(&openFD{d: d, refs: 1})
+}
+
+// place puts e in the lowest free slot of the table, POSIX order, and
+// returns its fd. Every slot below lowFree is taken, so the scan starts
+// there rather than at 0: a server holding thousands of open files does
+// not walk them on every accept.
+func (pr *Process) place(e *openFD) int {
+	for i := pr.lowFree; i < len(pr.fds); i++ {
+		if pr.fds[i] == nil {
 			pr.fds[i] = e
+			pr.lowFree = i + 1
 			return i
 		}
 	}
 	pr.fds = append(pr.fds, e)
+	pr.lowFree = len(pr.fds)
 	return len(pr.fds) - 1
 }
 
@@ -239,14 +248,7 @@ func (m *Machine) Dup(p *sim.Proc, pr *Process, fd int) (int, error) {
 		return -1, err
 	}
 	e.refs++
-	for i, slot := range pr.fds {
-		if slot == nil {
-			pr.fds[i] = e
-			return i, nil
-		}
-	}
-	pr.fds = append(pr.fds, e)
-	return len(pr.fds) - 1, nil
+	return pr.place(e), nil
 }
 
 // Close removes fd from the table; when it is the entry's last reference,
@@ -258,6 +260,7 @@ func (m *Machine) Close(p *sim.Proc, pr *Process, fd int) error {
 		return err
 	}
 	pr.fds[fd] = nil
+	pr.lowFree = min(pr.lowFree, fd)
 	e.refs--
 	if e.refs > 0 {
 		return nil

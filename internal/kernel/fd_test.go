@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -157,6 +159,57 @@ func TestDupSharesEntryAndRefcounts(t *testing.T) {
 		}
 		if _, err := m.ReadPOSIX(p, pr, dup, buf); !errors.Is(err, ErrBadFD) {
 			t.Errorf("read after last close: %v, want ErrBadFD", err)
+		}
+	})
+}
+
+// TestLowestFreeFD: after any mix of opens, closes and dups, Open (through
+// Install) and Dup hand out the lowest fd not open, as POSIX requires.
+func TestLowestFreeFD(t *testing.T) {
+	e, m := newMachine(Config{})
+	m.FS.Create("/doc", 100)
+	pr := m.NewProcess("app", 1<<20)
+	rng := rand.New(rand.NewSource(1))
+	run(t, e, func(p *sim.Proc) {
+		open := map[int]bool{}
+		lowest := func() int {
+			fd := 0
+			for open[fd] {
+				fd++
+			}
+			return fd
+		}
+		for step := 0; step < 2000; step++ {
+			var fds []int
+			for fd := range open {
+				fds = append(fds, fd)
+			}
+			slices.Sort(fds)
+			switch op := rng.Intn(3); {
+			case op == 0 && len(fds) > 0:
+				fd := fds[rng.Intn(len(fds))]
+				if err := m.Close(p, pr, fd); err != nil {
+					t.Fatalf("step %d: Close(%d): %v", step, fd, err)
+				}
+				delete(open, fd)
+			case op == 1 && len(fds) > 0:
+				want := lowest()
+				got, err := m.Dup(p, pr, fds[rng.Intn(len(fds))])
+				if err != nil || got != want {
+					t.Fatalf("step %d: Dup = %d, %v; want fd %d", step, got, err, want)
+				}
+				open[got] = true
+			default:
+				want := lowest()
+				got, err := m.Open(p, pr, "/doc")
+				if err != nil || got != want {
+					t.Fatalf("step %d: Open = %d, %v; want fd %d", step, got, err, want)
+				}
+				open[got] = true
+			}
+			if pr.NumFDs() != len(open) {
+				t.Fatalf("step %d: %d fds open, want %d", step, pr.NumFDs(), len(open))
+			}
 		}
 	})
 }

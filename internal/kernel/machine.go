@@ -168,8 +168,9 @@ type Process struct {
 
 	// fds is the process's open-file table: integer descriptors into
 	// shared openFD entries (Dup aliases an entry; Close drops one
-	// reference). See desc.go.
-	fds []*openFD
+	// reference). See desc.go. Every fd below lowFree is open.
+	fds     []*openFD
+	lowFree int
 }
 
 // NewProcess creates a process with memBytes of private (non-IO) memory.

@@ -86,11 +86,11 @@ func TestRefPipeZeroCopyAndGrants(t *testing.T) {
 	b := newPipeBed(true)
 	want := pat(200 << 10)
 	var got []byte
-	var srcID uint64
+	var srcBuf *core.Buffer
 	var sameBuf bool
 	b.eng.Go("writer", func(p *sim.Proc) {
 		agg := core.PackBytes(p, b.prod.Pool, want)
-		srcID = agg.Slices()[0].Buf.ID()
+		srcBuf = agg.Slices()[0].Buf
 		b.m.IOLWrite(p, b.prod, b.wfd, agg)
 		b.m.Close(p, b.prod, b.wfd)
 	})
@@ -102,7 +102,7 @@ func TestRefPipeZeroCopyAndGrants(t *testing.T) {
 			}
 			// Consumer's domain must be able to read (grant happened).
 			core.CheckReadable(a, b.cons.Domain)
-			sameBuf = a.Slices()[0].Buf.ID() == srcID
+			sameBuf = a.Slices()[0].Buf == srcBuf
 			got = append(got, a.Materialize()...)
 			a.Release()
 		}

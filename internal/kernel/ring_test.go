@@ -203,7 +203,7 @@ func TestCompletionCarriesOpAndUser(t *testing.T) {
 	}
 	for _, s := range refused {
 		if s.Buf.Refs() != 0 {
-			t.Errorf("refused payload buffer %d still holds %d refs", s.Buf.ID(), s.Buf.Refs())
+			t.Errorf("refused payload %v still holds %d refs", s.Buf, s.Buf.Refs())
 		}
 	}
 }

@@ -70,17 +70,17 @@ type ConnOpts struct {
 }
 
 // Conn is an established connection. The two directions are independent
-// endpoints.
+// endpoints, allocated with the Conn.
 type Conn struct {
-	client *Endpoint
-	server *Endpoint
+	client Endpoint
+	server Endpoint
 }
 
 // ClientEnd returns the endpoint used by the client process.
-func (c *Conn) ClientEnd() *Endpoint { return c.client }
+func (c *Conn) ClientEnd() *Endpoint { return &c.client }
 
 // ServerEnd returns the endpoint used by the server process.
-func (c *Conn) ServerEnd() *Endpoint { return c.server }
+func (c *Conn) ServerEnd() *Endpoint { return &c.server }
 
 // sendItem is admitted payload awaiting segmentation. done fires when the
 // segment carrying the item's last byte is acknowledged. bind is the
@@ -253,20 +253,46 @@ type Endpoint struct {
 	finSent   bool
 	sockPages int // TagSockBuf pages currently reserved (copy mode)
 
-	// Selective recovery state (active only on faulty wires): sndUna is the
-	// lowest unacknowledged sequence number, sndNxt the next to assign.
-	// rtoTimer is the retransmission timer on the engine's wheel, re-keyed
-	// in place as acks make progress and canceled when nothing is in
-	// flight; rtoStep is e.onRTO, bound when the timer is first armed.
-	// rto is its current (backed-off) value; srtt/rttvar the Jacobson
-	// estimator. dupAcks counts consecutive duplicate cumulative acks for
-	// fast retransmit.
+	// sndUna is the lowest unacknowledged sequence number, sndNxt the
+	// next to assign.
 	sndUna, sndNxt int64
-	rto            sim.Duration
-	srtt, rttvar   sim.Duration
-	rtoTimer       sim.Timer
-	rtoStep        func()
-	dupAcks        int
+
+	// Receiver state. rcvNxt is the next expected sequence number.
+	// rcvShut marks a local receive shutdown — queued and future
+	// deliveries are discarded (but still acknowledged, so the peer's
+	// sender can drain) without taking buffer references.
+	rcvQ      fifo[Delivery]
+	rcvWait   sim.WaitQueue
+	rcvClosed bool
+	rcvNxt    int64
+	rcvShut   bool
+
+	// rcvNotify fires (if set) when the receive side becomes ready
+	// (delivery or FIN). Readiness descriptors hang their poll wakeups
+	// here.
+	rcvNotify func()
+
+	// lx is the loss-recovery and delayed-ack state, nil until first
+	// used: most endpoints ride a reliable wire without offload and never
+	// need it.
+	lx *lossState
+}
+
+// lossState is an endpoint's loss-recovery and delayed-ack state. Only an
+// endpoint a FaultPlan can touch arms the RTO or reassembles, and only
+// one on an offloading host delays acks.
+type lossState struct {
+	// Selective recovery (faulty wires). rtoTimer is the retransmission
+	// timer on the engine's wheel, re-keyed in place as acks make
+	// progress and canceled when nothing is in flight; rtoStep is
+	// e.onRTO, bound when the timer is first armed. rto is its current
+	// (backed-off) value; srtt/rttvar the Jacobson estimator. dupAcks
+	// counts consecutive duplicate cumulative acks for fast retransmit.
+	rto          sim.Duration
+	srtt, rttvar sim.Duration
+	rtoTimer     sim.Timer
+	rtoStep      func()
+	dupAcks      int
 	// Stall accounting: a loss-recovery episode opens at the first
 	// retransmission (timeout or fast retransmit) and closes when a
 	// cumulative ack makes forward progress. stallAccum totals closed
@@ -282,37 +308,31 @@ type Endpoint struct {
 	// says the chunk at the new sndUna was lost too, so it is resent at
 	// once. Each lost chunk costs one resend.
 	recoverUntil int64
+	// reasm is the receiver's reassembly queue: the out-of-order chunks
+	// above rcvNxt, in sequence order, held until the hole before them
+	// fills. It is bounded by the window, since the sender never has more
+	// than tss bytes past its sndUna in flight.
+	reasm []reasmChunk
 
-	// Receiver state. rcvNxt is the next expected sequence number. reasm
-	// is the reassembly queue: the out-of-order chunks above rcvNxt, in
-	// sequence order, held until the hole before them fills. It is bounded
-	// by the window, since the sender never has more than tss bytes past
-	// its sndUna in flight. rcvShut marks a local receive shutdown —
-	// queued and future deliveries are discarded (but still acknowledged,
-	// so the peer's sender can drain) without taking buffer references.
-	rcvQ      fifo[Delivery]
-	reasm     []reasmChunk
-	rcvWait   sim.WaitQueue
-	rcvClosed bool
-	rcvNxt    int64
-	rcvShut   bool
-
-	// Delayed-ack state (active only when the host's offload knob is on):
-	// ackEvents counts in-order receive events since the last ack left;
-	// every DefaultAckEvery-th event acks immediately, and the wheel timer
-	// bounds the wait for the rest. An out-of-order arrival flushes
-	// immediately — the dup-ack fast-retransmit signal never waits out
-	// the delay — and an outgoing data segment piggybacks any pending
-	// ack for free. ackTimer is re-keyed like rtoTimer; ackStep is
-	// e.onAckDelay, bound when it is first armed.
+	// Delayed acks (offloading hosts): ackEvents counts in-order receive
+	// events since the last ack left; every DefaultAckEvery-th event acks
+	// immediately, and the wheel timer bounds the wait for the rest. An
+	// out-of-order arrival flushes immediately — the dup-ack
+	// fast-retransmit signal never waits out the delay — and an outgoing
+	// data segment piggybacks any pending ack for free. ackTimer is
+	// re-keyed like rtoTimer; ackStep is e.onAckDelay, bound when it is
+	// first armed.
 	ackEvents int
 	ackTimer  sim.Timer
 	ackStep   func()
+}
 
-	// rcvNotify fires (if set) when the receive side becomes ready
-	// (delivery or FIN). Readiness descriptors hang their poll wakeups
-	// here.
-	rcvNotify func()
+// loss returns the endpoint's loss state, making it on first use.
+func (e *Endpoint) loss() *lossState {
+	if e.lx == nil {
+		e.lx = new(lossState)
+	}
+	return e.lx
 }
 
 // newConn wires two endpoints over link. clientHost dials serverHost.
@@ -320,11 +340,12 @@ func newConn(clientHost, serverHost *Host, link *Link, opts ConnOpts) *Conn {
 	if opts.Tss <= 0 {
 		opts.Tss = 64 << 10
 	}
-	c := &Conn{}
-	c.client = &Endpoint{host: clientHost, link: link, dir: link.dirFrom(clientHost), tss: opts.Tss}
-	c.server = &Endpoint{host: serverHost, link: link, dir: link.dirFrom(serverHost), tss: opts.Tss, refMode: opts.ServerRefMode}
-	c.client.peer = c.server
-	c.server.peer = c.client
+	c := &Conn{
+		client: Endpoint{host: clientHost, link: link, dir: link.dirFrom(clientHost), tss: opts.Tss},
+		server: Endpoint{host: serverHost, link: link, dir: link.dirFrom(serverHost), tss: opts.Tss, refMode: opts.ServerRefMode},
+	}
+	c.client.peer = &c.server
+	c.server.peer = &c.client
 	c.client.startPump()
 	c.server.startPump()
 	return c
@@ -648,16 +669,20 @@ func (e *Endpoint) scheduleDelivery(chunks []segChunk) {
 // Reliable wires never arm it: delivery is guaranteed by construction, so
 // the fault-free fast path stays timer-free.
 func (e *Endpoint) armRTO() {
-	if !e.faulty() || e.ackFIFO.len() == 0 || e.rtoTimer.Pending() {
+	if !e.faulty() || e.ackFIFO.len() == 0 {
 		return
 	}
-	if e.rto == 0 {
-		e.rto = initRTO
+	lx := e.loss()
+	if lx.rtoTimer.Pending() {
+		return
 	}
-	if e.rtoStep == nil {
-		e.rtoStep = e.onRTO
+	if lx.rto == 0 {
+		lx.rto = initRTO
 	}
-	e.host.eng.Wheel().Reset(&e.rtoTimer, e.rto, e.rtoStep)
+	if lx.rtoStep == nil {
+		lx.rtoStep = e.onRTO
+	}
+	e.host.eng.Wheel().Reset(&lx.rtoTimer, lx.rto, lx.rtoStep)
 }
 
 // onRTO fires when the oldest in-flight segment's ack is overdue: it
@@ -668,13 +693,14 @@ func (e *Endpoint) onRTO() {
 	if e.ackFIFO.len() == 0 {
 		return
 	}
-	e.rto *= 2
-	if e.rto > maxRTO {
-		e.rto = maxRTO
+	lx := e.lx
+	lx.rto *= 2
+	if lx.rto > maxRTO {
+		lx.rto = maxRTO
 	}
-	e.recoverUntil = e.sndNxt
+	lx.recoverUntil = e.sndNxt
 	e.retransmit()
-	e.host.eng.Wheel().Reset(&e.rtoTimer, e.rto, e.rtoStep)
+	e.host.eng.Wheel().Reset(&lx.rtoTimer, lx.rto, lx.rtoStep)
 }
 
 // retransmit re-sends the window's first unacknowledged chunk — the one
@@ -689,9 +715,9 @@ func (e *Endpoint) onRTO() {
 // queues cannot change it; such a resend arrives below the receiver's
 // rcvNxt, and its pieces are never read.
 func (e *Endpoint) retransmit() {
-	if !e.inStall {
-		e.inStall = true
-		e.stallStart = e.host.eng.Now()
+	if lx := e.loss(); !lx.inStall {
+		lx.inStall = true
+		lx.stallStart = e.host.eng.Now()
 	}
 	costs := e.host.costs
 	rec := *e.ackFIFO.front()
@@ -881,7 +907,8 @@ type reasmChunk struct {
 // stash puts an out-of-order chunk on the reassembly queue and reports
 // whether it was new; a chunk already queued is a duplicate.
 func (e *Endpoint) stash(ck deliveredChunk) bool {
-	i, found := slices.BinarySearchFunc(e.reasm, ck.seq, func(r reasmChunk, seq int64) int {
+	lx := e.loss()
+	i, found := slices.BinarySearchFunc(lx.reasm, ck.seq, func(r reasmChunk, seq int64) int {
 		return cmp.Compare(r.seq, seq)
 	})
 	if found {
@@ -894,7 +921,7 @@ func (e *Endpoint) stash(ck deliveredChunk) bool {
 			rc.dels[j] = pc.own()
 		}
 	}
-	e.reasm = slices.Insert(e.reasm, i, rc)
+	lx.reasm = slices.Insert(lx.reasm, i, rc)
 	return true
 }
 
@@ -902,9 +929,13 @@ func (e *Endpoint) stash(ck deliveredChunk) bool {
 // the receive queue, advancing rcvNxt past them, and reports whether any
 // moved.
 func (e *Endpoint) unstash() bool {
+	if e.lx == nil {
+		return false
+	}
+	reasm := e.lx.reasm
 	k := 0
-	for ; k < len(e.reasm) && e.reasm[k].seq == e.rcvNxt; k++ {
-		rc := &e.reasm[k]
+	for ; k < len(reasm) && reasm[k].seq == e.rcvNxt; k++ {
+		rc := &reasm[k]
 		e.rcvNxt += int64(rc.n)
 		for _, d := range rc.dels {
 			if tail := e.mergeTail(d.Agg != nil); tail == nil {
@@ -920,9 +951,9 @@ func (e *Endpoint) unstash() bool {
 	if k == 0 {
 		return false
 	}
-	n := copy(e.reasm, e.reasm[k:])
-	clear(e.reasm[n:])
-	e.reasm = e.reasm[:n]
+	n := copy(reasm, reasm[k:])
+	clear(reasm[n:])
+	e.lx.reasm = reasm[:n]
 	return true
 }
 
@@ -1038,22 +1069,23 @@ func (e *Endpoint) sendAck(ackNo int64, dsack bool) {
 // classic Nagle/delayed-ack stall (a sender holding a sub-MSS tail for
 // this ack waits out the delay, never deadlocks).
 func (e *Endpoint) scheduleAck() {
-	e.ackEvents++
-	if e.ackEvents >= DefaultAckEvery {
+	lx := e.loss()
+	lx.ackEvents++
+	if lx.ackEvents >= DefaultAckEvery {
 		e.flushAck(false)
 		return
 	}
-	if !e.ackTimer.Pending() {
-		if e.ackStep == nil {
-			e.ackStep = e.onAckDelay
+	if !lx.ackTimer.Pending() {
+		if lx.ackStep == nil {
+			lx.ackStep = e.onAckDelay
 		}
-		e.host.eng.Wheel().Reset(&e.ackTimer, DefaultAckDelay, e.ackStep)
+		e.host.eng.Wheel().Reset(&lx.ackTimer, DefaultAckDelay, lx.ackStep)
 	}
 }
 
 // onAckDelay fires when a delayed ack times out on the wheel.
 func (e *Endpoint) onAckDelay() {
-	if e.ackEvents > 0 {
+	if e.lx.ackEvents > 0 {
 		e.flushAck(false)
 	}
 }
@@ -1061,8 +1093,10 @@ func (e *Endpoint) onAckDelay() {
 // flushAck sends the cumulative ack now and clears delayed-ack state.
 // With delayed acks off this is exactly sendAck.
 func (e *Endpoint) flushAck(dsack bool) {
-	e.ackEvents = 0
-	e.ackTimer.Cancel()
+	if lx := e.lx; lx != nil {
+		lx.ackEvents = 0
+		lx.ackTimer.Cancel()
+	}
 	e.sendAck(e.rcvNxt, dsack)
 }
 
@@ -1073,11 +1107,12 @@ func (e *Endpoint) flushAck(dsack bool) {
 // delayed acks exist for. The ack information arrives after the
 // propagation delay like the segment that carries it.
 func (e *Endpoint) piggybackAck() {
-	if e.ackEvents == 0 {
+	lx := e.lx
+	if lx == nil || lx.ackEvents == 0 {
 		return
 	}
-	e.ackEvents = 0
-	e.ackTimer.Cancel()
+	lx.ackEvents = 0
+	lx.ackTimer.Cancel()
 	e.link.ackTo(e.peer, e.rcvNxt, e.host.eng.Now().Add(e.link.delay), true, false)
 }
 
@@ -1092,7 +1127,8 @@ func (e *Endpoint) acked(ackNo int64, dsack bool) {
 		// No progress. Three duplicate acks in a row signal a lost head
 		// segment while later ones still arrive.
 		if ackNo == e.sndUna && !dsack && e.ackFIFO.len() > 0 {
-			e.dupAcks++
+			lx := e.loss()
+			lx.dupAcks++
 			// Early retransmit (à la RFC 5827): a hole near the window's
 			// tail can't gather three duplicate acks — there aren't three
 			// segments behind it — so the threshold shrinks with the
@@ -1104,9 +1140,9 @@ func (e *Endpoint) acked(ackNo int64, dsack bool) {
 					thresh = 1
 				}
 			}
-			if e.dupAcks >= thresh && e.sndUna >= e.recoverUntil {
-				e.dupAcks = 0
-				e.recoverUntil = e.sndNxt
+			if lx.dupAcks >= thresh && e.sndUna >= lx.recoverUntil {
+				lx.dupAcks = 0
+				lx.recoverUntil = e.sndNxt
 				e.host.fastRetrans++
 				e.retransmit()
 				e.restartRTO()
@@ -1114,10 +1150,12 @@ func (e *Endpoint) acked(ackNo int64, dsack bool) {
 		}
 		return
 	}
-	e.dupAcks = 0
-	if e.inStall {
-		e.stallAccum += e.host.eng.Now().Sub(e.stallStart)
-		e.inStall = false
+	if lx := e.lx; lx != nil {
+		lx.dupAcks = 0
+		if lx.inStall {
+			lx.stallAccum += e.host.eng.Now().Sub(lx.stallStart)
+			lx.inStall = false
+		}
 	}
 	var freed int
 	for e.ackFIFO.len() > 0 {
@@ -1144,7 +1182,8 @@ func (e *Endpoint) acked(ackNo int64, dsack bool) {
 	}
 	e.sndUna = ackNo
 	e.sndBytes -= freed
-	if e.sndUna < e.recoverUntil {
+	lx := e.lx
+	if lx != nil && e.sndUna < lx.recoverUntil {
 		// A partial ack (NewReno, RFC 6582): the window moved but stopped
 		// short of the recovery point. The resend queued on the wire
 		// behind everything sent before it, so once it has filled its
@@ -1159,10 +1198,10 @@ func (e *Endpoint) acked(ackNo int64, dsack bool) {
 	// windows out of the estimator, so without this reset a conn that
 	// recovers through a few timeouts would keep its ratcheted-up timer
 	// and pay seconds for the next stray drop.
-	if e.rto > 0 && e.srtt > 0 {
-		e.rto = e.srtt + 4*e.rttvar
-		if e.rto < minRTO {
-			e.rto = minRTO
+	if lx != nil && lx.rto > 0 && lx.srtt > 0 {
+		lx.rto = lx.srtt + 4*lx.rttvar
+		if lx.rto < minRTO {
+			lx.rto = minRTO
 		}
 	}
 	if !e.refMode {
@@ -1183,7 +1222,9 @@ func (e *Endpoint) acked(ackNo int64, dsack bool) {
 // restartRTO re-keys the retransmission timer to a full RTO from now for
 // the current window (or cancels it when nothing is in flight).
 func (e *Endpoint) restartRTO() {
-	e.rtoTimer.Cancel()
+	if e.lx != nil {
+		e.lx.rtoTimer.Cancel()
+	}
 	e.armRTO()
 }
 
@@ -1194,23 +1235,24 @@ func (e *Endpoint) sampleRTT(rtt sim.Duration) {
 	if rtt < 0 {
 		return
 	}
-	if e.srtt == 0 {
-		e.srtt = rtt
-		e.rttvar = rtt / 2
+	lx := e.loss()
+	if lx.srtt == 0 {
+		lx.srtt = rtt
+		lx.rttvar = rtt / 2
 	} else {
-		diff := rtt - e.srtt
+		diff := rtt - lx.srtt
 		if diff < 0 {
 			diff = -diff
 		}
-		e.rttvar += (diff - e.rttvar) / 4
-		e.srtt += (rtt - e.srtt) / 8
+		lx.rttvar += (diff - lx.rttvar) / 4
+		lx.srtt += (rtt - lx.srtt) / 8
 	}
-	e.rto = e.srtt + 4*e.rttvar
-	if e.rto < minRTO {
-		e.rto = minRTO
+	lx.rto = lx.srtt + 4*lx.rttvar
+	if lx.rto < minRTO {
+		lx.rto = minRTO
 	}
-	if e.rto > maxRTO {
-		e.rto = maxRTO
+	if lx.rto > maxRTO {
+		lx.rto = maxRTO
 	}
 }
 
@@ -1243,11 +1285,13 @@ func (e *Endpoint) ShutdownRecv() {
 		d.Release()
 	}
 	e.rcvQ = fifo[Delivery]{}
-	for i := range e.reasm {
-		for _, d := range e.reasm[i].dels {
-			d.Release()
+	if lx := e.lx; lx != nil {
+		for i := range lx.reasm {
+			for _, d := range lx.reasm[i].dels {
+				d.Release()
+			}
+			lx.reasm[i].dels = nil
 		}
-		e.reasm[i].dels = nil
 	}
 	e.rcvWait.Wake(-1)
 	if e.rcvNotify != nil {
@@ -1280,9 +1324,13 @@ func (e *Endpoint) SetRecvNotify(fn func()) { e.rcvNotify = fn }
 // samples this before and after a blocking wait to carve the delta out
 // of the waiting request's phase.
 func (e *Endpoint) StallTime() sim.Duration {
-	d := e.stallAccum
-	if e.inStall {
-		d += e.host.eng.Now().Sub(e.stallStart)
+	lx := e.lx
+	if lx == nil {
+		return 0
+	}
+	d := lx.stallAccum
+	if lx.inStall {
+		d += e.host.eng.Now().Sub(lx.stallStart)
 	}
 	return d
 }

@@ -20,7 +20,7 @@ func TestCorkGathersMixedRefAndCopyItems(t *testing.T) {
 	doc := pattern(400)
 	trailer := pattern(30)
 	var deliveries []Delivery
-	var srcIDs map[uint64]bool
+	var srcBufs map[*core.Buffer]bool
 	r.eng.Go("client", func(p *sim.Proc) {
 		conn := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: true})
 		total := 0
@@ -37,9 +37,9 @@ func TestCorkGathersMixedRefAndCopyItems(t *testing.T) {
 		conn := r.lst.Accept(p)
 		ep := conn.ServerEnd()
 		agg := core.PackBytes(p, r.pool, doc)
-		srcIDs = map[uint64]bool{}
+		srcBufs = map[*core.Buffer]bool{}
 		for _, s := range agg.Slices() {
-			srcIDs[s.Buf.ID()] = true
+			srcBufs[s.Buf] = true
 		}
 		ep.SetCork(true)
 		ep.Send(p, Payload{Data: hdr}, nil)
@@ -68,7 +68,7 @@ func TestCorkGathersMixedRefAndCopyItems(t *testing.T) {
 		t.Fatal("ref piece arrived as copied data")
 	}
 	for _, s := range deliveries[1].Agg.Slices() {
-		if !srcIDs[s.Buf.ID()] {
+		if !srcBufs[s.Buf] {
 			t.Fatal("ref piece was copied in flight: buffer identity lost")
 		}
 	}

@@ -103,7 +103,7 @@ func watchReasm(eng *sim.Engine, e *Endpoint) {
 	poll = func() {
 		switch {
 		case e.rcvShut || e.rcvClosed:
-		case len(e.reasm) > 0:
+		case e.lx != nil && len(e.lx.reasm) > 0:
 			e.ShutdownRecv()
 		default:
 			eng.After(10*time.Microsecond, poll)

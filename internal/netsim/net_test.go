@@ -126,12 +126,12 @@ func TestRefModeZeroCopyIdentityAndNoSockBuf(t *testing.T) {
 	ck := cksum.NewCache(0)
 	r := newRig(true, ck, 100*time.Microsecond)
 	want := pattern(100 << 10)
-	var srcBufIDs map[uint64]bool
-	var gotIDs map[uint64]bool
+	var srcBufs map[*core.Buffer]bool
+	var gotBufs map[*core.Buffer]bool
 	var got []byte
 	r.eng.Go("client", func(p *sim.Proc) {
 		conn := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: true})
-		gotIDs = map[uint64]bool{}
+		gotBufs = map[*core.Buffer]bool{}
 		for len(got) < len(want) {
 			d, ok := conn.ClientEnd().Recv(p)
 			if !ok {
@@ -141,7 +141,7 @@ func TestRefModeZeroCopyIdentityAndNoSockBuf(t *testing.T) {
 				t.Error("ref-mode delivery carried copied data")
 			}
 			for _, s := range d.Agg.Slices() {
-				gotIDs[s.Buf.ID()] = true
+				gotBufs[s.Buf] = true
 			}
 			got = append(got, d.Bytes()...)
 			d.Release()
@@ -150,9 +150,9 @@ func TestRefModeZeroCopyIdentityAndNoSockBuf(t *testing.T) {
 	r.eng.Go("server", func(p *sim.Proc) {
 		conn := r.lst.Accept(p)
 		agg := core.PackBytes(p, r.pool, want)
-		srcBufIDs = map[uint64]bool{}
+		srcBufs = map[*core.Buffer]bool{}
 		for _, s := range agg.Slices() {
-			srcBufIDs[s.Buf.ID()] = true
+			srcBufs[s.Buf] = true
 		}
 		ep := conn.ServerEnd()
 		ep.Send(p, Payload{Agg: agg}, nil)
@@ -163,9 +163,9 @@ func TestRefModeZeroCopyIdentityAndNoSockBuf(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("ref-mode data corrupted in flight")
 	}
-	for id := range gotIDs {
-		if !srcBufIDs[id] {
-			t.Fatalf("delivered buffer %d is not a source buffer: data was copied", id)
+	for b := range gotBufs {
+		if !srcBufs[b] {
+			t.Fatalf("delivered %v is not a source buffer: data was copied", b)
 		}
 	}
 	if r.vm.UsedBy(mem.TagSockBuf) != 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iolite/internal/cksum"
 	"iolite/internal/core"
@@ -65,6 +66,15 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 // steadyTransfer sends 16 warm-up pieces of 16 KB from r's server to its
 // client, then 64 more, draining after each batch, and reports the host
 // mallocs and the wire segments of the last 64.
+// TestEndpointSize: every connection builds two endpoints, and most never
+// lose a segment or delay an ack, so the loss state lives behind a pointer
+// and an endpoint fits the 384-byte size class.
+func TestEndpointSize(t *testing.T) {
+	if n := unsafe.Sizeof(Endpoint{}); n > 384 {
+		t.Fatalf("Endpoint is %d bytes, want at most 384", n)
+	}
+}
+
 func steadyTransfer(t *testing.T, r *rig, ref bool) (mallocs uint64, segs int64) {
 	const piece, warm, measured = 16 << 10, 16, 64
 	data := pattern(piece)

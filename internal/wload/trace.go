@@ -65,6 +65,7 @@ type Trace struct {
 
 	weights []float64 // request probability by popularity rank
 	cum     []float64
+	paths   []string // file names by popularity rank
 }
 
 // Generate builds a trace matching spec: lognormal file sizes scaled to
@@ -204,7 +205,7 @@ func Generate(spec TraceSpec) *Trace {
 		}
 	}
 
-	t := &Trace{Spec: spec, Sizes: best, weights: weights}
+	t := &Trace{Spec: spec, Sizes: best, weights: weights, paths: tracePaths(spec.Name, len(best))}
 	t.cum = make([]float64, len(weights))
 	acc := 0.0
 	for i, w := range weights {
@@ -215,8 +216,15 @@ func Generate(spec TraceSpec) *Trace {
 }
 
 // Path names the file at popularity rank i.
-func (t *Trace) Path(i int) string {
-	return fmt.Sprintf("/%s/f%05d", t.Spec.Name, i)
+func (t *Trace) Path(i int) string { return t.paths[i] }
+
+// tracePaths names n files of the trace called name, by popularity rank.
+func tracePaths(name string, n int) []string {
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/%s/f%05d", name, i)
+	}
+	return paths
 }
 
 // Install creates the trace's files in fs.
@@ -296,7 +304,7 @@ func (t *Trace) Prefix(dataBytes int64) *Trace {
 	spec.Name = fmt.Sprintf("%s-%dMB", t.Spec.Name, dataBytes>>20)
 	spec.Files = len(sizes)
 	spec.TotalBytes = sum
-	sub := &Trace{Spec: spec, Sizes: sizes, weights: weights}
+	sub := &Trace{Spec: spec, Sizes: sizes, weights: weights, paths: tracePaths(spec.Name, len(sizes))}
 	var wsum float64
 	for _, w := range weights {
 		wsum += w
