@@ -272,9 +272,9 @@ type Endpoint struct {
 	// here.
 	rcvNotify func()
 
-	// lx is the loss-recovery and delayed-ack state, nil until first
-	// used: most endpoints ride a reliable wire without offload and never
-	// need it.
+	// lx is the loss-recovery and delayed-ack state, nil until either
+	// end of the connection first uses it: most endpoints ride a
+	// reliable wire without offload and never need it.
 	lx *lossState
 }
 
@@ -327,10 +327,13 @@ type lossState struct {
 	ackStep   func()
 }
 
-// loss returns the endpoint's loss state, making it on first use.
+// loss returns the endpoint's loss state, making it on first use. Both
+// ends of a connection share a faulty wire or an offloading host pair, so
+// the peer's state comes in the same allocation.
 func (e *Endpoint) loss() *lossState {
 	if e.lx == nil {
-		e.lx = new(lossState)
+		pair := new([2]lossState)
+		e.lx, e.peer.lx = &pair[0], &pair[1]
 	}
 	return e.lx
 }
