@@ -182,12 +182,16 @@ func (c *Cache) slice(p *sim.Proc, costs *sim.CostModel, s core.Slice) PartialSu
 			}
 		}
 		if i = lo; i < len(m.sums) && m.sums[i].key == key {
+			// Read the sum before sleeping: a proc that shares this
+			// cache may insert into the memo, or start a new epoch and
+			// truncate it, while this one sleeps.
+			sum := m.sums[i].sum
 			c.hits++
 			c.hitBytes += int64(s.Len)
 			if p != nil {
 				p.Sleep(costs.CksumLookup)
 			}
-			return m.sums[i].sum
+			return sum
 		}
 	}
 	c.misses++

@@ -371,6 +371,63 @@ func TestCacheMatchesMapOracle(t *testing.T) {
 	ev.eng.Run()
 }
 
+// TestSharedCacheHitSurvivesSleep: two procs share one cache, as a
+// host's pumps do. Proc a hits on a buffer's second sum and sleeps for the
+// lookup; meanwhile proc b misses on a lower slice of the same buffer,
+// which shifts the memo's sums, and in the second case also starts a new
+// epoch, which truncates them. a must still get its own slice's sum.
+func TestSharedCacheHitSurvivesSleep(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		newEpoch  bool
+		preMisses int // misses before a's hit, of 8 an epoch holds
+	}{
+		{"insert", false, 2},
+		{"new epoch", true, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := newEnv()
+			cache := NewCache(8)
+			data := make([]byte, 4096)
+			rand.New(rand.NewSource(5)).Read(data)
+			var b *core.Buffer
+			var got PartialSum
+			epoch := uint64(0)
+			ev.eng.Go("a", func(p *sim.Proc) {
+				b = ev.pool.Alloc(p, 4096)
+				b.Write(0, data)
+				b.Seal()
+				// Two sums on b, then fillers on another buffer up to
+				// preMisses, none of which sleeps.
+				cache.slice(nil, ev.c, core.Slice{Buf: b, Off: 1024, Len: 100})
+				cache.slice(nil, ev.c, core.Slice{Buf: b, Off: 2048, Len: 100})
+				other := core.PackBytes(p, ev.pool, data)
+				for i := 2; i < tc.preMisses; i++ {
+					cache.slice(nil, ev.c, core.Slice{Buf: other.Slices()[0].Buf, Off: i, Len: 10})
+				}
+				epoch = cache.epoch
+				ev.eng.Go("b", func(p *sim.Proc) {
+					p.Sleep(ev.c.CksumLookup / 2)
+					cache.slice(p, ev.c, core.Slice{Buf: b, Off: 0, Len: 100})
+				})
+				got = cache.slice(p, ev.c, core.Slice{Buf: b, Off: 2048, Len: 100})
+				other.Release()
+			})
+			ev.eng.Run()
+			if turned := cache.epoch != epoch; turned != tc.newEpoch {
+				t.Fatalf("epoch turned over: %v, want %v", turned, tc.newEpoch)
+			}
+			if want := Sum(data[2048:2148]); got != want {
+				t.Errorf("the hit returned %#x, want %#x", got, want)
+			}
+			if hits, misses, _, _ := cache.Stats(); hits != 1 || misses != int64(tc.preMisses)+1 {
+				t.Errorf("hits %d misses %d, want 1 and %d", hits, misses, tc.preMisses+1)
+			}
+			b.Release()
+		})
+	}
+}
+
 // pairwiseSum is the RFC 1071 loop Sum must reproduce: 16-bit big-endian
 // words, an odd tail byte padded with zero, end-around carry.
 func pairwiseSum(data []byte) PartialSum {
