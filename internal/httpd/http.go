@@ -9,7 +9,6 @@ package httpd
 
 import (
 	"bytes"
-	"math"
 	"strconv"
 )
 
@@ -76,15 +75,14 @@ func ParseResponseHeader(data []byte) (bodyStart int, contentLen int64, ok bool)
 	}
 	rest := data[i+len(contentLength):]
 	j := bytes.IndexByte(rest, '\r')
-	if j <= 0 {
+	if j < 0 {
 		return 0, 0, false
 	}
-	for _, c := range rest[:j] {
-		d := int64(c - '0')
-		if c < '0' || c > '9' || contentLen > (math.MaxInt64-d)/10 {
-			return 0, 0, false
-		}
-		contentLen = contentLen*10 + d
+	// Unsigned, 63 bits: digits only, at most MaxInt64. The string
+	// conversion does not escape, so it does not allocate.
+	n, err := strconv.ParseUint(string(rest[:j]), 10, 63)
+	if err != nil {
+		return 0, 0, false
 	}
-	return bodyStart, contentLen, true
+	return bodyStart, int64(n), true
 }

@@ -79,3 +79,12 @@ func TestParseResponseHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestParseResponseHeaderAllocatesNothing: every client parses a header
+// per response, so the length is read from the bytes without a copy.
+func TestParseResponseHeaderAllocatesNothing(t *testing.T) {
+	data := append(FormatResponseHeader("Flash-Lite", 1<<20), "body"...)
+	if n := testing.AllocsPerRun(100, func() { ParseResponseHeader(data) }); n != 0 {
+		t.Fatalf("ParseResponseHeader allocates %.0f times, want 0", n)
+	}
+}
