@@ -63,9 +63,6 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 	}
 }
 
-// steadyTransfer sends 16 warm-up pieces of 16 KB from r's server to its
-// client, then 64 more, draining after each batch, and reports the host
-// mallocs and the wire segments of the last 64.
 // TestEndpointSize: every connection builds two endpoints, and most never
 // lose a segment or delay an ack, so the loss state lives behind a pointer
 // and an endpoint fits the 384-byte size class.
@@ -75,6 +72,9 @@ func TestEndpointSize(t *testing.T) {
 	}
 }
 
+// steadyTransfer sends 16 warm-up pieces of 16 KB from r's server to its
+// client, then 64 more, draining after each batch, and reports the host
+// mallocs and the wire segments of the last 64.
 func steadyTransfer(t *testing.T, r *rig, ref bool) (mallocs uint64, segs int64) {
 	const piece, warm, measured = 16 << 10, 16, 64
 	data := pattern(piece)
