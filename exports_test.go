@@ -22,12 +22,15 @@ var stdlibMethods = map[string]bool{
 // nowhere in the repository but at its own declaration, tests and the
 // benchmark module included. Such an identifier is dead code: nothing
 // calls it, and nothing outside the repository can, since every package
-// but the root is internal. The scan is by name. A method counts as used
-// only where a call names it (x.Name(...)), so a field or function of the
-// same name elsewhere does not keep it alive; a method that is only ever
-// passed as a value fails too. Enum members are exempt (a complete enum
-// is clearer than a gapped one), as are the test entry points go test
-// runs.
+// but the root is internal. The scan matches by name alone, so a method
+// passes when any call names a method of that name, on any type, and a
+// function only tests call passes too; the function-level guard is the
+// reach check (scripts/reach.sh and its ledger testdata/reach.txt). A
+// method counts as used only where a call names it (x.Name(...)), so a
+// field or function of the same name elsewhere does not keep it alive; a
+// method that is only ever passed as a value fails too. Enum members are
+// exempt (a complete enum is clearer than a gapped one), as are the test
+// entry points go test runs.
 func TestNoUnreferencedExports(t *testing.T) {
 	fset, files := parseTree(t)
 
@@ -89,6 +92,59 @@ func TestNoUnreferencedExports(t *testing.T) {
 	}
 	for _, d := range dead {
 		t.Errorf("%s is exported but referenced (a method: called) nowhere; delete it", d)
+	}
+}
+
+// TestNoUnreadCostFields fails when an exported field of sim.CostModel — a
+// price — is read nowhere outside tests and DefaultCosts, which sets every
+// price. Such a price charges nothing: no figure moves when it changes, so
+// it is a settable value that sets nothing. A field counts as read where a
+// selector names it (x.Field) other than as an assignment's target. The
+// match is by name, so a same-named field of another struct that code
+// reads keeps a price alive.
+func TestNoUnreadCostFields(t *testing.T) {
+	fset, files := parseTree(t)
+	var prices []*ast.Ident
+	read := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		sim := f.Name.Name == "sim"
+		assigned := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return !(sim && n.Recv == nil && n.Name.Name == "DefaultCosts")
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && sim && n.Name.Name == "CostModel" {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								prices = append(prices, id)
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					assigned[lhs] = true
+				}
+			case *ast.SelectorExpr:
+				if !assigned[n] {
+					read[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(prices) == 0 {
+		t.Fatal("no sim.CostModel fields found")
+	}
+	for _, id := range prices {
+		if !read[id.Name] {
+			t.Errorf("%s: sim.CostModel.%s is read nowhere outside tests and DefaultCosts; delete it", fset.Position(id.Pos()), id.Name)
+		}
 	}
 }
 

@@ -146,7 +146,7 @@ func TestProxyRetryRecoversTransientOriginFailure(t *testing.T) {
 	if !bytes.Equal(body(raw), flakyDoc()) {
 		t.Fatalf("client got %d body bytes, want the %d-byte document", len(body(raw)), flakyDocSize)
 	}
-	if got := b.px.Retries(); got != 2 {
+	if got := b.px.retries; got != 2 {
 		t.Errorf("retries=%d, want 2", got)
 	}
 	if _, _, _, _, aborted := b.px.Stats(); aborted != 0 {
@@ -211,7 +211,7 @@ func TestProxyGivesUp502(t *testing.T) {
 	if !strings.HasPrefix(string(raw), "HTTP/1.1 502") {
 		t.Fatalf("client got %q, want a 502 status", raw)
 	}
-	if got := b.px.Retries(); got != 2 {
+	if got := b.px.retries; got != 2 {
 		t.Errorf("retries=%d, want 2", got)
 	}
 	if reqs, _, _, _, aborted := b.px.Stats(); reqs != 1 || aborted != 1 {

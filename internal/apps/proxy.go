@@ -158,9 +158,6 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 	return px
 }
 
-// Process returns the proxy's kernel process.
-func (px *Proxy) Process() *kernel.Process { return px.proc }
-
 // Stats reports requests relayed, cache hits/misses, bytes sent to
 // clients, and responses not fully delivered (a client write error, or a
 // failed origin fetch answered 502).
@@ -177,14 +174,6 @@ func (px *Proxy) HitRate() float64 {
 	}
 	return float64(px.hits) / float64(px.hits+px.misses)
 }
-
-// Expired reports how many cache entries a lookup has retired for
-// exceeding the configured TTL (each one turns that request into a miss).
-func (px *Proxy) Expired() int64 { return px.expired }
-
-// Retries reports origin-fetch attempts beyond each miss's first — the
-// recovery work the degradation path performed.
-func (px *Proxy) Retries() int64 { return px.retries }
 
 // StaleServed reports requests answered from a TTL-expired entry because
 // the origin could not be reached (ServeStale mode).
@@ -470,7 +459,7 @@ func (px *Proxy) drain(p *sim.Proc, ofd int) {
 // behind an object descriptor so hits can bypass user space entirely.
 func (px *Proxy) insert(p *sim.Proc, e *proxyEntry) {
 	if px.cfg.Mode == ProxySplice {
-		e.fd = px.proc.Install(kernel.NewAggDesc(px.m, e.resp))
+		e.fd = px.proc.Install(kernel.NewAggDesc(e.resp))
 		e.resp = nil // the descriptor owns the aggregate now
 	}
 	// Two connections can miss on the same path concurrently (both yield

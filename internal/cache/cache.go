@@ -68,7 +68,6 @@ func (e *Entry) Referenced() bool {
 // Policy is a replacement policy. The cache calls Add/Touch/Remove to keep
 // the policy's books; Victim selects and removes the next entry to evict.
 type Policy interface {
-	Name() string
 	Add(e *Entry)
 	Touch(e *Entry)
 	Remove(e *Entry)
@@ -99,18 +98,6 @@ func New(eng *sim.Engine, costs *sim.CostModel, policy Policy) *Cache {
 		policy:  policy,
 		entries: make(map[Key]*Entry),
 	}
-}
-
-// Len reports the number of entries.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Pages reports the cache's total estimated footprint in pages.
-func (c *Cache) Pages() int {
-	n := 0
-	for _, e := range c.entries {
-		n += e.Pages()
-	}
-	return n
 }
 
 // Lookup returns a caller-owned duplicate of the cached aggregate for the
@@ -211,30 +198,6 @@ func (c *Cache) EvictOne() int {
 	c.evictions++
 	e.Agg.Release()
 	return pages
-}
-
-// EvictPages evicts entries until approximately pages pages are released or
-// the cache empties, returning the estimate actually freed.
-func (c *Cache) EvictPages(pages int) int {
-	freed := 0
-	for freed < pages {
-		n := c.EvictOne()
-		if n == 0 && c.Len() == 0 {
-			break
-		}
-		freed += n
-	}
-	return freed
-}
-
-// Clear evicts everything.
-func (c *Cache) Clear() {
-	for c.Len() > 0 {
-		if c.EvictOne() == 0 && c.Len() > 0 {
-			// Defensive: zero-page entries still count as evicted.
-			continue
-		}
-	}
 }
 
 // Stats reports hit/miss counters in lookups and bytes.

@@ -225,9 +225,16 @@ func TestEvictPagesFreesMemory(t *testing.T) {
 			ev.put(p, fsim.FileID(i), mem.ChunkSize) // one chunk each
 		}
 		livBefore := ev.pool.LivePages()
-		freed := ev.c.EvictPages(3 * mem.PagesPerChunk)
+		freed := 0
+		for freed < 3*mem.PagesPerChunk {
+			n := ev.c.EvictOne()
+			if n == 0 {
+				break
+			}
+			freed += n
+		}
 		if freed < 3*mem.PagesPerChunk {
-			t.Fatalf("EvictPages freed %d", freed)
+			t.Fatalf("eviction freed %d", freed)
 		}
 		// After pool trim, the VM must actually get pages back.
 		trimmed := ev.pool.Trim(1 << 30)
@@ -245,14 +252,14 @@ func TestInsertReplacesExisting(t *testing.T) {
 	ev.run(t, func(p *sim.Proc) {
 		k := ev.put(p, 1, 100)
 		ev.put(p, 1, 100) // same key again
-		if ev.c.Len() != 1 {
-			t.Fatalf("Len = %d, want 1", ev.c.Len())
+		if len(ev.c.entries) != 1 {
+			t.Fatalf("Len = %d, want 1", len(ev.c.entries))
 		}
 		got := ev.c.Lookup(p, k)
 		got.Release()
 		// Eviction after replacement must not double-free.
 		ev.c.EvictOne()
-		if ev.c.Len() != 0 {
+		if len(ev.c.entries) != 0 {
 			t.Fatal("entry not evicted")
 		}
 	})
@@ -263,20 +270,4 @@ func TestEvictOneOnEmptyCache(t *testing.T) {
 	if ev.c.EvictOne() != 0 {
 		t.Fatal("eviction on empty cache returned pages")
 	}
-	if ev.c.EvictPages(100) != 0 {
-		t.Fatal("EvictPages on empty cache returned pages")
-	}
-}
-
-func TestClear(t *testing.T) {
-	ev := newEnv(NewLRU())
-	ev.run(t, func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			ev.put(p, fsim.FileID(i), 1000)
-		}
-		ev.c.Clear()
-		if ev.c.Len() != 0 {
-			t.Fatalf("Len = %d after Clear", ev.c.Len())
-		}
-	})
 }

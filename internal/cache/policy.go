@@ -51,9 +51,6 @@ type LRU struct {
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU { return &LRU{} }
 
-// Name implements Policy.
-func (*LRU) Name() string { return "LRU" }
-
 // Add implements Policy.
 func (p *LRU) Add(e *Entry) { p.list.pushFront(e) }
 
@@ -83,9 +80,6 @@ type Unified struct {
 
 // NewUnified returns an empty unified policy.
 func NewUnified() *Unified { return &Unified{} }
-
-// Name implements Policy.
-func (*Unified) Name() string { return "unified" }
 
 // Add implements Policy.
 func (p *Unified) Add(e *Entry) { p.list.pushFront(e) }
@@ -124,9 +118,6 @@ type GDS struct {
 
 // NewGDS returns an empty GDS policy.
 func NewGDS() *GDS { return &GDS{} }
-
-// Name implements Policy.
-func (*GDS) Name() string { return "GDS" }
 
 func (p *GDS) priority(e *Entry) float64 {
 	size := float64(e.Key.Len)

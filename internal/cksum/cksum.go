@@ -235,19 +235,3 @@ func (c *Cache) Partial(p *sim.Proc, costs *sim.CostModel, a *core.Agg) PartialS
 func (c *Cache) Aggregate(p *sim.Proc, costs *sim.CostModel, a *core.Agg) uint16 {
 	return Finish(c.Partial(p, costs, a))
 }
-
-// AggregateNoCache computes the checksum touching every byte, charging full
-// cost — the baseline path for systems without the checksum cache (the
-// Figure 11 "no cksum cache" configurations).
-func AggregateNoCache(p *sim.Proc, costs *sim.CostModel, a *core.Agg) uint16 {
-	var acc PartialSum
-	off := 0
-	for _, s := range a.Slices() {
-		acc = Combine(acc, Sum(s.Bytes()), off)
-		off += s.Len
-	}
-	if p != nil {
-		p.Sleep(costs.Cksum(a.Len()))
-	}
-	return Finish(acc)
-}

@@ -136,7 +136,8 @@ func TestGenerationChangeInvalidates(t *testing.T) {
 		b := ev.pool.Alloc(p, 4096)
 		b.Write(0, []byte{1, 2, 3, 4})
 		b.Seal()
-		a := core.FromSlice(core.Slice{Buf: b, Off: 0, Len: 4})
+		a := core.NewAgg()
+		a.Append(core.Slice{Buf: b, Off: 0, Len: 4})
 		first := cache.Aggregate(p, ev.c, a)
 		a.Release()
 		b.Release()
@@ -148,7 +149,8 @@ func TestGenerationChangeInvalidates(t *testing.T) {
 		}
 		b2.Write(0, []byte{9, 9, 9, 9})
 		b2.Seal()
-		a2 := core.FromSlice(core.Slice{Buf: b2, Off: 0, Len: 4})
+		a2 := core.NewAgg()
+		a2.Append(core.Slice{Buf: b2, Off: 0, Len: 4})
 		second := cache.Aggregate(p, ev.c, a2)
 		if first == second {
 			t.Error("stale checksum served after buffer reallocation")
@@ -158,27 +160,6 @@ func TestGenerationChangeInvalidates(t *testing.T) {
 		}
 		a2.Release()
 		b2.Release()
-	})
-	ev.eng.Run()
-}
-
-func TestAggregateNoCacheAlwaysCharges(t *testing.T) {
-	ev := newEnv()
-	ev.eng.Go("t", func(p *sim.Proc) {
-		data := make([]byte, 5000)
-		rand.New(rand.NewSource(9)).Read(data)
-		a := core.PackBytes(p, ev.pool, data)
-		want := Finish(Sum(data))
-		for i := 0; i < 2; i++ {
-			t0 := p.Now()
-			if got := AggregateNoCache(p, ev.c, a); got != want {
-				t.Errorf("cksum = %#x, want %#x", got, want)
-			}
-			if p.Now().Sub(t0) != ev.c.PriceCksum(5000) {
-				t.Errorf("pass %d charged %v, want %v", i, p.Now().Sub(t0), ev.c.PriceCksum(5000))
-			}
-		}
-		a.Release()
 	})
 	ev.eng.Run()
 }
@@ -205,8 +186,7 @@ func TestQuickAggregateMatchesFlat(t *testing.T) {
 				s.Buf.Release()
 				off += l
 			}
-			ok := cache.Aggregate(p, ev.c, a) == Finish(Sum(data)) &&
-				AggregateNoCache(p, ev.c, a) == Finish(Sum(data))
+			ok := cache.Aggregate(p, ev.c, a) == Finish(Sum(data))
 			a.Release()
 			return ok
 		}

@@ -29,14 +29,6 @@ type Agg struct {
 // NewAgg returns an empty aggregate.
 func NewAgg() *Agg { return &Agg{} }
 
-// FromSlice returns an aggregate holding the single slice s, taking a new
-// reference on its buffer.
-func FromSlice(s Slice) *Agg {
-	a := NewAgg()
-	a.Append(s)
-	return a
-}
-
 // FromOwnedSlice wraps a slice whose reference the caller already holds and
 // transfers that reference to the aggregate (no Retain).
 func FromOwnedSlice(s Slice) *Agg {
@@ -81,20 +73,6 @@ func (a *Agg) push(s Slice) {
 	}
 	a.slices = append(a.slices, s)
 	a.n += s.Len
-}
-
-// Prepend adds s at the front, retaining its buffer. It shifts in place
-// when capacity allows, so repeated header-prepending (the §3.10 web
-// server pattern) does not reallocate the slice list on every call.
-func (a *Agg) Prepend(s Slice) {
-	a.check()
-	if s.Len == 0 {
-		return
-	}
-	s.Buf.Retain()
-	a.push(s)
-	copy(a.slices[1:], a.slices)
-	a.slices[0] = s
 }
 
 // Concat appends a copy of b's contents (by reference) to a. b is unchanged.

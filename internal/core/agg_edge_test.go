@@ -110,42 +110,6 @@ func TestRangeOfEmptyAggregate(t *testing.T) {
 	a.Range(0, 1)
 }
 
-func TestPrependMatchesSemantics(t *testing.T) {
-	// The in-place Prepend must behave exactly like the old
-	// allocate-and-copy version: order, length, refcounts.
-	h := newHarness()
-	h.run(t, func(p *sim.Proc) {
-		a, want := multiSlice(h, p, 3, 512)
-		hd := pattern(64, 99)
-		b := h.pool.Alloc(p, 64)
-		fill(b, hd)
-		s := Slice{Buf: b, Off: 0, Len: 64}
-
-		a.Prepend(s)
-		if b.Refs() != 2 { // allocation ref + aggregate ref
-			t.Fatalf("Prepend retained %d refs, want 2", b.Refs())
-		}
-		if a.NumSlices() != 4 || a.Len() != 3*512+64 {
-			t.Fatalf("after Prepend: slices=%d len=%d", a.NumSlices(), a.Len())
-		}
-		if !bytes.Equal(a.Materialize(), append(append([]byte(nil), hd...), want...)) {
-			t.Fatal("Prepend broke ordering")
-		}
-
-		// Zero-length prepends are no-ops and must not retain.
-		a.Prepend(Slice{Buf: b, Off: 0, Len: 0})
-		if b.Refs() != 2 || a.NumSlices() != 4 {
-			t.Fatal("zero-length Prepend had an effect")
-		}
-
-		b.Release()
-		a.Release()
-		if b.Refs() != 0 {
-			t.Fatalf("refs = %d after release, want 0", b.Refs())
-		}
-	})
-}
-
 // TestOneSliceAggAllocatesOnce pins that a one-slice aggregate keeps its
 // slice inline: wrapping an owned slice, and a Range or Clone that lands
 // in one slice (an MSS piece of a send), each cost exactly one
@@ -156,7 +120,7 @@ func TestOneSliceAggAllocatesOnce(t *testing.T) {
 		b := h.pool.Alloc(p, 4096)
 		fill(b, pattern(4096, 5))
 		s := Slice{Buf: b, Off: 0, Len: 4096}
-		one := FromSlice(s)
+		one := fromSlice(s)
 		two, _ := multiSlice(h, p, 2, 4096)
 		for _, c := range []struct {
 			name string
@@ -178,9 +142,8 @@ func TestOneSliceAggAllocatesOnce(t *testing.T) {
 }
 
 // TestInlineSliceNotShared pins that no aggregate writes through another's
-// inline slot: growing or trimming a clone, prepending onto a one-slice
-// aggregate, and refilling one emptied by DropFront each leave the
-// aggregates they came from intact.
+// inline slot: growing or trimming a clone, and refilling one emptied by
+// DropFront, each leave the aggregates they came from intact.
 func TestInlineSliceNotShared(t *testing.T) {
 	h := newHarness()
 	h.run(t, func(p *sim.Proc) {
@@ -196,22 +159,16 @@ func TestInlineSliceNotShared(t *testing.T) {
 			}
 		}
 
-		a := FromSlice(s1)
+		a := fromSlice(s1)
 		c := a.Clone()
 		c.DropFront(10)
 		c.Append(s2)
 		intact("clone grown and trimmed", c, append(append([]byte(nil), d1[10:]...), d2...))
 		intact("original of the clone", a, d1)
 		c.Release()
-
-		r := a.Range(0, a.Len())
-		a.Prepend(s2)
-		intact("prepended", a, append(append([]byte(nil), d2...), d1...))
-		intact("range taken before the prepend", r, d1)
-		r.Release()
 		a.Release()
 
-		a = FromSlice(s1)
+		a = fromSlice(s1)
 		keep := a.Clone()
 		a.DropFront(a.Len())
 		a.Append(s2)
@@ -234,7 +191,7 @@ func TestInlineSliceNotShared(t *testing.T) {
 func TestReleaseClearsInlineSlot(t *testing.T) {
 	h := newHarness()
 	h.run(t, func(p *sim.Proc) {
-		one := FromSlice(Slice{Buf: h.pool.Alloc(p, 64), Len: 64})
+		one := fromSlice(Slice{Buf: h.pool.Alloc(p, 64), Len: 64})
 		one.Slices()[0].Buf.Release()
 		many, _ := multiSlice(h, p, 3, 64)
 		for _, a := range []*Agg{one, many} {
@@ -244,4 +201,12 @@ func TestReleaseClearsInlineSlot(t *testing.T) {
 			}
 		}
 	})
+}
+
+// fromSlice returns an aggregate holding the single slice s, taking a new
+// reference on its buffer.
+func fromSlice(s Slice) *Agg {
+	a := NewAgg()
+	a.Append(s)
+	return a
 }

@@ -62,43 +62,6 @@ func BenchmarkAggReadAt(b *testing.B) {
 	}
 }
 
-func BenchmarkAggPrepend(b *testing.B) {
-	// The §3.10 pattern: prepend a freshly generated header slice onto a
-	// body aggregate, repeatedly. Prepend shifts in place once the slice
-	// list has capacity, instead of reallocating per call.
-	pl := benchPool()
-	hdr := PackBytes(nil, pl, make([]byte, 64))
-	body := PackBytes(nil, pl, make([]byte, 128<<10))
-	defer hdr.Release()
-	defer body.Release()
-	hs := hdr.Slices()[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		resp := body.Clone()
-		resp.Prepend(hs)
-		resp.Release()
-	}
-}
-
-func BenchmarkAggPrependDeep(b *testing.B) {
-	// Worst case for the old implementation: prepending onto an aggregate
-	// that already holds many slices copied the whole list every call.
-	pl := benchPool()
-	piece := PackBytes(nil, pl, make([]byte, 64))
-	defer piece.Release()
-	ps := piece.Slices()[0]
-	base := NewAgg()
-	defer base.Release()
-	for i := 0; i < 64; i++ {
-		base.Append(ps)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		base.Prepend(ps)
-		base.DropFront(ps.Len)
-	}
-}
-
 func BenchmarkAggConcatClone(b *testing.B) {
 	pl := benchPool()
 	hdr := PackBytes(nil, pl, make([]byte, 64))

@@ -62,9 +62,6 @@ func (b *Buffer) Chunk() *mem.Chunk { return b.chunk }
 // Pool returns the allocation pool the buffer belongs to.
 func (b *Buffer) Pool() *Pool { return b.pool }
 
-// Sealed reports whether the buffer has become immutable.
-func (b *Buffer) Sealed() bool { return b.sealed }
-
 // Write fills [off, off+len(src)) of a not-yet-sealed buffer. The data copy
 // itself is free here: the *caller* models the cost (a producing subsystem
 // charges CostModel.Copy, a DMA engine charges nothing).

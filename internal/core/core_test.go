@@ -85,7 +85,7 @@ func TestBufferLifecycle(t *testing.T) {
 		if b.Cap() != mem.PageSize {
 			t.Errorf("Cap = %d, want one page", b.Cap())
 		}
-		if b.Sealed() {
+		if b.sealed {
 			t.Error("fresh buffer already sealed")
 		}
 		data := pattern(100, 1)
@@ -107,7 +107,7 @@ func TestBufferLifecycle(t *testing.T) {
 		if b2.Gen() != gen+1 {
 			t.Errorf("gen = %d, want %d", b2.Gen(), gen+1)
 		}
-		if b2.Sealed() {
+		if b2.sealed {
 			t.Error("recycled buffer still sealed")
 		}
 		b2.Release()
@@ -293,8 +293,9 @@ func TestAggregatePrependHeader(t *testing.T) {
 	h.run(t, func(p *sim.Proc) {
 		body := PackBytes(p, h.pool, pattern(10000, 3))
 		hdr := h.pool.Pack(p, []byte("HTTP/1.0 200 OK\r\n\r\n"))
-		resp := body.Clone()
-		resp.Prepend(hdr)
+		resp := NewAgg()
+		resp.Append(hdr)
+		resp.Concat(body)
 		hdr.Buf.Release() // aggregate holds its own ref now
 		if resp.Len() != 10019 {
 			t.Fatalf("Len = %d", resp.Len())
@@ -451,8 +452,12 @@ func TestPoolStatsAndFreePages(t *testing.T) {
 			t.Errorf("stats = %d allocs/%d cold", allocs, cold)
 		}
 		b.Release()
-		if h.pool.FreePages() != mem.PagesPerChunk {
-			t.Errorf("FreePages = %d", h.pool.FreePages())
+		free := 0
+		for size, bufs := range h.pool.freeBySize {
+			free += size * len(bufs)
+		}
+		if free != mem.PagesPerChunk {
+			t.Errorf("free pages = %d", free)
 		}
 	})
 }

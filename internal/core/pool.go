@@ -58,29 +58,26 @@ func NewPool(vm *mem.VM, owner *mem.Domain, name string) *Pool {
 	}
 }
 
-// Name returns the pool's diagnostic name.
-func (pl *Pool) Name() string { return pl.name }
-
 // Alloc returns a writable buffer of at least n bytes (rounded up to whole
 // pages) with one reference held by the caller. The fast path reuses a
-// recycled buffer (generation bumped, write permission re-granted); the cold
-// path allocates fresh chunk-backed pages and pays the VM mapping costs
-// (§3.2 "worst-case cross-domain transfer overhead is that of page
+// recycled buffer (generation bumped; the owner's write mapping persists);
+// the cold path allocates fresh chunk-backed pages and pays the VM mapping
+// costs (§3.2 "worst-case cross-domain transfer overhead is that of page
 // remapping").
 func (pl *Pool) Alloc(p *sim.Proc, n int) *Buffer {
-	b, cost := pl.allocQuiet(n)
+	b, cost := pl.alloc(n)
 	if p != nil {
 		p.Sleep(cost)
 	}
 	return b
 }
 
-// allocQuiet performs an allocation without yielding: every pool and VM
+// alloc performs an allocation without yielding: every pool and VM
 // state mutation happens atomically with respect to the cooperative
 // scheduler, and the accumulated CPU cost is returned for the caller to
 // charge afterwards. Charging mid-mutation would let a concurrent process
 // observe (and corrupt) half-updated pool state.
-func (pl *Pool) allocQuiet(n int) (*Buffer, sim.Duration) {
+func (pl *Pool) alloc(n int) (*Buffer, sim.Duration) {
 	if n <= 0 {
 		panic("core: Alloc of non-positive size")
 	}
@@ -99,7 +96,7 @@ func (pl *Pool) allocQuiet(n int) (*Buffer, sim.Duration) {
 		b.packed = 0
 		b.gen++
 		b.refs = 1
-		cost := b.chunk.GrantWriteQuiet(pl.owner) + pl.vm.Costs().BufAlloc
+		cost := pl.vm.Costs().BufAlloc
 		pl.liveBufs++
 		pl.livePages += int64(b.Pages())
 		return b, cost
@@ -117,7 +114,7 @@ func (pl *Pool) allocCold(pages int) (*Buffer, sim.Duration) {
 	if pages >= mem.PagesPerChunk {
 		ownsChunks = pages / mem.PagesPerChunk
 		for i := 0; i < ownsChunks; i++ {
-			c, d := pl.vm.AllocChunkQuiet(pl.owner)
+			c, d := pl.vm.AllocChunk(pl.owner)
 			cost += d
 			if chunk == nil {
 				chunk = c
@@ -125,7 +122,7 @@ func (pl *Pool) allocCold(pages int) (*Buffer, sim.Duration) {
 		}
 	} else {
 		if pl.curChunk == nil || pl.curUsed+pages > mem.PagesPerChunk {
-			c, d := pl.vm.AllocChunkQuiet(pl.owner)
+			c, d := pl.vm.AllocChunk(pl.owner)
 			cost += d
 			pl.curChunk = c
 			pl.curUsed = 0
@@ -167,7 +164,7 @@ func (pl *Pool) Pack(p *sim.Proc, src []byte) Slice {
 		// before any yield, so a concurrent Pack never observes the stale
 		// full buffer and double-releases it.
 		old := pl.pack
-		b, d := pl.allocQuiet(mem.ChunkSize)
+		b, d := pl.alloc(mem.ChunkSize)
 		cost += d
 		b.packMode = true // stray Write calls are rejected
 		pl.pack = b
@@ -234,15 +231,6 @@ func (pl *Pool) Trim(maxPages int) int {
 	return released
 }
 
-// FreePages reports how many pages sit in the pool's recycled cache.
-func (pl *Pool) FreePages() int {
-	n := 0
-	for size, free := range pl.freeBySize {
-		n += size * len(free)
-	}
-	return n
-}
-
 // LivePages reports pages in buffers that currently hold references.
 func (pl *Pool) LivePages() int { return int(pl.livePages) }
 
@@ -253,5 +241,5 @@ func (pl *Pool) Stats() (allocs, recycles, cold int64) {
 }
 
 func (pl *Pool) String() string {
-	return fmt.Sprintf("pool(%s owner=%s)", pl.name, pl.owner.Name())
+	return fmt.Sprintf("pool(%s)", pl.name)
 }

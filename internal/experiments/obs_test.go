@@ -21,7 +21,7 @@ func requireTiling(t *testing.T, col *obs.Collector) {
 	}
 	for i, sp := range spans {
 		if sp.PhaseSum() != sp.Latency() {
-			t.Fatalf("span %d (%s): phase sum %v != latency %v", i, sp.Kind(), sp.PhaseSum(), sp.Latency())
+			t.Fatalf("span %d: phase sum %v != latency %v", i, sp.PhaseSum(), sp.Latency())
 		}
 	}
 }

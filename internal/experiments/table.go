@@ -51,31 +51,3 @@ func (t *Table) Format() string {
 	}
 	return b.String()
 }
-
-// Col returns the index of a named column (-1 if absent).
-func (t *Table) Col(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Value returns the cell at (row label, column name); ok is false if
-// missing.
-func (t *Table) Value(rowLabel, col string) (float64, bool) {
-	ci := t.Col(col)
-	if ci < 0 {
-		return 0, false
-	}
-	for _, r := range t.Rows {
-		if r.Label == rowLabel {
-			if ci < len(r.Values) {
-				return r.Values[ci], true
-			}
-			return 0, false
-		}
-	}
-	return 0, false
-}

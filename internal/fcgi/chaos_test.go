@@ -41,11 +41,11 @@ func TestOnFailAfterBreakFiresImmediately(t *testing.T) {
 		w.Conn().Close(p)
 	})
 	b.eng.Run()
-	if w.Mux().Err() == nil {
+	if w.mux.Err() == nil {
 		t.Fatal("mux did not break")
 	}
 	var got error
-	w.Mux().OnFail(func(err error) { got = err })
+	w.mux.OnFail(func(err error) { got = err })
 	if got == nil {
 		t.Fatal("OnFail registered after the break never fired")
 	}
@@ -54,7 +54,7 @@ func TestOnFailAfterBreakFiresImmediately(t *testing.T) {
 	pool2 := slowPool(b2, nil, 1, 1, 50*time.Microsecond, false, nil)
 	w2 := pool2.Workers()[0]
 	fired := 0
-	w2.Mux().OnFail(func(error) { fired++ })
+	w2.mux.OnFail(func(error) { fired++ })
 	b2.eng.Go("killer", func(p *sim.Proc) {
 		w2.Conn().Close(p)
 	})

@@ -84,10 +84,6 @@ func (m WireMode) String() string {
 type Conn struct {
 	m  *kernel.Machine
 	pr *kernel.Process
-	// id labels the connection (the worker index in a pool) for
-	// diagnostics; records carry only request ids, since a Conn is
-	// exactly one channel.
-	id int
 
 	rfd, wfd     int
 	rmode, wmode WireMode
@@ -135,8 +131,8 @@ type Conn struct {
 // whether a pipe passes references, or whether a socket stays on-machine
 // (WireRef keeps references) or crosses to another one (WireBoundary must
 // degrade to the single boundary copy).
-func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd, id int, rmode, wmode WireMode) *Conn {
-	c := &Conn{m: m, pr: pr, rfd: rfd, wfd: wfd, id: id, rmode: rmode, wmode: wmode}
+func NewConn(m *kernel.Machine, pr *kernel.Process, rfd, wfd int, rmode, wmode WireMode) *Conn {
+	c := &Conn{m: m, pr: pr, rfd: rfd, wfd: wfd, rmode: rmode, wmode: wmode}
 	if d, err := pr.Desc(wfd); err == nil {
 		c.ep, _ = kernel.EndpointOf(d)
 	}
@@ -153,9 +149,6 @@ func (c *Conn) StallTime() sim.Duration {
 	}
 	return c.ep.StallTime() + c.ep.PeerStallTime()
 }
-
-// ID returns the connection's diagnostic id.
-func (c *Conn) ID() int { return c.id }
 
 // Stats reports records received, records sent, and write errors (the
 // peer's end of the outbound channel was gone — the simulated EPIPE).

@@ -72,8 +72,8 @@ func TestConnFramesRecordsBothModes(t *testing.T) {
 			}
 			rfd, wfd := b.m.Pipe2(b.srv, other, ref)
 			back, backW := b.m.Pipe2(other, b.srv, ref)
-			sc := NewConn(b.m, b.srv, rfd, backW, 0, wire, wire)
-			oc := NewConn(b.m, other, back, wfd, 0, wire, wire)
+			sc := NewConn(b.m, b.srv, rfd, backW, wire, wire)
+			oc := NewConn(b.m, other, back, wfd, wire, wire)
 
 			payload := doc(100_000) // several copy-mode pipe buffers
 			b.eng.Go("peer", func(p *sim.Proc) {
@@ -150,8 +150,8 @@ func TestServeDuplicateBeginRestartsRequest(t *testing.T) {
 	worker := b.m.NewProcess("worker", 1<<20)
 	reqR, reqW := b.m.Pipe2(worker, b.srv, true)
 	respR, respW := b.m.Pipe2(b.srv, worker, true)
-	wconn := NewConn(b.m, worker, reqR, respW, 0, WireRef, WireRef)
-	sconn := NewConn(b.m, b.srv, respR, reqW, 0, WireRef, WireRef)
+	wconn := NewConn(b.m, worker, reqR, respW, WireRef, WireRef)
+	sconn := NewConn(b.m, b.srv, respR, reqW, WireRef, WireRef)
 
 	var served []byte
 	dispatched := 0

@@ -48,23 +48,6 @@ func (r *Response) Release() {
 	}
 }
 
-// Payload materializes the response body regardless of mode (tests and
-// diagnostics; data-path callers use Body to stay zero-copy).
-func (r *Response) Payload() []byte {
-	if r.Body != nil {
-		return r.Body.Materialize()
-	}
-	return r.Bytes
-}
-
-// Len reports the response body size without materializing.
-func (r *Response) Len() int {
-	if r.Body != nil {
-		return r.Body.Len()
-	}
-	return len(r.Bytes)
-}
-
 // stream is the mux-side state of one in-flight request: inbound records
 // queued by the reader proc, and the requester parked on wait.
 type stream struct {
@@ -88,10 +71,8 @@ type Mux struct {
 	inflight int
 	slots    sim.WaitQueue
 
-	err      error
-	onFail   []func(error)
-	requests int64
-	failures int64
+	err    error
+	onFail []func(error)
 }
 
 // NewMux starts a multiplexer of the given depth over c, spawning its
@@ -101,12 +82,9 @@ func NewMux(c *Conn, depth int) *Mux {
 		depth = 1
 	}
 	mx := &Mux{c: c, depth: depth, streams: make(map[uint16]*stream)}
-	c.m.Eng.Go(fmt.Sprintf("fcgi.mux%d", c.id), mx.readLoop)
+	c.m.Eng.Go("fcgi.mux", mx.readLoop)
 	return mx
 }
-
-// Conn returns the underlying connection (stats, tests).
-func (mx *Mux) Conn() *Conn { return mx.c }
 
 // Err returns the terminal connection error, if the mux has failed.
 func (mx *Mux) Err() error { return mx.err }
@@ -123,12 +101,6 @@ func (mx *Mux) OnFail(fn func(error)) {
 		return
 	}
 	mx.onFail = append(mx.onFail, fn)
-}
-
-// Stats reports requests issued and requests failed by a broken
-// connection or worker error.
-func (mx *Mux) Stats() (requests, failures int64) {
-	return mx.requests, mx.failures
 }
 
 func (mx *Mux) allocID() uint16 {
@@ -160,7 +132,6 @@ func (mx *Mux) retireID(id uint16, st *stream) {
 // worker, so the caller may re-route the request. The caller owns the
 // returned response (Release its Body when done).
 func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
-	mx.requests++
 	for mx.err == nil && mx.inflight >= mx.depth {
 		mx.slots.Wait(p)
 	}
@@ -168,7 +139,6 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 		// The connection broke before dispatch — possibly while this
 		// request waited for a slot, the race the pool's re-routing
 		// exists for.
-		mx.failures++
 		return nil, notSent(mx.err)
 	}
 	id := mx.allocID()
@@ -189,7 +159,6 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 		{Header: Header{Type: RecParams, Flags: FlagEndStream, ReqID: id}, Bytes: req.Params},
 	} {
 		if err := mx.c.WriteRecord(p, rec); err != nil {
-			mx.failures++
 			mx.retireID(id, st)
 			return nil, notSent(err)
 		}
@@ -208,7 +177,6 @@ func (mx *Mux) Do(p *sim.Proc, req Request) (*Response, error) {
 			if body != nil {
 				body.Release()
 			}
-			mx.failures++
 			mx.retireID(id, st)
 			return nil, st.err
 		}

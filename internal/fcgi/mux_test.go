@@ -58,8 +58,8 @@ func TestMuxInterleavesConcurrentRequests(t *testing.T) {
 	}
 	// One pipe pair carried everything: the worker emitted more records
 	// than requests (chunking), all multiplexed.
-	if pool.Records() < int64(len(sizes)*4) {
-		t.Errorf("only %d records moved; expected chunked multiplexing", pool.Records())
+	if pool.records() < int64(len(sizes)*4) {
+		t.Errorf("only %d records moved; expected chunked multiplexing", pool.records())
 	}
 }
 
@@ -71,10 +71,10 @@ func TestMuxWorkerCrashMidRecord(t *testing.T) {
 	worker := b.m.NewProcess("worker", 1<<20)
 	reqR, reqW := b.m.Pipe2(worker, b.srv, false)
 	respR, respW := b.m.Pipe2(b.srv, worker, false)
-	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0, WireCopy, WireCopy), 4)
+	mx := NewMux(NewConn(b.m, b.srv, respR, reqW, WireCopy, WireCopy), 4)
 
 	b.eng.Go("worker", func(p *sim.Proc) {
-		c := NewConn(b.m, worker, reqR, respW, 0, WireCopy, WireCopy)
+		c := NewConn(b.m, worker, reqR, respW, WireCopy, WireCopy)
 		// Drain the request records, then emit a record header promising
 		// 5000 payload bytes, deliver half, and die.
 		for i := 0; i < 2; i++ {
@@ -99,9 +99,6 @@ func TestMuxWorkerCrashMidRecord(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("request survived a worker crash mid-record")
 	}
-	if _, fails := mx.Stats(); fails != 1 {
-		t.Errorf("mux failures = %d, want 1", fails)
-	}
 	// The mux is terminally broken: later requests fail fast.
 	b.eng.Go("client2", func(p *sim.Proc) {
 		if _, err := mx.Do(p, Request{Params: []byte("/y")}); err == nil {
@@ -121,11 +118,11 @@ func TestMuxFailWakesInRequestOrder(t *testing.T) {
 		worker := b.m.NewProcess("worker", 1<<20)
 		reqR, reqW := b.m.Pipe2(worker, b.srv, false)
 		respR, respW := b.m.Pipe2(b.srv, worker, false)
-		mx := NewMux(NewConn(b.m, b.srv, respR, reqW, 0, WireCopy, WireCopy), n)
+		mx := NewMux(NewConn(b.m, b.srv, respR, reqW, WireCopy, WireCopy), n)
 
 		b.eng.Go("worker", func(p *sim.Proc) {
 			// Accept every request (BEGIN + PARAMS each), answer none, die.
-			c := NewConn(b.m, worker, reqR, respW, 0, WireCopy, WireCopy)
+			c := NewConn(b.m, worker, reqR, respW, WireCopy, WireCopy)
 			for i := 0; i < 2*n; i++ {
 				if _, err := c.ReadRecord(p); err != nil {
 					t.Errorf("worker read: %v", err)
@@ -189,7 +186,7 @@ func TestWorkerEPIPEOnResponsePipe(t *testing.T) {
 	})
 	b.eng.Go("closer", func(p *sim.Proc) {
 		p.Sleep(100 * time.Microsecond)
-		pool.Close(p)
+		closePool(p, pool)
 	})
 	b.eng.Run()
 
@@ -272,7 +269,7 @@ func TestPoolRoutesAroundDeadWorker(t *testing.T) {
 	b.eng.Go("killer", func(p *sim.Proc) {
 		// Break worker 0's transport outright.
 		victim = pool.Workers()[0]
-		victim.Mux().Close(p)
+		victim.mux.Close(p)
 	})
 	served := 0
 	b.eng.Go("clients", func(p *sim.Proc) {
@@ -295,7 +292,7 @@ func TestPoolRoutesAroundDeadWorker(t *testing.T) {
 	if served != 6 {
 		t.Fatalf("%d/6 requests served after a worker died", served)
 	}
-	if victim.Mux().Err() == nil {
+	if victim.mux.Err() == nil {
 		t.Fatal("victim mux not actually broken")
 	}
 }
@@ -363,13 +360,13 @@ func TestEndStatusIsPropagated(t *testing.T) {
 		if resp.Status != 503 {
 			t.Errorf("status = %d, want 503", resp.Status)
 		}
-		if resp.Len() != 0 {
-			t.Errorf("empty response carried %d bytes", resp.Len())
+		if len(resp.Payload()) != 0 {
+			t.Errorf("empty response carried %d bytes", len(resp.Payload()))
 		}
 		resp.Release()
 	})
 	b.eng.Run()
-	if err := pool.Workers()[0].Mux().Err(); err != nil && !errors.Is(err, ErrBroken) {
+	if err := pool.Workers()[0].mux.Err(); err != nil && !errors.Is(err, ErrBroken) {
 		t.Errorf("unexpected mux error: %v", err)
 	}
 }

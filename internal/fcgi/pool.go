@@ -121,9 +121,6 @@ func (w *Worker) maybeRetire() {
 	fn(w)
 }
 
-// Mux returns the server-side multiplexer for this worker's connection.
-func (w *Worker) Mux() *Mux { return w.mux }
-
 // Conn returns the worker-side connection (its Stats carry the worker's
 // write errors — responses that hit a closed channel).
 func (w *Worker) Conn() *Conn { return w.conn }
@@ -141,7 +138,6 @@ type WorkerPool struct {
 	transport Transport
 	workers   []*Worker
 	rr        int
-	closed    bool
 
 	requests int64
 	failures int64
@@ -254,14 +250,11 @@ func (wp *WorkerPool) spawn(idx, gen int) *Worker {
 // charged work (the replacement fork) doesn't ride whichever proc
 // observed the failure.
 func (wp *WorkerPool) superviseRespawn(dead *Worker) {
-	if wp.closed {
-		return
-	}
 	// dead.M's engine is the one engine everything runs on; going through
 	// it (not cfg.Machine, which a transport-configured pool may omit)
 	// keeps respawn working for any wiring.
-	dead.M.Eng.Go(fmt.Sprintf("%s%d.respawn", wp.cfg.Name, dead.ID), func(p *sim.Proc) {
-		if wp.closed || wp.workers[dead.ID] != dead {
+	dead.M.Eng.Go("fcgi.respawn", func(p *sim.Proc) {
+		if wp.workers[dead.ID] != dead {
 			return
 		}
 		// Tear the dead channel down from the server side too: a worker
@@ -425,26 +418,3 @@ func (wp *WorkerPool) Respawns() int64 { return wp.respawns }
 // Replays reports idempotent requests re-dispatched after their worker
 // died with them in flight.
 func (wp *WorkerPool) Replays() int64 { return wp.replays }
-
-// Records reports total records moved over all current connections (both
-// directions, both ends).
-func (wp *WorkerPool) Records() int64 {
-	var n int64
-	for _, w := range wp.workers {
-		in, out, _ := w.conn.Stats()
-		n += in + out
-		in, out, _ = w.mux.Conn().Stats()
-		n += in + out
-	}
-	return n
-}
-
-// Close tears down every worker connection: workers drain to EOF and
-// exit; in-flight requests fail with ErrBroken; supervision stands down.
-// Must run on a simulated proc.
-func (wp *WorkerPool) Close(p *sim.Proc) {
-	wp.closed = true
-	for _, w := range wp.workers {
-		w.mux.Close(p)
-	}
-}

@@ -105,17 +105,9 @@ type Header struct {
 	Trace uint32
 }
 
-// wireLen is the header's on-the-wire size including the trace
-// extension.
-func (h Header) wireLen() int {
-	if h.Trace != 0 {
-		return HeaderLen + TraceLen
-	}
-	return HeaderLen
-}
-
 // encode writes the header (and trace extension when present) into dst,
-// returning the bytes written. dst must have room for wireLen bytes.
+// returning the bytes written. dst must have room for HeaderLen bytes, plus
+// TraceLen with a trace id.
 func (h Header) encode(dst []byte) int {
 	flags := h.Flags
 	if h.Trace != 0 {

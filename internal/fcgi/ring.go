@@ -1,8 +1,6 @@
 package fcgi
 
 import (
-	"fmt"
-
 	"iolite/internal/kernel"
 	"iolite/internal/sim"
 )
@@ -47,7 +45,7 @@ func (c *Conn) EnableRing() {
 	c.pr.Install(c.wring)
 	c.rring = kernel.NewRingDesc(c.m, c.pr)
 	c.pr.Install(c.rring)
-	c.m.Eng.Go(fmt.Sprintf("fcgi.ringflush%d", c.id), c.ringFlusher)
+	c.m.Eng.Go("fcgi.ringflush", c.ringFlusher)
 }
 
 // ringWriteRecord frames rec (charged to the caller, like the direct

@@ -57,7 +57,7 @@ func TestRingPoolServesEveryTransport(t *testing.T) {
 				}
 				b.eng.Go("closer", func(p *sim.Proc) {
 					p.Sleep(time.Second) // after the workload drains
-					pool.Close(p)
+					closePool(p, pool)
 				})
 				b.eng.Run()
 				if done != 6 {
@@ -138,13 +138,13 @@ func TestRingResetSurfacesThroughMux(t *testing.T) {
 	})
 	b.eng.Go("closer", func(p *sim.Proc) {
 		p.Sleep(20 * time.Millisecond) // after the late handler fails
-		pool.Close(p)
+		closePool(p, pool)
 	})
 	b.eng.Run()
 	if doErr == nil {
 		t.Fatal("request survived a worker socket reset under ring mode")
 	}
-	if err := pool.Workers()[0].Mux().Err(); !errors.Is(err, ErrBroken) {
+	if err := pool.Workers()[0].mux.Err(); !errors.Is(err, ErrBroken) {
 		t.Errorf("mux error = %v, want ErrBroken", err)
 	}
 	if b.eng.LiveProcs() != 0 {

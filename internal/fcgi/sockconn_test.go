@@ -42,8 +42,8 @@ func newSockBed(remote bool) *sockBed {
 func (sb *sockBed) conns(ref bool, respWire WireMode) (srvConn, wkrConn *Conn) {
 	opts := netsim.ConnOpts{ServerRefMode: ref}
 	sfd, wfd := kernel.SocketPair(sb.b.m, sb.b.srv, sb.wm, sb.wpr, sb.link, opts)
-	wkrConn = NewConn(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
-	srvConn = NewConn(sb.b.m, sb.b.srv, sfd, sfd, 0, respWire, WireCopy)
+	wkrConn = NewConn(sb.wm, sb.wpr, wfd, wfd, WireCopy, respWire)
+	srvConn = NewConn(sb.b.m, sb.b.srv, sfd, sfd, respWire, WireCopy)
 	return srvConn, wkrConn
 }
 
@@ -51,8 +51,8 @@ func (sb *sockBed) conns(ref bool, respWire WireMode) (srvConn, wkrConn *Conn) {
 // bed: a reference pipe for WireRef, a copy pipe for WireCopy.
 func (sb *sockBed) pipeConns(respWire WireMode) (srvConn, wkrConn *Conn) {
 	rfd, wfd := sb.b.m.Pipe2(sb.b.srv, sb.wpr, respWire == WireRef)
-	wkrConn = NewConn(sb.wm, sb.wpr, wfd, wfd, 0, WireCopy, respWire)
-	srvConn = NewConn(sb.b.m, sb.b.srv, rfd, rfd, 0, respWire, WireCopy)
+	wkrConn = NewConn(sb.wm, sb.wpr, wfd, wfd, WireCopy, respWire)
+	srvConn = NewConn(sb.b.m, sb.b.srv, rfd, rfd, respWire, WireCopy)
 	return srvConn, wkrConn
 }
 
@@ -308,8 +308,8 @@ func TestMuxInterleavesRecordsOverSocket(t *testing.T) {
 			if done != len(sizes) {
 				t.Fatalf("%d/%d requests completed", done, len(sizes))
 			}
-			if pool.Records() < int64(len(sizes)*4) {
-				t.Errorf("only %d records moved; expected chunked multiplexing", pool.Records())
+			if pool.records() < int64(len(sizes)*4) {
+				t.Errorf("only %d records moved; expected chunked multiplexing", pool.records())
 			}
 		})
 	}
@@ -367,7 +367,7 @@ func TestSocketResetSurfacesThroughMux(t *testing.T) {
 	if doErr == nil {
 		t.Fatal("request survived a worker socket reset")
 	}
-	if err := pool.Workers()[0].Mux().Err(); !errors.Is(err, ErrBroken) {
+	if err := pool.Workers()[0].mux.Err(); !errors.Is(err, ErrBroken) {
 		t.Errorf("mux error = %v, want ErrBroken", err)
 	}
 }

@@ -141,8 +141,8 @@ func (t *PipeTransport) Connect(id int, name string) Channel {
 	return Channel{
 		WorkerM:    m,
 		WorkerProc: wp,
-		WorkerConn: NewConn(m, wp, reqR, respW, id, WireCopy, respWire),
-		ServerConn: NewConn(m, t.Server, respR, reqW, id, respWire, WireCopy),
+		WorkerConn: NewConn(m, wp, reqR, respW, WireCopy, respWire),
+		ServerConn: NewConn(m, t.Server, respR, reqW, respWire, WireCopy),
 	}
 }
 
@@ -235,7 +235,7 @@ func (t *SocketTransport) Connect(id int, name string) Channel {
 	return Channel{
 		WorkerM:    wm,
 		WorkerProc: wp,
-		WorkerConn: NewConn(wm, wp, wfd, wfd, id, WireCopy, respWire),
-		ServerConn: NewConn(t.M, t.Server, sfd, sfd, id, respWire, WireCopy),
+		WorkerConn: NewConn(wm, wp, wfd, wfd, WireCopy, respWire),
+		ServerConn: NewConn(t.M, t.Server, sfd, sfd, respWire, WireCopy),
 	}
 }

@@ -1,8 +1,6 @@
 package fcgi
 
 import (
-	"fmt"
-
 	"iolite/internal/core"
 	"iolite/internal/sim"
 )
@@ -134,7 +132,7 @@ func Serve(p *sim.Proc, c *Conn, handler Handler) {
 // dispatch runs the handler for a complete request on its own proc.
 func dispatch(c *Conn, id uint16, pd *pendingReq, handler Handler) {
 	req := &ServerRequest{c: c, ID: id, Params: pd.params, TraceID: pd.trace}
-	c.m.Eng.Go(fmt.Sprintf("fcgi.c%d.req%d", c.id, id), func(hp *sim.Proc) {
+	c.m.Eng.Go("fcgi.req", func(hp *sim.Proc) {
 		handler(hp, req)
 	})
 }

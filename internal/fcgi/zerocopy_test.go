@@ -25,8 +25,8 @@ func runRound(t *testing.T, b *bed, pool *WorkerPool, m int, params []byte, docB
 				t.Errorf("Do: %v", err)
 				return
 			}
-			if resp.Len() != docBytes {
-				t.Errorf("response %d bytes, want %d", resp.Len(), docBytes)
+			if len(resp.Payload()) != docBytes {
+				t.Errorf("response %d bytes, want %d", len(resp.Payload()), docBytes)
 			}
 			resp.Release()
 			done++

@@ -66,9 +66,6 @@ func NewFS(eng *sim.Engine, costs *sim.CostModel, vm *mem.VM, disk *Disk) *FS {
 	return fs
 }
 
-// Disk returns the backing disk.
-func (fs *FS) Disk() *Disk { return fs.disk }
-
 // Create makes a file of the given size with synthetic content. Creating an
 // existing name truncates it back to synthetic content.
 func (fs *FS) Create(name string, size int64) *File {
@@ -214,6 +211,3 @@ func (fs *FS) WriteRange(f *File, off int64, src []byte) {
 	}
 	fs.disk.WriteAsync(int(n))
 }
-
-// MetaStats reports metadata cache hits and misses.
-func (fs *FS) MetaStats() (hits, misses int64) { return fs.metaHits, fs.metaMisses }

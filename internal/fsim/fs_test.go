@@ -117,7 +117,7 @@ func TestWriteOverlayAndGrowth(t *testing.T) {
 		}
 	})
 	e.Run()
-	_, writes, _, bw := fs.Disk().Stats()
+	_, writes, _, bw := fs.disk.Stats()
 	if writes != 2 || bw == 0 {
 		t.Fatalf("disk writes=%d bytes=%d", writes, bw)
 	}
@@ -138,7 +138,7 @@ func TestLookupMetadataCosts(t *testing.T) {
 		if hotCost >= coldCost {
 			t.Errorf("metadata cache ineffective: cold %v, hot %v", coldCost, hotCost)
 		}
-		if hotCost != fs.Disk().costs.FileOpen {
+		if hotCost != fs.disk.costs.FileOpen {
 			t.Errorf("hot lookup = %v, want open cost only", hotCost)
 		}
 		if fs.Lookup(p, "/missing") != nil {
@@ -146,7 +146,7 @@ func TestLookupMetadataCosts(t *testing.T) {
 		}
 	})
 	e.Run()
-	hits, misses := fs.MetaStats()
+	hits, misses := fs.metaHits, fs.metaMisses
 	if hits != 1 || misses != 1 {
 		t.Fatalf("meta stats %d/%d", hits, misses)
 	}

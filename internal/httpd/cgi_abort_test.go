@@ -8,10 +8,11 @@ import (
 )
 
 // TestCGIWorkerPipeErrorCountsAborted breaks the CGI worker transport out
-// from under an in-flight request: the worker's response-pipe write error
-// (the simulated EPIPE the old ad-hoc worker loop dropped on the floor)
-// must surface through the fcgi mux as a failed request and land in the
-// server's aborted stat, with no bytes counted.
+// from under an in-flight request: the worker's channel closes
+// mid-response, and its handler's later response-pipe write error (which
+// the old ad-hoc worker loop dropped on the floor) is counted, while the
+// request surfaces through the fcgi mux as a failed request and lands in
+// the server's aborted stat, with no bytes counted.
 func TestCGIWorkerPipeErrorCountsAborted(t *testing.T) {
 	for _, kind := range []Kind{FlashLite, Flash} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -32,11 +33,13 @@ func TestCGIWorkerPipeErrorCountsAborted(t *testing.T) {
 			b.eng.Go("breaker", func(p *sim.Proc) {
 				// Let the request reach a worker and its handler start (the
 				// event loop's readiness syscalls shift arrival by a few
-				// microseconds past the old 500µs mark), then tear the pool
-				// down mid-response — the 1 MB document keeps the response
-				// in flight for several milliseconds.
+				// microseconds past the old 500µs mark), then close the
+				// workers' channels mid-response — the 1 MB document keeps
+				// the response in flight for several milliseconds.
 				p.Sleep(1 * time.Millisecond)
-				b.srv.cgi.pool.Close(p)
+				for _, w := range b.srv.cgi.pool.Workers() {
+					w.Conn().Close(p)
+				}
 			})
 			b.eng.Run()
 

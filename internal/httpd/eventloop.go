@@ -76,7 +76,7 @@ func (s *Server) eventLoop(p *sim.Proc) {
 			return
 		}
 		evs := s.po.Wait(p)
-		if evs == nil && s.po.Watching() == 0 {
+		if evs == nil { // Wait returns nil only when nothing is watched
 			return
 		}
 		for _, ev := range evs {

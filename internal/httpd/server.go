@@ -154,7 +154,7 @@ func (s *Server) Process() *kernel.Process { return s.proc }
 // PrimeOpen seeds the server's open-FD cache, as a long-running server
 // would have done during warmup (experiments start from steady state).
 func (s *Server) PrimeOpen(path string, f *fsim.File) {
-	fd := s.proc.Install(kernel.NewFileDesc(s.m, f, nil))
+	fd := s.proc.Install(kernel.NewFileDesc(s.m, f))
 	s.openFDs[path] = openEntry{f: f, fd: fd}
 }
 

@@ -43,93 +43,94 @@ var (
 const MaxIO = int64(1) << 40
 
 // Desc is the vnode-style descriptor interface: one implementation per
-// descriptor kind (file, pipe end, socket endpoint, listener), all served
-// by the same four Machine I/O calls. New descriptor kinds (CGI streams,
-// proxy splices, multi-backend fan-outs) plug in by implementing Desc and
-// installing with Process.Install — no new Machine methods required.
+// descriptor kind (file, pipe end, socket endpoint, listener, ring,
+// readiness set, sealed object). Every kind can be closed; what else it
+// answers it declares through capability interfaces — Reader, Writer and
+// Seeker for the data calls, PReader, SpliceSourceAt and SpliceSink for
+// positional reads and splice, Pollable for readiness — the way a
+// capability handle carries only the rights its object supports. A call
+// on a kind without the capability charges its syscall and returns
+// ErrNotSupported. New descriptor kinds (CGI streams, proxy splices,
+// multi-backend fan-outs) plug in by implementing Close plus the
+// capabilities they support and installing with Process.Install — no new
+// Machine methods required.
 //
 // Cost accounting contract: the Machine entry points (IOLRead, IOLWrite,
 // ReadPOSIX, WritePOSIX, Seek, Close, Accept, SpliceAt...) charge exactly one
-// syscall at the boundary; Desc methods charge only data costs (copies,
-// aggregate ops, cache work). This split is what lets the submission ring
-// execute N descriptor operations behind a single charged Submit/Reap pair
-// without changing any per-byte accounting.
+// syscall at the boundary; descriptor methods charge only data costs
+// (copies, aggregate ops, cache work). This split is what lets the
+// submission ring execute N descriptor operations behind a single charged
+// Submit/Reap pair without changing any per-byte accounting.
 type Desc interface {
-	// ReadAgg is IOL_read: up to n bytes as a buffer aggregate the caller
-	// owns, readable in pr's domain. Returns io.EOF at end of stream.
-	ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
-	// WriteAgg is IOL_write: the aggregate's contents, by reference.
-	// Ownership of a transfers to the descriptor on success.
-	WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error
-	// ReadCopy is POSIX read(2): fills dst, returns the count; io.EOF at
-	// end of stream.
-	ReadCopy(p *sim.Proc, pr *Process, dst []byte) (int, error)
-	// WriteCopy is POSIX write(2): copies src in, returns the count.
-	WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error)
-
-	// Seek sets the descriptor offset à la lseek(2) (files only;
-	// ErrNotSupported otherwise) and returns the new offset. whence is
-	// io.SeekStart, io.SeekCurrent, or io.SeekEnd.
-	Seek(off int64, whence int) (int64, error)
 	// Close releases the descriptor's underlying resource. Called once,
-	// when the last table reference is closed.
+	// when its fd is closed.
 	Close(p *sim.Proc) error
 }
 
-// openFD is one open-file-table entry. Dup'd descriptors share the entry
-// (and thus the offset and the underlying object), exactly like POSIX
-// dup(2); the entry closes its Desc when the last fd referencing it goes
-// away.
-type openFD struct {
-	d    Desc
-	refs int
+// Reader is the capability of descriptors that can be read: files, pipes
+// and sockets.
+type Reader interface {
+	// ReadAgg is IOL_read: up to n bytes as a buffer aggregate the caller
+	// owns, readable in pr's domain. Returns io.EOF at end of stream.
+	ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
+	// ReadCopy is POSIX read(2): fills dst, returns the count; io.EOF at
+	// end of stream.
+	ReadCopy(p *sim.Proc, pr *Process, dst []byte) (int, error)
+}
+
+// Writer is the capability of descriptors that can be written: files,
+// pipes and sockets.
+type Writer interface {
+	// WriteAgg is IOL_write: the aggregate's contents, by reference.
+	// Ownership of a transfers to the descriptor on success.
+	WriteAgg(p *sim.Proc, pr *Process, a *core.Agg) error
+	// WriteCopy is POSIX write(2): copies src in, returns the count.
+	WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error)
+}
+
+// Seeker is the capability of descriptors with an offset: files.
+type Seeker interface {
+	// Seek sets the descriptor offset à la lseek(2) and returns the new
+	// offset. whence is io.SeekStart, io.SeekCurrent, or io.SeekEnd.
+	Seek(off int64, whence int) (int64, error)
+}
+
+// descAs returns the descriptor behind fd as capability C: ErrBadFD when fd
+// is not open, ErrNotSupported when its kind lacks C. Every Machine entry
+// point and the ring's executor check capabilities through it.
+func descAs[C any](pr *Process, fd int) (C, error) {
+	var c C
+	d, err := pr.Desc(fd)
+	if err != nil {
+		return c, err
+	}
+	c, ok := d.(C)
+	if !ok {
+		return c, ErrNotSupported
+	}
+	return c, nil
 }
 
 // Install places d in the process's descriptor table and returns its fd
-// (the lowest free slot). It is the extension point for custom descriptor
-// kinds.
+// (the lowest free slot, POSIX order). It is the extension point for
+// custom descriptor kinds. Every slot below lowFree is taken, so the scan
+// starts there rather than at 0: a server holding thousands of open files
+// does not walk them on every accept.
 func (pr *Process) Install(d Desc) int {
-	return pr.place(&openFD{d: d, refs: 1})
-}
-
-// place puts e in the lowest free slot of the table, POSIX order, and
-// returns its fd. Every slot below lowFree is taken, so the scan starts
-// there rather than at 0: a server holding thousands of open files does
-// not walk them on every accept.
-func (pr *Process) place(e *openFD) int {
 	for i := pr.lowFree; i < len(pr.fds); i++ {
 		if pr.fds[i] == nil {
-			pr.fds[i] = e
+			pr.fds[i] = d
 			pr.lowFree = i + 1
 			return i
 		}
 	}
-	pr.fds = append(pr.fds, e)
+	pr.fds = append(pr.fds, d)
 	pr.lowFree = len(pr.fds)
 	return len(pr.fds) - 1
 }
 
 // Desc returns the descriptor behind fd, or ErrBadFD.
 func (pr *Process) Desc(fd int) (Desc, error) {
-	e, err := pr.entry(fd)
-	if err != nil {
-		return nil, err
-	}
-	return e.d, nil
-}
-
-// NumFDs reports how many descriptors are open in the process's table.
-func (pr *Process) NumFDs() int {
-	n := 0
-	for _, e := range pr.fds {
-		if e != nil {
-			n++
-		}
-	}
-	return n
-}
-
-func (pr *Process) entry(fd int) (*openFD, error) {
 	if fd < 0 || fd >= len(pr.fds) || pr.fds[fd] == nil {
 		return nil, ErrBadFD
 	}
@@ -147,25 +148,11 @@ func (m *Machine) Open(p *sim.Proc, pr *Process, name string) (int, error) {
 	return pr.Install(&fileDesc{m: m, f: f}), nil
 }
 
-// OpenWithPool is Open with a caller-specified allocation pool (§3.4):
-// IOL_read on the returned descriptor places data in buffers from pool —
-// whose ACL governs who may come to read it — bypassing the shared file
-// cache. Applications managing multiple I/O streams with different
-// access-control lists open one descriptor per stream.
-func (m *Machine) OpenWithPool(p *sim.Proc, pr *Process, name string, pool *core.Pool) (int, error) {
-	m.syscall(p)
-	f := m.FS.Lookup(p, name)
-	if f == nil {
-		return -1, ErrNotExist
-	}
-	return pr.Install(&fileDesc{m: m, f: f, pool: pool}), nil
-}
-
 // NewFileDesc wraps an already-resolved inode as a descriptor without
 // charging open costs; servers use it to seed open-FD caches from warmed
-// state. A nil pool selects the unified file cache.
-func NewFileDesc(m *Machine, f *fsim.File, pool *core.Pool) Desc {
-	return &fileDesc{m: m, f: f, pool: pool}
+// state.
+func NewFileDesc(m *Machine, f *fsim.File) Desc {
+	return &fileDesc{m: m, f: f}
 }
 
 // Pipe2 creates a pipe and installs its two ends: the read end in reader's
@@ -207,13 +194,9 @@ func (m *Machine) Listen(pr *Process, lst *netsim.Listener) int {
 // listener closes.
 func (m *Machine) Accept(p *sim.Proc, pr *Process, lfd int) (int, error) {
 	m.syscall(p)
-	d, err := pr.Desc(lfd)
+	ld, err := descAs[*listenDesc](pr, lfd)
 	if err != nil {
 		return -1, err
-	}
-	ld, ok := d.(*listenDesc)
-	if !ok {
-		return -1, ErrNotSupported
 	}
 	if ld.nonblock && ld.lst.Pending() == 0 && !ld.lst.Closed() {
 		return -1, ErrAgain
@@ -238,34 +221,17 @@ func (m *Machine) Connect(p *sim.Proc, pr *Process, link *netsim.Link, lst *nets
 	return pr.Install(&sockDesc{m: m, ep: conn.ClientEnd()}), nil
 }
 
-// Dup duplicates fd onto a new descriptor sharing the same open-file entry
-// (offset included). The underlying object closes only when the last
-// duplicate is closed.
-func (m *Machine) Dup(p *sim.Proc, pr *Process, fd int) (int, error) {
-	m.syscall(p)
-	e, err := pr.entry(fd)
-	if err != nil {
-		return -1, err
-	}
-	e.refs++
-	return pr.place(e), nil
-}
-
-// Close removes fd from the table; when it is the entry's last reference,
-// the underlying object (pipe end, socket, file) is closed too.
+// Close removes fd from the table and closes the underlying object (pipe
+// end, socket, file).
 func (m *Machine) Close(p *sim.Proc, pr *Process, fd int) error {
 	m.syscall(p)
-	e, err := pr.entry(fd)
+	d, err := pr.Desc(fd)
 	if err != nil {
 		return err
 	}
 	pr.fds[fd] = nil
 	pr.lowFree = min(pr.lowFree, fd)
-	e.refs--
-	if e.refs > 0 {
-		return nil
-	}
-	return e.d.Close(p)
+	return d.Close(p)
 }
 
 // Seek sets a file descriptor's offset à la lseek(2). ErrNotSupported on
@@ -273,11 +239,11 @@ func (m *Machine) Close(p *sim.Proc, pr *Process, fd int) error {
 // charges its syscall on success and error alike.
 func (m *Machine) Seek(p *sim.Proc, pr *Process, fd int, off int64, whence int) (int64, error) {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	sk, err := descAs[Seeker](pr, fd)
 	if err != nil {
 		return 0, err
 	}
-	return d.Seek(off, whence)
+	return sk.Seek(off, whence)
 }
 
 // IOLRead is the unified IOL_read (Fig. 2): up to n bytes from descriptor
@@ -287,11 +253,11 @@ func (m *Machine) Seek(p *sim.Proc, pr *Process, fd int, off int64, whence int) 
 // io.EOF at end of stream.
 func (m *Machine) IOLRead(p *sim.Proc, pr *Process, fd int, n int64) (*core.Agg, error) {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	r, err := descAs[Reader](pr, fd)
 	if err != nil {
 		return nil, err
 	}
-	return d.ReadAgg(p, pr, n)
+	return r.ReadAgg(p, pr, n)
 }
 
 // PReader is the optional capability of descriptors that support
@@ -307,13 +273,9 @@ type PReader interface {
 // that was made is charged on every path, success or error.
 func (m *Machine) IOLReadAt(p *sim.Proc, pr *Process, fd int, off, n int64) (*core.Agg, error) {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	pd, err := descAs[PReader](pr, fd)
 	if err != nil {
 		return nil, err
-	}
-	pd, ok := d.(PReader)
-	if !ok {
-		return nil, ErrNotSupported
 	}
 	return pd.ReadAggAt(p, pr, off, n)
 }
@@ -323,11 +285,11 @@ func (m *Machine) IOLReadAt(p *sim.Proc, pr *Process, fd int, off, n int64) (*co
 // success; on error the caller still owns it.
 func (m *Machine) IOLWrite(p *sim.Proc, pr *Process, fd int, a *core.Agg) error {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	w, err := descAs[Writer](pr, fd)
 	if err != nil {
 		return err
 	}
-	return d.WriteAgg(p, pr, a)
+	return w.WriteAgg(p, pr, a)
 }
 
 // ReadPOSIX is the backward-compatible read(2) on any descriptor: data is
@@ -335,11 +297,11 @@ func (m *Machine) IOLWrite(p *sim.Proc, pr *Process, fd int, a *core.Agg) error 
 // end of stream.
 func (m *Machine) ReadPOSIX(p *sim.Proc, pr *Process, fd int, dst []byte) (int, error) {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	r, err := descAs[Reader](pr, fd)
 	if err != nil {
 		return 0, err
 	}
-	return d.ReadCopy(p, pr, dst)
+	return r.ReadCopy(p, pr, dst)
 }
 
 // WritePOSIX is the backward-compatible write(2) on any descriptor: the
@@ -347,11 +309,11 @@ func (m *Machine) ReadPOSIX(p *sim.Proc, pr *Process, fd int, dst []byte) (int, 
 // path.
 func (m *Machine) WritePOSIX(p *sim.Proc, pr *Process, fd int, src []byte) (int, error) {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	w, err := descAs[Writer](pr, fd)
 	if err != nil {
 		return 0, err
 	}
-	return d.WriteCopy(p, pr, src)
+	return w.WriteCopy(p, pr, src)
 }
 
 // splitPending caps a freshly received aggregate at n bytes, storing any

@@ -10,16 +10,12 @@ import (
 )
 
 // fileDesc is the regular-file descriptor: a cursor over an inode. The
-// aggregate paths go through the unified file cache (or, with a private
-// pool, through the §3.4 pool-directed path); the copy paths are the
-// backward-compatible POSIX calls.
+// aggregate paths go through the unified file cache; the copy paths are
+// the backward-compatible POSIX calls.
 type fileDesc struct {
-	m *Machine
-	f *fsim.File
-	// pool, when non-nil, directs IOL_read into caller-owned buffers
-	// (OpenWithPool) instead of the shared cache.
-	pool *core.Pool
-	off  int64
+	m   *Machine
+	f   *fsim.File
+	off int64
 }
 
 // FileOf returns the inode behind a file descriptor, for callers that
@@ -46,29 +42,22 @@ func (d *fileDesc) ReadAgg(p *sim.Proc, pr *Process, n int64) (*core.Agg, error)
 // the splice source below and is made readable in pr's domain, with no
 // data copied. A hit costs a lookup plus VM grants (free in steady
 // state); a miss adds the disk read. The caller's snapshot stays intact
-// even if a writer later replaces the cached extent. A private-pool read
-// (§3.4) skips the cache, and with it the per-slice aggregate work.
+// even if a writer later replaces the cached extent.
 func (d *fileDesc) ReadAggAt(p *sim.Proc, pr *Process, off, n int64) (*core.Agg, error) {
 	a, err := d.SpliceOutAt(p, off, n)
 	if err != nil {
 		return nil, err
 	}
-	if d.pool == nil {
-		d.m.Host.Use(p, sim.Duration(a.NumSlices())*d.m.Costs.AggOp)
-	}
+	d.m.Host.Use(p, sim.Duration(a.NumSlices())*d.m.Costs.AggOp)
 	core.Transfer(p, a, pr.Domain)
 	return a, nil
 }
 
-// SpliceOutAt is the positional splice source (the sendfile(2) shape). A
-// private-pool descriptor reads the backing store into its pool on every
-// call: the data's ACL is the pool's, so it never enters the shared cache.
+// SpliceOutAt is the positional splice source (the sendfile(2) shape),
+// served through the unified cache.
 func (d *fileDesc) SpliceOutAt(p *sim.Proc, off, n int64) (*core.Agg, error) {
 	if off >= d.f.Size() {
 		return nil, io.EOF
-	}
-	if d.pool != nil {
-		return d.m.readExtent(p, d.pool, d.f, off, n), nil
 	}
 	return d.m.readCached(p, d.f, off, n), nil
 }

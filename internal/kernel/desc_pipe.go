@@ -161,13 +161,6 @@ func (pp *pipe) readAgg(p *sim.Proc) *core.Agg {
 	return a
 }
 
-// readReady reports whether a read right now would complete without
-// parking: data is buffered, or EOF/teardown is observable. Queued bytes
-// imply queued aggregates, so one test serves both modes.
-func (pp *pipe) readReady() bool {
-	return len(pp.aggs) > 0 || pp.bytes > 0 || pp.closed()
-}
-
 // pipeDesc is one end of a UNIX pipe. A reference-mode pipe (§4.4) moves
 // aggregates with no copies; a copy-mode pipe is the conventional kernel
 // byte FIFO. Both ends answer the full Desc surface: IOL calls on a
@@ -302,14 +295,15 @@ func (d *pipeDesc) WriteCopy(p *sim.Proc, pr *Process, src []byte) (int, error) 
 	return len(src), nil
 }
 
-func (d *pipeDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
-
 // PollReady implements readyReporter for the read end: readable when a
-// read would complete without parking. The ring's receive coalescing asks
-// it after a read succeeded, which only a read end does. A pipe cannot be
-// watched: it has no readiness hook for a ReadyDesc.
+// read would complete without parking — data is buffered, or EOF/teardown
+// is observable (queued bytes imply queued aggregates, so one test serves
+// both modes). The ring's receive coalescing asks it after a read
+// succeeded, which only a read end does. A pipe cannot be watched: it has
+// no readiness hook for a ReadyDesc.
 func (d *pipeDesc) PollReady() Interest {
-	if d.pending != nil || d.pp.readReady() {
+	pp := d.pp
+	if d.pending != nil || len(pp.aggs) > 0 || pp.bytes > 0 || pp.closed() {
 		return Readable
 	}
 	return 0

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"iolite/internal/core"
-	"iolite/internal/sim"
-)
+import "iolite/internal/sim"
 
 // The readiness descriptor is the epoll half of the submission-ring
 // subsystem: an installable descriptor that watches other descriptors for
@@ -111,9 +108,6 @@ func (rd *ReadyDesc) Unwatch(fd int) {
 	}
 }
 
-// Watching reports how many descriptors are registered.
-func (rd *ReadyDesc) Watching() int { return len(rd.wants) }
-
 // wake unparks a parked Wait; it is the notify hook every watched
 // descriptor shares. Safe from engine and proc context alike (Unpark is).
 func (rd *ReadyDesc) wake() {
@@ -169,21 +163,7 @@ func (rd *ReadyDesc) Wait(p *sim.Proc) []ReadyEvent {
 	}
 }
 
-// Desc interface: a ReadyDesc installs like any descriptor but supports no
-// data I/O of its own.
-
-func (rd *ReadyDesc) ReadAgg(*sim.Proc, *Process, int64) (*core.Agg, error) {
-	return nil, ErrNotSupported
-}
-func (rd *ReadyDesc) WriteAgg(*sim.Proc, *Process, *core.Agg) error { return ErrNotSupported }
-func (rd *ReadyDesc) ReadCopy(*sim.Proc, *Process, []byte) (int, error) {
-	return 0, ErrNotSupported
-}
-func (rd *ReadyDesc) WriteCopy(*sim.Proc, *Process, []byte) (int, error) {
-	return 0, ErrNotSupported
-}
-func (rd *ReadyDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
-
+// Close drops the watch set. A ReadyDesc has no data I/O of its own.
 func (rd *ReadyDesc) Close(*sim.Proc) error {
 	rd.wants = make(map[int]Interest)
 	rd.order = nil

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"iolite/internal/core"
 	"iolite/internal/sim"
 )
@@ -112,10 +110,8 @@ type RingDesc struct {
 	notify  func()
 	closed  bool
 
-	submitted   int64
-	completed   int64
-	submitCalls int64
-	reapCalls   int64
+	submitted int64
+	completed int64
 }
 
 // NewRingDesc creates a submission ring over pr's descriptor table.
@@ -154,13 +150,11 @@ func (r *RingDesc) Staged() int { return len(r.staged) }
 // Submit charges exactly one syscall for every staged entry and dispatches
 // them to their ordering domains' worker processes. The entries' fds are
 // resolved at execution time, not submission time — an fd closed before
-// its op runs completes with ErrBadFD, and an op on a Dup'd fd keeps
-// working through the shared open-file entry, matching io_uring. Returns
+// its op runs completes with ErrBadFD, matching io_uring. Returns
 // the number of ops submitted. Submitting nothing still charges the
 // syscall that was made — don't call it idly.
 func (r *RingDesc) Submit(p *sim.Proc) int {
 	r.m.syscall(p)
-	r.submitCalls++
 	sqes := r.staged
 	r.staged = nil
 	for i := range sqes {
@@ -174,7 +168,7 @@ func (r *RingDesc) Submit(p *sim.Proc) int {
 		r.queues[key] = append(r.queues[key], sqe)
 		if !r.working[key] {
 			r.working[key] = true
-			r.m.Eng.Go(fmt.Sprintf("%s.ring-wq", r.m.Host.Name), func(wp *sim.Proc) {
+			r.m.Eng.Go("ring-wq", func(wp *sim.Proc) {
 				r.runWorker(wp, key)
 			})
 		}
@@ -216,17 +210,14 @@ func (r *RingDesc) finish(cqe CQE, failed *core.Agg) {
 // direct entry point would have charged them — minus the kernel crossing.
 func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 	cqe := CQE{Op: sqe.Op, User: sqe.User}
-	d, err := r.pr.Desc(sqe.FD)
-	if err != nil {
-		if sqe.Agg != nil {
-			sqe.Agg.Release()
-		}
-		cqe.Err = err
-		return cqe
-	}
 	switch sqe.Op {
 	case OpIOLRead:
-		a, err := d.ReadAgg(p, r.pr, sqe.N)
+		rd, err := descAs[Reader](r.pr, sqe.FD)
+		if err != nil {
+			cqe.Err = err
+			return cqe
+		}
+		a, err := rd.ReadAgg(p, r.pr, sqe.N)
 		if err != nil {
 			cqe.Err = err
 			return cqe
@@ -237,12 +228,12 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		// read syscalls — the receive-side half of the ring's economy.
 		// Below Need bytes the op parks for more instead of completing
 		// short (the MSG_WAITALL shape); EOF still completes short.
-		if rr, ok := d.(readyReporter); ok {
+		if rr, ok := rd.(readyReporter); ok {
 			for int64(a.Len()) < sqe.N {
 				if int64(a.Len()) >= sqe.Need && rr.PollReady()&Readable == 0 {
 					break
 				}
-				b, err := d.ReadAgg(p, r.pr, sqe.N-int64(a.Len()))
+				b, err := rd.ReadAgg(p, r.pr, sqe.N-int64(a.Len()))
 				if err != nil || b == nil {
 					break // EOF or teardown surfaces on the next op
 				}
@@ -253,25 +244,34 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		cqe.Agg, cqe.Res = a, int64(a.Len())
 	case OpIOLWrite:
 		n := int64(sqe.Agg.Len())
-		if err := d.WriteAgg(p, r.pr, sqe.Agg); err != nil {
+		w, err := descAs[Writer](r.pr, sqe.FD)
+		if err == nil {
+			err = w.WriteAgg(p, r.pr, sqe.Agg)
+		}
+		if err != nil {
 			sqe.Agg.Release() // ownership came to the ring at Prep
 			cqe.Err = err
 			return cqe
 		}
 		cqe.Res = n
 	case OpReadPOSIX:
-		n, err := d.ReadCopy(p, r.pr, sqe.Buf)
+		rd, err := descAs[Reader](r.pr, sqe.FD)
+		if err != nil {
+			cqe.Err = err
+			return cqe
+		}
+		n, err := rd.ReadCopy(p, r.pr, sqe.Buf)
 		if err != nil {
 			cqe.Err = err
 			return cqe
 		}
 		// Coalesce exactly like the aggregate path, Need included.
-		if rr, ok := d.(readyReporter); ok {
+		if rr, ok := rd.(readyReporter); ok {
 			for n < len(sqe.Buf) {
 				if int64(n) >= sqe.Need && rr.PollReady()&Readable == 0 {
 					break
 				}
-				more, err := d.ReadCopy(p, r.pr, sqe.Buf[n:])
+				more, err := rd.ReadCopy(p, r.pr, sqe.Buf[n:])
 				if err != nil || more == 0 {
 					break
 				}
@@ -280,7 +280,12 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		}
 		cqe.Res = int64(n)
 	case OpWritePOSIX:
-		n, err := d.WriteCopy(p, r.pr, sqe.Buf)
+		w, err := descAs[Writer](r.pr, sqe.FD)
+		if err != nil {
+			cqe.Err = err
+			return cqe
+		}
+		n, err := w.WriteCopy(p, r.pr, sqe.Buf)
 		if err != nil {
 			cqe.Err = err
 			return cqe
@@ -290,9 +295,9 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		n, err := r.m.spliceAt(p, r.pr, sqe.FD, sqe.SrcFD, sqe.Off, sqe.N)
 		cqe.Res, cqe.Err = n, err
 	case OpAccept:
-		ld, ok := d.(*listenDesc)
-		if !ok {
-			cqe.Err = ErrNotSupported
+		ld, err := descAs[*listenDesc](r.pr, sqe.FD)
+		if err != nil {
+			cqe.Err = err
 			return cqe
 		}
 		conn := ld.lst.Accept(p)
@@ -302,9 +307,9 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 		}
 		cqe.Res = int64(r.pr.Install(&sockDesc{m: r.m, ep: conn.ServerEnd()}))
 	case OpCork:
-		sd, ok := d.(*sockDesc)
-		if !ok {
-			cqe.Err = ErrNotSupported
+		sd, err := descAs[*sockDesc](r.pr, sqe.FD)
+		if err != nil {
+			cqe.Err = err
 			return cqe
 		}
 		sd.ep.SetCork(sqe.On)
@@ -319,7 +324,6 @@ func (r *RingDesc) execute(p *sim.Proc, sqe *SQE) CQE {
 // flight, it returns what exists rather than parking forever.
 func (r *RingDesc) Reap(p *sim.Proc, min int) []CQE {
 	r.m.syscall(p)
-	r.reapCalls++
 	for len(r.cq) < min && r.inflight() > 0 {
 		r.reapers.Wait(p)
 	}
@@ -330,27 +334,6 @@ func (r *RingDesc) Reap(p *sim.Proc, min int) []CQE {
 
 // inflight reports submitted ops not yet completed.
 func (r *RingDesc) inflight() int { return int(r.submitted - r.completed) }
-
-// Stats reports total ops submitted and the Submit/Reap syscalls that
-// carried them — the batching ratio the acceptance test pins.
-func (r *RingDesc) Stats() (ops, submits, reaps int64) {
-	return r.submitted, r.submitCalls, r.reapCalls
-}
-
-// Desc interface: a RingDesc installs like any descriptor but supports no
-// direct data I/O.
-
-func (r *RingDesc) ReadAgg(*sim.Proc, *Process, int64) (*core.Agg, error) {
-	return nil, ErrNotSupported
-}
-func (r *RingDesc) WriteAgg(*sim.Proc, *Process, *core.Agg) error { return ErrNotSupported }
-func (r *RingDesc) ReadCopy(*sim.Proc, *Process, []byte) (int, error) {
-	return 0, ErrNotSupported
-}
-func (r *RingDesc) WriteCopy(*sim.Proc, *Process, []byte) (int, error) {
-	return 0, ErrNotSupported
-}
-func (r *RingDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
 
 // Close marks the ring closed: later submissions complete with ErrClosed.
 // Already-queued ops run to completion (a closing application should drain

@@ -137,8 +137,6 @@ func (d *sockDesc) PollReady() Interest {
 // the peer closes.
 func (d *sockDesc) SetPollNotify(fn func()) { d.ep.SetRecvNotify(fn) }
 
-func (d *sockDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
-
 func (d *sockDesc) Close(p *sim.Proc) error {
 	if d.pending != nil {
 		d.pending.Release()
@@ -153,7 +151,7 @@ func (d *sockDesc) Close(p *sim.Proc) error {
 }
 
 // listenDesc is a listening socket: it only accepts. Machine.Accept
-// unwraps it; every data operation is ErrNotSupported.
+// unwraps it; it has no data capabilities.
 type listenDesc struct {
 	m   *Machine
 	lst *netsim.Listener
@@ -162,20 +160,6 @@ type listenDesc struct {
 	// connection is pending (O_NONBLOCK, set by Machine.SetNonblock).
 	nonblock bool
 }
-
-func (d *listenDesc) ReadAgg(p *sim.Proc, _ *Process, _ int64) (*core.Agg, error) {
-	return nil, ErrNotSupported
-}
-func (d *listenDesc) WriteAgg(p *sim.Proc, _ *Process, _ *core.Agg) error {
-	return ErrNotSupported
-}
-func (d *listenDesc) ReadCopy(p *sim.Proc, _ *Process, _ []byte) (int, error) {
-	return 0, ErrNotSupported
-}
-func (d *listenDesc) WriteCopy(p *sim.Proc, _ *Process, _ []byte) (int, error) {
-	return 0, ErrNotSupported
-}
-func (d *listenDesc) Seek(int64, int) (int64, error) { return 0, ErrNotSupported }
 
 // PollReady implements Pollable: acceptable when a connection is queued
 // (or the listener has closed, so Accept returns without parking).

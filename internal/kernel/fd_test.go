@@ -38,9 +38,6 @@ func TestBadFDErrors(t *testing.T) {
 		if err := m.Close(p, pr, 0); !errors.Is(err, ErrBadFD) {
 			t.Errorf("Close bad fd: %v", err)
 		}
-		if _, err := m.Dup(p, pr, 0); !errors.Is(err, ErrBadFD) {
-			t.Errorf("Dup bad fd: %v", err)
-		}
 		if _, err := m.Seek(p, pr, 0, 0, io.SeekStart); !errors.Is(err, ErrBadFD) {
 			t.Errorf("Seek bad fd: %v", err)
 		}
@@ -120,51 +117,8 @@ func TestFDReadAfterClose(t *testing.T) {
 	})
 }
 
-func TestDupSharesEntryAndRefcounts(t *testing.T) {
-	e, m := newMachine(Config{})
-	f := m.FS.Create("/doc", 8192)
-	pr := m.NewProcess("app", 1<<20)
-	run(t, e, func(p *sim.Proc) {
-		fd, _ := m.Open(p, pr, "/doc")
-		dup, err := m.Dup(p, pr, fd)
-		if err != nil {
-			t.Fatalf("Dup: %v", err)
-		}
-		if dup == fd {
-			t.Fatal("Dup returned the same fd")
-		}
-		// POSIX dup semantics: the two fds share one open-file entry, so
-		// the offset advances through either.
-		buf := make([]byte, 4096)
-		if _, err := m.ReadPOSIX(p, pr, fd, buf); err != nil {
-			t.Fatalf("read via original: %v", err)
-		}
-		if off, _ := m.Seek(p, pr, dup, 0, io.SeekCurrent); off != 4096 {
-			t.Fatalf("offset through dup = %d, want 4096", off)
-		}
-		// Closing the original keeps the entry alive for the dup.
-		if err := m.Close(p, pr, fd); err != nil {
-			t.Fatalf("close original: %v", err)
-		}
-		n, err := m.ReadPOSIX(p, pr, dup, buf)
-		if err != nil || n != 4096 {
-			t.Fatalf("read via dup after closing original: n=%d err=%v", n, err)
-		}
-		if !bytes.Equal(buf, m.FS.Expected(f, 4096, 4096)) {
-			t.Fatal("dup read wrong bytes")
-		}
-		// Last close tears the entry down.
-		if err := m.Close(p, pr, dup); err != nil {
-			t.Fatalf("close dup: %v", err)
-		}
-		if _, err := m.ReadPOSIX(p, pr, dup, buf); !errors.Is(err, ErrBadFD) {
-			t.Errorf("read after last close: %v, want ErrBadFD", err)
-		}
-	})
-}
-
-// TestLowestFreeFD: after any mix of opens, closes and dups, Open (through
-// Install) and Dup hand out the lowest fd not open, as POSIX requires.
+// TestLowestFreeFD: after any mix of opens and closes, Open (through
+// Install) hands out the lowest fd not open, as POSIX requires.
 func TestLowestFreeFD(t *testing.T) {
 	e, m := newMachine(Config{})
 	m.FS.Create("/doc", 100)
@@ -192,13 +146,6 @@ func TestLowestFreeFD(t *testing.T) {
 					t.Fatalf("step %d: Close(%d): %v", step, fd, err)
 				}
 				delete(open, fd)
-			case op == 1 && len(fds) > 0:
-				want := lowest()
-				got, err := m.Dup(p, pr, fds[rng.Intn(len(fds))])
-				if err != nil || got != want {
-					t.Fatalf("step %d: Dup = %d, %v; want fd %d", step, got, err, want)
-				}
-				open[got] = true
 			default:
 				want := lowest()
 				got, err := m.Open(p, pr, "/doc")
@@ -207,8 +154,8 @@ func TestLowestFreeFD(t *testing.T) {
 				}
 				open[got] = true
 			}
-			if pr.NumFDs() != len(open) {
-				t.Fatalf("step %d: %d fds open, want %d", step, pr.NumFDs(), len(open))
+			if n := numFDs(pr); n != len(open) {
+				t.Fatalf("step %d: %d fds open, want %d", step, n, len(open))
 			}
 		}
 	})
@@ -255,24 +202,6 @@ func TestPipeFDEOFOnDrainAndWriteAfterClose(t *testing.T) {
 		m.Close(p, cons, rfd)
 	})
 	e.Run()
-}
-
-func TestPipeFDWriteAfterCloseWriteSharedEntry(t *testing.T) {
-	// A dup of the write end sees ErrClosed (not ErrBadFD) once the pipe's
-	// stream has been shut via the other fd.
-	e, m := newMachine(Config{})
-	prod := m.NewProcess("prod", 1<<20)
-	cons := m.NewProcess("cons", 1<<20)
-	_, wfd := m.Pipe2(cons, prod, true)
-	run(t, e, func(p *sim.Proc) {
-		dup, _ := m.Dup(p, prod, wfd)
-		// Closing one of two fds sharing the entry leaves the stream open.
-		m.Close(p, prod, wfd)
-		if err := m.IOLWrite(p, prod, dup, core.PackBytes(p, prod.Pool, []byte("x"))); err != nil {
-			t.Fatalf("write via dup after closing sibling fd: %v", err)
-		}
-		m.Close(p, prod, dup) // last reference: the stream shuts now
-	})
 }
 
 func TestPipeFDReadEndCloseUnblocksWriter(t *testing.T) {
@@ -452,9 +381,7 @@ func TestSocketFDWriteAfterClose(t *testing.T) {
 		if err != nil {
 			return
 		}
-		dup, _ := server.Dup(p, srvPr, cfd)
-		server.Close(p, srvPr, cfd) // dup still holds the entry
-		server.Close(p, srvPr, dup) // last reference: FIN goes out here
+		server.Close(p, srvPr, cfd) // FIN goes out here
 	})
 	e.Go("cli", func(p *sim.Proc) {
 		cfd, _ := client.Connect(p, cliPr, link, lst, netsim.ConnOpts{})
@@ -504,34 +431,6 @@ func TestListenerFDRejectsDataOps(t *testing.T) {
 	})
 }
 
-func TestOpenWithPoolFD(t *testing.T) {
-	// §3.4 per-stream pools through the descriptor API: data lands in the
-	// caller's pool, never in the shared cache.
-	e, m := newMachine(Config{})
-	m.FS.Create("/doc", 64<<10)
-	app := m.NewProcess("app", 1<<20)
-	run(t, e, func(p *sim.Proc) {
-		fd, err := m.OpenWithPool(p, app, "/doc", app.Pool)
-		if err != nil {
-			t.Fatalf("OpenWithPool: %v", err)
-		}
-		a, err := m.IOLRead(p, app, fd, 64<<10)
-		if err != nil {
-			t.Fatalf("IOLRead: %v", err)
-		}
-		for _, s := range a.Slices() {
-			if s.Buf.Pool() != app.Pool {
-				t.Fatal("data not in the requested pool")
-			}
-		}
-		a.Release()
-		if m.FileCache.Len() != 0 {
-			t.Error("pool-directed FD read leaked into the shared cache")
-		}
-		m.Close(p, app, fd)
-	})
-}
-
 func TestDescCapabilityQueries(t *testing.T) {
 	e, m := newMachine(Config{})
 	m.FS.Create("/doc", 4096)
@@ -542,18 +441,29 @@ func TestDescCapabilityQueries(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		ffd, _ := m.Open(p, cons, "/doc")
 		filed, _ := cons.Desc(ffd)
-		if _, err := filed.Seek(0, io.SeekStart); err != nil {
-			t.Error("file descriptor capabilities wrong")
+		if _, ok := filed.(Seeker); !ok {
+			t.Error("file descriptor is not a Seeker")
 		}
 		cd, _ := cons.Desc(rfd)
-		if _, err := cd.Seek(0, io.SeekStart); !errors.Is(err, ErrNotSupported) {
-			t.Error("copy pipe capabilities wrong")
+		if _, ok := cd.(Seeker); ok {
+			t.Error("copy pipe is a Seeker")
 		}
 		if _, err := m.Seek(p, cons, rfd, 0, io.SeekStart); !errors.Is(err, ErrNotSupported) {
 			t.Errorf("Seek on pipe: %v", err)
 		}
-		if cons.NumFDs() != 3 {
-			t.Errorf("NumFDs = %d, want 3", cons.NumFDs())
+		if n := numFDs(cons); n != 3 {
+			t.Errorf("%d fds open, want 3", n)
 		}
 	})
+}
+
+// numFDs counts the descriptors open in pr's table.
+func numFDs(pr *Process) int {
+	n := 0
+	for _, d := range pr.fds {
+		if d != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -9,12 +9,10 @@ import (
 )
 
 // readExtent brings [off, off+n) of f (clipped at end of file) into sealed
-// IO-Lite buffers from pool with one sequential disk read. Data lands in
-// page-aligned chunk-sized buffers; the disk DMA engine fills them, so no
-// CPU copy is charged. The unified cache loads through the kernel file
-// pool; a descriptor opened with a private pool (§3.4) reads into that
-// pool instead, whose ACL then governs the data.
-func (m *Machine) readExtent(p *sim.Proc, pool *core.Pool, f *fsim.File, off, n int64) *core.Agg {
+// IO-Lite buffers from the kernel file pool with one sequential disk read.
+// Data lands in page-aligned chunk-sized buffers; the disk DMA engine fills
+// them, so no CPU copy is charged.
+func (m *Machine) readExtent(p *sim.Proc, f *fsim.File, off, n int64) *core.Agg {
 	if off+n > f.Size() {
 		n = f.Size() - off
 	}
@@ -29,7 +27,7 @@ func (m *Machine) readExtent(p *sim.Proc, pool *core.Pool, f *fsim.File, off, n 
 		if take > n-got {
 			take = n - got
 		}
-		b := pool.Alloc(p, int(take))
+		b := m.FilePool.Alloc(p, int(take))
 		b.Write(0, content[got:got+take])
 		b.Seal()
 		a.Append(core.Slice{Buf: b, Off: 0, Len: int(take)}) // aggregate retains
@@ -54,7 +52,7 @@ func (m *Machine) readCached(p *sim.Proc, f *fsim.File, off, n int64) *core.Agg 
 	k := cache.Key{File: f.ID, Off: off, Len: n}
 	a := m.FileCache.Lookup(p, k)
 	if a == nil {
-		a = m.readExtent(p, m.FilePool, f, off, n)
+		a = m.readExtent(p, f, off, n)
 		m.FileCache.Insert(p, k, a)
 	}
 	return a
@@ -75,7 +73,7 @@ func (m *Machine) PrewarmUnified(files []*fsim.File, keepFreePages int) int {
 		if m.FileCache.Contains(k) {
 			continue
 		}
-		a := m.readExtent(nil, m.FilePool, f, 0, f.Size())
+		a := m.readExtent(nil, f, 0, f.Size())
 		m.FileCache.Insert(nil, k, a)
 		a.Release()
 		loaded++

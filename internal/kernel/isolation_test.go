@@ -8,47 +8,6 @@ import (
 	"iolite/internal/sim"
 )
 
-func TestOpenWithPoolReadUsesCallersPoolAndACL(t *testing.T) {
-	e, m := newMachine(Config{})
-	app := m.NewProcess("app", 1<<20)
-	other := m.NewProcess("other", 1<<20)
-	f := m.FS.Create("/doc", 100<<10)
-	run(t, e, func(p *sim.Proc) {
-		fd, err := m.OpenWithPool(p, app, "/doc", app.Pool)
-		if err != nil {
-			t.Errorf("OpenWithPool: %v", err)
-			return
-		}
-		a, err := m.IOLRead(p, app, fd, f.Size())
-		if err != nil {
-			t.Errorf("IOLRead: %v", err)
-			return
-		}
-		defer a.Release()
-		if !a.Equal(m.FS.Expected(f, 0, f.Size())) {
-			t.Fatal("pool read returned wrong bytes")
-		}
-		for _, s := range a.Slices() {
-			if s.Buf.Pool() != app.Pool {
-				t.Fatal("data not placed in the requested pool")
-			}
-		}
-		// The data's ACL is the pool's: another process cannot read it and
-		// it never entered the shared cache.
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("foreign domain read pool-private data")
-				}
-			}()
-			core.CheckReadable(a, other.Domain)
-		}()
-		if m.FileCache.Len() != 0 {
-			t.Error("pool-directed read leaked into the shared file cache")
-		}
-	})
-}
-
 // TestCGIFaultIsolation models §3.10/§6.6's point: a malicious or buggy CGI
 // process cannot corrupt data the server already holds, because all
 // sharing is read-only — mutation attempts fault, and new content can only

@@ -203,8 +203,8 @@ func TestMmapResidencyAndPerDomainMapCost(t *testing.T) {
 		if warmOther <= warmSame {
 			t.Error("second domain skipped its page-map cost")
 		}
-		if m.Mmaps.Pages() != mem.PagesFor(256<<10) {
-			t.Errorf("mmap pages = %d", m.Mmaps.Pages())
+		if got := m.VM.UsedBy(mem.TagMmap); got != mem.PagesFor(256<<10) {
+			t.Errorf("mmap pages = %d", got)
 		}
 	})
 }
@@ -247,7 +247,7 @@ func TestMemoryPressureEvictsMmapCache(t *testing.T) {
 	if m.VM.Overcommitted() != 0 {
 		t.Fatalf("overcommit = %d pages", m.VM.Overcommitted())
 	}
-	if m.Mmaps.Pages() >= 40*mem.PagesFor(1<<20) {
+	if m.VM.UsedBy(mem.TagMmap) >= 40*mem.PagesFor(1<<20) {
 		t.Fatal("mmap cache never shrank")
 	}
 }

@@ -111,7 +111,6 @@ func NewMachine(eng *sim.Engine, costs *sim.CostModel, cfg Config) *Machine {
 			if evicted == 0 {
 				break
 			}
-			m.VM.NoteVictim(true)
 			freed += m.FilePool.Trim(need - freed)
 		}
 		// Eviction drops the cache's references; buffers whose other
@@ -166,10 +165,9 @@ type Process struct {
 	Pool     *core.Pool
 	memPages int
 
-	// fds is the process's open-file table: integer descriptors into
-	// shared openFD entries (Dup aliases an entry; Close drops one
-	// reference). See desc.go. Every fd below lowFree is open.
-	fds     []*openFD
+	// fds is the process's open-file table, indexed by descriptor. See
+	// desc.go. Every fd below lowFree is open.
+	fds     []Desc
 	lowFree int
 }
 

@@ -61,9 +61,6 @@ func (mc *MmapCache) unlink(e *MmapEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// Pages reports the cache's resident footprint.
-func (mc *MmapCache) Pages() int { return mc.m.VM.UsedBy(mem.TagMmap) }
-
 // Stats reports hit/miss counts.
 func (mc *MmapCache) Stats() (hits, misses int64) { return mc.hits, mc.misses }
 
@@ -122,9 +119,6 @@ func (m *Machine) Mmap(p *sim.Proc, pr *Process, f *fsim.File) *Mapping {
 func (mp *Mapping) Bytes(off, n int64) []byte {
 	return mp.entry.data[off : off+n : off+n]
 }
-
-// Size returns the mapped file's length.
-func (mp *Mapping) Size() int64 { return int64(len(mp.entry.data)) }
 
 // Resident reports whether the file is still in the VM file cache.
 func (mc *MmapCache) Resident(id fsim.FileID) bool {

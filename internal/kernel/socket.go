@@ -11,13 +11,9 @@ import "iolite/internal/sim"
 // report ErrNotSupported — for them every write is already boundary-free.
 func (m *Machine) SetCork(p *sim.Proc, pr *Process, fd int, on bool) error {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	sd, err := descAs[*sockDesc](pr, fd)
 	if err != nil {
 		return err
-	}
-	sd, ok := d.(*sockDesc)
-	if !ok {
-		return ErrNotSupported
 	}
 	sd.ep.SetCork(on)
 	return nil
@@ -31,13 +27,9 @@ func (m *Machine) SetCork(p *sim.Proc, pr *Process, fd int, on bool) error {
 // loop reads a socket only once a ReadyDesc reports it readable.
 func (m *Machine) SetNonblock(p *sim.Proc, pr *Process, fd int, on bool) error {
 	m.syscall(p)
-	d, err := pr.Desc(fd)
+	ld, err := descAs[*listenDesc](pr, fd)
 	if err != nil {
 		return err
-	}
-	ld, ok := d.(*listenDesc)
-	if !ok {
-		return ErrNotSupported
 	}
 	ld.nonblock = on
 	return nil

@@ -70,15 +70,11 @@ func (m *Machine) spliceAt(p *sim.Proc, pr *Process, dstFD, srcFD int, off, n in
 	if err != nil {
 		return 0, err
 	}
-	dst, err := pr.Desc(dstFD)
+	sink, err := descAs[SpliceSink](pr, dstFD)
 	if err != nil {
 		return 0, err
 	}
-	sink, ok := dst.(SpliceSink)
-	if !ok {
-		return 0, ErrNotSupported
-	}
-	if sr, ok := dst.(spliceSinkReady); ok && !sr.spliceInSupported() {
+	if sr, ok := sink.(spliceSinkReady); ok && !sr.spliceInSupported() {
 		return 0, ErrNotSupported
 	}
 	source, ok := src.(SpliceSourceAt)

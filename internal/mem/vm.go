@@ -86,14 +86,11 @@ type VM struct {
 
 	handlers []PressureHandler
 
-	domains   []*Domain
 	nextChunk int
 
 	// Statistics.
 	overcommit   int   // pages granted beyond physical memory (model strain)
 	pressureRuns int64 // times the pageout mechanism ran
-	ioSelected   int64 // victim pages holding cached I/O data (§3.7 rule input)
-	allSelected  int64 // all victim pages
 }
 
 // NewVM creates a memory manager for a machine with totalBytes of physical
@@ -186,23 +183,4 @@ func (vm *VM) reclaim(target int) {
 		}
 		h(deficit)
 	}
-}
-
-// NoteVictim records the pageout daemon selecting one victim page, and
-// whether that page held cached I/O data. The unified cache's eviction
-// trigger (§3.7: "more than half of VM pages selected for replacement were
-// pages containing cached I/O data") consumes these counters.
-func (vm *VM) NoteVictim(wasIOData bool) {
-	vm.allSelected++
-	if wasIOData {
-		vm.ioSelected++
-	}
-}
-
-// VictimStats returns and resets the victim counters gathered since the last
-// call.
-func (vm *VM) VictimStats() (io, all int64) {
-	io, all = vm.ioSelected, vm.allSelected
-	vm.ioSelected, vm.allSelected = 0, 0
-	return io, all
 }

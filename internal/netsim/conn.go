@@ -361,10 +361,6 @@ func (e *Endpoint) RefMode() bool { return e.refMode }
 // direction; further sends would panic.
 func (e *Endpoint) Closing() bool { return e.closing }
 
-// SockBufPages reports the copy-mode socket-buffer pages this endpoint
-// currently pins (the Figure 12 memory effect).
-func (e *Endpoint) SockBufPages() int { return e.sockPages }
-
 // SetCork sets the endpoint's explicit cork (TCP_CORK): while corked, the
 // pump transmits only full MSS segments, holding a sub-MSS tail until more
 // data arrives. Removing the cork flushes the tail. Callers should uncork
@@ -377,9 +373,6 @@ func (e *Endpoint) SetCork(on bool) {
 		e.wakePump()
 	}
 }
-
-// Corked reports whether the endpoint is explicitly corked.
-func (e *Endpoint) Corked() bool { return e.corked }
 
 // Send queues a payload for transmission, blocking while the socket send
 // buffer is full — payload is admitted piecewise as space frees, exactly
@@ -650,7 +643,7 @@ func (e *Endpoint) scheduleDelivery(chunks []segChunk) {
 	now := e.host.eng.Now()
 	a := e.link.newArrival()
 	for _, ck := range chunks {
-		switch e.judgeSegment(now) {
+		switch e.link.faults.judge(now) {
 		case segDrop:
 		case segCorrupt:
 			a.chunks = append(a.chunks, deliveredChunk{seq: ck.seq, n: ck.n, pieces: ck.pieces, corrupt: true})

@@ -241,7 +241,7 @@ func TestDrainPushesCorkedTail(t *testing.T) {
 		ep.SetCork(true)
 		ep.Send(p, Payload{Data: want}, nil)
 		ep.Drain(p) // must push the held tail, not hang
-		if !ep.Corked() {
+		if !ep.corked {
 			t.Error("Drain removed the explicit cork")
 		}
 		ep.Close(p)

@@ -2,11 +2,10 @@ package netsim
 
 import "iolite/internal/sim"
 
-// Fault injection. A FaultPlan attached to a Link (both directions) or a
-// Host (segments that host transmits) makes the wire lossy: data segments
-// drop with a probability, arrive with corrupted payloads the receiver's
-// checksum verification catches, or vanish wholesale during transient
-// partition windows. Control segments — SYN, ACK, FIN — are exempt: the
+// Fault injection. A FaultPlan attached to a Link (both directions) makes
+// the wire lossy: data segments drop with a probability, arrive with
+// corrupted payloads the receiver's checksum verification catches, or
+// vanish wholesale during transient partition windows. Control segments — SYN, ACK, FIN — are exempt: the
 // plan models a lossy data path, and selective recovery (conn.go) is
 // exercised by data loss alone; cumulative acks make individual ack loss
 // invisible anyway.
@@ -115,39 +114,14 @@ func (fp *FaultPlan) judge(now sim.Time) segFate {
 	return segOK
 }
 
-// Stats reports segments dropped (including partition drops) and
-// corrupted by this plan.
-func (fp *FaultPlan) Stats() (dropped, corrupted int64) {
-	return fp.dropped, fp.corrupted
-}
-
 // SetFaultPlan attaches a fault plan to the link; both directions consult
 // it. nil restores the reliable wire.
 func (l *Link) SetFaultPlan(fp *FaultPlan) { l.faults = fp }
 
-// FaultPlan returns the link's plan (nil when the wire is reliable).
-func (l *Link) FaultPlan() *FaultPlan { return l.faults }
-
-// SetFaultPlan attaches a fault plan to every data segment this host
-// transmits, on any link. nil removes it.
-func (h *Host) SetFaultPlan(fp *FaultPlan) { h.faults = fp }
-
-// FaultPlan returns the host's plan (nil when none).
-func (h *Host) FaultPlan() *FaultPlan { return h.faults }
-
-// judgeSegment consults the link plan, then the sending host's: the first
-// plan that injects a fault wins (a segment is dropped once).
-func (e *Endpoint) judgeSegment(now sim.Time) segFate {
-	if f := e.link.faults.judge(now); f != segOK {
-		return f
-	}
-	return e.host.faults.judge(now)
-}
-
-// faulty reports whether any plan could touch this endpoint's segments —
+// faulty reports whether a plan could touch this endpoint's segments —
 // the gate for arming retransmission machinery. On a reliable wire
 // (delivery guaranteed by construction) the sender runs timer-free,
 // keeping the fault-free fast path identical to the pre-fault simulator.
 func (e *Endpoint) faulty() bool {
-	return e.link.faults != nil || e.host.faults != nil
+	return e.link.faults != nil
 }

@@ -55,7 +55,7 @@ func TestDropRetransmitRecovers(t *testing.T) {
 	if segs == 0 || rbytes == 0 {
 		t.Fatal("5% loss produced no retransmissions")
 	}
-	dropped, _ := r.link.FaultPlan().Stats()
+	dropped := r.link.faults.dropped
 	if dropped == 0 {
 		t.Fatal("fault plan recorded no drops")
 	}
@@ -76,12 +76,12 @@ func TestCorruptionCaughtByCksum(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("transfer under corruption mangled: got %d bytes, want %d", len(got), len(want))
 	}
-	if r.client.CorruptIn() == 0 {
+	if r.client.corruptIn == 0 {
 		t.Fatal("no segments were rejected by checksum verification")
 	}
-	_, corrupted := r.link.FaultPlan().Stats()
-	if corrupted != r.client.CorruptIn() {
-		t.Fatalf("plan corrupted %d segments, receiver rejected %d", corrupted, r.client.CorruptIn())
+	corrupted := r.link.faults.corrupted
+	if corrupted != r.client.corruptIn {
+		t.Fatalf("plan corrupted %d segments, receiver rejected %d", corrupted, r.client.corruptIn)
 	}
 	segs, _ := r.server.RetransStats()
 	if segs == 0 {
@@ -104,7 +104,7 @@ func TestPartitionWindowRecovers(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("transfer across partition corrupted: got %d bytes", len(got))
 	}
-	dropped, _ := fp.Stats()
+	dropped := fp.dropped
 	if dropped == 0 {
 		t.Fatal("partition window dropped nothing")
 	}
@@ -147,37 +147,6 @@ func TestCopyModeDropRecovers(t *testing.T) {
 	}
 	if pages := r.vm.UsedBy(mem.TagSockBuf); pages != 0 {
 		t.Fatalf("socket-buffer pages leaked across retransmission: %d", pages)
-	}
-}
-
-// TestHostFaultPlan pins the per-host attachment point: a plan on the
-// sending host injects faults without touching the link.
-func TestHostFaultPlan(t *testing.T) {
-	ck := cksum.NewCache(0)
-	r := newRig(true, ck, 100*time.Microsecond)
-	r.server.SetFaultPlan(&FaultPlan{DropProb: 0.05, Seed: 3})
-	want := pattern(128 << 10)
-	var got []byte
-	r.eng.Go("client", func(p *sim.Proc) {
-		conn := Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: true})
-		got = collect(p, conn.ClientEnd(), len(want))
-	})
-	r.eng.Go("server", func(p *sim.Proc) {
-		conn := r.lst.Accept(p)
-		ep := conn.ServerEnd()
-		ep.Send(p, Payload{Agg: core.PackBytes(p, r.pool, want)}, nil)
-		ep.Drain(p)
-		ep.Close(p)
-	})
-	r.eng.Run()
-	if !bytes.Equal(got, want) {
-		t.Fatal("host-plan lossy transfer corrupted")
-	}
-	if dropped, _ := r.server.FaultPlan().Stats(); dropped == 0 {
-		t.Fatal("host plan dropped nothing")
-	}
-	if segs, _ := r.server.RetransStats(); segs == 0 {
-		t.Fatal("no retransmissions")
 	}
 }
 
@@ -226,7 +195,7 @@ func TestFaultDeterminism(t *testing.T) {
 	want := pattern(128 << 10)
 	run := func() (int64, int64, int64) {
 		_, _, r := refTransfer(t, &FaultPlan{DropProb: 0.04, CorruptProb: 0.02, Seed: 99}, want)
-		d, c := r.link.FaultPlan().Stats()
+		d, c := r.link.faults.dropped, r.link.faults.corrupted
 		segs, _ := r.server.RetransStats()
 		return d, c, segs
 	}

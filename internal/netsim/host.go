@@ -71,10 +71,6 @@ type Host struct {
 	offload  bool
 	superSeg int
 
-	// faults, when non-nil, injects faults into every data segment this
-	// host transmits (see fault.go).
-	faults *FaultPlan
-
 	// Recovery counters: data segments this host retransmitted (and their
 	// payload bytes), dup-ack-triggered recovery rounds (vs timer-driven),
 	// and received segments its checksum verification rejected.
@@ -184,14 +180,6 @@ func (h *Host) RetransStats() (segs, bytes int64) {
 	return h.retransSegs, h.retransBytes
 }
 
-// FastRetransmits reports dup-ack-triggered recovery rounds (fast or
-// early retransmit), as opposed to RTO-driven ones — the meter that shows
-// the dup-ack signal survives delayed acks.
-func (h *Host) FastRetransmits() int64 { return h.fastRetrans }
-
-// CorruptIn reports received segments discarded by checksum verification.
-func (h *Host) CorruptIn() int64 { return h.corruptIn }
-
 // MeanSegFill reports the mean payload fill of this host's charged
 // transmit units as a fraction of their capacity (1.0 = every unit full):
 // against the MSS normally, against the super-segment size when offload
@@ -234,12 +222,6 @@ func NewLink(eng *sim.Engine, a, b *Host, bitsPerSec int64, delay sim.Duration) 
 		ends:  [2]*Host{a, b},
 	}
 }
-
-// SetDelay changes the one-way propagation delay (the delay-router knob).
-func (l *Link) SetDelay(d sim.Duration) { l.delay = d }
-
-// Delay returns the one-way propagation delay.
-func (l *Link) Delay() sim.Duration { return l.delay }
 
 // txTime is the serialization time of n payload+header bytes.
 func (l *Link) txTime(n int) sim.Duration {

@@ -7,16 +7,10 @@ import (
 	"iolite/internal/sim"
 )
 
+// TestDelayRouterKnob: the delay router is the link's one-way delay, set
+// when the link is made; a handshake observes twice it as its RTT.
 func TestDelayRouterKnob(t *testing.T) {
-	r := newRig(false, nil, time.Millisecond)
-	if r.link.Delay() != time.Millisecond {
-		t.Fatalf("Delay = %v", r.link.Delay())
-	}
-	r.link.SetDelay(75 * time.Millisecond)
-	if r.link.Delay() != 75*time.Millisecond {
-		t.Fatal("SetDelay did not stick")
-	}
-	// A handshake after the change observes the new RTT.
+	r := newRig(false, nil, 75*time.Millisecond)
 	r.eng.Go("server", func(p *sim.Proc) { r.lst.Accept(p) })
 	r.eng.Go("client", func(p *sim.Proc) {
 		t0 := p.Now()

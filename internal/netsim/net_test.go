@@ -103,7 +103,7 @@ func TestCopyModeSockBufBounded(t *testing.T) {
 			}
 			total += d.Len()
 			d.Release()
-			if pages := conn.ServerEnd().SockBufPages(); pages > peak {
+			if pages := conn.ServerEnd().sockPages; pages > peak {
 				peak = pages
 			}
 		}

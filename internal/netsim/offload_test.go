@@ -144,7 +144,7 @@ func TestOffloadHoleRetransmit(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("hole not recovered: got %d bytes, want %d", len(got), len(want))
 	}
-	dropped, _ := fp.Stats()
+	dropped := fp.dropped
 	if dropped != 1 {
 		t.Fatalf("DropList dropped %d chunks, want 1", dropped)
 	}
@@ -181,7 +181,7 @@ func TestOffloadDupAckFastRetransmit(t *testing.T) {
 	}
 	// Exactly one recovery round, and it was dup-ack-driven — the RTO
 	// never had to fire.
-	if fast := r.server.FastRetransmits(); fast != 1 {
+	if fast := r.server.fastRetrans; fast != 1 {
 		t.Fatalf("%d dup-ack recovery rounds, want 1 (timer-driven recovery means the dup-ack was delayed)", fast)
 	}
 }
@@ -251,7 +251,7 @@ func TestOffloadDeterminism(t *testing.T) {
 	want := pattern(128 << 10)
 	run := func() (int64, int64, int64) {
 		_, r := offloadTransfer(t, &FaultPlan{DropProb: 0.03, Seed: 42}, want, 0)
-		d, c := r.link.FaultPlan().Stats()
+		d, c := r.link.faults.dropped, r.link.faults.corrupted
 		segs, _ := r.server.RetransStats()
 		return d, c, segs
 	}

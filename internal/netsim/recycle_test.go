@@ -133,9 +133,9 @@ func TestEmptyPlanNeverRetransmits(t *testing.T) {
 	r.link.SetFaultPlan(&FaultPlan{})
 	_, segs := steadyTransfer(t, r, true)
 	rs, _ := r.server.RetransStats()
-	if rs != 0 || r.server.FastRetransmits() != 0 || segs != 719 {
+	if rs != 0 || r.server.fastRetrans != 0 || segs != 719 {
 		t.Fatalf("retransmitted %d segments in %d fast retransmits, %d segments for the last 64 sends; want 0, 0 and 719",
-			rs, r.server.FastRetransmits(), segs)
+			rs, r.server.fastRetrans, segs)
 	}
 }
 
@@ -184,8 +184,8 @@ func TestSpuriousRetransmitAfterRecycle(t *testing.T) {
 		t.Fatalf("leaked %d live pages", live)
 	}
 	segs, _ := r.server.RetransStats()
-	if segs != 3 || r.server.FastRetransmits() != 0 {
-		t.Fatalf("retransmitted %d segments in %d fast retransmits, want 3 in 0", segs, r.server.FastRetransmits())
+	if segs != 3 || r.server.fastRetrans != 0 {
+		t.Fatalf("retransmitted %d segments in %d fast retransmits, want 3 in 0", segs, r.server.fastRetrans)
 	}
 	if want := sim.Time(53050 * time.Microsecond); r.eng.Now() != want {
 		t.Fatalf("run finished at %v, want %v", r.eng.Now(), want)

@@ -19,7 +19,6 @@ const (
 type Histogram struct {
 	counts [histBuckets]int64
 	n      int64
-	sum    int64
 	max    int64
 }
 
@@ -57,7 +56,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.counts[bucketOf(v)]++
 	h.n++
-	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -69,22 +67,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.n
-}
-
-// Max reports the largest recorded sample exactly (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
-// Mean reports the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) to bucket resolution.
@@ -113,28 +95,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Merge folds other into h. Bucket layouts are identical by
-// construction, so the merge is exact to bucket resolution.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
-// ResetMeters implements the Resetter seam: it empties the histogram.
-func (h *Histogram) ResetMeters() {
-	if h == nil {
-		return
-	}
-	*h = Histogram{}
 }

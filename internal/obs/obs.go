@@ -116,14 +116,6 @@ func (s *Span) ID() uint32 {
 	return s.id
 }
 
-// Kind returns the server kind the span was started under.
-func (s *Span) Kind() string {
-	if s == nil {
-		return ""
-	}
-	return s.kind
-}
-
 // closePhase ends the open phase at instant now, carving out any
 // pending stall time.
 func (s *Span) closePhase(now sim.Time) {
@@ -251,14 +243,6 @@ func (s *Span) PhaseSum() sim.Duration {
 		sum += d
 	}
 	return sum
-}
-
-// PhaseCharge returns the units of kind k binned into phase ph.
-func (s *Span) PhaseCharge(ph Phase, k sim.ChargeKind) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.charges[ph][k]
 }
 
 // Bound fixes a span's charge attribution to one phase. Stored as a

@@ -13,8 +13,8 @@ import (
 func TestHistogramEmptyAndNil(t *testing.T) {
 	var nilH *Histogram
 	for name, h := range map[string]*Histogram{"nil": nilH, "empty": NewHistogram()} {
-		if h.Count() != 0 || h.Max() != 0 || h.Mean() != 0 {
-			t.Errorf("%s: count/max/mean = %d/%d/%f, want zeros", name, h.Count(), h.Max(), h.Mean())
+		if h.Count() != 0 || h.Quantile(1) != 0 {
+			t.Errorf("%s: count/max = %d/%d, want zeros", name, h.Count(), h.Quantile(1))
 		}
 		if q := h.Quantile(0.5); q != 0 {
 			t.Errorf("%s: Quantile(0.5) = %d, want 0", name, q)
@@ -25,8 +25,8 @@ func TestHistogramEmptyAndNil(t *testing.T) {
 func TestHistogramSingleSample(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(12345)
-	if h.Count() != 1 || h.Max() != 12345 {
-		t.Fatalf("count=%d max=%d, want 1/12345", h.Count(), h.Max())
+	if h.Count() != 1 || h.max != 12345 {
+		t.Fatalf("count=%d max=%d, want 1/12345", h.Count(), h.max)
 	}
 	if got := h.Quantile(1); got != 12345 {
 		t.Errorf("Quantile(1) = %d, want exact max 12345", got)
@@ -36,9 +36,6 @@ func TestHistogramSingleSample(t *testing.T) {
 		if err := relErr(got, 12345); err > 0.125 {
 			t.Errorf("Quantile(%v) = %d, off by %.3f (> bucket bound 0.125)", q, got, err)
 		}
-	}
-	if h.Mean() != 12345 {
-		t.Errorf("Mean = %f, want exact 12345", h.Mean())
 	}
 }
 
@@ -71,36 +68,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	h := NewHistogram()
 	h.Observe(-5) // negatives clamp to zero
-	if h.Max() != 0 || h.Quantile(1) != 0 {
-		t.Errorf("negative sample: max=%d q1=%d, want 0/0", h.Max(), h.Quantile(1))
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	samples := []int64{3, 70, 900, 12_000, 250_000, 1 << 21}
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for i, v := range samples {
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		all.Observe(v)
-	}
-	a.Merge(b)
-	a.Merge(nil) // nil other is a no-op
-	if a.Count() != all.Count() || a.Max() != all.Max() || a.Mean() != all.Mean() {
-		t.Fatalf("merged count/max/mean = %d/%d/%f, want %d/%d/%f",
-			a.Count(), a.Max(), a.Mean(), all.Count(), all.Max(), all.Mean())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Errorf("Quantile(%v): merged %d != direct %d", q, a.Quantile(q), all.Quantile(q))
-		}
-	}
-	a.ResetMeters()
-	if a.Count() != 0 || a.Quantile(1) != 0 {
-		t.Errorf("after reset: count=%d q1=%d, want empty", a.Count(), a.Quantile(1))
+	if h.max != 0 || h.Quantile(1) != 0 {
+		t.Errorf("negative sample: max=%d q1=%d, want 0/0", h.max, h.Quantile(1))
 	}
 }
 
@@ -133,7 +102,7 @@ func TestSpanPhasesTileLatency(t *testing.T) {
 	if d := s.PhaseDur(PhaseSend); d != 15 {
 		t.Errorf("send = %v, want 20 elapsed minus 5 stall", d)
 	}
-	if got := s.PhaseCharge(PhaseSend, sim.ChargeCopy); got != 4096 {
+	if got := s.charges[PhaseSend][sim.ChargeCopy]; got != 4096 {
 		t.Errorf("send copy charge = %d, want 4096", got)
 	}
 	if h := c.Hist("k"); h == nil || h.Count() != 1 {
@@ -208,10 +177,10 @@ func TestAttachBindsCharges(t *testing.T) {
 	costs.OnCharge(sim.ChargeCopy, 100, s)
 	costs.OnCharge(sim.ChargeWire, 7, Bound{Span: s, Ph: PhaseWorker})
 	costs.OnCharge(sim.ChargeCopy, 9, nil) // no running proc, no binding: dropped
-	if got := s.PhaseCharge(PhaseSend, sim.ChargeCopy); got != 100 {
+	if got := s.charges[PhaseSend][sim.ChargeCopy]; got != 100 {
 		t.Errorf("send copy = %d, want 100", got)
 	}
-	if got := s.PhaseCharge(PhaseWorker, sim.ChargeWire); got != 7 {
+	if got := s.charges[PhaseWorker][sim.ChargeWire]; got != 7 {
 		t.Errorf("worker wire = %d, want 7 via Bound", got)
 	}
 }
@@ -287,9 +256,9 @@ func TestWriteTraceValidJSON(t *testing.T) {
 func TestResetSet(t *testing.T) {
 	var s ResetSet
 	n := 0
-	s.Add(ResetFunc(func() { n++ }), nil, ResetFunc(func() { n += 10 }))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (nil skipped)", s.Len())
+	s.Add(resetFunc(func() { n++ }), nil, resetFunc(func() { n += 10 }))
+	if len(s.rs) != 2 {
+		t.Fatalf("%d resetters registered, want 2 (nil skipped)", len(s.rs))
 	}
 	s.Reset()
 	s.Reset()
@@ -297,3 +266,8 @@ func TestResetSet(t *testing.T) {
 		t.Errorf("resets ran %d units of work, want 22", n)
 	}
 }
+
+// resetFunc adapts a bare function to the Resetter seam.
+type resetFunc func()
+
+func (f resetFunc) ResetMeters() { f() }

@@ -1,15 +1,9 @@
 package obs
 
 // Resetter is anything whose measurement counters can be zeroed at a
-// warmup boundary. The cost model, hosts, machines, servers, proxies,
-// histograms, and the Collector itself all implement it.
+// warmup boundary. The cost model, hosts, machines, servers, proxies and
+// the Collector itself all implement it.
 type Resetter interface{ ResetMeters() }
-
-// ResetFunc adapts a bare function to the Resetter seam.
-type ResetFunc func()
-
-// ResetMeters calls the wrapped function.
-func (f ResetFunc) ResetMeters() { f() }
 
 // ResetSet is the single reset seam for an experiment: register every
 // meter-bearing component once, then Reset() at the warmup boundary.
@@ -35,6 +29,3 @@ func (s *ResetSet) Reset() {
 		r.ResetMeters()
 	}
 }
-
-// Len reports how many resetters are registered.
-func (s *ResetSet) Len() int { return len(s.rs) }

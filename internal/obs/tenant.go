@@ -41,14 +41,6 @@ func (t *Tenants) Get(tenant string) *TenantStats {
 	return s
 }
 
-// Len reports how many tenants have records.
-func (t *Tenants) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.m)
-}
-
 // ResetMeters zeroes every tenant's counters (the Resetter seam), keeping
 // the records so pointers handed out stay live across a warmup reset.
 func (t *Tenants) ResetMeters() {

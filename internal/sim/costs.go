@@ -48,25 +48,15 @@ type CostModel struct {
 	// CksumPSPerByte is the cost of one byte of Internet checksum: a
 	// read-only pass, roughly twice as fast as a copy.
 	CksumPSPerByte int64
-	// TouchPSPerByte is a default cost for application code inspecting each
-	// byte (wc-style loops); individual apps may override.
-	TouchPSPerByte int64
 
 	// Syscall is the fixed kernel entry/exit cost of one system call.
 	Syscall time.Duration
-	// PageMap and PageUnmap charge establishing / removing one PTE.
-	PageMap   time.Duration
-	PageUnmap time.Duration
-	// PageFault is the trap overhead of a page fault (excluding any disk
-	// time or copy performed by the handler).
-	PageFault time.Duration
+	// PageMap charges establishing one PTE.
+	PageMap time.Duration
 	// ChunkMap charges changing the protection of one 64 KB IO-Lite chunk
 	// in one address space (§4.5); it covers the per-page PTE writes within
 	// the chunk plus the VM bookkeeping.
 	ChunkMap time.Duration
-	// WriteToggle charges granting or revoking temporary write permission
-	// on a buffer for an untrusted producer (§3.2).
-	WriteToggle time.Duration
 
 	// BufAlloc charges allocating an IO-Lite buffer from a pool with a free
 	// buffer available; BufAllocCold charges the slow path that must map a
@@ -152,14 +142,10 @@ func DefaultCosts() *CostModel {
 	return &CostModel{
 		CopyPSPerByte:  7500, // 7.5 ns/B ≈ 133 MB/s memcpy
 		CksumPSPerByte: 3800, // 3.8 ns/B ≈ 263 MB/s checksum pass
-		TouchPSPerByte: 9000, // 9 ns/B byte-at-a-time application loop
 
-		Syscall:     3 * time.Microsecond,
-		PageMap:     1500 * time.Nanosecond,
-		PageUnmap:   1000 * time.Nanosecond,
-		PageFault:   12 * time.Microsecond,
-		ChunkMap:    9 * time.Microsecond,
-		WriteToggle: 6 * time.Microsecond,
+		Syscall:  3 * time.Microsecond,
+		PageMap:  1500 * time.Nanosecond,
+		ChunkMap: 9 * time.Microsecond,
 
 		BufAlloc:     1200 * time.Nanosecond,
 		BufAllocCold: 15 * time.Microsecond,
@@ -245,11 +231,6 @@ func (c *CostModel) MeterCopiedBytes() int64 { return c.meterCopied }
 
 // ResetMeters zeroes the charged-work meter.
 func (c *CostModel) ResetMeters() { c.meterCopied, c.meterSyscalls = 0, 0 }
-
-// Touch returns the default cost of application code examining n bytes.
-func (c *CostModel) Touch(n int) time.Duration {
-	return time.Duration(int64(n) * c.TouchPSPerByte / 1000)
-}
 
 // DiskTransfer returns the media transfer cost for n bytes (positioning
 // excluded).

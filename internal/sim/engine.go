@@ -137,10 +137,9 @@ func (h timerHeap) down(i int, t *Timer) {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // engines with New.
 type Engine struct {
-	now     Time
-	events  timerHeap
-	seq     uint64
-	stopped bool
+	now    Time
+	events timerHeap
+	seq    uint64
 
 	// oldest and newest end the list of live procs in creation order;
 	// live counts them.
@@ -235,27 +234,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
-
-// RunUntil executes events with timestamps not after t, then sets the clock
-// to t. Events scheduled beyond t remain pending.
-func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
-	}
-	if !e.stopped && e.now < t {
-		e.now = t
-	}
-}
-
-// Stop makes the innermost Run/RunUntil return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Close ends a finished simulation so that it holds no goroutines: it
 // drops every pending timer, ends each live proc in creation order,

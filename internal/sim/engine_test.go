@@ -180,44 +180,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.At(Time(1), func() {})
 }
 
-func TestRunUntilAdvancesClock(t *testing.T) {
-	e := New()
-	fired := false
-	e.After(10*time.Second, func() { fired = true })
-	e.RunUntil(Time(3 * time.Second))
-	if fired {
-		t.Fatal("future event fired early")
-	}
-	if e.Now() != Time(3*time.Second) {
-		t.Fatalf("Now = %v, want 3s", e.Now())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("event never fired")
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := New()
-	n := 0
-	for i := 0; i < 5; i++ {
-		e.After(time.Duration(i)*time.Millisecond, func() {
-			n++
-			if n == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if n != 2 {
-		t.Fatalf("ran %d events after Stop, want 2", n)
-	}
-	e.Run() // resumes
-	if n != 5 {
-		t.Fatalf("ran %d events total, want 5", n)
-	}
-}
-
 func TestProcSleep(t *testing.T) {
 	e := New()
 	var wake Time
@@ -294,8 +256,8 @@ func TestWaitQueueFIFO(t *testing.T) {
 	}
 	e.Go("waker", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		if wq.Len() != 4 {
-			t.Errorf("Len = %d, want 4", wq.Len())
+		if len(wq.q) != 4 {
+			t.Errorf("Len = %d, want 4", len(wq.q))
 		}
 		wq.Wake(2)
 		p.Sleep(time.Millisecond)
@@ -307,8 +269,8 @@ func TestWaitQueueFIFO(t *testing.T) {
 			t.Fatalf("wake order = %v, want FIFO", order)
 		}
 	}
-	if wq.Len() != 0 {
-		t.Fatalf("queue not drained: %d", wq.Len())
+	if len(wq.q) != 0 {
+		t.Fatalf("queue not drained: %d", len(wq.q))
 	}
 }
 
@@ -328,9 +290,6 @@ func TestResourceFIFOSerialization(t *testing.T) {
 		if done[i] != want[i] {
 			t.Fatalf("completions = %v, want %v", done, want)
 		}
-	}
-	if got := cpu.Uses(); got != 3 {
-		t.Fatalf("Uses = %d, want 3", got)
 	}
 	if u := cpu.Utilization(); u < 0.99 || u > 1.0 {
 		t.Fatalf("Utilization = %v, want ≈1", u)
@@ -392,4 +351,13 @@ func TestNestedGoFromProc(t *testing.T) {
 	if hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
+}
+
+// runUntil steps e through every event at or before t, then sets the clock
+// to t, so a test can look at a run between its phases.
+func runUntil(e *Engine, t Time) {
+	for len(e.events) > 0 && e.events[0].at <= t {
+		e.Step()
+	}
+	e.now = max(e.now, t)
 }

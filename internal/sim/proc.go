@@ -13,9 +13,9 @@ import (
 //
 // Simulated code running inside the proc may call the blocking operations
 // (Sleep, SleepUntil, Park) and anything built on them. Engine-side code
-// (event callbacks) may call Unpark. Nothing may call Step, Run or RunUntil
-// from proc context. A panic inside a proc surfaces from Engine.Run, on the
-// goroutine that called it.
+// (event callbacks) may call Unpark. Nothing may call Step or Run from proc
+// context. A panic inside a proc surfaces from Engine.Run, on the goroutine
+// that called it.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -100,9 +100,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p.arm(e.now)
 	return p
 }
-
-// Name returns the diagnostic name given to Go.
-func (p *Proc) Name() string { return p.name }
 
 // SetAttrib binds an opaque attribution context to the proc (nil clears).
 func (p *Proc) SetAttrib(v interface{}) { p.attrib = v }
@@ -207,9 +204,6 @@ func (w *WaitQueue) Wake(n int) int {
 	w.q = w.q[:rest]
 	return n
 }
-
-// Len reports how many procs are parked on the queue.
-func (w *WaitQueue) Len() int { return len(w.q) }
 
 // String describes the proc for diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }

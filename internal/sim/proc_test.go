@@ -70,8 +70,8 @@ func TestWaitQueueWakeAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Wait/Wake(1) cycle allocates %v, want 0", n)
 	}
-	if wq.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", wq.Len())
+	if len(wq.q) != 3 {
+		t.Fatalf("Len = %d, want 3", len(wq.q))
 	}
 	e.Close()
 }
@@ -86,10 +86,10 @@ func TestWaitQueueWakeClearsVacatedTail(t *testing.T) {
 		e.Go("w", func(p *Proc) { wq.Wait(p) })
 	}
 	e.Run()
-	if got := wq.Wake(2); got != 2 || wq.Len() != 3 {
-		t.Fatalf("Wake(2) = %d leaving %d, want 2 leaving 3", got, wq.Len())
+	if got := wq.Wake(2); got != 2 || len(wq.q) != 3 {
+		t.Fatalf("Wake(2) = %d leaving %d, want 2 leaving 3", got, len(wq.q))
 	}
-	if tail := wq.q[:cap(wq.q)][wq.Len():]; slices.ContainsFunc(tail, func(p *Proc) bool { return p != nil }) {
+	if tail := wq.q[:cap(wq.q)][len(wq.q):]; slices.ContainsFunc(tail, func(p *Proc) bool { return p != nil }) {
 		t.Fatal("Wake left released procs in the vacated tail")
 	}
 	e.Close()
@@ -215,7 +215,7 @@ func TestEngineCloseEndsParkedProcs(t *testing.T) {
 	})
 	fired := false
 	e.After(2*time.Hour, func() { fired = true })
-	e.RunUntil(Time(time.Millisecond))
+	runUntil(e, Time(time.Millisecond))
 	e.Go("unstarted", func(p *Proc) {
 		t.Error("unstarted proc ran")
 	})
@@ -327,7 +327,7 @@ func TestEngineHeapOrder(t *testing.T) {
 			return a.order - b.order
 		})
 		want = append(want, due...)
-		e.RunUntil(until)
+		runUntil(e, until)
 	}
 	ops(2000, 0)
 	fire(150)

@@ -59,8 +59,11 @@ type (
 	Process = kernel.Process
 	// File is a file in the simulated file system.
 	File = fsim.File
-	// Desc is the vnode-style descriptor interface behind every fd;
-	// implement it and Process.Install it to add new descriptor kinds.
+	// Desc is the vnode-style descriptor interface behind every fd. To
+	// add a descriptor kind, implement Close plus the capabilities the
+	// kind supports (ReadAgg/ReadCopy, WriteAgg/WriteCopy, Seek, and the
+	// splice and readiness methods) and Process.Install it; a call the
+	// kind lacks returns ErrNotSupported.
 	Desc = kernel.Desc
 )
 
@@ -81,12 +84,13 @@ var (
 // context switches. ok is false when d is not a pipe end.
 func PipeStats(d Desc) (moved, copied, switches int64, ok bool) { return kernel.PipeStats(d) }
 
-// NewAggDesc wraps a sealed aggregate as a read-only object descriptor:
-// install it with Process.Install and serve it with the splice fast path.
+// NewAggDesc wraps a sealed aggregate as an object descriptor whose one
+// capability is the splice source: install it with Process.Install and
+// serve it with the splice fast path.
 // System.SpliceAt moves sealed buffer references from files and objects,
 // read at an explicit offset, to reference-mode sockets and pipes entirely
 // in-kernel, with zero copy charge.
-func (s *System) NewAggDesc(a *Agg) Desc { return kernel.NewAggDesc(s.Machine, a) }
+func (s *System) NewAggDesc(a *Agg) Desc { return kernel.NewAggDesc(a) }
 
 // SystemConfig sizes a simulated machine.
 type SystemConfig struct {
