@@ -23,7 +23,7 @@
 # modules), observer (read only by tests in another package that check
 # behaviour a figure reaches) and error. Lines starting with # are comments.
 #
-# Run it from the repository root (about 3 minutes on 2 vCPUs):
+# Run it from the repository root (about 2 minutes on 2 vCPUs):
 #
 #	bash scripts/reach.sh
 #
