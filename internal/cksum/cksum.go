@@ -215,15 +215,15 @@ func (c *Cache) slice(p *sim.Proc, costs *sim.CostModel, s core.Slice) PartialSu
 	return sum
 }
 
-// Partial returns the un-complemented partial sum of the aggregate's
-// contents (even-offset normalized) — the composable form Aggregate
-// finishes. Integrity layers that fold a stream of reads into one running
-// checksum Combine Partials across calls. Slice sums come from the cache
-// when possible; only missed slices cost CPU time.
-func (c *Cache) Partial(p *sim.Proc, costs *sim.CostModel, a *core.Agg) PartialSum {
+// Partial returns the un-complemented partial sum of the slices'
+// contents, in order and even-offset normalized: the form Aggregate
+// finishes, and the one a sender takes over a segment's run of buffer
+// slices without wrapping them in an aggregate. Slice sums come from the
+// cache when possible; only missed slices cost CPU time.
+func (c *Cache) Partial(p *sim.Proc, costs *sim.CostModel, run []core.Slice) PartialSum {
 	var acc PartialSum
 	off := 0
-	for _, s := range a.Slices() {
+	for _, s := range run {
 		acc = Combine(acc, c.slice(p, costs, s), off)
 		off += s.Len
 	}
@@ -233,5 +233,5 @@ func (c *Cache) Partial(p *sim.Proc, costs *sim.CostModel, a *core.Agg) PartialS
 // Aggregate returns the finished Internet checksum of the aggregate's
 // contents, assuming they start at even offset (e.g. a TCP payload).
 func (c *Cache) Aggregate(p *sim.Proc, costs *sim.CostModel, a *core.Agg) uint16 {
-	return Finish(c.Partial(p, costs, a))
+	return Finish(c.Partial(p, costs, a.Slices()))
 }

@@ -17,8 +17,8 @@ import (
 // aggregate (Release) drops those references, which is what eventually
 // recycles buffers.
 //
-// The first slice lives inline, so a one-slice aggregate (an MSS piece, a
-// packed object) is one allocation.
+// The first slice lives inline, so a one-slice aggregate (the delivery of
+// an MSS piece, a packed object) is one allocation.
 type Agg struct {
 	slices []Slice
 	n      int
@@ -96,11 +96,23 @@ func (a *Agg) Clone() *Agg {
 // Range returns a new aggregate referencing [off, off+n) of a — the
 // indexing operation that slices an aggregate without touching data.
 func (a *Agg) Range(off, n int) *Agg {
+	out := NewAgg()
+	out.slices = a.AppendRange(out.first[:0], off, n)
+	out.n = n
+	return out
+}
+
+// AppendRange appends the slices that cover [off, off+n) of a to dst,
+// taking one buffer reference for each, and returns the extended list. It
+// is Range's walk without the new aggregate: a caller that keeps the
+// references in an array of its own (an in-flight segment) owns them and
+// releases each slice it appended. Empty slices of a are skipped, so every
+// appended slice holds data.
+func (a *Agg) AppendRange(dst []Slice, off, n int) []Slice {
 	a.check()
 	if off < 0 || n < 0 || off+n > a.n {
 		panic(fmt.Sprintf("core: Range [%d,%d) of %d-byte aggregate", off, off+n, a.n))
 	}
-	out := NewAgg()
 	for _, s := range a.slices {
 		if n == 0 {
 			break
@@ -109,15 +121,13 @@ func (a *Agg) Range(off, n int) *Agg {
 			off -= s.Len
 			continue
 		}
-		take := s.Len - off
-		if take > n {
-			take = n
-		}
-		out.Append(s.Sub(off, take))
+		take := min(s.Len-off, n)
+		s.Buf.Retain()
+		dst = append(dst, s.Sub(off, take))
 		off = 0
 		n -= take
 	}
-	return out
+	return dst
 }
 
 // Trunc shortens the aggregate to n bytes, releasing references to slices

@@ -112,8 +112,7 @@ func TestRangeOfEmptyAggregate(t *testing.T) {
 
 // TestOneSliceAggAllocatesOnce pins that a one-slice aggregate keeps its
 // slice inline: wrapping an owned slice, and a Range or Clone that lands
-// in one slice (an MSS piece of a send), each cost exactly one
-// allocation, the aggregate itself.
+// in one slice, each cost exactly one allocation, the aggregate itself.
 func TestOneSliceAggAllocatesOnce(t *testing.T) {
 	h := newHarness()
 	h.run(t, func(p *sim.Proc) {

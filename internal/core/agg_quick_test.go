@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -160,4 +161,86 @@ func TestQuickEqualAgreesWithMaterialize(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// TestAppendRangeMatchesRange checks the range walk against Range, its
+// oracle, over random multi-slice aggregates with an empty slice somewhere
+// among their packed pieces. For random [off, off+n) it must leave dst's
+// prefix alone and append exactly Range's slices, which are also the
+// non-empty intersections of the aggregate's slices with the range; add
+// one reference per appended slice; and panic on an out-of-range request
+// or a released aggregate.
+func TestAppendRangeMatchesRange(t *testing.T) {
+	h := newHarness()
+	h.run(t, func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(6))
+		refs := func(a *Agg) map[*Buffer]int {
+			m := map[*Buffer]int{}
+			for _, s := range a.Slices() {
+				m[s.Buf] = s.Buf.Refs()
+			}
+			return m
+		}
+		for i := 0; i < 200; i++ {
+			data := make([]byte, 1+rng.Intn(3000))
+			rng.Read(data)
+			a := buildAgg(p, h.pool, rng, data)
+			empty := a.slices[rng.Intn(len(a.slices))]
+			empty.Off, empty.Len = empty.Off+rng.Intn(empty.Len+1), 0
+			empty.Buf.Retain()
+			a.slices = slices.Insert(a.slices, rng.Intn(len(a.slices)+1), empty)
+
+			off := rng.Intn(len(data) + 1)
+			n := rng.Intn(len(data) - off + 1)
+			var want []Slice
+			pos := 0
+			for _, s := range a.Slices() {
+				if lo, hi := max(off, pos), min(off+n, pos+s.Len); lo < hi {
+					want = append(want, s.Sub(lo-pos, hi-lo))
+				}
+				pos += s.Len
+			}
+
+			before := refs(a)
+			lead := Slice{Buf: a.slices[0].Buf, Len: -1} // no walk appends this
+			got := a.AppendRange([]Slice{lead}, off, n)
+			added := map[*Buffer]int{}
+			for _, s := range got[1:] {
+				added[s.Buf]++
+			}
+			for b, r := range refs(a) {
+				if r != before[b]+added[b] {
+					t.Fatalf("case %d: a buffer holds %d references after the walk, want %d+%d", i, r, before[b], added[b])
+				}
+			}
+			r := a.Range(off, n)
+			if got[0] != lead || !slices.Equal(got[1:], r.Slices()) || !slices.Equal(got[1:], want) {
+				t.Fatalf("case %d: [%d,%d) of %d slices: walk %v, Range %v, want %v",
+					i, off, off+n, len(a.slices), got, r.Slices(), want)
+			}
+			r.Release()
+			for _, s := range got[1:] {
+				s.Buf.Release()
+			}
+			for _, bad := range [][2]int{{-1, 1}, {0, -1}, {off, len(data) - off + 1}} {
+				if !panics(func() { a.AppendRange(nil, bad[0], bad[1]) }) {
+					t.Fatalf("case %d: [%d,%d) of %d bytes did not panic", i, bad[0], bad[0]+bad[1], len(data))
+				}
+			}
+			a.Release()
+			if !panics(func() { a.AppendRange(nil, 0, 0) }) {
+				t.Fatalf("case %d: walk of a released aggregate did not panic", i)
+			}
+		}
+		if live := h.pool.LivePages(); live > mem.PagesPerChunk {
+			t.Fatalf("%d pages live after every reference was released", live)
+		}
+	})
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -194,5 +195,42 @@ func TestAcceptanceOffloadClosesProtocolGap(t *testing.T) {
 	}
 	if on.P99Us > 1.10*off.P99Us {
 		t.Errorf("offload p99 %.0fµs regressed vs %.0fµs baseline", on.P99Us, off.P99Us)
+	}
+}
+
+// TestFCGISockRefMarginalAllocs pins the host allocations one fcgi request
+// costs over loopback TCP in ref mode, at the shape of the benchmark's
+// fcgi-sockref workload. Two runs that differ only in their measure window
+// cancel the topology's build and the warmup, so the difference in
+// mallocs over the difference in requests is the marginal cost of a
+// request. A segment in flight holds buffer slices, not an aggregate per
+// piece: a per-piece aggregate coming back adds about 17 per request and
+// fails here. Not parallel, since Mallocs counts the whole process.
+func TestFCGISockRefMarginalAllocs(t *testing.T) {
+	run := func(measure time.Duration) (mallocs uint64, requests int64) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		r := RunFCGINet(FCGINetParams{
+			Placement:  PlaceSockLocal,
+			Workers:    4,
+			Depth:      8,
+			Requesters: 32,
+			DocBytes:   16 << 10,
+			Ref:        true,
+			Warmup:     100 * time.Millisecond,
+			Measure:    measure,
+		})
+		runtime.ReadMemStats(&m1)
+		if r.Failures != 0 || r.Requests == 0 {
+			t.Fatalf("%s: %d requests, %d failures", r.Label, r.Requests, r.Failures)
+		}
+		return m1.Mallocs - m0.Mallocs, r.Requests
+	}
+	shortM, shortR := run(200 * time.Millisecond)
+	longM, longR := run(600 * time.Millisecond)
+	per := float64(longM-shortM) / float64(longR-shortR)
+	t.Logf("%d more allocations over %d more requests: %.2f per request", longM-shortM, longR-shortR, per)
+	if per > 46 {
+		t.Fatalf("%.2f host allocations per fcgi request, want at most 46", per)
 	}
 }

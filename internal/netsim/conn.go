@@ -94,11 +94,15 @@ type sendItem struct {
 	bind interface{}
 }
 
-// segPiece is one gathered piece of an outgoing segment. A corked segment
-// may carry the tail of one send item plus whole following items, mixing
-// reference pieces (agg) and copy pieces (data); exactly one field is set.
+// segPiece is one gathered piece of an outgoing segment, n bytes long. A
+// corked segment may carry the tail of one send item plus whole following
+// items, mixing reference pieces (run) and copy pieces (data); exactly one
+// of the two is set. A ref piece's run is its buffer slices, a stretch of
+// its chunk's slice array, like the mbufs of §4.1 that point at IO-Lite
+// buffers out of line.
 type segPiece struct {
-	agg  *core.Agg
+	n    int
+	run  []core.Slice
 	data []byte
 }
 
@@ -107,28 +111,30 @@ type segPiece struct {
 // carries up to SuperSeg/MSS of them, but sequence space, fault judgment,
 // and acknowledgment all stay chunk-granular: the receiver can accept a
 // super-segment's prefix up to a hole, and the resulting partial ack
-// releases whole chunks only. A chunk holds one agg reference per ref
-// piece and the done callbacks of send items whose last byte it carries.
-// Its pieces and dones arrays belong to the ack record and are reused
-// when the record is, so a retransmission resends a snapshot of the chunk
-// headers, never the record's array itself.
+// releases whole chunks only. A chunk owns one buffer reference per slice
+// of its ref pieces' runs, kept in slices piece by piece, and the done
+// callbacks of send items whose last byte it carries. Its pieces, slices
+// and dones arrays belong to the ack record and are reused when the
+// record is, so a retransmission resends a snapshot of the chunk headers,
+// never the record's arrays themselves.
 type segChunk struct {
 	seq    int64 // first payload byte's sequence number
 	n      int
 	pieces []segPiece
+	slices []core.Slice
 	dones  []func()
 }
 
 // ackRecord tracks one in-flight (super-)segment so acknowledgments
 // release resources in order. The record keeps its gathered chunks so a
 // retransmission re-sends the very same buffers: no copy is re-charged
-// (the copy was paid at admission) and no extra agg reference is taken
-// (each chunk's single reference per ref piece lives until the ack
-// releases it). Partial acks trim acknowledged chunks off the front, so
-// the window's first unacked chunk — the one a retransmission resends —
-// is always the front record's first chunk. Once fully acked the record
-// goes back to its sending host, which reuses it, with its chunk, piece
-// and done arrays, for a later segment.
+// (the copy was paid at admission) and no extra buffer reference is taken
+// (each chunk's references live until the ack releases them). Partial
+// acks trim acknowledged chunks off the front, so the window's first
+// unacked chunk — the one a retransmission resends — is always the front
+// record's first chunk. Once fully acked the record
+// goes back to its sending host, which reuses it, with its chunk, piece,
+// slice and done arrays, for a later segment.
 type ackRecord struct {
 	seq    int64 // first unacknowledged payload byte's sequence number
 	n      int   // unacknowledged payload bytes (sum of chunk lengths)
@@ -154,12 +160,24 @@ func (r *ackRecord) addChunk(seq int64) *segChunk {
 	}
 	ck := &r.chunks[len(r.chunks)-1]
 	ck.seq, ck.n = seq, 0
-	ck.pieces, ck.dones = ck.pieces[:0], ck.dones[:0]
+	ck.pieces, ck.slices, ck.dones = ck.pieces[:0], ck.slices[:0], ck.dones[:0]
 	return ck
 }
 
-// trimAcked releases the record's chunks wholly below ackNo — their agg
-// references, done callbacks (in admission order), and window bytes —
+// addRef appends a ref piece holding [off, off+n) of a, with one new
+// reference per slice of its run. A later piece's append may outgrow the
+// array the run views; that array keeps the same slices and is never
+// written again, while slices, which owns the references, moves on.
+func (ck *segChunk) addRef(a *core.Agg, off, n int) {
+	lo := len(ck.slices)
+	ck.slices = a.AppendRange(ck.slices, off, n)
+	hi := len(ck.slices)
+	ck.pieces = append(ck.pieces, segPiece{n: n, run: ck.slices[lo:hi:hi]})
+}
+
+// trimAcked releases the record's chunks wholly below ackNo — their buffer
+// references (piece by piece, each run in order: the order its pieces were
+// cut), done callbacks (in admission order), and window bytes —
 // leaving the remainder in place for retransmission. Returns the payload
 // bytes freed. Cumulative acks land only on chunk boundaries (the
 // receiver accepts whole chunks); anything else is a protocol bug.
@@ -169,15 +187,14 @@ func (r *ackRecord) trimAcked(ackNo int64) int {
 		if ck.seq+int64(ck.n) > ackNo {
 			break
 		}
-		for _, pc := range ck.pieces {
-			if pc.agg != nil {
-				pc.agg.Release()
-			}
+		for _, s := range ck.slices {
+			s.Buf.Release()
 		}
 		for _, done := range ck.dones {
 			done()
 		}
 		clear(ck.pieces)
+		clear(ck.slices)
 		clear(ck.dones)
 		freed += ck.n
 		r.seq = ck.seq + int64(ck.n)
@@ -377,7 +394,9 @@ func (e *Endpoint) SetCork(on bool) {
 // Send queues a payload for transmission, blocking while the socket send
 // buffer is full — payload is admitted piecewise as space frees, exactly
 // like a blocking write(2). In reference mode the endpoint takes ownership
-// of pl.Agg. done, if non-nil, runs when the whole payload is acknowledged.
+// of pl.Agg: a payload admitted whole queues as it is, and one admitted in
+// pieces queues a Range per piece. done, if non-nil, runs when the whole
+// payload is acknowledged.
 func (e *Endpoint) Send(p *sim.Proc, pl Payload, done func()) {
 	if e.closing {
 		panic("netsim: send on closed endpoint")
@@ -392,6 +411,7 @@ func (e *Endpoint) Send(p *sim.Proc, pl Payload, done func()) {
 		}
 		return
 	}
+	whole := false
 	for off := 0; off < n; {
 		for e.sndBytes >= e.tss {
 			e.sndWait.Wait(p)
@@ -401,10 +421,13 @@ func (e *Endpoint) Send(p *sim.Proc, pl Payload, done func()) {
 			take = room
 		}
 		var piece Payload
-		if pl.Agg != nil {
-			piece.Agg = pl.Agg.Range(off, take)
-		} else {
+		switch {
+		case pl.Agg == nil:
 			piece.Data = pl.Data[off : off+take]
+		case take == n:
+			piece.Agg, whole = pl.Agg, true
+		default:
+			piece.Agg = pl.Agg.Range(off, take)
 		}
 		var cb func()
 		if off+take == n {
@@ -423,7 +446,7 @@ func (e *Endpoint) Send(p *sim.Proc, pl Payload, done func()) {
 		e.wakePump()
 		off += take
 	}
-	if pl.Agg != nil {
+	if pl.Agg != nil && !whole {
 		pl.Agg.Release() // admitted pieces hold their own references
 	}
 }
@@ -549,12 +572,12 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 				take = room
 			}
 			if item.pl.Agg != nil {
-				ck.pieces = append(ck.pieces, segPiece{agg: item.pl.Agg.Range(item.off, take)})
+				ck.addRef(item.pl.Agg, item.off, take)
 				if e.host.ck == nil {
 					cpu += costs.Cksum(take)
 				}
 			} else {
-				ck.pieces = append(ck.pieces, segPiece{data: item.pl.Data[item.off : item.off+take]})
+				ck.pieces = append(ck.pieces, segPiece{n: take, data: item.pl.Data[item.off : item.off+take]})
 				cpu += costs.Cksum(take)
 			}
 			item.off += take
@@ -584,8 +607,8 @@ func (e *Endpoint) emitSegment(p *sim.Proc, costs *sim.CostModel) {
 		// charges p internally for misses, per gathered ref piece.
 		for _, ck := range rec.chunks {
 			for _, pc := range ck.pieces {
-				if pc.agg != nil {
-					e.host.ck.Partial(p, costs, pc.agg)
+				if pc.run != nil {
+					e.host.ck.Partial(p, costs, pc.run)
 				}
 			}
 		}
@@ -705,11 +728,11 @@ func (e *Endpoint) onRTO() {
 // copy (copy mode) was charged at admission and is NOT re-charged; ref
 // pieces re-checksum through the warm checksum cache (one lookup per
 // piece) or pay a full pass when no cache exists, exactly like the first
-// transmission's cold/warm split. No new agg references are taken — the
+// transmission's cold/warm split. No new buffer references are taken — the
 // ack record's are re-used. The resend carries a copy of the chunk
 // header, so an ack that trims or recycles the record while the charge
 // queues cannot change it; such a resend arrives below the receiver's
-// rcvNxt, and its pieces are never read.
+// rcvNxt, and its pieces and runs are never read.
 func (e *Endpoint) retransmit() {
 	if lx := e.loss(); !lx.inStall {
 		lx.inStall = true
@@ -721,13 +744,10 @@ func (e *Endpoint) retransmit() {
 	snap := []segChunk{rec.unacked()[0]}
 	cpu := costs.MbufAlloc + costs.Packet
 	for _, pc := range snap[0].pieces {
-		switch {
-		case pc.agg == nil:
-			cpu += costs.Cksum(len(pc.data))
-		case e.host.ck != nil:
+		if pc.run != nil && e.host.ck != nil {
 			cpu += costs.CksumLookup // cached since the first transmission
-		default:
-			cpu += costs.Cksum(pc.agg.Len())
+		} else {
+			cpu += costs.Cksum(pc.n)
 		}
 	}
 	e.host.charge(cpu, func() {
@@ -890,10 +910,11 @@ func (e *Endpoint) deliver(chunks []deliveredChunk) {
 }
 
 // reasmChunk is one out-of-order chunk on the reassembly queue, with the
-// receiver's own deliveries of its pieces: a Clone of each aggregate, so
-// holding it costs no copy, or a copy of copy-mode bytes, as the receive
-// queue keeps them. After a receive shutdown only its sequence range is
-// kept, so that acknowledgments still cover it once the hole fills.
+// receiver's own deliveries of its pieces: an aggregate of each ref
+// piece's run, so holding it costs no copy, or a copy of copy-mode bytes,
+// as the receive queue keeps them. After a receive shutdown only its
+// sequence range is kept, so that acknowledgments still cover it once the
+// hole fills.
 type reasmChunk struct {
 	seq  int64
 	n    int
@@ -960,10 +981,10 @@ func (e *Endpoint) unstash() bool {
 // instead of one per MSS.
 func (e *Endpoint) queueDeliveries(pieces []segPiece) {
 	for _, pc := range pieces {
-		if tail := e.mergeTail(pc.agg != nil); tail == nil {
+		if tail := e.mergeTail(pc.run != nil); tail == nil {
 			e.rcvQ.push(pc.own())
-		} else if pc.agg != nil {
-			tail.Agg.Concat(pc.agg) // tail is rcvQ's own clone; safe to grow
+		} else if pc.run != nil {
+			appendRun(tail.Agg, pc.run) // tail is rcvQ's own aggregate; safe to grow
 		} else {
 			tail.Data = append(tail.Data, pc.data...)
 		}
@@ -986,15 +1007,24 @@ func (e *Endpoint) mergeTail(ref bool) *Delivery {
 	return tail
 }
 
-// own returns the receiver's own delivery of a piece: a Clone of a ref
-// piece's aggregate (the sender's reference is released on ack), or, in
-// copy mode, the wire bytes landed in receive socket buffers, which a
-// later Recv copies out to the application.
+// own returns the receiver's own delivery of a piece: a new aggregate of
+// a ref piece's run, with references of its own (the sender's are released
+// on ack), or, in copy mode, the wire bytes landed in receive socket
+// buffers, which a later Recv copies out to the application.
 func (pc segPiece) own() Delivery {
-	if pc.agg != nil {
-		return Delivery{Agg: pc.agg.Clone()}
+	if pc.run != nil {
+		a := core.NewAgg()
+		appendRun(a, pc.run)
+		return Delivery{Agg: a}
 	}
 	return Delivery{Data: append([]byte(nil), pc.data...)}
+}
+
+// appendRun appends a ref piece's run to a, taking a reference per slice.
+func appendRun(a *core.Agg, run []core.Slice) {
+	for _, s := range run {
+		a.Append(s)
+	}
 }
 
 // ackEvent carries one cumulative ack back to the data sender on one

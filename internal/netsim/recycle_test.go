@@ -18,14 +18,17 @@ import (
 )
 
 // TestSteadyStateSegmentAllocs pins the host allocations one segment
-// costs on a warmed connection that loses nothing. Ack records, wire
-// events, the send, ack and receive queues, and the retransmission and
-// delayed-ack timers are all reused, so what is left is the payload: in
-// ref mode one Range at emit and one Clone at receive per piece, in copy
-// mode the receive-buffer copy per piece, at about two pieces per
-// segment. With offload, GRO merges most pieces into the receive queue's
-// tail and the receiver acks through the delayed-ack timer. The faulty
-// case attaches an empty FaultPlan, which re-keys the RTO on every ack.
+// costs on a warmed connection that loses nothing. Ack records with their
+// piece and slice arrays, wire events, the send, ack and receive queues,
+// and the retransmission and delayed-ack timers are all reused, and a ref
+// piece in flight is a run of buffer slices in its record's array, so
+// what is left is the receiver's own copy of the payload, at about two
+// pieces per segment: in ref mode the delivery aggregate per piece (the
+// one a read returns), in copy mode the receive-buffer copy per piece.
+// With offload, GRO appends most pieces to the receive queue's tail, so
+// few segments allocate at all, and the receiver acks through the
+// delayed-ack timer. The faulty case attaches an empty FaultPlan, which
+// re-keys the RTO on every ack.
 func TestSteadyStateSegmentAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -35,10 +38,10 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 		delay   time.Duration
 		limit   float64
 	}{
-		{"ref", true, false, false, 100 * time.Microsecond, 6},
+		{"ref", true, false, false, 100 * time.Microsecond, 4},
 		{"copy", false, false, false, 100 * time.Microsecond, 3},
-		{"offload", true, true, false, 100 * time.Microsecond, 2},
-		{"faulty", true, false, true, 5 * time.Microsecond, 6},
+		{"offload", true, true, false, 100 * time.Microsecond, 1},
+		{"faulty", true, false, true, 5 * time.Microsecond, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(tc.ref, nil, tc.delay)
@@ -60,6 +63,56 @@ func TestSteadyStateSegmentAllocs(t *testing.T) {
 				t.Fatalf("%.2f allocations per steady-state segment, want at most %.0f", per, tc.limit)
 			}
 		})
+	}
+}
+
+// TestAckRecyclesInPieceOrder pins the order in which an ack gives a
+// chunk's buffers back to their pool: piece by piece, each piece's slices
+// in order, the order in which per-piece aggregates would release them.
+// Two corked two-buffer sends share one chunk; the client drops its
+// deliveries before the ack returns, so the ack holds each buffer's last
+// reference. The pool hands recycled buffers out last in first out, so
+// four allocations after the ack must return them in reverse. That order
+// decides which buffer a later allocation reuses, and with it the
+// checksum cache's hits.
+func TestAckRecyclesInPieceOrder(t *testing.T) {
+	r := newRig(true, nil, 100*time.Microsecond)
+	var sent, reused []*core.Buffer
+	r.eng.Go("client", func(p *sim.Proc) {
+		collect(p, Dial(p, r.client, r.link, r.lst, ConnOpts{ServerRefMode: true}).ClientEnd(), 400)
+	})
+	r.eng.Go("server", func(p *sim.Proc) {
+		ep := r.lst.Accept(p).ServerEnd()
+		ep.SetCork(true)
+		for range 2 {
+			a := core.NewAgg()
+			for range 2 {
+				b := r.pool.Alloc(p, 100)
+				b.Write(0, pattern(100))
+				b.Seal()
+				a.Append(core.Slice{Buf: b, Len: 100})
+				b.Release()
+				sent = append(sent, b)
+			}
+			ep.Send(p, Payload{Agg: a}, nil)
+		}
+		ep.SetCork(false)
+		ep.Drain(p)
+		for range sent {
+			reused = append(reused, r.pool.Alloc(p, 100))
+		}
+		ep.Close(p)
+	})
+	r.eng.Run()
+	if segs := r.server.SegsOut(); segs != 1 {
+		t.Fatalf("%d segments sent, want the two sends in one", segs)
+	}
+	order := make([]int, len(reused))
+	for i, b := range reused {
+		order[i] = slices.Index(sent, b)
+	}
+	if want := []int{3, 2, 1, 0}; !slices.Equal(order, want) {
+		t.Fatalf("allocations after the ack reused the sent buffers in order %v, want %v", order, want)
 	}
 }
 
