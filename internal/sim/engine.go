@@ -151,6 +151,9 @@ type Engine struct {
 	// running is the proc currently dispatched (nil in engine context);
 	// attribution hooks use it to find whose work is being charged.
 	running *Proc
+	// closing is set once Close starts: no Run pops a wake any more, so
+	// every sleep must switch, and so unwind.
+	closing bool
 }
 
 // New returns an empty engine with the clock at zero.
@@ -219,7 +222,10 @@ func (e *Engine) After(d Duration, fn func()) *Timer {
 
 // Step runs the earliest pending event and reports whether one existed. A
 // canceled timer still moves the clock to its instant; only its callback
-// is skipped.
+// is skipped. An event that dispatches a proc also carries it through
+// every sleep that ends before the next queued event (see
+// Proc.SleepUntil): one Step may move the clock past the popped event's
+// instant, but never past a queued event.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
@@ -248,6 +254,7 @@ func (e *Engine) Run() {
 // without Close leaves those as parked goroutines, and a parked proc's
 // goroutine keeps the whole engine reachable.
 func (e *Engine) Close() {
+	e.closing = true
 	for p := e.oldest; p != nil; p = e.oldest {
 		// Dropping the timers first leaves every wake unarmed, so an
 		// unwinding proc's deferred Sleep or Unpark cannot arm a second.

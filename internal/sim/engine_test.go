@@ -354,7 +354,9 @@ func TestNestedGoFromProc(t *testing.T) {
 }
 
 // runUntil steps e through every event at or before t, then sets the clock
-// to t, so a test can look at a run between its phases.
+// to t, so a test can look at a run between its phases. A Step that
+// dispatches a proc may carry it through sleeps past t that end before the
+// next queued event; the clock then stays where that proc left it.
 func runUntil(e *Engine, t Time) {
 	for len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()

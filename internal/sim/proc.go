@@ -7,8 +7,10 @@ import (
 
 // Proc is a simulated process: its body runs on a coroutine (iter.Pull) in
 // lock-step with the engine. At any instant exactly one of {engine, one
-// proc} executes, and control passes by a direct coroutine switch in both
-// directions, so simulated code never races and every interleaving is
+// proc} executes: the engine switches to the proc's coroutine to run it,
+// and the proc switches back when it blocks, except on a sleep that ends
+// before every queued event, which moves the clock and runs on (see
+// SleepUntil). So simulated code never races and every interleaving is
 // deterministic.
 //
 // Simulated code running inside the proc may call the blocking operations
@@ -144,9 +146,23 @@ func (p *Proc) suspend() {
 	}
 }
 
-// SleepUntil blocks the proc until instant t.
+// SleepUntil blocks the proc until instant t. When the proc is the one
+// running and t is strictly before the earliest queued event, its wake
+// would be the next event Run pops, so the proc does not leave: it takes
+// the seq the wake would have taken, moves the clock to t and returns,
+// with no timer queued and no coroutine switch. The test is strict
+// because a queued event at t holds an older seq and so fires first. Any
+// other sleep yields: one that ties the head, one that meets an empty
+// queue (so a lone proc still switches once per sleep, and a Step stays
+// bounded), one called from outside the proc, and one that Close unwinds.
 func (p *Proc) SleepUntil(t Time) {
-	if t < p.eng.now {
+	e := p.eng
+	if t < e.now {
+		return
+	}
+	if e.running == p && !e.closing && len(e.events) > 0 && t < e.events[0].at {
+		e.seq++
+		e.now = t
 		return
 	}
 	p.arm(t)

@@ -27,6 +27,71 @@ func TestProcSleepAllocatesNothing(t *testing.T) {
 	e.Close()
 }
 
+// TestProcSleepBeforeNextEventSkipsSwitch pins when a sleep resumes without
+// leaving the proc: only when it ends strictly before the earliest queued
+// event. A sleep to that event's instant yields, and so does one that
+// finds the queue empty, so a lone sleeper still takes a Step per sleep.
+func TestProcSleepBeforeNextEventSkipsSwitch(t *testing.T) {
+	t.Run("before queued event", func(t *testing.T) {
+		e := New()
+		defer e.Close()
+		fired, done := false, false
+		e.At(Time(time.Millisecond), func() { fired = true })
+		allocs := -1.0
+		e.Go("sleeper", func(p *Proc) {
+			// AllocsPerRun adds a warm-up call: 100 sleeps in all.
+			allocs = testing.AllocsPerRun(99, func() { p.Sleep(time.Microsecond) })
+			done = true
+		})
+		e.Step()
+		if !done || e.Now() != Time(100*time.Microsecond) || fired {
+			t.Fatalf("after one Step: done %v at %v, timer fired %v; want done at 100µs, timer queued",
+				done, e.Now(), fired)
+		}
+		if allocs != 0 {
+			t.Fatalf("a sleep that skips the switch allocates %v, want 0", allocs)
+		}
+		e.Run()
+		if !fired || e.Now() != Time(time.Millisecond) {
+			t.Fatalf("timer fired %v, clock %v; want fired at 1ms", fired, e.Now())
+		}
+	})
+	t.Run("tie with queued event", func(t *testing.T) {
+		e := New()
+		defer e.Close()
+		var order []string
+		at := Time(time.Millisecond)
+		e.At(at, func() { order = append(order, "timer") })
+		e.Go("sleeper", func(p *Proc) {
+			p.SleepUntil(at)
+			order = append(order, "sleeper")
+		})
+		steps := 0
+		for e.Step() {
+			steps++
+		}
+		if want := []string{"timer", "sleeper"}; !slices.Equal(order, want) || steps != 3 {
+			t.Fatalf("ran %v in %d Steps, want %v in 3", order, steps, want)
+		}
+	})
+	t.Run("empty queue", func(t *testing.T) {
+		e := New()
+		defer e.Close()
+		e.Go("sleeper", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+		steps := 0
+		for e.Step() {
+			steps++
+		}
+		if steps != 6 || e.Now() != Time(5*time.Microsecond) {
+			t.Fatalf("lone sleeper took %d Steps to %v, want 6 to 5µs", steps, e.Now())
+		}
+	})
+}
+
 // TestProcParkUnparkAllocatesNothing pins that a Park/Unpark round trip
 // allocates nothing.
 func TestProcParkUnparkAllocatesNothing(t *testing.T) {
@@ -239,6 +304,28 @@ func TestEngineCloseEndsParkedProcs(t *testing.T) {
 	}
 }
 
+// TestEngineCloseSleepStillUnwinds pins that a deferred sleep in a proc
+// that Close unwinds still blocks, and so unwinds, even when it ends
+// before a queued event: no Run pops its wake, so it must not resume
+// without a switch.
+func TestEngineCloseSleepStillUnwinds(t *testing.T) {
+	e := New()
+	resumed := false
+	e.Go("parked", func(p *Proc) {
+		defer func() {
+			e.After(time.Hour, func() {})
+			p.Sleep(time.Microsecond)
+			resumed = true
+		}()
+		p.Park()
+	})
+	e.Run()
+	e.Close()
+	if resumed || e.Now() != 0 {
+		t.Fatalf("deferred sleep resumed %v with the clock at %v; want unwound at 0", resumed, e.Now())
+	}
+}
+
 // TestEngineHeapOrder pins the timer heap against a sort: timers from At
 // and Arm at random instants, some canceled, some re-keyed by Reset
 // earlier or later while pending, canceled but queued, or fired, fire in
@@ -341,6 +428,122 @@ func TestEngineHeapOrder(t *testing.T) {
 		if moves[m] == 0 {
 			t.Errorf("no Reset moved a timer %s", m)
 		}
+	}
+}
+
+// TestProcWakeOrder pins proc wakes to the engine's event order. Procs
+// that sleep for 0, to a crowded instant and at random, use a shared
+// Resource, and park until a timer unparks them run among timers that
+// At, Arm, Reset and Cancel schedule from engine and proc context. Each
+// wake, a proc's or a timer's, records the instant and the seq its
+// schedule call took, so the fired sequence rises strictly only if no
+// sleep that resumes without a switch passes or ties a queued event.
+func TestProcWakeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	e := New()
+	defer e.Close()
+	type ev struct {
+		at  Time
+		seq uint64
+	}
+	var fired []ev
+	cpu := NewResource(e, "cpu")
+	// crowded is the next instant, now or later, that many wakes share.
+	crowded := func() Time { return (e.now + 99) / 100 * 100 }
+	owned := make([]Timer, 200)
+	var timers []*Timer
+	pending := map[*Timer]bool{} // armed and not canceled, as the test sees it
+	// schedule arms tm (a new one if nil) at a random or crowded instant
+	// by At, Arm or Reset; fn runs when it fires.
+	schedule := func(tm *Timer, how int, fn func()) *Timer {
+		at := e.now + Time(rng.Intn(300))
+		if rng.Intn(3) == 0 {
+			at = crowded()
+		}
+		var seq uint64
+		fire := func() {
+			fired = append(fired, ev{e.now, seq})
+			delete(pending, tm)
+			if fn != nil {
+				fn()
+			}
+		}
+		switch how {
+		case 0:
+			tm = e.At(at, fire)
+		case 1:
+			e.Arm(tm, at, fire)
+		default:
+			e.Reset(tm, at, fire)
+		}
+		seq = tm.seq
+		pending[tm] = true
+		return tm
+	}
+	var spawn func()
+	timerOp := func() {
+		switch k := rng.Intn(10); {
+		case k < 3 || len(timers) == 0:
+			timers = append(timers, schedule(nil, 0, spawn))
+		case k < 5 && len(timers) < len(owned):
+			timers = append(timers, schedule(&owned[len(timers)], 1, nil))
+		case k < 7:
+			if tm := timers[rng.Intn(len(timers))]; tm.Cancel() {
+				delete(pending, tm)
+			}
+		default:
+			schedule(timers[rng.Intn(len(timers))], 2, nil)
+		}
+	}
+	procs, finished := 0, 0
+	spawn = func() {
+		if procs == 12 || rng.Intn(4) != 0 {
+			return
+		}
+		procs++
+		seq := e.seq + 1 // the first dispatch's
+		e.Go("p", func(p *Proc) {
+			fired = append(fired, ev{e.now, seq})
+			for i := 0; i < 80; i++ {
+				seq = e.seq + 1 // what this iteration's sleep or Unpark takes
+				switch rng.Intn(6) {
+				case 0:
+					p.Sleep(0)
+				case 1:
+					p.SleepUntil(crowded())
+				case 2:
+					p.Sleep(Duration(rng.Intn(300)))
+				case 3:
+					cpu.Use(p, Duration(rng.Intn(60)))
+				case 4:
+					schedule(nil, 0, func() {
+						seq = e.seq + 1
+						p.Unpark()
+					})
+					p.Park()
+				default:
+					timerOp()
+					continue
+				}
+				fired = append(fired, ev{e.now, seq})
+			}
+			finished++
+		})
+	}
+	for procs < 4 {
+		spawn()
+	}
+	for i := 0; i < 50; i++ {
+		timerOp()
+	}
+	e.Run()
+	for i := 1; i < len(fired); i++ {
+		if a, b := fired[i-1], fired[i]; b.at < a.at || b.at == a.at && b.seq <= a.seq {
+			t.Fatalf("wake %d of %d at (%v, seq %d) fired after (%v, seq %d)", i, len(fired), b.at, b.seq, a.at, a.seq)
+		}
+	}
+	if finished != procs || procs < 8 || len(pending) != 0 {
+		t.Fatalf("%d of %d procs finished, %d timers still pending; want all of 8 or more, none", finished, procs, len(pending))
 	}
 }
 

@@ -1,16 +1,17 @@
 package sim
 
 // Wheel is the tick-rounding front end on the engine's timer queue: the
-// shared timing substrate that retransmit timers, request deadlines,
-// backoff sleeps, and periodic samplers hang off. As on a kernel timer
-// wheel, every due time rounds up to a DefaultTick boundary — an RTO, a
-// deadline, or a backoff delay is a coarse bound, not an instant. A wheel
-// timer is an ordinary engine Timer, so Cancel (the response landed) is
-// O(1), and Reset (the ack moved the window) re-keys it in O(log n).
+// shared timing substrate that netsim's retransmit and delayed-ack timers,
+// the proxy's retry backoff sleep, and obs's periodic samplers hang off.
+// As on a kernel timer wheel, every due time rounds up to a DefaultTick
+// boundary — an RTO, a delayed ack, or a backoff delay is a coarse bound,
+// not an instant. A wheel timer is an ordinary engine Timer, so Cancel (a
+// data segment carried the ack) is O(1), and Reset (the ack moved the
+// window) re-keys it in O(log n).
 type Wheel struct{ eng *Engine }
 
 // DefaultTick is the wheel's granularity: rounding delays a timer by at
-// most one tick, so a 5 ms deadline is off by at most 1% and the 200 µs
+// most one tick, so the 1 ms first RTO is off by at most 5%, and the 200 µs
 // minimum RTO by at most 25%.
 const DefaultTick = 50 * Microsecond
 
